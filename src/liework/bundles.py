@@ -253,8 +253,7 @@ class UCPoint:
 
 def _verify_uc_invariant(alg: ChevalleyAlgebra, p: Subspace, x: Vec) -> None:
     # recomputed from p alone: x must kill [p, p] under the Killing form
-    pdp = perp_wrt_form(alg.bracket_space(p, p), alg.killing_gram)
-    if not pdp.contains(x):
+    if not intrinsic_quotients(alg, p).p_derived_perp.contains(x):
         raise PointInvariantError(
             "x is not Killing-orthogonal to [p, p] for its parabolic")
 

@@ -10,8 +10,11 @@ choice), which pins every structure constant deterministically.
 Nothing is trusted: after extraction the construction audits the Jacobi
 identity on every ordered basis triple, the +-(p+1) magnitude law for all
 root pairs, coroot integrality against the symmetrized Cartan matrix,
-Killing form symmetry/invariance/nondegeneracy, and the weight grading of
-the Killing pairing.  Any failed audit raises, naming the identity.
+Killing form symmetry/invariance/nondegeneracy, the weight grading of
+the Killing pairing and the classical root count.  Any failed audit
+raises, naming the identity.  The reported audits come back as
+CheckRecords on ``ChevalleyAlgebra.audit``; the suites report those
+records instead of re-running the audits.
 
 Basis order is [e_beta for beta positive] ++ [h_1..h_r] ++ [f_beta], with
 positive roots sorted by height then reverse-lexicographically on their
@@ -19,7 +22,9 @@ simple-root coordinates, so a1 precedes a2.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -31,6 +36,8 @@ from .exactlin import (
     Subspace,
     Vec,
     ZERO,
+    gram_pair,
+    int_det,
     rref,
     solve_linear,
 )
@@ -49,6 +56,36 @@ class ConstructionAuditError(RuntimeError):
 
 
 SUPPORTED_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2")
+
+
+@dataclass(frozen=True)
+class CheckRecord:
+    """The outcome of one checked identity, as a report shows it."""
+
+    name: str
+    expected: str
+    actual: str
+    ok: bool
+    witness: str | None = None
+
+
+def check_record(name: str, expected, actual, ok: bool,
+                 witness: str | None = None) -> CheckRecord:
+    """A record with expected and actual as strings; a failure without a
+    witness gets one stating both."""
+    if not ok and witness is None:
+        witness = f"expected {expected}, got {actual}"
+    return CheckRecord(name, str(expected), str(actual), ok, witness)
+
+
+def raise_on_failure(records: Sequence[CheckRecord], error: type[Exception],
+                     where: str) -> tuple[CheckRecord, ...]:
+    """The records of a builder's audit; raises error naming the first
+    failed identity."""
+    for r in records:
+        if not r.ok:
+            raise error(f"{where}: {r.name} audit failed: {r.witness}")
+    return tuple(records)
 
 
 @dataclass(frozen=True)
@@ -193,32 +230,14 @@ def validate_finite_type(m: IntMat) -> None:
             if i != j and m[i, j] > 0:
                 raise NotFiniteType("off-diagonal Cartan entries must be <= 0")
     d = symmetrizer(m)
-    # symmetrized matrix must be positive definite (leading principal minors)
-    s = [[d[i] * m[i, j] for j in range(n)] for i in range(n)]
+    # symmetrized matrix must be positive definite (leading principal
+    # minors); a positive common denominator clears it without changing
+    # any minor's sign
+    den = math.lcm(*(x.denominator for x in d))
+    s = [[int(d[i] * den) * m[i, j] for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        sub = Mat.from_rows([row[:k] for row in s[:k]], k)
-        if _rational_det(sub) <= 0:
+        if int_det(IntMat.from_rows([row[:k] for row in s[:k]], k)) <= 0:
             raise NotFiniteType("symmetrized Cartan matrix is not positive definite")
-
-
-def _rational_det(m: Mat) -> Fraction:
-    a = [list(m.row(i)) for i in range(m.rows)]
-    n = m.rows
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = Fraction(1) / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
 
 
 _EXPECTED_POSITIVE_COUNT = {
@@ -266,15 +285,7 @@ def roots_from_cartan(cartan: CartanDatum) -> tuple[Root, ...]:
                         nxt.add(up)
         known |= nxt
         frontier = sorted(nxt)
-    roots = sorted((Root(c) for c in known), key=root_sort_key)
-    letter = cartan.type_label[0] if cartan.type_label in SUPPORTED_TYPES else None
-    if letter is not None:
-        want = _EXPECTED_POSITIVE_COUNT[letter](cartan.rank)
-        if len(roots) != want:
-            raise ConstructionAuditError(
-                f"positive root count {len(roots)} != classical count {want} "
-                f"for {cartan.type_label}")
-    return tuple(roots)
+    return tuple(sorted((Root(c) for c in known), key=root_sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +365,8 @@ class ChevalleyAlgebra:
     table: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...] = field(repr=False)
     killing_gram: Mat = field(repr=False)
     basis_weights: tuple[tuple[int, ...] | None, ...] = field(repr=False)
+    # records of the build-time audits, in report order
+    audit: tuple[CheckRecord, ...] = field(default=(), repr=False)
 
     @property
     def rank(self) -> int:
@@ -387,12 +400,7 @@ class ChevalleyAlgebra:
         return self.f_index(-root)
 
     def basis_label(self, i: int) -> str:
-        n, r = self.num_positive, self.rank
-        if i < n:
-            return f"e({root_name(self.positive_roots[i].coords)})"
-        if i < n + r:
-            return f"h{i - n + 1}"
-        return f"f({root_name(self.positive_roots[i - n - r].coords)})"
+        return _basis_label(self.positive_roots, self.rank, i)
 
     def one_hot(self, i: int) -> Vec:
         v = [ZERO] * self.dim
@@ -416,21 +424,8 @@ class ChevalleyAlgebra:
                     acc[k] += c * xi * yj
         return tuple(acc)
 
-    def ad(self, x: Vec) -> Mat:
-        cols = [self.bracket(x, self.one_hot(j)) for j in range(self.dim)]
-        return Mat.from_rows([[cols[j][i] for j in range(self.dim)]
-                              for i in range(self.dim)], self.dim)
-
     def killing(self, x: Vec, y: Vec) -> Fraction:
-        acc = ZERO
-        g = self.killing_gram
-        for i, xi in enumerate(x):
-            if xi:
-                row = g.row(i)
-                for j, yj in enumerate(y):
-                    if yj and row[j]:
-                        acc += xi * row[j] * yj
-        return acc
+        return gram_pair(self.killing_gram, x, y)
 
     def bracket_space(self, a: Subspace, b: Subspace) -> Subspace:
         """span{[x, y] : x in a, y in b}"""
@@ -451,6 +446,15 @@ class ChevalleyAlgebra:
                 coef = "" if c == 1 else ("-" if c == -1 else f"{c}*")
                 terms.append(f"{coef}{self.basis_label(i)}")
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+
+def _basis_label(pos: Sequence[Root], rank: int, i: int) -> str:
+    n = len(pos)
+    if i < n:
+        return f"e({root_name(pos[i].coords)})"
+    if i < n + rank:
+        return f"h{i - n + 1}"
+    return f"f({root_name(pos[i - n - rank].coords)})"
 
 
 def _string_down_length(gamma: tuple[int, ...], beta: tuple[int, ...],
@@ -587,8 +591,9 @@ def build_algebra(cartan: CartanDatum) -> ChevalleyAlgebra:
                             f"{label}: vanishing [h, x] with nonzero weight pairing")
                     set_entry(i, j, [])
                     continue
-                coef = express_single(cmat, vpos,
-                                      f"[{_lbl(label, i, pos, n)},{_lbl(label, j, pos, n)}]")
+                coef = express_single(
+                    cmat, vpos,
+                    f"[{_basis_label(pos, n, i)},{_basis_label(pos, n, j)}]")
                 want = expect if wi is None else -expect
                 if coef != want:
                     raise ConstructionAuditError(
@@ -670,17 +675,7 @@ def build_algebra(cartan: CartanDatum) -> ChevalleyAlgebra:
     alg = ChevalleyAlgebra(cartan=cartan, positive_roots=pos, dim=dim,
                            table=tab, killing_gram=gram,
                            basis_weights=tuple(weights))
-    _audit(alg)
-    return alg
-
-
-def _lbl(label: str, i: int, pos, n: int) -> str:
-    num_pos = len(pos)
-    if i < num_pos:
-        return f"e({root_name(pos[i].coords)})"
-    if i < num_pos + n:
-        return f"h{i - num_pos + 1}"
-    return f"f({root_name(pos[i - num_pos - n].coords)})"
+    return dataclasses.replace(alg, audit=_audit(alg))
 
 
 def jacobi_violations(alg: ChevalleyAlgebra) -> int:
@@ -730,14 +725,11 @@ def killing_invariance_violations(alg: ChevalleyAlgebra) -> int:
     return bad
 
 
-def _audit(alg: ChevalleyAlgebra) -> None:
+def _audit(alg: ChevalleyAlgebra) -> tuple[CheckRecord, ...]:
+    """Audit the finished algebra; the reported records, or raise."""
     label = alg.cartan.type_label
     dim = alg.dim
     g = alg.killing_gram
-    if not g.is_symmetric():
-        raise ConstructionAuditError(f"{label}: Killing gram not symmetric")
-    if len(rref(g)[1]) != dim:
-        raise ConstructionAuditError(f"{label}: Killing form degenerate")
     # weight grading of the pairing: kappa(g_a, g_b) = 0 unless a + b = 0
     for i in range(dim):
         wi = alg.basis_weights[i]
@@ -750,10 +742,21 @@ def _audit(alg: ChevalleyAlgebra) -> None:
             if not zero_sum and g[i, j] != 0:
                 raise ConstructionAuditError(
                     f"{label}: Killing pairing breaks the weight grading")
-    if jacobi_violations(alg) != 0:
-        raise ConstructionAuditError(f"{label}: Jacobi identity audit failed")
-    if killing_invariance_violations(alg) != 0:
-        raise ConstructionAuditError(f"{label}: Killing invariance audit failed")
+    jac = jacobi_violations(alg)
+    sym = g.is_symmetric()
+    nondeg = len(rref(g)[1]) == dim
+    kiv = killing_invariance_violations(alg)
+    want_pos = _EXPECTED_POSITIVE_COUNT[label[0]](alg.rank)
+    want_dim = 2 * want_pos + alg.rank
+    return raise_on_failure((
+        check_record("jacobi-violations", 0, jac, jac == 0),
+        check_record("killing-symmetric", True, sym, sym),
+        check_record("killing-nondegenerate", True, nondeg, nondeg),
+        check_record("killing-invariance-violations", 0, kiv, kiv == 0),
+        check_record("positive-root-count", want_pos, alg.num_positive,
+                     alg.num_positive == want_pos),
+        check_record("dimension", want_dim, dim, dim == want_dim),
+    ), ConstructionAuditError, label)
 
 
 @functools.lru_cache(maxsize=None)

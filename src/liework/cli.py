@@ -71,6 +71,7 @@ def _result_doc(r: SuiteResult) -> dict:
 
 def build_report(results: list[SuiteResult], seed: int,
                  max_word_len: int) -> dict:
+    # nothing is ever skipped; the report format keeps the key at "0"
     counts = {"pass": 0, "fail": 0, "hypothesis-gated": 0, "skipped": 0}
     for r in results:
         counts[r.status] += 1
@@ -91,6 +92,16 @@ def build_report(results: list[SuiteResult], seed: int,
 def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True) + "\n"
+
+
+def _word_len(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _parse_cases(tokens: list[str], seed: int, max_word_len: int,
@@ -125,7 +136,7 @@ def _cmd_verify(args, out) -> int:
     for name in names:
         chunk = [r for r in results if r.suite_name == name]
         tally = {s: sum(1 for r in chunk if r.status == s)
-                 for s in ("pass", "fail", "hypothesis-gated", "skipped")}
+                 for s in ("pass", "fail", "hypothesis-gated")}
         cells = "  ".join(f"{s}={tally[s]}" for s in tally if tally[s])
         print(f"{name:<{width}}  cases={len(chunk):3d}  {cells}", file=out)
     for r in results:
@@ -214,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
                                "default: the full matrix)")
     p_verify.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                           help="base seed (default: WORKBENCH_SEED or builtin)")
-    p_verify.add_argument("--max-word-len", type=int,
+    p_verify.add_argument("--max-word-len", type=_word_len,
                           default=DEFAULT_MAX_WORD_LEN,
                           help="maximum sampled group-word length")
     p_verify.add_argument("--json", metavar="PATH",

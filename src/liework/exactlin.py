@@ -43,24 +43,8 @@ def as_vec(seq: Iterable) -> Vec:
     return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in seq)
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
-
-
 def vec_is_zero(a: Vec) -> bool:
     return all(x == 0 for x in a)
-
-
-def zero_vec(n: int) -> Vec:
-    return (ZERO,) * n
 
 
 @dataclass(frozen=True)
@@ -94,10 +78,6 @@ class Mat:
     def identity(n: int) -> "Mat":
         return Mat(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
 
-    @staticmethod
-    def zeros(r: int, c: int) -> "Mat":
-        return Mat(r, c, (ZERO,) * (r * c))
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -107,10 +87,6 @@ class Mat:
 
     def row_list(self) -> list[Vec]:
         return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows,
-                   tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
 
     def mul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -147,11 +123,6 @@ class Mat:
     def scale(self, c) -> "Mat":
         c = c if isinstance(c, Fraction) else Fraction(c)
         return Mat(self.rows, self.cols, tuple(c * x for x in self.entries))
-
-    def stack(self, other: "Mat") -> "Mat":
-        if self.cols != other.cols:
-            raise DimensionMismatch("vertical stack needs equal column counts")
-        return Mat(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def apply(self, v: Vec) -> Vec:
         """Matrix times column vector."""
@@ -500,9 +471,6 @@ class IntMat:
             out.append([sum(r[k] * other[k, j] for k in range(self.cols))
                         for j in range(other.cols)])
         return IntMat.from_rows(out, other.cols)
-
-    def to_mat(self) -> Mat:
-        return Mat(self.rows, self.cols, tuple(Fraction(x) for x in self.entries))
 
 
 def int_det(m: IntMat) -> int:

@@ -10,17 +10,25 @@ space [p,p]-perp / u.
 
 Every structural identity is checked at construction time and failures
 raise ParabolicAuditError naming the identity, so downstream code can
-rely on the datum without re-deriving anything.
+rely on the datum without re-deriving anything.  The reported identities
+come back as CheckRecords on ``ParabolicDatum.audit``, which the suites
+report instead of re-proving them.
 """
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .chevalley import ChevalleyAlgebra, algebra
+from .chevalley import (
+    ChevalleyAlgebra,
+    CheckRecord,
+    algebra,
+    check_record,
+    raise_on_failure,
+)
 from .exactlin import (
     EchelonBuilder,
     IntMat,
@@ -72,6 +80,8 @@ class ParabolicDatum:
     torus_rank: int
     levi_root_positions: tuple[int, ...]  # positive-root indices inside gamma
     u_root_positions: tuple[int, ...]  # positive-root indices outside gamma
+    # records of the build-time identities, in report order
+    audit: tuple[CheckRecord, ...] = field(repr=False)
 
     def label(self) -> str:
         idx = ",".join(str(i) for i in sorted(self.gamma)) or "-"
@@ -159,43 +169,51 @@ def build_parabolic(alg: ChevalleyAlgebra, gamma: Iterable[int]) -> ParabolicDat
     levi_derived = alg.bracket_space(levi, levi)
     u_derived = alg.bracket_space(u, u)
     p_derived = alg.bracket_space(p, p)
-    if p_derived != subspace_sum(levi_derived, u):
-        raise ParabolicAuditError("[p,p] = [l,l] + u failed")
-
     p_perp = perp_wrt_form(p, alg.killing_gram)
-    if p_perp != u:
-        raise ParabolicAuditError("p-perp = u failed")
     p_derived_perp = perp_wrt_form(p_derived, alg.killing_gram)
-    if not p.contains_space(p_derived_perp):
-        raise ParabolicAuditError("[p,p]-perp inside p failed")
+    perp_ok = p_perp == u
+    derived_ok = p_derived == subspace_sum(levi_derived, u)
+    inside_ok = p.contains_space(p_derived_perp)
+    where = f"{alg.cartan.type_label} gamma {sorted(gset)}"
+    # the quotients below need these subspace identities
+    audit = raise_on_failure((
+        check_record("nilradical-is-p-perp", True, perp_ok, perp_ok),
+        check_record("derived-p-decomposition", True, derived_ok, derived_ok),
+        check_record("derived-perp-inside-p", True, inside_ok, inside_ok),
+    ), ParabolicAuditError, where)
 
     a_p = quotient(p, p_derived)
     a_u = quotient(u, u_derived)
     twist_space = quotient(p_derived_perp, u)
 
     torus_rank = alg.rank - len(gset)
-    if a_p.dim != torus_rank:
-        raise ParabolicAuditError(
-            f"dim p/[p,p] = {a_p.dim} != rank - |gamma| = {torus_rank}")
-    if twist_space.dim != torus_rank:
-        raise ParabolicAuditError("dim twist space != torus rank")
-
+    rank_ok = a_p.dim == torus_rank == twist_space.dim
     # Killing form must pair the two torus-rank quotients perfectly
+    pairing_ok = True
     if torus_rank:
         gram = Mat.from_rows(
             [[alg.killing(a_p.section.row(i), twist_space.section.row(j))
               for j in range(torus_rank)] for i in range(torus_rank)],
             torus_rank)
-        if len(rref(gram)[1]) != torus_rank:
-            raise ParabolicAuditError(
-                "Killing pairing of p/[p,p] with twist space is degenerate")
+        pairing_ok = len(rref(gram)[1]) == torus_rank
+    dim_c = dim - p.dim
+    leaf_dim = dim_c + p_derived_perp.dim - torus_rank
+
+    audit += raise_on_failure((
+        check_record("torus-rank", torus_rank,
+                     f"a_p={a_p.dim},twist={twist_space.dim}", rank_ok),
+        check_record("torus-pairing-nondegenerate", True, pairing_ok,
+                     pairing_ok),
+        check_record("leaf-twice-codim", 2 * dim_c, leaf_dim,
+                     leaf_dim == 2 * dim_c),
+    ), ParabolicAuditError, where)
 
     return ParabolicDatum(
         alg=alg, gamma=gset, p=p, levi=levi, levi_derived=levi_derived,
         u=u, u_derived=u_derived, p_derived=p_derived, p_perp=p_perp,
         p_derived_perp=p_derived_perp, a_p=a_p, a_u=a_u,
         twist_space=twist_space, torus_rank=torus_rank,
-        levi_root_positions=levi_pos, u_root_positions=u_pos)
+        levi_root_positions=levi_pos, u_root_positions=u_pos, audit=audit)
 
 
 @functools.lru_cache(maxsize=None)
@@ -226,14 +244,12 @@ def dimension_report(pd: ParabolicDatum) -> DimensionReport:
 
     dim_c is the codimension of p (the open-orbit piece of the
     nilradical), dim_uc the total space of the incidence family, and
-    leaf_dim the generic symplectic leaf; leaf_dim = 2*dim_c is asserted.
+    leaf_dim the generic symplectic leaf; build_parabolic audits
+    leaf_dim = 2*dim_c.
     """
     dim_c = pd.alg.dim - pd.p.dim
     dim_uc = dim_c + pd.p_derived_perp.dim
     leaf_dim = dim_uc - pd.torus_rank
-    if leaf_dim != 2 * dim_c:
-        raise ParabolicAuditError(
-            f"leaf dimension {leaf_dim} != 2 * {dim_c} for {pd.label()}")
     return DimensionReport(
         dim_g=pd.alg.dim, dim_p=pd.p.dim, dim_levi=pd.levi.dim,
         dim_u=pd.u.dim, dim_u_derived=pd.u_derived.dim,

@@ -6,24 +6,24 @@ sampling is deterministic: every case derives its own generator from a
 string key built out of (seed, suite, case), so reruns are bit-identical
 and cases can run in any order.
 
-Statuses are three-valued plus skipped: a "hypothesis-gated" result marks
-claims whose hypothesis fails for that gamma; they are neither passes nor
+Identities that the builders already audit are not checked again: the
+algebra and parabolic-identities suites report the records that
+build_algebra and build_parabolic return, and compute only what no
+builder checks.
+
+Statuses are three-valued: a "hypothesis-gated" result marks claims
+whose hypothesis fails for that gamma; they are neither passes nor
 failures and are counted separately.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chevalley import (
-    algebra,
-    jacobi_violations,
-    killing_invariance_violations,
-)
-from .exactlin import Mat, class_of, rref, subspace_sum
+from .chevalley import SUPPORTED_TYPES, CheckRecord, algebra, check_record
+from .exactlin import class_of
 from .parabolic import (
     RichardsonSearchError,
     dimension_report,
@@ -85,7 +85,19 @@ class CaseSpec:
     gamma_key: tuple[int, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
+        # validated here, where cases enter, without building the algebra
         object.__setattr__(self, "gamma_key", tuple(sorted(self.gamma)))
+        if self.type_label not in SUPPORTED_TYPES:
+            raise ValueError(
+                f"malformed case spec {self.case_label()!r}: type "
+                f"{self.type_label!r} is not one of {', '.join(SUPPORTED_TYPES)}")
+        rank = int(self.type_label[1:])
+        if not self.gamma <= set(range(1, rank + 1)):
+            raise ValueError(
+                f"malformed case spec {self.case_label()!r}: gamma exceeds rank")
+        if self.max_word_len < 1:
+            raise ValueError(
+                f"max_word_len must be at least 1, got {self.max_word_len}")
 
     @staticmethod
     def from_string(text: str, seed: int = DEFAULT_SEED,
@@ -99,24 +111,14 @@ class CaseSpec:
 
     def sort_key(self):
         order = {t: i for i, t in enumerate(_MATRIX_TYPES + ("D4",))}
-        return (order.get(self.type_label, 99), self.type_label,
-                len(self.gamma_key), self.gamma_key)
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    expected: str
-    actual: str
-    ok: bool
-    witness: str | None = None
+        return (order[self.type_label], len(self.gamma_key), self.gamma_key)
 
 
 @dataclass(frozen=True)
 class SuiteResult:
     suite_name: str
     case: CaseSpec
-    status: str  # pass | fail | hypothesis-gated | skipped
+    status: str  # pass | fail | hypothesis-gated
     checks: tuple[CheckRecord, ...]
 
 
@@ -139,72 +141,18 @@ def _rng(case: CaseSpec, suite: str, topic: str = "") -> random.Random:
     return random.Random(f"{case.seed}:{suite}:{case.case_label()}:{topic}")
 
 
-def _rec(name: str, expected, actual, ok: bool,
-         witness: str | None = None) -> CheckRecord:
-    if not ok and witness is None:
-        witness = f"expected {expected}, got {actual}"
-    return CheckRecord(name, str(expected), str(actual), ok, witness)
-
-
-_CLASSICAL_COUNT = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n,
-                    "C": lambda n: n * n, "D": lambda n: n * (n - 1),
-                    "G": lambda n: 6}
-
-
-@functools.lru_cache(maxsize=None)
-def _algebra_checks(type_label: str) -> tuple[CheckRecord, ...]:
-    alg = algebra(type_label)
-    jac = jacobi_violations(alg)
-    kiv = killing_invariance_violations(alg)
-    sym = alg.killing_gram.is_symmetric()
-    nondeg = len(rref(alg.killing_gram)[1]) == alg.dim
-    n = alg.rank
-    want_pos = _CLASSICAL_COUNT[type_label[0]](n)
-    return (
-        _rec("jacobi-violations", 0, jac, jac == 0),
-        _rec("killing-symmetric", True, sym, sym),
-        _rec("killing-nondegenerate", True, nondeg, nondeg),
-        _rec("killing-invariance-violations", 0, kiv, kiv == 0),
-        _rec("positive-root-count", want_pos, alg.num_positive,
-             alg.num_positive == want_pos),
-        _rec("dimension", 2 * want_pos + n, alg.dim,
-             alg.dim == 2 * want_pos + n),
-    )
-
-
 def _suite_algebra(case: CaseSpec) -> tuple[CheckRecord, ...]:
-    return _algebra_checks(case.type_label)
+    return algebra(case.type_label).audit
 
 
 def _suite_parabolic(case: CaseSpec) -> tuple[CheckRecord, ...]:
     pd = standard_parabolic(case.type_label, case.gamma)
-    alg = pd.alg
-    rep = dimension_report(pd)
-    perp_ok = pd.p_perp == pd.u
-    derived_ok = pd.p_derived == subspace_sum(pd.levi_derived, pd.u)
-    inside_ok = pd.p.contains_space(pd.p_derived_perp)
     fixed_ok = fixedpoint_check(pd)
-    want_rank = alg.rank - len(pd.gamma)
-    rank_ok = pd.a_p.dim == want_rank == pd.twist_space.dim
-    if pd.torus_rank:
-        gram = Mat.from_rows(
-            [[alg.killing(pd.a_p.section.row(i), pd.twist_space.section.row(j))
-              for j in range(pd.torus_rank)] for i in range(pd.torus_rank)],
-            pd.torus_rank)
-        pairing_ok = len(rref(gram)[1]) == pd.torus_rank
-    else:
-        pairing_ok = True
-    return (
-        _rec("nilradical-is-p-perp", True, perp_ok, perp_ok),
-        _rec("derived-p-decomposition", True, derived_ok, derived_ok),
-        _rec("derived-perp-inside-p", True, inside_ok, inside_ok),
-        _rec("fixedpoint-property", True, fixed_ok, fixed_ok),
-        _rec("torus-rank", want_rank, f"a_p={pd.a_p.dim},twist={pd.twist_space.dim}",
-             rank_ok),
-        _rec("torus-pairing-nondegenerate", True, pairing_ok, pairing_ok),
-        _rec("leaf-twice-codim", 2 * rep.dim_c, rep.leaf_dim,
-             rep.leaf_dim == 2 * rep.dim_c),
-    )
+    # report order: the three subspace identities, then the fixed-point
+    # property, then the torus and leaf identities
+    return (pd.audit[:3]
+            + (check_record("fixedpoint-property", True, fixed_ok, fixed_ok),)
+            + pd.audit[3:])
 
 
 def _suite_richardson(case: CaseSpec) -> tuple[CheckRecord, ...]:
@@ -213,19 +161,21 @@ def _suite_richardson(case: CaseSpec) -> tuple[CheckRecord, ...]:
         cert = find_richardson(pd, seed=case.seed)
     except RichardsonSearchError as err:
         return (
-            _rec("richardson-found", True, False, False,
-                 witness=f"best tangent dim {err.best_tangent_dim} of {pd.u.dim}"),
+            check_record("richardson-found", True, False, False,
+                         witness=f"best tangent dim {err.best_tangent_dim} "
+                                 f"of {pd.u.dim}"),
         )
     tangent_ok = cert.tangent == pd.u
     tc = torsor_certificate(pd, cert)
     return (
-        _rec("richardson-found", True, cert.is_open, cert.is_open),
-        _rec("tangent-fills-nilradical", pd.u.dim, cert.tangent.dim, tangent_ok,
-             witness=None if tangent_ok else f"element {cert.element}"),
-        _rec("infinitesimal-freeness", pd.torus_rank, tc.induced_rank,
-             tc.infinitesimal_free),
-        _rec("lattice-freeness", "all invariants 1",
-             str(list(tc.smith_invariants)), tc.lattice_generating),
+        check_record("richardson-found", True, cert.is_open, cert.is_open),
+        check_record("tangent-fills-nilradical", pd.u.dim, cert.tangent.dim,
+                     tangent_ok,
+                     witness=None if tangent_ok else f"element {cert.element}"),
+        check_record("infinitesimal-freeness", pd.torus_rank, tc.induced_rank,
+                     tc.infinitesimal_free),
+        check_record("lattice-freeness", "all invariants 1",
+                     str(list(tc.smith_invariants)), tc.lattice_generating),
     )
 
 
@@ -248,8 +198,7 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
     pd = standard_parabolic(case.type_label, case.gamma)
     alg = pd.alg
     rep = dimension_report(pd)
-    checks = [_rec("leaf-twice-codim", 2 * rep.dim_c, rep.leaf_dim,
-                   rep.leaf_dim == 2 * rep.dim_c)]
+    checks = [next(r for r in pd.audit if r.name == "leaf-twice-codim")]
 
     rng = _rng(case, "uc-family", "fibers")
     dims = set()
@@ -257,8 +206,8 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
         psi = twist_level(pd, [rng.randint(-5, 5) for _ in range(pd.torus_rank)])
         dims.add(fiber_dimension(pd, psi))
     fib_ok = dims == {2 * rep.dim_c}
-    checks.append(_rec("fiber-equidimensional", {2 * rep.dim_c}, sorted(dims),
-                       fib_ok))
+    checks.append(check_record("fiber-equidimensional", {2 * rep.dim_c},
+                               sorted(dims), fib_ok))
 
     x0 = _uc_base_vector(pd)
     base = make_uc_point(pd, IDENTITY_WORD, x0)
@@ -278,8 +227,8 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
             bad += 1
             if witness is None:
                 witness = f"word #{k}: {w}"
-    checks.append(_rec("action-roundtrip-and-killing", f"{total} exact",
-                       f"{total - bad} exact", bad == 0, witness))
+    checks.append(check_record("action-roundtrip-and-killing", f"{total} exact",
+                               f"{total - bad} exact", bad == 0, witness))
 
     rng = _rng(case, "uc-family", "points")
     pt_bad = 0
@@ -301,8 +250,8 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
         if not ok:
             pt_bad += 1
             pt_witness = pt_witness or f"point #{k}: transported level mismatch"
-    checks.append(_rec("transported-points-consistent", "4 exact",
-                       f"{4 - pt_bad} exact", pt_bad == 0, pt_witness))
+    checks.append(check_record("transported-points-consistent", "4 exact",
+                               f"{4 - pt_bad} exact", pt_bad == 0, pt_witness))
 
     rng = _rng(case, "uc-family", "stabilizers")
     st_bad = 0
@@ -316,9 +265,9 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
             if canonical_id(pd, w, psi) != psi:
                 st_bad += 1
                 st_witness = st_witness or f"word #{k} level {m}"
-    checks.append(_rec("stabilizer-canonical-id-identity", "identity",
-                       "identity" if st_bad == 0 else f"{st_bad} moved",
-                       st_bad == 0, st_witness))
+    checks.append(check_record("stabilizer-canonical-id-identity", "identity",
+                               "identity" if st_bad == 0 else f"{st_bad} moved",
+                               st_bad == 0, st_witness))
     return tuple(checks)
 
 
@@ -338,8 +287,8 @@ def _suite_invariance(case: CaseSpec) -> tuple[CheckRecord, ...]:
             if far != near:
                 bad += 1
                 witness = witness or f"word #{wk} psi #{pk}: {far} != {near}"
-    return (_rec("pairing-square", f"{total} equal", f"{total - bad} equal",
-                 bad == 0, witness),)
+    return (check_record("pairing-square", f"{total} equal",
+                         f"{total - bad} equal", bad == 0, witness),)
 
 
 def _suite_embedding(case: CaseSpec) -> tuple[CheckRecord, ...]:
@@ -373,11 +322,12 @@ def _suite_embedding(case: CaseSpec) -> tuple[CheckRecord, ...]:
             witness = witness or f"point #{k}: equivariance broke"
     ok = embedded == triangle == equivariant == total
     return (
-        _rec("points-embed", total, embedded, embedded == total, witness),
-        _rec("triangle-phi-embed-mu", total, triangle, triangle == total,
-             witness),
-        _rec("embed-equivariant", total, equivariant, equivariant == total,
-             witness if not ok else None),
+        check_record("points-embed", total, embedded, embedded == total,
+                     witness),
+        check_record("triangle-phi-embed-mu", total, triangle,
+                     triangle == total, witness),
+        check_record("embed-equivariant", total, equivariant,
+                     equivariant == total, witness if not ok else None),
     )
 
 
@@ -389,12 +339,14 @@ def _suite_bc(case: CaseSpec) -> tuple[CheckRecord, ...]:
         assert wit is not None
         a, b, v = wit
         return (
-            _rec("triviality-hypothesis", "reported", "false", True,
-                 witness=f"[{a}, {b}] = {pd.alg.vector_name(v)} outside [u,u]"),
-            _rec("quotient-dimension-bookkeeping", "reported",
-                 f"dim a_p = {pd.a_p.dim}, dim a_u = {pd.a_u.dim}", True),
+            check_record("triviality-hypothesis", "reported", "false", True,
+                         witness=f"[{a}, {b}] = {pd.alg.vector_name(v)} "
+                                 "outside [u,u]"),
+            check_record("quotient-dimension-bookkeeping", "reported",
+                         f"dim a_p = {pd.a_p.dim}, dim a_u = {pd.a_u.dim}",
+                         True),
         )
-    checks = [_rec("triviality-hypothesis", "reported", "true", True)]
+    checks = [check_record("triviality-hypothesis", "reported", "true", True)]
     cert = find_richardson(pd, seed=case.seed)
     bc = make_bc_point(pd, cert)
     rows = pd.p_derived_perp.basis.row_list()
@@ -408,13 +360,14 @@ def _suite_bc(case: CaseSpec) -> tuple[CheckRecord, ...]:
             factor_ok = False
             witness = f"y = {pd.alg.vector_name(y)}"
             break
-    checks.append(_rec("moment-maps-factor-through-quotient", True, factor_ok,
-                       factor_ok, witness))
+    checks.append(check_record("moment-maps-factor-through-quotient", True,
+                               factor_ok, factor_ok, witness))
     params = [Fraction(3)] * pd.alg.rank
     inv_params = [Fraction(1, 3)] * pd.alg.rank
     back = bc_torus_action(pd, bc_torus_action(pd, bc, params), inv_params)
     torus_ok = back.x_rep == bc.x_rep
-    checks.append(_rec("torus-action-invertible", True, torus_ok, torus_ok))
+    checks.append(check_record("torus-action-invertible", True, torus_ok,
+                               torus_ok))
     return tuple(checks)
 
 
@@ -436,15 +389,12 @@ def run_suite(name: str, cases: list[CaseSpec]) -> list[SuiteResult]:
     fn = _SUITE_FUNCS[name]
     results = []
     for case in sorted(set(cases), key=CaseSpec.sort_key):
-        alg = algebra(case.type_label)  # validates the label early
-        if not case.gamma <= set(range(1, alg.rank + 1)):
-            raise ValueError(
-                f"malformed case spec {case.case_label()!r}: gamma exceeds rank")
         try:
             checks = fn(case)
         except Exception as err:  # a suite reports, it never takes the runner down
-            checks = (_rec("unexpected-error", "no exception",
-                           type(err).__name__, False, witness=str(err)),)
+            checks = (check_record("unexpected-error", "no exception",
+                                   type(err).__name__, False,
+                                   witness=str(err)),)
         if any(not c.ok for c in checks):
             status = "fail"
         elif name == "bc-hypotheses" and any(

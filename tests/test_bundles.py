@@ -295,6 +295,21 @@ def test_tstar_invariant_checked():
         make_tstar_point(pd, base, f1)
 
 
+def test_uc_invariant_checked_at_transported_p():
+    pd = standard_parabolic("A2", frozenset())
+    alg = pd.alg
+    w = _w_unip(Root((-1, 0)), 1)
+    moved = act_subspace(alg, w, pd.p)
+    assert moved != pd.p
+    f1 = alg.one_hot(alg.f_index(Root((1, 0))))
+    assert not pd.p_derived_perp.contains(f1)
+    bad = UCPoint(p=pd.p, x=f1, witness=IDENTITY_WORD)
+    with pytest.raises(PointInvariantError, match="Killing-orthogonal"):
+        act_uc_point(pd, w, bad)
+    good = make_uc_point(pd, IDENTITY_WORD, pd.p_derived_perp.basis.row(0))
+    assert act_uc_point(pd, w, good).p == moved
+
+
 def test_act_uc_point_witness_composition():
     pd = standard_parabolic("A2", frozenset())
     alg = pd.alg

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,22 @@ def test_malformed_case_exit_two(capsys):
     code, out, _ = run(capsys, "verify", "--case", "Z9:frog")
     assert code == 2
     assert "Z9:frog" in out
+
+
+@pytest.mark.parametrize("command", ["verify", "dossier", "richardson"])
+@pytest.mark.parametrize("spec", ["E6:1", "A2:5"])
+def test_unsupported_case_exit_two(capsys, command, spec):
+    code, out, err = run(capsys, command, "--case", spec)
+    assert code == 2
+    assert f"malformed case {spec!r}" in out
+    assert "Traceback" not in out + err
+
+
+def test_max_word_len_below_one_exit_two(capsys):
+    code, _, err = run(capsys, "verify", "--case", "A1:-",
+                       "--max-word-len", "0")
+    assert code == 2
+    assert "--max-word-len: must be at least 1, got 0" in err
 
 
 def test_unknown_suite_usage_error(capsys):
@@ -156,3 +173,18 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "liework" in out
+
+
+def test_light_suites_match_pinned_report(tmp_path, capsys):
+    # the benchmark's pinned certify report: four light suites, all 54 cases
+    ref = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                      / "reference" / "certify.json").read_text())
+    path = tmp_path / "certify.json"
+    argv = ["verify", "--include-d4", "--seed", "0xC0FFEE",
+            "--max-word-len", "8", "--json", str(path)]
+    for name in ("algebra", "parabolic-identities", "richardson-torsor",
+                 "bc-hypotheses"):
+        argv += ["--suite", name]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert json.loads(path.read_text())["suites"] == ref["suites"]

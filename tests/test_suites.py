@@ -1,5 +1,10 @@
+import functools
+
 import pytest
 
+from liework import chevalley, suites
+from liework.chevalley import algebra
+from liework.parabolic import standard_parabolic
 from liework.suites import (
     DEFAULT_SEED,
     SUITE_NAMES,
@@ -44,6 +49,40 @@ def test_unknown_suite_rejected():
 def test_gamma_out_of_rank_rejected():
     with pytest.raises(ValueError, match="malformed case"):
         run_suite("algebra", [CaseSpec("A1", frozenset({2}))])
+
+
+def test_case_spec_rejects_malformed_input():
+    with pytest.raises(ValueError, match="malformed case"):
+        CaseSpec("E6", frozenset({1}))
+    with pytest.raises(ValueError, match="max_word_len"):
+        CaseSpec("A1", frozenset(), max_word_len=0)
+
+
+def test_suites_report_builder_audits():
+    for text in ("A1:-", "B2:2", "G2:1", "A3:1,3"):
+        c = case(text)
+        pd = standard_parabolic(c.type_label, c.gamma)
+        assert run_suite("algebra", [c])[0].checks == pd.alg.audit
+        assert pd.alg is algebra(c.type_label)
+        checks = run_suite("parabolic-identities", [c])[0].checks
+        assert [r.name for r in checks if r not in pd.audit] == \
+            ["fixedpoint-property"]
+        assert tuple(r for r in checks if r in pd.audit) == pd.audit
+        uc = run_suite("uc-family", [c])[0].checks
+        assert uc[0] == pd.audit[-1] and uc[0].name == "leaf-twice-codim"
+
+
+def test_algebra_suite_fails_on_broken_audit(monkeypatch):
+    # the suite gets an empty algebra cache, so it rebuilds A1 under a
+    # broken Jacobi count; monkeypatch puts the shared cache back afterwards
+    monkeypatch.setattr(chevalley, "jacobi_violations", lambda alg: 1)
+    monkeypatch.setattr(suites, "algebra",
+                        functools.lru_cache(chevalley.algebra.__wrapped__))
+    res = run_suite("algebra", [case("A1:-")])
+    assert res[0].status == "fail"
+    (rec,) = res[0].checks
+    assert not rec.ok
+    assert "jacobi-violations audit failed" in rec.witness
 
 
 def test_algebra_suite_passes():
