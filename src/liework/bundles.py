@@ -1,10 +1,14 @@
 """Exact adjoint-group actions and point-level models of the bundles.
 
 Group elements are words in two kinds of generators: unipotent letters
-exp(t ad_e) for a root vector e (an exact polynomial, since ad of a root
-vector is nilpotent) and torus letters acting on each root space by a
-rational monomial in the parameters.  Everything stays inside Fraction
-arithmetic, so equivariance and invariance claims are checked exactly.
+exp(t ad_e) for a root vector e and torus letters acting on each root
+space by a rational monomial in the parameters.  A unipotent letter is
+v + sum_k t^k D_k v over the divided powers D_k = ad(e)^k / k!, which
+are integer matrices that vanish beyond k = 3 (Chevalley; Kostant's
+Z-form).  They are built once per algebra and root from the structure
+constants, with their integrality and nilpotency audited, so a letter
+makes no bracket call.  Every value is exact, so equivariance and
+invariance claims are checked exactly.
 
 Four point types are modeled:
   UCPoint    (p, x) with x in the Killing-perp of [p, p]
@@ -22,18 +26,21 @@ verified fact rather than a definition.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .chevalley import ChevalleyAlgebra, Root
+from .chevalley import ChevalleyAlgebra, ConstructionAuditError, Root
 from .exactlin import (
+    Mat,
     QuotientSpace,
     Subspace,
     Vec,
     ZERO,
     class_of,
+    kernel,
     perp_wrt_form,
     quotient,
     span,
@@ -107,21 +114,72 @@ def word_of(*letters: Letter) -> GroupWord:
     return GroupWord(tuple(letters))
 
 
-def _act_unipotent(alg: ChevalleyAlgebra, letter: UnipotentLetter, v: Vec) -> Vec:
-    y = tuple(letter.t * c
-              for c in alg.one_hot(alg.index_of_root_vector(letter.root)))
-    acc = list(v)
-    term = v
-    k = 0
-    while any(term):
-        k += 1
+# one D_k = ad(e)^k / k!, as columns: entry j lists the nonzero (row, value)
+# pairs of D_k applied to basis vector j
+_DividedPower = tuple[tuple[tuple[int, int], ...], ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _divided_powers(alg: ChevalleyAlgebra, root: Root) -> tuple[_DividedPower, ...]:
+    """D_1, D_2, ... for the root vector of root, up to the last nonzero one.
+
+    Built once per (algebra, root) from the structure constants.  Chevalley's
+    theorem says ad(e) is nilpotent and every D_k is an integer matrix; both
+    are audited, and a violation raises ConstructionAuditError naming the
+    root and k.
+    """
+    i = alg.index_of_root_vector(root)
+    ad = alg.table[i]
+    where = f"{alg.cartan.type_label}: ad({alg.basis_label(i)})"
+    powers: list[_DividedPower] = []
+    cols: list[tuple[tuple[int, Fraction], ...]] = list(ad)
+    k = 1
+    while any(cols):
         if k > alg.dim + 2:
-            raise RuntimeError("exp(ad) of a root vector failed to terminate")
-        term = tuple(c / k for c in alg.bracket(y, term))
-        for i, c in enumerate(term):
-            if c:
-                acc[i] += c
-    return tuple(acc)
+            raise ConstructionAuditError(
+                f"{where}^{k} / {k}! is nonzero: not nilpotent")
+        if any(c.denominator != 1 for col in cols for _, c in col):
+            raise ConstructionAuditError(
+                f"{where}^{k} / {k}! has a non-integral entry")
+        powers.append(tuple(tuple((r, int(c)) for r, c in col) for col in cols))
+        k += 1
+        nxt = []
+        for col in powers[-1]:
+            acc: dict[int, Fraction] = {}
+            for r, c in col:
+                for s, d in ad[r]:
+                    acc[s] = acc.get(s, ZERO) + c * d
+            nxt.append(tuple((s, x / k) for s, x in acc.items() if x))
+        cols = nxt
+    return tuple(powers)
+
+
+def _act_unipotent(alg: ChevalleyAlgebra, letter: UnipotentLetter, v: Vec) -> Vec:
+    """exp(t ad e) v = v + sum_k t^k D_k v.
+
+    The sum runs in integers over the common denominator den(v) * den(t)^K,
+    K the number of nonzero divided powers; only the components it changes
+    become Fractions again.
+    """
+    powers = _divided_powers(alg, letter.root)
+    top = len(powers)
+    a, b = letter.t.numerator, letter.t.denominator
+    den = math.lcm(*(c.denominator for c in v if c))
+    nums = [(j, c.numerator * (den // c.denominator))
+            for j, c in enumerate(v) if c]
+    acc: dict[int, int] = {}
+    for k, cols in enumerate(powers, 1):
+        tk = a ** k * b ** (top - k)
+        for j, x in nums:
+            s = tk * x
+            for r, n in cols[j]:
+                acc[r] = acc.get(r, 0) + n * s
+    den *= b ** top
+    out = list(v)
+    for r, x in acc.items():
+        c = out[r]
+        out[r] = Fraction(c.numerator * (den // c.denominator) + x, den)
+    return tuple(out)
 
 
 def _act_torus(alg: ChevalleyAlgebra, letter: TorusLetter, v: Vec) -> Vec:
@@ -145,6 +203,8 @@ def _act_torus(alg: ChevalleyAlgebra, letter: TorusLetter, v: Vec) -> Vec:
 def act_vector(alg: ChevalleyAlgebra, w: GroupWord, v: Vec) -> Vec:
     """Adjoint action of the word on a vector; letters compose like a product,
     so the last letter acts first."""
+    if len(v) != alg.dim:
+        raise ValueError("vector length does not match algebra dimension")
     for letter in reversed(w.letters):
         if isinstance(letter, UnipotentLetter):
             v = _act_unipotent(alg, letter, v)
@@ -251,9 +311,14 @@ class UCPoint:
     witness: GroupWord
 
 
-def _verify_uc_invariant(alg: ChevalleyAlgebra, p: Subspace, x: Vec) -> None:
-    # recomputed from p alone: x must kill [p, p] under the Killing form
-    if not intrinsic_quotients(alg, p).p_derived_perp.contains(x):
+def _verify_uc_invariant(pd: ParabolicDatum, p: Subspace, x: Vec) -> None:
+    # recomputed from p alone: x must kill [p, p] under the Killing form; at
+    # the standard p that space is the dossier's, elsewhere it is rebuilt
+    if p == pd.p:
+        pdp = pd.p_derived_perp
+    else:
+        pdp = intrinsic_quotients(pd.alg, p).p_derived_perp
+    if not pdp.contains(x):
         raise PointInvariantError(
             "x is not Killing-orthogonal to [p, p] for its parabolic")
 
@@ -266,7 +331,7 @@ def make_uc_point(pd: ParabolicDatum, w: GroupWord, x0: Vec) -> UCPoint:
     alg = pd.alg
     p = act_subspace(alg, w, pd.p)
     x = act_vector(alg, w, x0)
-    _verify_uc_invariant(alg, p, x)
+    _verify_uc_invariant(pd, p, x)
     return UCPoint(p=p, x=x, witness=w)
 
 
@@ -274,7 +339,7 @@ def act_uc_point(pd: ParabolicDatum, w: GroupWord, pt: UCPoint) -> UCPoint:
     alg = pd.alg
     p = act_subspace(alg, w, pt.p)
     x = act_vector(alg, w, pt.x)
-    _verify_uc_invariant(alg, p, x)
+    _verify_uc_invariant(pd, p, x)
     return UCPoint(p=p, x=x, witness=concat(w, pt.witness))
 
 
@@ -364,26 +429,37 @@ def invariance_pairing_square(pd: ParabolicDatum, w: GroupWord,
     return far, near
 
 
+@functools.lru_cache(maxsize=None)
+def _class_map_kernel(pd: ParabolicDatum) -> Subspace:
+    """Kernel of x -> class_of(twist space, x) on [p,p]-perp."""
+    rows = pd.p_derived_perp.basis.row_list()
+    classes = [class_of(pd.twist_space, row) for row in rows]
+    coeffs = kernel(Mat.from_rows(
+        [[cls[m] for cls in classes] for m in range(pd.twist_space.dim)],
+        len(rows)))
+    return span([tuple(sum(a * row[i] for a, row in zip(coef, rows))
+                       for i in range(pd.alg.dim))
+                 for coef in coeffs.basis.row_list()], pd.alg.dim)
+
+
 def fiber_dimension(pd: ParabolicDatum, psi: TwistLevel) -> int:
     """Dimension of the twist-projection fiber over psi.
 
-    The fiber over the standard parabolic is an affine translate of the
-    nilradical inside [p,p]-perp, and the whole fiber adds dim C base
-    directions; the result is independent of psi and equals 2 dim C.
+    Over the standard parabolic the fiber is the solution set of
+    class(x) = -psi in [p,p]-perp: the section of -psi plus the kernel of
+    the class map, which is checked to be the nilradical.  The whole fiber
+    adds dim C base directions.
     """
     if len(psi.psi) != pd.torus_rank:
         raise ValueError("twist level has wrong length")
-    # a particular solution exists for every psi: the section of -psi
-    particular = twist_section(pd, TwistLevel(tuple(-c for c in psi.psi)))
-    got = class_of(pd.twist_space, particular)
-    if got != tuple(-c for c in psi.psi):
+    target = tuple(-c for c in psi.psi)
+    particular = twist_section(pd, TwistLevel(target))
+    if class_of(pd.twist_space, particular) != target:
         raise RuntimeError("section failed to solve the class equation")
-    dim_c = pd.alg.dim - pd.p.dim
-    solutions = pd.u.dim  # translates of the divisor inside [p,p]-perp
-    out = solutions + dim_c
-    if out != 2 * dim_c:
-        raise RuntimeError("fiber dimension bookkeeping failed")
-    return out
+    solutions = _class_map_kernel(pd)
+    if solutions != pd.u:
+        raise RuntimeError("class-map kernel on [p,p]-perp is not the nilradical")
+    return solutions.dim + pd.alg.dim - pd.p.dim
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +569,7 @@ class TStarBCPoint:
 
 
 def make_tstar_point(pd: ParabolicDatum, base: BCPoint, y: Vec) -> TStarBCPoint:
-    _verify_uc_invariant(pd.alg, base.p, y)
+    _verify_uc_invariant(pd, base.p, y)
     return TStarBCPoint(base=base, y=y)
 
 
@@ -503,7 +579,7 @@ def nu_g(pt: TStarBCPoint) -> Vec:
 
 def quotient_to_uc(pd: ParabolicDatum, pt: TStarBCPoint) -> UCPoint:
     """Forget the class part: ((p, [x]), y) becomes (p, y)."""
-    _verify_uc_invariant(pd.alg, pt.base.p, pt.y)
+    _verify_uc_invariant(pd, pt.base.p, pt.y)
     return UCPoint(p=pt.base.p, x=pt.y, witness=pt.base.witness)
 
 

@@ -6,12 +6,18 @@ twist-level value for x = h/2 over the standard sl2 parabolic comes from
 the deterministic quotient section (h spans it), so the class is 1/2 and
 the projection negates it.
 """
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from liework.chevalley import Root, algebra
+from liework.chevalley import (
+    SUPPORTED_TYPES,
+    ConstructionAuditError,
+    Root,
+    algebra,
+)
 from liework.bundles import (
     GroupWord,
     HypothesisNotSatisfied,
@@ -31,6 +37,7 @@ from liework.bundles import (
     concat,
     embed,
     fiber_dimension,
+    intrinsic_quotients,
     invariance_pairing_square,
     killing_invariance_audit,
     make_bc_point,
@@ -49,7 +56,9 @@ from liework.bundles import (
     twist_level,
     word_of,
     zero_twist,
+    _divided_powers,
 )
+from liework.exactlin import quotient, span
 from liework.parabolic import find_richardson, standard_parabolic
 
 F = Fraction
@@ -333,3 +342,133 @@ def test_mu_equivariance_seeded():
     for _ in range(10):
         w = random_word(alg, rng, length=3)
         assert mu_c(act_uc_point(pd, w, pt)) == act_vector(alg, w, mu_c(pt))
+
+
+def _all_roots(alg):
+    return list(alg.positive_roots) + [-r for r in alg.positive_roots]
+
+
+def _ad_power_columns(alg, root, k):
+    """ad(e)^k / k! on each basis vector, through alg.bracket."""
+    e = alg.one_hot(alg.index_of_root_vector(root))
+    cols = []
+    for j in range(alg.dim):
+        x = alg.one_hot(j)
+        for m in range(1, k + 1):
+            x = tuple(c / m for c in alg.bracket(e, x))
+        cols.append(x)
+    return cols
+
+
+def _dense(alg, col):
+    v = [F(0)] * alg.dim
+    for r, n in col:
+        v[r] = F(n)
+    return tuple(v)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_divided_powers_integral_and_short(label):
+    alg = algebra(label)
+    longest = 0
+    for root in _all_roots(alg):
+        powers = _divided_powers(alg, root)
+        longest = max(longest, len(powers))
+        for k, cols in enumerate(powers, 1):
+            assert all(type(n) is int and n for col in cols for _, n in col)
+            assert [_dense(alg, col) for col in cols] == \
+                _ad_power_columns(alg, root, k)
+        zero = tuple([F(0)] * alg.dim)
+        assert _ad_power_columns(alg, root, len(powers) + 1) == \
+            [zero] * alg.dim
+    # ad(e)^3 survives only on the G2 short-root strings of length four
+    assert longest == (3 if label == "G2" else 2)
+
+
+def _old_series(alg, root, t, v):
+    # the exp(ad) series the divided powers replace
+    y = tuple(t * c for c in alg.one_hot(alg.index_of_root_vector(root)))
+    acc = list(v)
+    term = v
+    k = 0
+    while any(term):
+        k += 1
+        term = tuple(c / k for c in alg.bracket(y, term))
+        acc = [a + c for a, c in zip(acc, term)]
+    return tuple(acc)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_act_vector_matches_exp_ad_series(label):
+    alg = algebra(label)
+    rng = random.Random(f"series:{label}")
+    for _ in range(50):
+        w = random_word(alg, rng, length=rng.randint(1, 8))
+        v = tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
+                  for _ in range(alg.dim))
+        want = v
+        for letter in reversed(w.letters):
+            if isinstance(letter, UnipotentLetter):
+                want = _old_series(alg, letter.root, letter.t, want)
+            else:
+                want = act_vector(alg, word_of(letter), want)
+        assert act_vector(alg, w, v) == want
+
+
+def _patched_a1(j, terms):
+    # A1 with the bracket [e, basis j] replaced
+    alg = algebra("A1")
+    table = [list(row) for row in alg.table]
+    table[0][j] = terms
+    return dataclasses.replace(alg, table=tuple(tuple(r) for r in table))
+
+
+def test_divided_powers_audit_rejects_non_integral_constants():
+    f = algebra("A1").one_hot(2)
+    w = _w_unip(Root((1,)), 1)
+    half = _patched_a1(2, ((1, F(1, 2)),))  # [e, f] = h/2
+    with pytest.raises(ConstructionAuditError,
+                       match=r"A1: ad\(e\(a1\)\)\^1 / 1! has a non-integral"):
+        act_vector(half, w, f)
+    # [e, h] = -e keeps ad(e) integral but makes ad(e)^2 f / 2 = -e/2
+    odd = _patched_a1(1, ((0, F(-1)),))
+    with pytest.raises(ConstructionAuditError,
+                       match=r"A1: ad\(e\(a1\)\)\^2 / 2! has a non-integral"):
+        act_vector(odd, w, f)
+
+
+def test_act_vector_rejects_wrong_length():
+    alg = algebra("A2")
+    short = tuple([F(1)] * (alg.dim - 1))
+    for w in (_w_unip(Root((1, 0)), 1), word_of(TorusLetter((F(2), F(3))))):
+        with pytest.raises(ValueError, match="algebra dimension"):
+            act_vector(alg, w, short)
+        with pytest.raises(ValueError, match="algebra dimension"):
+            act_vector(alg, w, short + (F(0), F(0)))
+
+
+def test_fiber_dimension_rejects_corrupted_twist_space():
+    pd = standard_parabolic("A2", frozenset())
+    alg = pd.alg
+    # a divisor of the nilradical's dimension inside [p,p]-perp that is not
+    # the nilradical: h1 replaces e(a1+a2)
+    divisor = span([alg.one_hot(alg.e_index(Root((1, 0)))),
+                    alg.one_hot(alg.e_index(Root((0, 1)))),
+                    alg.one_hot(alg.h_index(1))], alg.dim)
+    assert divisor.dim == pd.u.dim and divisor != pd.u
+    bad = dataclasses.replace(
+        pd, twist_space=quotient(pd.p_derived_perp, divisor))
+    assert bad.twist_space.dim == pd.torus_rank
+    with pytest.raises(RuntimeError, match="not the nilradical"):
+        fiber_dimension(bad, twist_level(bad, [1, -2]))
+    assert fiber_dimension(pd, twist_level(pd, [1, -2])) == 6
+
+
+def test_uc_invariant_at_standard_p_reads_dossier():
+    pd = standard_parabolic("B2", frozenset({1}))
+    x0 = pd.p_derived_perp.basis.row(0)
+    before = intrinsic_quotients.cache_info()
+    pt = make_uc_point(pd, IDENTITY_WORD, x0)
+    assert pt.p == pd.p
+    after = intrinsic_quotients.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)

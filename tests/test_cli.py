@@ -188,3 +188,25 @@ def test_light_suites_match_pinned_report(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert json.loads(path.read_text())["suites"] == ref["suites"]
+
+
+def test_heavy_suites_match_pinned_report(tmp_path, capsys):
+    # the benchmark's pinned matrix17 report, restricted to the three
+    # group-action suites over the rank-1 and rank-2 cases
+    ref = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                      / "reference" / "matrix17.json").read_text())
+    heavy = ("uc-family", "invariance", "embedding")
+    cases = [c for c in ref["cases"] if c[:2] in {"A1", "A2", "B2", "G2"}]
+    want = [r for r in ref["suites"]
+            if r["suite"] in heavy and r["case"] in cases]
+    assert len(want) == 3 * 14
+    path = tmp_path / "heavy.json"
+    argv = ["verify", "--seed", "0xC0FFEE", "--max-word-len", "8",
+            "--json", str(path)]
+    for name in heavy:
+        argv += ["--suite", name]
+    for c in cases:
+        argv += ["--case", c]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert json.loads(path.read_text())["suites"] == want
