@@ -45,8 +45,7 @@ print("class of (1, 1, 0):", class_of(q, [1, 1, 0]))
 third = Mat.from_rows([[Fraction(1, 3)]])
 print("1/3 rref:", rref(third)[0].row(0))
 
-# Over Z, Smith normal form certifies lattice properties: the diagonal
-# invariants of this matrix say its rows generate a full sublattice of
-# index 2.
-snf, u, v = smith_normal_form(IntMat.from_rows([[2, 0], [0, 1]]))
-print("smith invariants:", snf)
+# Over Z, the Smith invariants certify lattice properties: these say the
+# rows generate a full sublattice of index 2.  They are computed modulo
+# the determinant of a maximal minor, so entries never grow past it.
+print("smith invariants:", smith_normal_form(IntMat.from_rows([[2, 0], [0, 1]])))

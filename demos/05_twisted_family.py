@@ -47,7 +47,7 @@ print("stabilizer fixes p:", canonical_id(pd, s, psi).psi == psi.psi)
 
 # The two routes around the transport square agree exactly: pairing
 # against torus sections rebuilt far away equals pairing pulled back near.
-far, near = invariance_pairing_square(pd, w, psi)
+[(far, near)] = invariance_pairing_square(pd, w, [psi])
 print("invariance square:", far == near, " value:", far)
 
 # Fibers of pi are equi-dimensional: twice the codimension of p at every

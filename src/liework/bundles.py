@@ -408,25 +408,29 @@ def canonical_id(pd: ParabolicDatum, w: GroupWord, psi: TwistLevel) -> TwistLeve
 
 
 def invariance_pairing_square(pd: ParabolicDatum, w: GroupWord,
-                              psi: TwistLevel) -> tuple[Vec, Vec]:
-    """Two routes around the transport square, as Killing pairings against
-    the torus sections rebuilt at the transported parabolic.
+                              psis: Sequence[TwistLevel]) -> list[tuple[Vec, Vec]]:
+    """Two routes around the transport square for each level, as Killing
+    pairings against the torus sections rebuilt at the transported
+    parabolic.
 
     Route one pushes the twist section forward through w and pairs at the
     far side; route two pulls the far sections back through the inverse
-    word and pairs at the standard side.  The suite asserts equality.
+    word and pairs at the standard side.  The transported parabolic and
+    the pulled-back sections depend only on w and are built once.  The
+    suite asserts that each pair is equal.
     """
     alg = pd.alg
-    y = twist_section(pd, psi)
-    y2 = act_vector(alg, w, y)
-    p2 = act_subspace(alg, w, pd.p)
-    intr = intrinsic_quotients(alg, p2)
+    intr = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))
+    sections = intr.a_p.section.row_list()
     winv = w.inverse()
-    far = tuple(alg.killing(intr.a_p.section.row(m), y2)
-                for m in range(intr.a_p.dim))
-    near = tuple(alg.killing(act_vector(alg, winv, intr.a_p.section.row(m)), y)
-                 for m in range(intr.a_p.dim))
-    return far, near
+    pulled = [act_vector(alg, winv, z) for z in sections]
+    out = []
+    for psi in psis:
+        y = twist_section(pd, psi)
+        y2 = act_vector(alg, w, y)
+        out.append((tuple(alg.killing(z, y2) for z in sections),
+                    tuple(alg.killing(z, y) for z in pulled)))
+    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -273,12 +273,7 @@ def roots_from_cartan(cartan: CartanDatum) -> tuple[Root, ...]:
         nxt = set()
         for beta in frontier:
             for i, alpha in enumerate(simples):
-                # p = how far the string continues downward from beta
-                p = 0
-                probe = tuple(b - alpha[j] for j, b in enumerate(beta))
-                while probe in known:
-                    p += 1
-                    probe = tuple(x - alpha[j] for j, x in enumerate(probe))
+                p = _string_down_length(beta, alpha, known)
                 if p - pairing(beta, i) > 0:
                     up = tuple(b + alpha[j] for j, b in enumerate(beta))
                     if up not in known:
@@ -459,7 +454,7 @@ def _basis_label(pos: Sequence[Root], rank: int, i: int) -> str:
 
 def _string_down_length(gamma: tuple[int, ...], beta: tuple[int, ...],
                         signed: set[tuple[int, ...]]) -> int:
-    """Largest p with gamma - p*beta still a root."""
+    """Largest p with gamma - k*beta in the root set for k = 1..p."""
     p = 0
     probe = tuple(g - b for g, b in zip(gamma, beta))
     while probe in signed:

@@ -12,6 +12,7 @@ arithmetic), so no separate rational type is defined here.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -422,7 +423,8 @@ def class_of(q: QuotientSpace, vec: Sequence) -> Vec:
 
 
 # ---------------------------------------------------------------------------
-# integer matrices and Smith normal form
+# integer matrices and Smith invariants (the unimodular transforms are not
+# kept: the freeness certificate reads only the invariant factors)
 
 
 @dataclass(frozen=True)
@@ -451,26 +453,12 @@ class IntMat:
             raise LinAlgError("empty matrix needs an explicit column count")
         return IntMat(len(rows), cols, tuple(x for r in rows for x in r))
 
-    @staticmethod
-    def identity(n: int) -> "IntMat":
-        return IntMat(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def mul(self, other: "IntMat") -> "IntMat":
-        if self.cols != other.rows:
-            raise DimensionMismatch("matrix product shape mismatch")
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            out.append([sum(r[k] * other[k, j] for k in range(self.cols))
-                        for j in range(other.cols)])
-        return IntMat.from_rows(out, other.cols)
 
 
 def int_det(m: IntMat) -> int:
@@ -498,117 +486,77 @@ def int_det(m: IntMat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def smith_normal_form(m: IntMat) -> tuple[tuple[int, ...], IntMat, IntMat]:
-    """Smith normal form over the integers.
+def _pivot_columns(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...]:
+    """Leading columns of the canonical echelon basis of the rows' span."""
+    return tuple(_leading_index(r) for r in span(rows, ncols).basis.row_list())
 
-    Returns (invariants, left, right) with left @ m @ right diagonal, the
-    diagonal being the invariant factors d_1 | d_2 | ... followed by
-    zeros.  ``invariants`` lists only the nonzero factors.  left and
-    right are unimodular.
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _clear_below(a: list[list[int]], k: int, d: int) -> None:
+    """Zero column k under the pivot a[k][k] with determinant-1 row
+    combinations, entries reduced modulo d.
+
+    An entry the pivot divides is removed by plain subtraction, so a pivot
+    that divides its column is never replaced; otherwise the pivot becomes
+    gcd(pivot, entry), a proper divisor of it.
     """
-    a = [list(m.row(i)) for i in range(m.rows)]
-    left = [list(IntMat.identity(m.rows).row(i)) for i in range(m.rows)]
-    right = [list(IntMat.identity(m.cols).row(i)) for i in range(m.cols)]
-    nr, nc = m.rows, m.cols
+    for i in range(k + 1, len(a)):
+        p, b = a[k][k], a[i][k]
+        if not b:
+            continue
+        if b % p == 0:
+            q = b // p
+            a[i] = [(y - q * x) % d for x, y in zip(a[k], a[i])]
+            continue
+        g, s, t = _xgcd(p, b)
+        u, v = p // g, b // g  # [[s, t], [-v, u]] has determinant 1
+        a[k], a[i] = ([(s * x + t * y) % d for x, y in zip(a[k], a[i])],
+                      [(u * y - v * x) % d for x, y in zip(a[k], a[i])])
 
-    def row_op(i, j, c):  # row_i -= c * row_j
-        a[i] = [x - c * y for x, y in zip(a[i], a[j])]
-        left[i] = [x - c * y for x, y in zip(left[i], left[j])]
 
-    def col_op(i, j, c):  # col_i -= c * col_j
-        for r in a:
-            r[i] -= c * r[j]
-        for r in right:
-            r[i] -= c * r[j]
+def smith_normal_form(m: IntMat) -> tuple[int, ...]:
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in right:
-            r[i], r[j] = r[j], r[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
-
-    t = 0
-    while t < min(nr, nc):
-        # find a pivot
-        piv = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i, j = piv
-        if i != t:
-            row_swap(i, t)
-        if j != t:
-            col_swap(j, t)
-        while True:
-            # clear column t
-            changed = False
-            for i in range(nr):
-                if i != t and a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:  # remainder became the smaller pivot
-                        row_swap(i, t)
-                    changed = True
-            for j in range(nc):
-                if j != t and a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        col_swap(j, t)
-                    changed = True
-            if not changed:
-                break
-        if a[t][t] < 0:
-            row_neg(t)
-        t += 1
-
-    # enforce the divisibility chain d_k | d_{k+1}
-    def fix_divisibility():
-        for k in range(t - 1):
-            if a[k][k] and a[k + 1][k + 1] % a[k][k] != 0:
-                # fold entry (k+1,k+1) into column k and redo the corner
-                col_op(k, k + 1, -1)  # col_k += col_{k+1}
-                while True:
-                    changed = False
-                    for i in range(nr):
-                        if i != k and a[i][k] != 0:
-                            q = a[i][k] // a[k][k]
-                            row_op(i, k, q)
-                            if a[i][k] != 0:
-                                row_swap(i, k)
-                            changed = True
-                    for j in range(nc):
-                        if j != k and a[k][j] != 0:
-                            q = a[k][j] // a[k][k]
-                            col_op(j, k, q)
-                            if a[k][j] != 0:
-                                col_swap(j, k)
-                            changed = True
-                    if not changed:
-                        break
-                if a[k][k] < 0:
-                    row_neg(k)
-                if a[k + 1][k + 1] < 0:
-                    row_neg(k + 1)
-                return True
-        return False
-
-    while fix_divisibility():
-        pass
-
-    invariants = tuple(a[k][k] for k in range(t) if a[k][k] != 0)
-    return invariants, IntMat.from_rows(left, nr), IntMat.from_rows(right, nc)
+    Every d_i divides D = |det| of any nonsingular r x r minor (r the
+    rank), so the factors are those of the row lattice plus D*Z^n, and
+    the elimination runs modulo D with no entry ever exceeding D (Cohen,
+    GTM 138, section 2.4; Kannan and Bachem 1979).  The diagonal it
+    leaves gives gcd(a_kk, D); a gcd/lcm pass puts those into a
+    divisibility chain whose first r terms are the invariants.
+    """
+    cols = _pivot_columns([m.row(i) for i in range(m.rows)], m.cols)
+    if not cols:
+        return ()
+    picked = _pivot_columns([[m[i, j] for i in range(m.rows)] for j in cols], m.rows)
+    d = abs(int_det(IntMat.from_rows([[m[i, j] for j in cols] for i in picked])))
+    a = [[x % d for x in m.row(i)] for i in range(m.rows)]
+    diag = []
+    for k in range(min(m.rows, m.cols)):
+        hit = next(((i, j) for i in range(k, len(a)) for j in range(k, len(a[0]))
+                    if a[i][j]), None)
+        if hit is None:
+            diag.append(d)
+            continue
+        i, j = hit
+        a[k], a[i] = a[i], a[k]
+        for row in a:
+            row[k], row[j] = row[j], row[k]
+        # clear the pivot's column, then (transposed) its row, until both stay clear
+        while (any(a[i][k] for i in range(k + 1, len(a)))
+               or any(a[k][j] for j in range(k + 1, len(a[0])))):
+            _clear_below(a, k, d)
+            a = [list(c) for c in zip(*a)]
+        diag.append(math.gcd(a[k][k], d))
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = math.gcd(diag[i], diag[j]), math.lcm(diag[i], diag[j])
+    return tuple(diag[:len(cols)])

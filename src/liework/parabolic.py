@@ -337,7 +337,7 @@ def torsor_certificate(pd: ParabolicDatum,
     infinitesimal_free = induced_rank == pd.torus_rank
 
     charset = torus_character_set(pd, x)
-    invariants, _, _ = smith_normal_form(charset.characters)
+    invariants = smith_normal_form(charset.characters)
     lattice_generating = (len(invariants) == pd.torus_rank
                           and all(v == 1 for v in invariants))
     return TorsorCertificate(
@@ -345,7 +345,7 @@ def torsor_certificate(pd: ParabolicDatum,
         lattice_generating=lattice_generating,
         induced_rank=induced_rank,
         character_set=charset,
-        smith_invariants=tuple(invariants))
+        smith_invariants=invariants)
 
 
 def hypothesis_h1(pd: ParabolicDatum) -> bool:
@@ -355,8 +355,7 @@ def hypothesis_h1(pd: ParabolicDatum) -> bool:
     full but fails for many intermediate gamma; callers that need it must
     gate on this flag rather than assume it.
     """
-    moved = pd.alg.bracket_space(pd.levi_derived, pd.u)
-    return pd.u_derived.contains_space(moved)
+    return h1_witness(pd) is None
 
 
 def h1_witness(pd: ParabolicDatum) -> tuple[str, str, Vec] | None:

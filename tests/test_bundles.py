@@ -221,10 +221,13 @@ def test_invariance_square_closes():
         rng = random.Random(f"square:{label}:{sorted(gamma)}")
         for _ in range(5):
             w = random_word(pd.alg, rng, length=3)
-            psi = twist_level(
-                pd, [rng.randint(-3, 3) for _ in range(pd.torus_rank)])
-            far, near = invariance_pairing_square(pd, w, psi)
-            assert far == near
+            psis = [twist_level(pd, [rng.randint(-3, 3) for _ in range(pd.torus_rank)])
+                    for _ in range(3)]
+            squares = invariance_pairing_square(pd, w, psis)
+            assert len(squares) == len(psis)
+            for far, near in squares:
+                assert len(far) == pd.torus_rank
+                assert far == near
 
 
 def test_fiber_dimension_frozen():

@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liework.exactlin import (
     DimensionMismatch,
@@ -168,40 +169,38 @@ def test_zero_dimensional_quotient():
 
 
 def test_smith_frozen_example():
-    m = IntMat.from_rows([[2, 0], [0, 3]])
-    inv, left, right = smith_normal_form(m)
-    assert inv == (1, 6)
-    d = left.mul(m).mul(right)
-    assert d.row(0) == (1, 0) and d.row(1) == (0, 6)
-    assert abs(int_det(left)) == 1 and abs(int_det(right)) == 1
+    assert smith_normal_form(IntMat.from_rows([[2, 0], [0, 3]])) == (1, 6)
 
 
 def test_smith_zero_matrix():
-    m = IntMat.from_rows([[0, 0], [0, 0]])
-    inv, left, right = smith_normal_form(m)
-    assert inv == ()
-    assert abs(int_det(left)) == 1 and abs(int_det(right)) == 1
+    assert smith_normal_form(IntMat.from_rows([[0, 0], [0, 0]])) == ()
 
 
-def test_smith_seeded_reconstruction():
+def test_smith_seeded_invariants():
     rng = random.Random(2024)
     for _ in range(40):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
-        m = IntMat.from_rows([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
-        inv, left, right = smith_normal_form(m)
-        d = left.mul(m).mul(right)
-        # diagonal with the invariants up front, zeros elsewhere
-        for i in range(rows):
-            for j in range(cols):
-                if i == j and i < len(inv):
-                    assert d[i, j] == inv[i]
-                else:
-                    assert d[i, j] == 0
+        entries = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        inv = smith_normal_form(IntMat.from_rows(entries))
+        assert all(x > 0 for x in inv)
         for a, b in zip(inv, inv[1:]):
             assert b % a == 0
-        assert abs(int_det(left)) == 1
-        assert abs(int_det(right)) == 1
+        assert len(inv) == len(rref(Mat.from_rows(entries))[1])
+        # on a square nonsingular matrix the invariants multiply to |det|
+        if rows == cols and len(inv) == rows:
+            assert math.prod(inv) == abs(int_det(IntMat.from_rows(entries)))
+
+
+# the 7x7 matrix whose unreduced elimination grew million-bit entries
+PINNED_7X7 = [[0, -2, -29, 3, -1, 1, 3], [1, 3, 2, 1, 3, 0, -1],
+              [1, -3, -2, 3, -2, -3, 20], [-2, 2, 3, 1, 0, 0, -1],
+              [2, -3, 11, -1, -2, -3, -4], [10, 3, 0, 3, 0, 0, 0],
+              [-3, 2, -2, 0, 0, 0, 0]]
+
+
+def test_smith_pinned_7x7():
+    assert smith_normal_form(IntMat.from_rows(PINNED_7X7)) == (1, 1, 1, 1, 1, 1, 235533)
 
 
 def test_solve_linear_roundtrip_seeded():
@@ -275,13 +274,40 @@ def test_sum_intersect_dims_property(ra, rb):
 @given(st.lists(st.lists(st.integers(min_value=-8, max_value=8), min_size=3, max_size=3),
                 min_size=1, max_size=3))
 def test_smith_invariants_property(rows):
-    m = IntMat.from_rows(rows, 3)
-    inv, left, right = smith_normal_form(m)
+    inv = smith_normal_form(IntMat.from_rows(rows, 3))
     assert all(x > 0 for x in inv)
     for a, b in zip(inv, inv[1:]):
         assert b % a == 0
-    assert abs(int_det(left)) == 1
-    assert abs(int_det(right)) == 1
+    assert len(inv) == len(rref(Mat.from_rows(rows, 3))[1])
+
+
+@st.composite
+def int_matrices(draw):
+    """Integer matrices of shape 1..8 x 1..8, some with a dependent row."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.integers(-30, 30)
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    if rows > 1 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+@pytest.fixture(scope="module")
+def sympy_invariant_factors():
+    """sympy's invariant factors, imported once outside the timed examples."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    return lambda rows: tuple(
+        int(x) for x in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ) if x)
+
+
+@settings(max_examples=200, deadline=1000, derandomize=True)
+@example(rows=PINNED_7X7)
+@given(rows=int_matrices())
+def test_smith_matches_sympy_invariant_factors(sympy_invariant_factors, rows):
+    assert smith_normal_form(IntMat.from_rows(rows)) == sympy_invariant_factors(rows)
 
 
 def test_echelon_builder_matches_span():
