@@ -27,12 +27,12 @@ print("same plane:", a == b)
 
 # Sum and intersection come from echelon bookkeeping, not numerics.
 line = intersect(a, span([[1, 0, 1], [0, 0, 1]], 3))
-print("intersection dim:", line.dim, "basis:", line.basis.row_list())
+print("intersection dim:", line.dim, "basis:", list(line.rows))
 print("sum dim:", subspace_sum(a, span([[0, 0, 1]], 3)).dim)
 
 # Kernels are exact too.
 k = kernel(Mat.from_rows([[1, 2, 0], [0, 0, 1]]))
-print("kernel basis:", k.basis.row_list())
+print("kernel basis:", list(k.rows))
 
 # Quotients carry a deterministic section; class_of returns coordinates of
 # a vector's class in that section basis.

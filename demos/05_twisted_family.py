@@ -43,7 +43,7 @@ print("pi is invariant:", pi_c(pd, moved).psi == pi_c(pd, base).psi)
 # rebuilt from scratch at the (unchanged) subspace gives the identity on
 # levels.  This is a verified fact, not a definition.
 s = stabilizer_word(pd, rng, length=3)
-print("stabilizer fixes p:", canonical_id(pd, s, psi).psi == psi.psi)
+print("stabilizer fixes p:", canonical_id(pd, s, [psi]) == [psi])
 
 # The two routes around the transport square agree exactly: pairing
 # against torus sections rebuilt far away equals pairing pulled back near.

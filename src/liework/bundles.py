@@ -30,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .chevalley import ChevalleyAlgebra, ConstructionAuditError, Root
 from .exactlin import (
@@ -214,27 +214,7 @@ def act_vector(alg: ChevalleyAlgebra, w: GroupWord, v: Vec) -> Vec:
 
 
 def act_subspace(alg: ChevalleyAlgebra, w: GroupWord, s: Subspace) -> Subspace:
-    return span([act_vector(alg, w, row) for row in s.basis.row_list()],
-                s.ambient_dim)
-
-
-def killing_invariance_audit(alg: ChevalleyAlgebra, w: GroupWord,
-                             pairs: Iterable[tuple[Vec, Vec]]) -> bool:
-    for x, y in pairs:
-        if alg.killing(act_vector(alg, w, x), act_vector(alg, w, y)) != \
-                alg.killing(x, y):
-            return False
-    return True
-
-
-def bracket_morphism_audit(alg: ChevalleyAlgebra, w: GroupWord,
-                           pairs: Iterable[tuple[Vec, Vec]]) -> bool:
-    for x, y in pairs:
-        lhs = act_vector(alg, w, alg.bracket(x, y))
-        rhs = alg.bracket(act_vector(alg, w, x), act_vector(alg, w, y))
-        if lhs != rhs:
-            return False
-    return True
+    return span([act_vector(alg, w, row) for row in s.rows], s.ambient_dim)
 
 
 _T_CHOICES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -295,9 +275,8 @@ def zero_twist(pd: ParabolicDatum) -> TwistLevel:
 def twist_section(pd: ParabolicDatum, psi: TwistLevel) -> Vec:
     """The canonical section representative of psi inside [p,p]-perp."""
     v = [ZERO] * pd.alg.dim
-    for m, c in enumerate(psi.psi):
+    for c, row in zip(psi.psi, pd.twist_space.section):
         if c:
-            row = pd.twist_space.section.row(m)
             for i, r in enumerate(row):
                 if r:
                     v[i] += c * r
@@ -347,10 +326,6 @@ def mu_c(pt: UCPoint) -> Vec:
     return pt.x
 
 
-def sigma_c(pt: UCPoint) -> Subspace:
-    return pt.p
-
-
 def pi_c(pd: ParabolicDatum, pt: UCPoint) -> TwistLevel:
     """Twist level of a point: transport x back to the standard parabolic
     through the witness inverse and take minus its class."""
@@ -388,23 +363,28 @@ def intrinsic_quotients(alg: ChevalleyAlgebra, p: Subspace) -> IntrinsicQuotient
         twist=quotient(pdp, nil), a_p=quotient(p, pder))
 
 
-def canonical_id(pd: ParabolicDatum, w: GroupWord, psi: TwistLevel) -> TwistLevel:
-    """Transport a twist level to the parabolic act(w, p) and read its
+def canonical_id(pd: ParabolicDatum, w: GroupWord,
+                 psis: Sequence[TwistLevel]) -> list[TwistLevel]:
+    """Transport each twist level to the parabolic act(w, p) and read its
     coordinates in the twist space rebuilt from scratch there.
 
-    For words that merely stabilize p, the rebuilt space coincides with
-    the standard one and the result is claimed (and suite-checked) to be
-    psi itself.
+    The transported parabolic depends only on w and is built once, and
+    not at all when there are no levels.  For words that merely stabilize
+    p, the rebuilt space coincides with the standard one and each result
+    is claimed (and suite-checked) to be its psi itself.
     """
+    if not psis:
+        return []
     alg = pd.alg
-    y = twist_section(pd, psi)
-    y2 = act_vector(alg, w, y)
-    p2 = act_subspace(alg, w, pd.p)
-    intr = intrinsic_quotients(alg, p2)
-    if not intr.p_derived_perp.contains(y2):
-        raise WitnessTransportError(
-            "transported section left the target [p,p]-perp")
-    return TwistLevel(class_of(intr.twist, y2))
+    intr = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))
+    out = []
+    for psi in psis:
+        y2 = act_vector(alg, w, twist_section(pd, psi))
+        if not intr.p_derived_perp.contains(y2):
+            raise WitnessTransportError(
+                "transported section left the target [p,p]-perp")
+        out.append(TwistLevel(class_of(intr.twist, y2)))
+    return out
 
 
 def invariance_pairing_square(pd: ParabolicDatum, w: GroupWord,
@@ -421,7 +401,7 @@ def invariance_pairing_square(pd: ParabolicDatum, w: GroupWord,
     """
     alg = pd.alg
     intr = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))
-    sections = intr.a_p.section.row_list()
+    sections = intr.a_p.section
     winv = w.inverse()
     pulled = [act_vector(alg, winv, z) for z in sections]
     out = []
@@ -436,14 +416,14 @@ def invariance_pairing_square(pd: ParabolicDatum, w: GroupWord,
 @functools.lru_cache(maxsize=None)
 def _class_map_kernel(pd: ParabolicDatum) -> Subspace:
     """Kernel of x -> class_of(twist space, x) on [p,p]-perp."""
-    rows = pd.p_derived_perp.basis.row_list()
+    rows = pd.p_derived_perp.rows
     classes = [class_of(pd.twist_space, row) for row in rows]
     coeffs = kernel(Mat.from_rows(
         [[cls[m] for cls in classes] for m in range(pd.twist_space.dim)],
         len(rows)))
     return span([tuple(sum(a * row[i] for a, row in zip(coef, rows))
                        for i in range(pd.alg.dim))
-                 for coef in coeffs.basis.row_list()], pd.alg.dim)
+                 for coef in coeffs.rows], pd.alg.dim)
 
 
 def fiber_dimension(pd: ParabolicDatum, psi: TwistLevel) -> int:
@@ -518,7 +498,7 @@ def _coset_contains_open(pd: ParabolicDatum, x_rep: Vec, seed: int = 0,
     want = pd.u
     rng = random.Random(f"coset:{pd.label()}:{seed}")
     offsets: list[Vec] = [tuple([ZERO] * alg.dim)]
-    rows = pd.u_derived.basis.row_list()
+    rows = pd.u_derived.rows
     for _ in range(samples - 1):
         v = [ZERO] * alg.dim
         for row in rows:
@@ -530,7 +510,7 @@ def _coset_contains_open(pd: ParabolicDatum, x_rep: Vec, seed: int = 0,
         offsets.append(tuple(v))
     for off in offsets:
         cand = tuple(a + b for a, b in zip(x_rep, off))
-        rows_t = [alg.bracket(row, cand) for row in pd.p.basis.row_list()]
+        rows_t = [alg.bracket(row, cand) for row in pd.p.rows]
         if span(rows_t, alg.dim) == want:
             return True
     return False

@@ -38,8 +38,8 @@ from .exactlin import (
     ZERO,
     gram_pair,
     int_det,
-    rref,
     solve_linear,
+    span,
 )
 
 
@@ -425,10 +425,8 @@ class ChevalleyAlgebra:
     def bracket_space(self, a: Subspace, b: Subspace) -> Subspace:
         """span{[x, y] : x in a, y in b}"""
         eb = EchelonBuilder(self.dim)
-        rows_a = a.basis.row_list()
-        rows_b = b.basis.row_list()
-        for x in rows_a:
-            for y in rows_b:
+        for x in a.rows:
+            for y in b.rows:
                 v = self.bracket(x, y)
                 if any(v):
                     eb.insert(v)
@@ -739,7 +737,7 @@ def _audit(alg: ChevalleyAlgebra) -> tuple[CheckRecord, ...]:
                     f"{label}: Killing pairing breaks the weight grading")
     jac = jacobi_violations(alg)
     sym = g.is_symmetric()
-    nondeg = len(rref(g)[1]) == dim
+    nondeg = span(g.row_list(), dim).dim == dim
     kiv = killing_invariance_violations(alg)
     want_pos = _EXPECTED_POSITIVE_COUNT[label[0]](alg.rank)
     want_dim = 2 * want_pos + alg.rank

@@ -1,10 +1,14 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 Vectors are tuples of ``fractions.Fraction``; matrices are immutable
-row-major ``Mat`` values; subspaces are stored in reduced row-echelon
-form so that equality of subspaces is literal equality of
-representations.  Everything is exact: no floats, no tolerances, no
-pivot thresholds.
+row-major ``Mat`` values; subspaces hold the rows and pivot columns of
+their reduced row-echelon basis, so that equality of subspaces is
+literal equality of rows.  Everything is exact: no floats, no
+tolerances, no pivot thresholds.
+
+There is one elimination step, ``EchelonBuilder.insert``.  Spans,
+``rref``, kernels, solves, intersections and quotient sections all read
+the rows and pivots it leaves, and membership reduces against them.
 
 Scalars are stdlib ``Fraction`` values.  They already carry the
 invariants we need (lowest terms, positive denominator, exact
@@ -13,7 +17,7 @@ arithmetic), so no separate rational type is defined here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -44,10 +48,6 @@ def as_vec(seq: Iterable) -> Vec:
     return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in seq)
 
 
-def vec_is_zero(a: Vec) -> bool:
-    return all(x == 0 for x in a)
-
-
 @dataclass(frozen=True)
 class Mat:
     """Immutable rational matrix, row-major entries."""
@@ -74,10 +74,6 @@ class Mat:
             raise LinAlgError("empty matrix needs an explicit column count")
         flat = tuple(x for r in rows for x in r)
         return Mat(len(rows), cols, flat)
-
-    @staticmethod
-    def identity(n: int) -> "Mat":
-        return Mat(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -125,13 +121,6 @@ class Mat:
         c = c if isinstance(c, Fraction) else Fraction(c)
         return Mat(self.rows, self.cols, tuple(c * x for x in self.entries))
 
-    def apply(self, v: Vec) -> Vec:
-        """Matrix times column vector."""
-        if len(v) != self.cols:
-            raise DimensionMismatch("vector length does not match column count")
-        return tuple(sum((c * x for c, x in zip(self.row(i), v) if c), ZERO)
-                     for i in range(self.rows))
-
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
 
@@ -140,92 +129,58 @@ class Mat:
             self[i, j] == self[j, i] for i in range(self.rows) for j in range(i))
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot columns.
-
-    Pivoting is deterministic: first nonzero entry scanning down from the
-    current row, columns left to right.
-    """
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(m.cols):
-        hit = None
-        for r in range(pr, m.rows):
-            if rows[r][pc] != 0:
-                hit = r
-                break
-        if hit is None:
-            continue
-        rows[pr], rows[hit] = rows[hit], rows[pr]
-        inv = ONE / rows[pr][pc]
-        rows[pr] = [x * inv for x in rows[pr]]
-        lead = rows[pr]
-        for r in range(m.rows):
-            if r != pr and rows[r][pc] != 0:
-                f = rows[r][pc]
-                rows[r] = [a - f * b for a, b in zip(rows[r], lead)]
-        pivots.append(pc)
-        pr += 1
-        if pr == m.rows:
-            break
-    return Mat.from_rows(rows, m.cols), tuple(pivots)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace of Q^n held by its canonical RREF basis.
 
     Two Subspace values are equal iff they are the same subspace; the
-    canonical form makes that literal dataclass equality.
+    canonical rows make that literal dataclass equality.  The pivots are
+    determined by the rows, so they take no part in equality or hashing.
     """
 
     ambient_dim: int
-    basis: Mat  # RREF, no zero rows
+    rows: tuple[Vec, ...]  # RREF, no zero rows
+    pivots: tuple[int, ...] = field(compare=False)  # leading column of each row
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     @staticmethod
     def zero(n: int) -> "Subspace":
-        return Subspace(n, Mat.from_rows([], n))
+        return Subspace(n, (), ())
 
     @staticmethod
     def full(n: int) -> "Subspace":
-        return Subspace(n, Mat.identity(n))
+        return Subspace(n, tuple(tuple(ONE if i == j else ZERO for j in range(n))
+                                 for i in range(n)), tuple(range(n)))
 
     def contains(self, v: Vec) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        return vec_is_zero(_reduce_against(self.basis.row_list(), v))
+        return not any(_reduce(self.rows, self.pivots, v))
 
     def contains_space(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        return all(self.contains(other.basis.row(i)) for i in range(other.dim))
+        return all(self.contains(r) for r in other.rows)
 
 
-def _reduce_against(rref_rows: list[Vec], v: Vec) -> Vec:
-    """Reduce v against rows already in RREF (pivot entry 1, cleared column)."""
-    w = list(v)
-    for r in rref_rows:
-        p = _leading_index(r)
-        c = w[p]
+def _reduce(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int],
+            v: Sequence[Fraction]) -> Sequence[Fraction]:
+    """v minus its components along echelon rows (pivot entry 1, pivot
+    column cleared in every other row); zero iff v is in their span."""
+    for r, p in zip(rows, pivots):
+        c = v[p]
         if c:
-            w = [a - c * b for a, b in zip(w, r)]
-    return tuple(w)
-
-
-def _leading_index(r: Sequence[Fraction]) -> int:
-    for j, x in enumerate(r):
-        if x != 0:
-            return j
-    raise LinAlgError("zero row has no leading index")
+            v = [a - c * b for a, b in zip(v, r)]
+    return v
 
 
 class EchelonBuilder:
-    """Incrementally maintained RREF basis; insertion order independent result."""
+    """Incrementally maintained RREF basis; insertion order independent
+    result.  `insert` is the package's one elimination step: every span,
+    kernel, solve and quotient goes through it."""
 
     def __init__(self, ambient_dim: int):
         self.n = ambient_dim
@@ -234,18 +189,10 @@ class EchelonBuilder:
 
     def insert(self, vec: Sequence) -> bool:
         """Insert a vector; True iff the rank grew."""
-        v = list(vec)
-        if len(v) != self.n:
+        if len(vec) != self.n:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        for r, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, r)]
-        pc = None
-        for j, x in enumerate(v):
-            if x != 0:
-                pc = j
-                break
+        v = _reduce(self.rows, self.pivots, vec)
+        pc = next((j for j, x in enumerate(v) if x), None)
         if pc is None:
             return False
         inv = ONE / v[pc]
@@ -261,12 +208,8 @@ class EchelonBuilder:
         self.pivots.insert(at, pc)
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def subspace(self) -> Subspace:
-        return Subspace(self.n, Mat.from_rows(self.rows, self.n))
+        return Subspace(self.n, tuple(map(tuple, self.rows)), tuple(self.pivots))
 
 
 def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
@@ -277,13 +220,19 @@ def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
     return b.subspace()
 
 
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and the tuple of pivot columns: the
+    canonical basis of the row space, padded with zero rows."""
+    s = span(m.row_list(), m.cols)
+    zero = (ZERO,) * m.cols
+    return Mat.from_rows(s.rows + (zero,) * (m.rows - s.dim), m.cols), s.pivots
+
+
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
     eb = EchelonBuilder(a.ambient_dim)
-    for r in a.basis.row_list():
-        eb.insert(r)
-    for r in b.basis.row_list():
+    for r in a.rows + b.rows:
         eb.insert(r)
     return eb.subspace()
 
@@ -293,19 +242,15 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
     n = a.ambient_dim
-    k, l = a.dim, b.dim
-    if k == 0 or l == 0:
+    if a.dim == 0 or b.dim == 0:
         return Subspace.zero(n)
-    # columns: k coefficients for a's basis, l for b's basis
-    rows = []
-    for i in range(n):
-        rows.append([a.basis[r, i] for r in range(k)] + [-b.basis[r, i] for r in range(l)])
-    ker = kernel(Mat.from_rows(rows, k + l))
+    # columns: the coefficients of a's basis, then those of b's basis
+    ker = kernel(Mat.from_rows([[r[i] for r in a.rows] + [-r[i] for r in b.rows]
+                                for i in range(n)], a.dim + b.dim))
     vecs = []
-    for s in range(ker.dim):
-        coeffs = ker.basis.row(s)[:k]
+    for coeffs in ker.rows:
         v = [ZERO] * n
-        for c, row in zip(coeffs, a.basis.row_list()):
+        for c, row in zip(coeffs, a.rows):
             if c:
                 for j, x in enumerate(row):
                     if x:
@@ -316,16 +261,16 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def kernel(m: Mat) -> Subspace:
     """Solution space of m @ x = 0, as a subspace of Q^cols."""
-    r, pivots = rref(m)
-    pivset = set(pivots)
+    s = span(m.row_list(), m.cols)
+    pivset = set(s.pivots)
     vecs = []
     for j in range(m.cols):
         if j in pivset:
             continue
         v = [ZERO] * m.cols
         v[j] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -r[i, j]
+        for r, p in zip(s.rows, s.pivots):
+            v[p] = -r[j]
         vecs.append(v)
     return span(vecs, m.cols)
 
@@ -338,7 +283,7 @@ def perp_wrt_form(v: Subspace, gram: Mat) -> Subspace:
         raise LinAlgError("gram matrix must be symmetric")
     if v.dim == 0:
         return Subspace.full(v.ambient_dim)
-    return kernel(v.basis @ gram)
+    return kernel(Mat.from_rows(v.rows, v.ambient_dim) @ gram)
 
 
 def gram_pair(gram: Mat, x: Vec, y: Vec) -> Fraction:
@@ -361,13 +306,12 @@ def solve_linear(a: Mat, b: Vec) -> Vec | None:
     """
     if len(b) != a.rows:
         raise DimensionMismatch("right-hand side length does not match row count")
-    aug = Mat.from_rows([list(a.row(i)) + [b[i]] for i in range(a.rows)], a.cols + 1)
-    r, pivots = rref(aug)
-    if a.cols in pivots:
+    s = span([a.row(i) + (b[i],) for i in range(a.rows)], a.cols + 1)
+    if a.cols in s.pivots:
         return None
     x = [ZERO] * a.cols
-    for i, p in enumerate(pivots):
-        x[p] = r[i, a.cols]
+    for r, p in zip(s.rows, s.pivots):
+        x[p] = r[a.cols]
     return tuple(x)
 
 
@@ -382,11 +326,11 @@ class QuotientSpace:
 
     total: Subspace
     divisor: Subspace
-    section: Mat
+    section: tuple[Vec, ...]
 
     @property
     def dim(self) -> int:
-        return self.section.rows
+        return len(self.section)
 
 
 def quotient(total: Subspace, divisor: Subspace) -> QuotientSpace:
@@ -395,15 +339,11 @@ def quotient(total: Subspace, divisor: Subspace) -> QuotientSpace:
     if not total.contains_space(divisor):
         raise DivisorNotContained("divisor is not contained in the total space")
     eb = EchelonBuilder(total.ambient_dim)
-    for r in divisor.basis.row_list():
+    for r in divisor.rows:
         eb.insert(r)
-    section_rows = []
-    for r in total.basis.row_list():
-        if eb.insert(r):
-            section_rows.append(r)
-    sec = Mat.from_rows(section_rows, total.ambient_dim)
-    assert sec.rows == total.dim - divisor.dim
-    return QuotientSpace(total, divisor, sec)
+    section = tuple(r for r in total.rows if eb.insert(r))
+    assert len(section) == total.dim - divisor.dim
+    return QuotientSpace(total, divisor, section)
 
 
 def class_of(q: QuotientSpace, vec: Sequence) -> Vec:
@@ -411,15 +351,14 @@ def class_of(q: QuotientSpace, vec: Sequence) -> Vec:
     v = as_vec(vec)
     if not q.total.contains(v):
         raise VectorOutsideTotal("vector lies outside the quotient's total space")
-    s = q.section.rows
-    cols = list(q.section.row_list()) + list(q.divisor.basis.row_list())
+    cols = q.section + q.divisor.rows
     if not cols:
         return ()
     sys = Mat.from_rows([[row[i] for row in cols] for i in range(q.total.ambient_dim)],
                         len(cols))
     x = solve_linear(sys, v)
     assert x is not None
-    return x[:s]
+    return x[:q.dim]
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +425,6 @@ def int_det(m: IntMat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _pivot_columns(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...]:
-    """Leading columns of the canonical echelon basis of the rows' span."""
-    return tuple(_leading_index(r) for r in span(rows, ncols).basis.row_list())
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a, b >= 0."""
     s0, s1, t0, t1 = 1, 0, 0, 1
@@ -533,10 +467,10 @@ def smith_normal_form(m: IntMat) -> tuple[int, ...]:
     leaves gives gcd(a_kk, D); a gcd/lcm pass puts those into a
     divisibility chain whose first r terms are the invariants.
     """
-    cols = _pivot_columns([m.row(i) for i in range(m.rows)], m.cols)
+    cols = span([m.row(i) for i in range(m.rows)], m.cols).pivots
     if not cols:
         return ()
-    picked = _pivot_columns([[m[i, j] for i in range(m.rows)] for j in cols], m.rows)
+    picked = span([[m[i, j] for i in range(m.rows)] for j in cols], m.rows).pivots
     d = abs(int_det(IntMat.from_rows([[m[i, j] for j in cols] for i in picked])))
     a = [[x % d for x in m.row(i)] for i in range(m.rows)]
     diag = []

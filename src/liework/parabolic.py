@@ -32,7 +32,6 @@ from .chevalley import (
 from .exactlin import (
     EchelonBuilder,
     IntMat,
-    Mat,
     QuotientSpace,
     Subspace,
     Vec,
@@ -41,7 +40,6 @@ from .exactlin import (
     intersect,
     perp_wrt_form,
     quotient,
-    rref,
     smith_normal_form,
     span,
     subspace_sum,
@@ -191,11 +189,8 @@ def build_parabolic(alg: ChevalleyAlgebra, gamma: Iterable[int]) -> ParabolicDat
     # Killing form must pair the two torus-rank quotients perfectly
     pairing_ok = True
     if torus_rank:
-        gram = Mat.from_rows(
-            [[alg.killing(a_p.section.row(i), twist_space.section.row(j))
-              for j in range(torus_rank)] for i in range(torus_rank)],
-            torus_rank)
-        pairing_ok = len(rref(gram)[1]) == torus_rank
+        gram = [[alg.killing(z, y) for y in twist_space.section] for z in a_p.section]
+        pairing_ok = span(gram, torus_rank).dim == torus_rank
     dim_c = dim - p.dim
     leaf_dim = dim_c + p_derived_perp.dim - torus_rank
 
@@ -261,7 +256,7 @@ def dimension_report(pd: ParabolicDatum) -> DimensionReport:
 
 def _tangent(pd: ParabolicDatum, x: Vec) -> Subspace:
     eb = EchelonBuilder(pd.alg.dim)
-    for row in pd.p.basis.row_list():
+    for row in pd.p.rows:
         v = pd.alg.bracket(row, x)
         if any(v):
             eb.insert(v)
@@ -329,10 +324,7 @@ def torsor_certificate(pd: ParabolicDatum,
     if not cert.is_open:
         raise ValueError("torsor certificate requires an open-orbit element")
     x = cert.element
-    rows = []
-    for i in range(pd.a_p.dim):
-        z = pd.a_p.section.row(i)
-        rows.append(class_of(pd.a_u, pd.alg.bracket(z, x)))
+    rows = [class_of(pd.a_u, pd.alg.bracket(z, x)) for z in pd.a_p.section]
     induced_rank = span(rows, pd.a_u.dim).dim if rows else 0
     infinitesimal_free = induced_rank == pd.torus_rank
 
@@ -361,8 +353,8 @@ def hypothesis_h1(pd: ParabolicDatum) -> bool:
 def h1_witness(pd: ParabolicDatum) -> tuple[str, str, Vec] | None:
     """A concrete basis pair violating the triviality hypothesis, if any."""
     alg = pd.alg
-    for a in pd.levi_derived.basis.row_list():
-        for b in pd.u.basis.row_list():
+    for a in pd.levi_derived.rows:
+        for b in pd.u.rows:
             v = alg.bracket(a, b)
             if any(v) and not pd.u_derived.contains(v):
                 return alg.vector_name(a), alg.vector_name(b), v

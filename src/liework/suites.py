@@ -182,11 +182,7 @@ def _uc_base_vector(pd) -> tuple:
     """Deterministic representative of [p,p]-perp with full twist support."""
     alg = pd.alg
     v = [Fraction(0)] * alg.dim
-    for m in range(pd.twist_space.dim):
-        for i, c in enumerate(pd.twist_space.section.row(m)):
-            if c:
-                v[i] += c
-    for row in pd.u.basis.row_list():
+    for row in pd.twist_space.section + pd.u.rows:
         for i, c in enumerate(row):
             if c:
                 v[i] += c
@@ -242,8 +238,8 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
             continue
         intr = intrinsic_quotients(alg, pt.p)
         far_level = tuple(-c for c in class_of(intr.twist, pt.x))
-        via_id = canonical_id(pd, w, base_level).psi
-        ok = (far_level == via_id
+        [via_id] = canonical_id(pd, w, [base_level])
+        ok = (far_level == via_id.psi
               and pi_c(pd, pt) == base_level
               and phi_c(embed(pd, pt)) == mu_c(pt))
         if not ok:
@@ -255,13 +251,12 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
     rng = _rng(case, "uc-family", "stabilizers")
     st_bad = 0
     st_witness = None
+    units = [twist_level(pd, [int(j == m) for j in range(pd.torus_rank)])
+             for m in range(pd.torus_rank)]
     for k in range(8):
         w = stabilizer_word(pd, rng, length=2)
-        for m in range(pd.torus_rank):
-            coords = [0] * pd.torus_rank
-            coords[m] = 1
-            psi = twist_level(pd, coords)
-            if canonical_id(pd, w, psi) != psi:
+        for m, (psi, moved) in enumerate(zip(units, canonical_id(pd, w, units))):
+            if moved != psi:
                 st_bad += 1
                 st_witness = st_witness or f"word #{k} level {m}"
     checks.append(check_record("stabilizer-canonical-id-identity", "identity",
@@ -293,7 +288,7 @@ def _suite_embedding(case: CaseSpec) -> tuple[CheckRecord, ...]:
     pd = standard_parabolic(case.type_label, case.gamma)
     alg = pd.alg
     rng = _rng(case, "embedding", "points")
-    rows = pd.p_derived_perp.basis.row_list()
+    rows = pd.p_derived_perp.rows
     embedded = triangle = equivariant = 0
     total = 5
     witness = None
@@ -345,7 +340,7 @@ def _suite_bc(case: CaseSpec) -> tuple[CheckRecord, ...]:
     checks = [check_record("triviality-hypothesis", "reported", "true", True)]
     cert = find_richardson(pd, seed=case.seed)
     bc = make_bc_point(pd, cert)
-    rows = pd.p_derived_perp.basis.row_list()
+    rows = pd.p_derived_perp.rows
     ys = rows[:2] if rows else [tuple([Fraction(0)] * pd.alg.dim)]
     factor_ok = True
     witness = None

@@ -32,14 +32,12 @@ from liework.bundles import (
     act_uc_point,
     act_vector,
     bc_torus_action,
-    bracket_morphism_audit,
     canonical_id,
     concat,
     embed,
     fiber_dimension,
     intrinsic_quotients,
     invariance_pairing_square,
-    killing_invariance_audit,
     make_bc_point,
     make_gc_point,
     make_tstar_point,
@@ -51,7 +49,6 @@ from liework.bundles import (
     pi_c,
     quotient_to_uc,
     random_word,
-    sigma_c,
     stabilizer_word,
     twist_level,
     word_of,
@@ -113,6 +110,30 @@ def test_inverse_roundtrip_random_words():
         assert act_vector(alg, w.inverse(), act_vector(alg, w, v)) == v
 
 
+def killing_invariance_audit(alg, w, pairs):
+    """kappa(w.x, w.y) == kappa(x, y) on every pair."""
+    for x, y in pairs:
+        if alg.killing(act_vector(alg, w, x), act_vector(alg, w, y)) != \
+                alg.killing(x, y):
+            return False
+    return True
+
+
+def bracket_morphism_audit(alg, w, pairs):
+    """w.[x, y] == [w.x, w.y] on every pair."""
+    for x, y in pairs:
+        lhs = act_vector(alg, w, alg.bracket(x, y))
+        rhs = alg.bracket(act_vector(alg, w, x), act_vector(alg, w, y))
+        if lhs != rhs:
+            return False
+    return True
+
+
+def sigma_c(pt):
+    """The parabolic of an incidence-family point."""
+    return pt.p
+
+
 def test_killing_and_bracket_audits_full_grid():
     alg = algebra("A2")
     rng = random.Random("audits")
@@ -172,7 +193,7 @@ def test_pi_c_transport_consistency():
     pd = standard_parabolic("A2", frozenset({1}))
     alg = pd.alg
     rng = random.Random("transport")
-    x0 = pd.twist_space.section.row(0)
+    x0 = pd.twist_space.section[0]
     base = make_uc_point(pd, IDENTITY_WORD, x0)
     level = pi_c(pd, base)
     for _ in range(5):
@@ -191,13 +212,15 @@ def test_stabilizer_words_fix_p():
             assert act_subspace(pd.alg, w, pd.p) == pd.p
 
 
+def _unit_levels(pd):
+    return [twist_level(pd, [int(j == m) for j in range(pd.torus_rank)])
+            for m in range(pd.torus_rank)]
+
+
 def test_canonical_id_identity_word():
     pd = standard_parabolic("A2", frozenset())
-    for m in range(pd.torus_rank):
-        coords = [0] * pd.torus_rank
-        coords[m] = 1
-        psi = twist_level(pd, coords)
-        assert canonical_id(pd, IDENTITY_WORD, psi) == psi
+    units = _unit_levels(pd)
+    assert canonical_id(pd, IDENTITY_WORD, units) == units
 
 
 def test_canonical_id_stabilizing_words_are_identity():
@@ -205,13 +228,32 @@ def test_canonical_id_stabilizing_words_are_identity():
                          ("B2", frozenset({2}))):
         pd = standard_parabolic(label, gamma)
         rng = random.Random(f"canid:{label}:{sorted(gamma)}")
+        units = _unit_levels(pd)
         for _ in range(4):
             w = stabilizer_word(pd, rng, length=3)
-            for m in range(pd.torus_rank):
-                coords = [0] * pd.torus_rank
-                coords[m] = 1
-                psi = twist_level(pd, coords)
-                assert canonical_id(pd, w, psi) == psi
+            assert canonical_id(pd, w, units) == units
+
+
+def test_canonical_id_transports_p_once_per_word(monkeypatch):
+    calls = []
+
+    def counted(alg, w, s):
+        calls.append(w)
+        return act_subspace(alg, w, s)
+
+    monkeypatch.setattr("liework.bundles.act_subspace", counted)
+    pd = standard_parabolic("A3", frozenset())
+    w = random_word(pd.alg, random.Random("canid:once"), length=3)
+    levels = [twist_level(pd, [k, 1 - k, 2]) for k in range(4)]
+    moved = canonical_id(pd, w, levels)
+    assert calls == [w]
+    assert moved == [canonical_id(pd, w, [psi])[0] for psi in levels]
+    # torus rank 0 has no levels, and then nothing is transported
+    calls.clear()
+    full = standard_parabolic("A2", frozenset({1, 2}))
+    assert full.torus_rank == 0
+    assert canonical_id(full, w, []) == []
+    assert calls == []
 
 
 def test_invariance_square_closes():
@@ -248,7 +290,7 @@ def test_fiber_dimension_constant_in_psi():
 def test_embed_and_triangle():
     pd = standard_parabolic("A2", frozenset({1}))
     rng = random.Random("embed")
-    x0 = pd.p_derived_perp.basis.row(1)
+    x0 = pd.p_derived_perp.rows[1]
     for _ in range(5):
         w = random_word(pd.alg, rng, length=3)
         pt = make_uc_point(pd, w, x0)
@@ -291,7 +333,7 @@ def test_tstar_moment_maps_factor():
     pd = standard_parabolic("A2", frozenset())
     cert = find_richardson(pd)
     base = make_bc_point(pd, cert)
-    y = pd.p_derived_perp.basis.row(2)
+    y = pd.p_derived_perp.rows[2]
     ptt = make_tstar_point(pd, base, y)
     uc = quotient_to_uc(pd, ptt)
     assert nu_g(ptt) == mu_c(uc)
@@ -318,7 +360,7 @@ def test_uc_invariant_checked_at_transported_p():
     bad = UCPoint(p=pd.p, x=f1, witness=IDENTITY_WORD)
     with pytest.raises(PointInvariantError, match="Killing-orthogonal"):
         act_uc_point(pd, w, bad)
-    good = make_uc_point(pd, IDENTITY_WORD, pd.p_derived_perp.basis.row(0))
+    good = make_uc_point(pd, IDENTITY_WORD, pd.p_derived_perp.rows[0])
     assert act_uc_point(pd, w, good).p == moved
 
 
@@ -326,7 +368,7 @@ def test_act_uc_point_witness_composition():
     pd = standard_parabolic("A2", frozenset())
     alg = pd.alg
     rng = random.Random("compose")
-    x0 = pd.twist_space.section.row(0)
+    x0 = pd.twist_space.section[0]
     w1 = random_word(alg, rng, length=2)
     w2 = random_word(alg, rng, length=2)
     via_act = act_uc_point(pd, w2, make_uc_point(pd, w1, x0))
@@ -340,7 +382,7 @@ def test_mu_equivariance_seeded():
     pd = standard_parabolic("A2", frozenset({1}))
     alg = pd.alg
     rng = random.Random("mu-eq")
-    x0 = pd.p_derived_perp.basis.row(0)
+    x0 = pd.p_derived_perp.rows[0]
     pt = make_uc_point(pd, IDENTITY_WORD, x0)
     for _ in range(10):
         w = random_word(alg, rng, length=3)
@@ -469,7 +511,7 @@ def test_fiber_dimension_rejects_corrupted_twist_space():
 
 def test_uc_invariant_at_standard_p_reads_dossier():
     pd = standard_parabolic("B2", frozenset({1}))
-    x0 = pd.p_derived_perp.basis.row(0)
+    x0 = pd.p_derived_perp.rows[0]
     before = intrinsic_quotients.cache_info()
     pt = make_uc_point(pd, IDENTITY_WORD, x0)
     assert pt.p == pd.p

@@ -45,6 +45,12 @@ def rand_mat(rng, rows, cols):
     return Mat.from_rows([[rand_fraction(rng) for _ in range(cols)] for _ in range(rows)])
 
 
+def apply(m, v):
+    """Matrix times column vector."""
+    assert len(v) == m.cols
+    return tuple(sum((c * x for c, x in zip(row, v)), Q(0)) for row in m.row_list())
+
+
 def test_rref_unit():
     m = Mat.from_rows([[0, 2, 4], [1, 1, 1], [1, 3, 5]])
     r, pivots = rref(m)
@@ -98,7 +104,7 @@ def test_intersection_members_seeded():
         a = span([[rand_fraction(rng) for _ in range(6)] for _ in range(3)], 6)
         b = span([[rand_fraction(rng) for _ in range(6)] for _ in range(3)], 6)
         i = intersect(a, b)
-        for r in i.basis.row_list():
+        for r in i.rows:
             assert a.contains(r) and b.contains(r)
 
 
@@ -132,7 +138,7 @@ def test_quotient_sl2_borel():
     divisor = span([E], 3)
     q = quotient(total, divisor)
     assert q.dim == 1
-    assert q.section.row_list() == [H]
+    assert q.section == (H,)
     # class of h/2 is (1/2); e maps to zero
     assert class_of(q, as_vec([0, Q(1, 2), 0])) == (Q(1, 2),)
     assert class_of(q, E) == (Q(0),)
@@ -208,10 +214,10 @@ def test_solve_linear_roundtrip_seeded():
     for _ in range(25):
         a = rand_mat(rng, 4, 3)
         x0 = as_vec([rand_fraction(rng) for _ in range(3)])
-        b = a.apply(x0)
+        b = apply(a, x0)
         x = solve_linear(a, b)
         assert x is not None
-        assert a.apply(x) == b
+        assert apply(a, x) == b
 
 
 def test_solve_linear_inconsistent():
@@ -225,8 +231,8 @@ def test_kernel_annihilates():
         m = rand_mat(rng, 3, 5)
         k = kernel(m)
         assert k.dim == 5 - len(rref(m)[1])
-        for r in k.basis.row_list():
-            assert all(x == 0 for x in m.apply(r))
+        for r in k.rows:
+            assert all(x == 0 for x in apply(m, r))
 
 
 def test_dimension_mismatch_errors():
@@ -244,7 +250,7 @@ def test_gram_pair_matches_matrix_product():
         x = as_vec([rand_fraction(rng) for _ in range(3)])
         y = as_vec([rand_fraction(rng) for _ in range(3)])
         direct = gram_pair(SL2_GRAM, x, y)
-        via = sum(a * b for a, b in zip(x, SL2_GRAM.apply(y)))
+        via = sum(a * b for a, b in zip(x, apply(SL2_GRAM, y)))
         assert direct == via
 
 
@@ -255,7 +261,7 @@ small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 @given(st.lists(st.lists(small_fractions, min_size=4, max_size=4), min_size=1, max_size=5))
 def test_span_idempotent_property(rows):
     s = span(rows, 4)
-    assert span(s.basis.row_list(), 4) == s
+    assert span(s.rows, 4) == s
     for r in rows:
         assert s.contains(as_vec(r))
 
@@ -295,9 +301,13 @@ def int_matrices(draw):
 
 
 @pytest.fixture(scope="module")
-def sympy_invariant_factors():
-    """sympy's invariant factors, imported once outside the timed examples."""
-    sympy = pytest.importorskip("sympy")
+def sympy():
+    """sympy as an oracle, imported once outside the timed examples."""
+    return pytest.importorskip("sympy")
+
+
+@pytest.fixture(scope="module")
+def sympy_invariant_factors(sympy):
     from sympy.matrices.normalforms import invariant_factors
     return lambda rows: tuple(
         int(x) for x in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ) if x)
@@ -317,3 +327,124 @@ def test_echelon_builder_matches_span():
     for r in rows:
         eb.insert(as_vec(r))
     assert eb.subspace() == span(rows, 5)
+
+
+# ---------------------------------------------------------------------------
+# the echelon core against sympy
+
+
+# st.fractions draws through a flatmap per entry, too slow for 80-entry
+# matrices; these are the fractions with |numerator| <= 6, denominator <= 3
+fraction_entries = st.builds(Q, st.integers(-6, 6), st.integers(1, 3))
+
+
+def _frac(x):
+    """A sympy Rational as a Fraction."""
+    return Q(int(x.p), int(x.q))
+
+
+def _combine(coeffs, rows):
+    """sum_i coeffs[i] * rows[i]"""
+    return [sum((c * r[j] for c, r in zip(coeffs, rows)), Q(0)) for j in range(len(rows[0]))]
+
+
+@st.composite
+def fraction_matrices(draw, cols=None, max_rows=8):
+    """Fraction matrices of shape 1..max_rows x 1..10.  Half are a product
+    B C through an inner dimension below both sides, so rank-deficient."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, 10)) if cols is None else cols
+
+    def block(r, c):
+        return draw(st.lists(st.lists(fraction_entries, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        return block(rows, cols)
+    inner = draw(st.integers(0, min(rows, cols) - 1))
+    b, c = block(rows, inner), block(inner, cols)
+    return [[sum((b[i][k] * c[k][j] for k in range(inner)), Q(0)) for j in range(cols)]
+            for i in range(rows)]
+
+
+oracle = settings(max_examples=100, deadline=2000, derandomize=True)
+
+
+@oracle
+@given(m=fraction_matrices())
+def test_rref_matches_sympy(sympy, m):
+    r, pivots = rref(Mat.from_rows(m))
+    want, want_pivots = sympy.Matrix(m).rref()
+    assert pivots == want_pivots
+    assert r.row_list() == [tuple(map(_frac, want.row(i))) for i in range(want.rows)]
+
+
+@oracle
+@given(m=fraction_matrices())
+def test_kernel_matches_sympy_nullspace(sympy, m):
+    k = kernel(Mat.from_rows(m))
+    want = [list(map(_frac, v)) for v in sympy.Matrix(m).nullspace()]
+    assert k.dim == len(want)
+    assert k == span(want, len(m[0]))
+    for row in k.rows:
+        assert sympy.Matrix(m) * sympy.Matrix(row) == sympy.zeros(len(m), 1)
+
+
+@oracle
+@given(data=st.data())
+def test_span_contains_intersect_match_sympy_ranks(sympy, data):
+    cols = data.draw(st.integers(1, 10))
+    shared = data.draw(fraction_matrices(cols, max_rows=3))
+    ra = shared + data.draw(fraction_matrices(cols, max_rows=4))
+    rb = shared + data.draw(fraction_matrices(cols, max_rows=4))
+    member = _combine(data.draw(st.lists(fraction_entries, min_size=len(ra),
+                                         max_size=len(ra))), ra)
+    v = data.draw(st.lists(fraction_entries, min_size=cols, max_size=cols))
+
+    def rank(rows):
+        return sympy.Matrix(rows).rank()
+
+    a, b = span(ra, cols), span(rb, cols)
+    assert (a.dim, b.dim) == (rank(ra), rank(rb))
+    assert a.contains(as_vec(member))
+    assert a.contains(as_vec(v)) == (rank(ra + [v]) == a.dim)
+    i = intersect(a, b)
+    assert i.dim == a.dim + b.dim - rank(ra + rb)
+    assert rank(ra + list(i.rows)) == a.dim and rank(rb + list(i.rows)) == b.dim
+
+
+@oracle
+@given(data=st.data())
+def test_quotient_class_of_match_sympy_solve(sympy, data):
+    cols = data.draw(st.integers(1, 10))
+    rt = data.draw(fraction_matrices(cols))
+    coeffs = st.lists(fraction_entries, min_size=len(rt), max_size=len(rt))
+    rd = [_combine(c, rt) for c in data.draw(st.lists(coeffs, max_size=8))]
+    v = _combine(data.draw(coeffs), rt)
+
+    def rank(rows):
+        return sympy.Matrix(rows).rank() if rows else 0
+
+    q = quotient(span(rt, cols), span(rd, cols))
+    assert q.dim == rank(rt) - rank(rd)
+    basis = list(q.section + q.divisor.rows)
+    assert rank(basis) == len(basis) == rank(rt)
+    cls = class_of(q, v)
+    if basis:
+        x = sympy.Matrix(basis).T.solve(sympy.Matrix(v))
+        assert cls == tuple(map(_frac, x[:q.dim]))
+    # v minus the section combination lies in the divisor
+    residual = [a - b for a, b in zip(v, _combine(cls, q.section))] if cls else v
+    assert rank(rd + [residual]) == rank(rd)
+
+
+@oracle
+@given(data=st.data())
+def test_int_det_matches_sympy(sympy, data):
+    n = data.draw(st.integers(0, 8))
+    m = data.draw(st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    if n > 1 and data.draw(st.booleans()):  # singular: last row from two others
+        a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[-2])]
+    assert int_det(IntMat.from_rows(m, n)) == sympy.Matrix(n, n, sum(m, [])).det()
