@@ -182,22 +182,21 @@ def _act_unipotent(alg: ChevalleyAlgebra, letter: UnipotentLetter, v: Vec) -> Ve
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=256)
+def _torus_scales(alg: ChevalleyAlgebra,
+                  letter: TorusLetter) -> tuple[Fraction | None, ...]:
+    """The factor of each basis vector under a torus letter, None on the
+    Cartan: each weight's monomial is evaluated once per letter."""
+    return tuple(None if w is None else
+                 math.prod(q ** e for q, e in zip(letter.params, w) if e)
+                 for w in alg.basis_weights)
+
+
 def _act_torus(alg: ChevalleyAlgebra, letter: TorusLetter, v: Vec) -> Vec:
     if len(letter.params) != alg.rank:
         raise ValueError("torus letter has wrong parameter count")
-    out = list(v)
-    for i, c in enumerate(v):
-        if not c:
-            continue
-        w = alg.basis_weights[i]
-        if w is None:
-            continue
-        scale = Fraction(1)
-        for j, e in enumerate(w):
-            if e:
-                scale *= letter.params[j] ** e
-        out[i] = c * scale
-    return tuple(out)
+    return tuple(c * s if c and s is not None else c
+                 for c, s in zip(v, _torus_scales(alg, letter)))
 
 
 def act_vector(alg: ChevalleyAlgebra, w: GroupWord, v: Vec) -> Vec:
@@ -214,7 +213,8 @@ def act_vector(alg: ChevalleyAlgebra, w: GroupWord, v: Vec) -> Vec:
 
 
 def act_subspace(alg: ChevalleyAlgebra, w: GroupWord, s: Subspace) -> Subspace:
-    return span([act_vector(alg, w, row) for row in s.rows], s.ambient_dim)
+    """The image of s: the span of the images of its integer basis rows."""
+    return span([act_vector(alg, w, row) for row in s.ints], s.ambient_dim)
 
 
 _T_CHOICES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -510,7 +510,7 @@ def _coset_contains_open(pd: ParabolicDatum, x_rep: Vec, seed: int = 0,
         offsets.append(tuple(v))
     for off in offsets:
         cand = tuple(a + b for a, b in zip(x_rep, off))
-        rows_t = [alg.bracket(row, cand) for row in pd.p.rows]
+        rows_t = [alg.bracket(row, cand) for row in pd.p.ints]
         if span(rows_t, alg.dim) == want:
             return True
     return False

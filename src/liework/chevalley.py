@@ -423,10 +423,12 @@ class ChevalleyAlgebra:
         return gram_pair(self.killing_gram, x, y)
 
     def bracket_space(self, a: Subspace, b: Subspace) -> Subspace:
-        """span{[x, y] : x in a, y in b}"""
+        """span{[x, y] : x in a, y in b}, over the integer basis rows.  For
+        a == b only pairs x before y: [x, x] = 0 and [y, x] = -[x, y]."""
         eb = EchelonBuilder(self.dim)
-        for x in a.rows:
-            for y in b.rows:
+        same = a == b
+        for i, x in enumerate(a.ints):
+            for y in b.ints[i + 1:] if same else b.ints:
                 v = self.bracket(x, y)
                 if any(v):
                     eb.insert(v)

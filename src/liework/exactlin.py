@@ -1,31 +1,33 @@
-"""Exact linear algebra over arbitrary-precision rationals.
+"""Exact linear algebra over the rationals, with integer elimination.
 
 Vectors are tuples of ``fractions.Fraction``; matrices are immutable
-row-major ``Mat`` values; subspaces hold the rows and pivot columns of
-their reduced row-echelon basis, so that equality of subspaces is
-literal equality of rows.  Everything is exact: no floats, no
-tolerances, no pivot thresholds.
+row-major ``Mat`` values.  A subspace holds its canonical primitive
+integer rows, the rows of its reduced row-echelon basis each scaled to
+coprime integers with a positive pivot.  That form is unique, so equality
+of subspaces is literal equality of rows; the Fraction RREF view is
+derived from it.  Everything is exact: no floats, no tolerances, no pivot
+thresholds.
 
-There is one elimination step, ``EchelonBuilder.insert``.  Spans,
-``rref``, kernels, solves, intersections and quotient sections all read
-the rows and pivots it leaves, and membership reduces against them.
-
-Scalars are stdlib ``Fraction`` values.  They already carry the
-invariants we need (lowest terms, positive denominator, exact
-arithmetic), so no separate rational type is defined here.
+There is one elimination step, ``EchelonBuilder.insert``, and it runs in
+integers: it clears denominators once and combines rows by gcd-scaled
+integer row operations (fraction-free elimination; Bareiss 1968, Cohen,
+GTM 138, section 2.2).  Spans, ``rref``, kernels, solves, intersections
+and quotient sections all read the rows and pivots it leaves, membership
+reduces against them with the same helper, and a quotient's class map is
+a projector built once, on first use.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Scalar = Fraction
 Vec = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LinAlgError(ValueError):
@@ -85,7 +87,7 @@ class Mat:
     def row_list(self) -> list[Vec]:
         return [self.row(i) for i in range(self.rows)]
 
-    def mul(self, other: "Mat") -> "Mat":
+    def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
         out = []
@@ -101,9 +103,6 @@ class Mat:
                             acc[j] += c * ork[j]
             out.append(acc)
         return Mat.from_rows(out, other.cols)
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        return self.mul(other)
 
     def add(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -131,7 +130,7 @@ class Mat:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^n held by its canonical RREF basis.
+    """A linear subspace of Q^n held by its canonical primitive integer rows.
 
     Two Subspace values are equal iff they are the same subspace; the
     canonical rows make that literal dataclass equality.  The pivots are
@@ -139,12 +138,24 @@ class Subspace:
     """
 
     ambient_dim: int
-    rows: tuple[Vec, ...]  # RREF, no zero rows
+    # RREF rows as coprime integers with a positive pivot entry, no zero rows
+    ints: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...] = field(compare=False)  # leading column of each row
 
     @property
+    def rows(self) -> tuple[Vec, ...]:
+        """The reduced row-echelon basis."""
+        return tuple(self.row(k) for k in range(self.dim))
+
+    def row(self, k: int) -> Vec:
+        """Row k of the reduced row-echelon basis: ints[k] over its pivot."""
+        r = self.ints[k]
+        d = r[self.pivots[k]]
+        return tuple(Fraction(x, d) if x else ZERO for x in r)
+
+    @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
 
     @staticmethod
     def zero(n: int) -> "Subspace":
@@ -152,58 +163,69 @@ class Subspace:
 
     @staticmethod
     def full(n: int) -> "Subspace":
-        return Subspace(n, tuple(tuple(ONE if i == j else ZERO for j in range(n))
+        return Subspace(n, tuple(tuple(int(i == j) for j in range(n))
                                  for i in range(n)), tuple(range(n)))
 
-    def contains(self, v: Vec) -> bool:
+    def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        return not any(_reduce(self.rows, self.pivots, v))
+        return not any(_reduce(self.ints, self.pivots, _clear_denominators(v)))
 
     def contains_space(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        return all(self.contains(r) for r in other.rows)
+        return not any(any(_reduce(self.ints, self.pivots, r)) for r in other.ints)
 
 
-def _reduce(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int],
-            v: Sequence[Fraction]) -> Sequence[Fraction]:
-    """v minus its components along echelon rows (pivot entry 1, pivot
-    column cleared in every other row); zero iff v is in their span."""
+def _clear_denominators(v: Sequence) -> list[int]:
+    """The integer vector den * v, den the lcm of v's denominators."""
+    ratios = [x.as_integer_ratio() for x in v]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios]
+
+
+def _reduce(rows: Sequence[Sequence[int]], pivots: Sequence[int],
+            v: Sequence[int]) -> Sequence[int]:
+    """v minus its components along primitive echelon rows (positive pivot,
+    pivot column zero in every other row), each step a gcd-scaled integer
+    row operation, then divided by the gcd of its entries: a positive
+    multiple of the rational remainder, zero iff v is in their span."""
     for r, p in zip(rows, pivots):
         c = v[p]
         if c:
-            v = [a - c * b for a, b in zip(v, r)]
-    return v
+            g = math.gcd(r[p], c)
+            a, c = r[p] // g, c // g
+            v = [a * x - c * y for x, y in zip(v, r)]
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
 class EchelonBuilder:
-    """Incrementally maintained RREF basis; insertion order independent
-    result.  `insert` is the package's one elimination step: every span,
-    kernel, solve and quotient goes through it."""
+    """Incrementally maintained primitive echelon basis; insertion order
+    independent result.  `insert` is the package's one elimination step:
+    every span, kernel, solve and quotient goes through it."""
 
     def __init__(self, ambient_dim: int):
         self.n = ambient_dim
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[Sequence[int]] = []
         self.pivots: list[int] = []
 
     def insert(self, vec: Sequence) -> bool:
-        """Insert a vector; True iff the rank grew."""
+        """Insert a vector of ints or Fractions; True iff the rank grew.  The
+        new row gets a positive pivot, and reducing the other rows against
+        it clears its pivot column there."""
         if len(vec) != self.n:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        v = _reduce(self.rows, self.pivots, vec)
+        v = _reduce(self.rows, self.pivots, _clear_denominators(vec))
         pc = next((j for j, x in enumerate(v) if x), None)
         if pc is None:
             return False
-        inv = ONE / v[pc]
-        v = [x * inv for x in v]
+        if v[pc] < 0:
+            v = [-x for x in v]
         for i, r in enumerate(self.rows):
-            c = r[pc]
-            if c:
-                self.rows[i] = [a - c * b for a, b in zip(r, v)]
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < pc:
-            at += 1
+            if r[pc]:
+                self.rows[i] = _reduce((v,), (pc,), r)
+        at = bisect.bisect(self.pivots, pc)
         self.rows.insert(at, v)
         self.pivots.insert(at, pc)
         return True
@@ -213,10 +235,10 @@ class EchelonBuilder:
 
 
 def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
-    """Canonical subspace spanned by the given vectors."""
+    """Canonical subspace spanned by the given vectors of ints or Fractions."""
     b = EchelonBuilder(ambient_dim)
     for v in vectors:
-        b.insert(as_vec(v))
+        b.insert(v)
     return b.subspace()
 
 
@@ -231,10 +253,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    eb = EchelonBuilder(a.ambient_dim)
-    for r in a.rows + b.rows:
-        eb.insert(r)
-    return eb.subspace()
+    return span(a.ints + b.ints, a.ambient_dim)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -245,32 +264,25 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(n)
     # columns: the coefficients of a's basis, then those of b's basis
-    ker = kernel(Mat.from_rows([[r[i] for r in a.rows] + [-r[i] for r in b.rows]
+    ker = kernel(Mat.from_rows([[r[i] for r in a.ints] + [-r[i] for r in b.ints]
                                 for i in range(n)], a.dim + b.dim))
-    vecs = []
-    for coeffs in ker.rows:
-        v = [ZERO] * n
-        for c, row in zip(coeffs, a.rows):
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        v[j] += c * x
-        vecs.append(v)
-    return span(vecs, n)
+    return span([[sum(c * row[j] for c, row in zip(coeffs, a.ints)) for j in range(n)]
+                 for coeffs in ker.ints], n)
 
 
 def kernel(m: Mat) -> Subspace:
-    """Solution space of m @ x = 0, as a subspace of Q^cols."""
+    """Solution space of m @ x = 0, as a subspace of Q^cols: one integer
+    solution per free column j, with x_j the lcm of the pivot entries."""
     s = span(m.row_list(), m.cols)
     pivset = set(s.pivots)
     vecs = []
     for j in range(m.cols):
         if j in pivset:
             continue
-        v = [ZERO] * m.cols
-        v[j] = ONE
-        for r, p in zip(s.rows, s.pivots):
-            v[p] = -r[j]
+        v = [0] * m.cols
+        v[j] = math.lcm(*(r[p] for r, p in zip(s.ints, s.pivots)))
+        for r, p in zip(s.ints, s.pivots):
+            v[p] = -r[j] * (v[j] // r[p])
         vecs.append(v)
     return span(vecs, m.cols)
 
@@ -283,17 +295,18 @@ def perp_wrt_form(v: Subspace, gram: Mat) -> Subspace:
         raise LinAlgError("gram matrix must be symmetric")
     if v.dim == 0:
         return Subspace.full(v.ambient_dim)
-    return kernel(Mat.from_rows(v.rows, v.ambient_dim) @ gram)
+    return kernel(Mat.from_rows(v.ints, v.ambient_dim) @ gram)
 
 
 def gram_pair(gram: Mat, x: Vec, y: Vec) -> Fraction:
     """x^T gram y, skipping zero entries."""
     acc = ZERO
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
     for i, xi in enumerate(x):
         if xi:
             row = gram.row(i)
-            for j, yj in enumerate(y):
-                if yj and row[j]:
+            for j, yj in ys:
+                if row[j]:
                     acc += xi * row[j] * yj
     return acc
 
@@ -310,8 +323,8 @@ def solve_linear(a: Mat, b: Vec) -> Vec | None:
     if a.cols in s.pivots:
         return None
     x = [ZERO] * a.cols
-    for r, p in zip(s.rows, s.pivots):
-        x[p] = r[a.cols]
+    for r, p in zip(s.ints, s.pivots):
+        x[p] = Fraction(r[a.cols], r[p])
     return tuple(x)
 
 
@@ -332,6 +345,21 @@ class QuotientSpace:
     def dim(self) -> int:
         return len(self.section)
 
+    @functools.cached_property
+    def projector(self) -> tuple[Vec, ...]:
+        """projector[k]: the class of the k-th echelon row of the total.
+
+        At the total's pivot columns the section and divisor rows form an
+        invertible C; row k of C^-1, read off the RREF [I | C^-1] of
+        [C | I], holds total row k's coordinates, the first dim of them
+        on the section."""
+        n = self.total.dim
+        pivots = self.total.pivots
+        c = [[r[p] for p in pivots] for r in self.section + self.divisor.ints]
+        inv = span([row + [int(i == k) for k in range(n)] for i, row in enumerate(c)],
+                   2 * n).rows
+        return tuple(r[n:n + self.dim] for r in inv)
+
 
 def quotient(total: Subspace, divisor: Subspace) -> QuotientSpace:
     if total.ambient_dim != divisor.ambient_dim:
@@ -339,26 +367,27 @@ def quotient(total: Subspace, divisor: Subspace) -> QuotientSpace:
     if not total.contains_space(divisor):
         raise DivisorNotContained("divisor is not contained in the total space")
     eb = EchelonBuilder(total.ambient_dim)
-    for r in divisor.rows:
+    for r in divisor.ints:
         eb.insert(r)
-    section = tuple(r for r in total.rows if eb.insert(r))
+    section = tuple(total.row(k) for k, r in enumerate(total.ints) if eb.insert(r))
     assert len(section) == total.dim - divisor.dim
     return QuotientSpace(total, divisor, section)
 
 
 def class_of(q: QuotientSpace, vec: Sequence) -> Vec:
-    """Coordinates of vec's class in the section basis of the quotient."""
-    v = as_vec(vec)
-    if not q.total.contains(v):
+    """Coordinates of vec's class in the section basis of the quotient: vec
+    is sum_k vec[pivot_k] * (total row k), so its class is the same
+    combination of the projector rows."""
+    if not q.total.contains(vec):
         raise VectorOutsideTotal("vector lies outside the quotient's total space")
-    cols = q.section + q.divisor.rows
-    if not cols:
-        return ()
-    sys = Mat.from_rows([[row[i] for row in cols] for i in range(q.total.ambient_dim)],
-                        len(cols))
-    x = solve_linear(sys, v)
-    assert x is not None
-    return x[:q.dim]
+    acc = [ZERO] * q.dim
+    for p, cls in zip(q.total.pivots, q.projector):
+        c = vec[p]
+        if c:
+            for i, x in enumerate(cls):
+                if x:
+                    acc[i] += c * x
+    return tuple(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .chevalley import (
     raise_on_failure,
 )
 from .exactlin import (
-    EchelonBuilder,
     IntMat,
     QuotientSpace,
     Subspace,
@@ -254,15 +253,6 @@ def dimension_report(pd: ParabolicDatum) -> DimensionReport:
         dim_c=dim_c, dim_uc=dim_uc, leaf_dim=leaf_dim)
 
 
-def _tangent(pd: ParabolicDatum, x: Vec) -> Subspace:
-    eb = EchelonBuilder(pd.alg.dim)
-    for row in pd.p.rows:
-        v = pd.alg.bracket(row, x)
-        if any(v):
-            eb.insert(v)
-    return eb.subspace()
-
-
 def richardson_candidate(pd: ParabolicDatum, coeffs: Sequence[int]) -> Vec:
     v = [ZERO] * pd.alg.dim
     for c, k in zip(coeffs, pd.u_root_positions):
@@ -287,7 +277,7 @@ def find_richardson(pd: ParabolicDatum, seed: int = 0,
         else:
             coeffs = [rng.randint(1, 7) for _ in pd.u_root_positions]
         x = richardson_candidate(pd, coeffs)
-        tangent = _tangent(pd, x)
+        tangent = pd.alg.bracket_space(pd.p, span([x], pd.alg.dim))
         if tangent == want:
             return RichardsonCertificate(element=x, tangent=tangent, is_open=True)
         best = max(best, tangent.dim)
@@ -350,14 +340,18 @@ def hypothesis_h1(pd: ParabolicDatum) -> bool:
     return h1_witness(pd) is None
 
 
+@functools.lru_cache(maxsize=None)
 def h1_witness(pd: ParabolicDatum) -> tuple[str, str, Vec] | None:
-    """A concrete basis pair violating the triviality hypothesis, if any."""
+    """A concrete basis pair violating the triviality hypothesis, if any.
+    Memoised: the suite's report and the bundle model's gate share one scan
+    over the integer basis rows; a witness is named by its echelon rows."""
     alg = pd.alg
-    for a in pd.levi_derived.rows:
-        for b in pd.u.rows:
+    for i, a in enumerate(pd.levi_derived.ints):
+        for j, b in enumerate(pd.u.ints):
             v = alg.bracket(a, b)
             if any(v) and not pd.u_derived.contains(v):
-                return alg.vector_name(a), alg.vector_name(b), v
+                a, b = pd.levi_derived.row(i), pd.u.row(j)
+                return alg.vector_name(a), alg.vector_name(b), alg.bracket(a, b)
     return None
 
 

@@ -53,9 +53,10 @@ from liework.bundles import (
     twist_level,
     word_of,
     zero_twist,
+    _act_torus,
     _divided_powers,
 )
-from liework.exactlin import quotient, span
+from liework.exactlin import Mat, class_of, quotient, solve_linear, span
 from liework.parabolic import find_richardson, standard_parabolic
 
 F = Fraction
@@ -517,3 +518,79 @@ def test_uc_invariant_at_standard_p_reads_dossier():
     assert pt.p == pd.p
     after = intrinsic_quotients.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def _torus_per_component(alg, letter, v):
+    # the per-component scaling that _act_torus replaces
+    out = list(v)
+    for i, c in enumerate(v):
+        w = alg.basis_weights[i]
+        if c and w is not None:
+            scale = F(1)
+            for q, e in zip(letter.params, w):
+                scale *= q ** e
+            out[i] = c * scale
+    return tuple(out)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_act_torus_matches_per_component_scaling(label):
+    alg = algebra(label)
+    rng = random.Random(f"torus:{label}")
+    letters = 0
+    for _ in range(50):
+        w = random_word(alg, rng, length=rng.randint(1, 8))
+        vs = [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(alg.dim))
+              for _ in range(2)]
+        for letter in w.letters:
+            if isinstance(letter, TorusLetter):
+                letters += 1
+                for v in vs:
+                    assert _act_torus(alg, letter, v) == \
+                        _torus_per_component(alg, letter, v)
+    assert letters >= 20
+
+
+def _bracket_space_full_loop(alg, a, b):
+    return span([alg.bracket(x, y) for x in a.rows for y in b.rows], alg.dim)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_bracket_space_with_itself_matches_full_loop(label):
+    alg = algebra(label)
+    rng = random.Random(f"bracket-space:{label}")
+    pd = standard_parabolic(label, frozenset({1}))
+    w = random_word(alg, rng, length=4)
+    for s in (pd.p, pd.u, act_subspace(alg, w, pd.p), act_subspace(alg, w, pd.u)):
+        assert alg.bracket_space(s, s) == _bracket_space_full_loop(alg, s, s)
+    assert alg.bracket_space(pd.p, pd.p) == pd.p_derived
+
+
+def _class_by_solve(q, v):
+    # the per-call solve that the projector replaces
+    cols = q.section + q.divisor.rows
+    if not cols:
+        return ()
+    system = Mat.from_rows([[row[i] for row in cols]
+                            for i in range(q.total.ambient_dim)], len(cols))
+    return solve_linear(system, v)[:q.dim]
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_class_of_projector_matches_solve(label):
+    alg = algebra(label)
+    rng = random.Random(f"projector:{label}")
+    for _ in range(3):
+        gamma = frozenset(i for i in range(1, alg.rank + 1) if rng.random() < 0.5)
+        pd = standard_parabolic(label, gamma)
+        w = random_word(alg, rng, length=rng.randint(1, 4))
+        intr = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))
+        for q in (intr.twist, intr.a_p):
+            rows = q.total.rows
+            vecs = list(rows)
+            for _ in range(3):
+                coeffs = [F(rng.randint(-3, 3)) for _ in rows]
+                vecs.append(tuple(sum((c * r[i] for c, r in zip(coeffs, rows)), F(0))
+                                  for i in range(alg.dim)))
+            for v in vecs:
+                assert class_of(q, v) == _class_by_solve(q, v)

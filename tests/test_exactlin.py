@@ -448,3 +448,28 @@ def test_int_det_matches_sympy(sympy, data):
         a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
         m[-1] = [a * x + b * y for x, y in zip(m[0], m[-2])]
     assert int_det(IntMat.from_rows(m, n)) == sympy.Matrix(n, n, sum(m, [])).det()
+
+
+# ---------------------------------------------------------------------------
+# the canonical primitive integer form
+
+
+@oracle
+@given(data=st.data())
+def test_integer_rows_are_canonical(data):
+    m = data.draw(fraction_matrices())
+    cols = len(m[0])
+    order = data.draw(st.permutations(range(len(m))))
+    scales = data.draw(st.lists(fraction_entries.filter(bool),
+                                min_size=len(m), max_size=len(m)))
+    s = span(m, cols)
+    # scaled and permuted generators span an equal, equally hashed value
+    t = span([[c * x for x in m[i]] for c, i in zip(scales, order)], cols)
+    assert s == t and hash(s) == hash(t)
+    assert (s.ints, s.pivots) == (t.ints, t.pivots)
+    for k, (r, p) in enumerate(zip(s.ints, s.pivots)):
+        assert all(type(x) is int for x in r)
+        assert math.gcd(*r) == 1 and r[p] > 0 and not any(r[:p])
+        assert all(o[p] == 0 for j, o in enumerate(s.ints) if j != k)
+        assert all(type(x) is Q for x in s.rows[k])
+        assert s.rows[k][p] == 1

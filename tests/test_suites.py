@@ -138,6 +138,16 @@ def test_bc_suite_gates_on_h1():
     assert by_case["A2:-"].status == "pass"
 
 
+def test_bc_suite_scans_h1_once():
+    # the report's witness and make_bc_point's gate share one [l,l] x u scan
+    from liework.parabolic import h1_witness
+    h1_witness.cache_clear()
+    checks = suites._suite_bc(case("A2:-"))
+    assert all(c.ok for c in checks)
+    info = h1_witness.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_bc_suite_full_gamma_trivial():
     res = run_suite("bc-hypotheses", [case("A1:1")])
     assert res[0].status == "pass"
