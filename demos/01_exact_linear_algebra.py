@@ -41,7 +41,7 @@ print("quotient dim:", q.dim)
 print("class of (1, 0, 0):", class_of(q, [1, 0, 0]))
 print("class of (1, 1, 0):", class_of(q, [1, 1, 0]))
 
-# Fractions propagate exactly through solves.
+# Fractions propagate exactly through row reduction.
 third = Mat.from_rows([[Fraction(1, 3)]])
 print("1/3 rref:", rref(third)[0].row(0))
 

@@ -16,6 +16,14 @@ raises, naming the identity.  The reported audits come back as
 CheckRecords on ``ChevalleyAlgebra.audit``; the suites report those
 records instead of re-running the audits.
 
+In a Chevalley basis the structure constants and the Killing gram are
+integers (Chevalley 1955; Humphreys, GTM 9, section 25).  The table
+stores each constant as an int once its integrality audit has passed,
+and the gram is an ``IntMat`` of traces of ad x ad y read off the table.
+The Killing form lives here alone: ``ChevalleyAlgebra.killing`` pairs
+two vectors, and ``ChevalleyAlgebra.killing_perp`` gives the perp of a
+subspace as the kernel of its integer rows times the gram.
+
 Basis order is [e_beta for beta positive] ++ [h_1..h_r] ++ [f_beta], with
 positive roots sorted by height then reverse-lexicographically on their
 simple-root coordinates, so a1 precedes a2.
@@ -30,15 +38,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactlin import (
+    DimensionMismatch,
     EchelonBuilder,
     IntMat,
     Mat,
     Subspace,
     Vec,
     ZERO,
-    gram_pair,
     int_det,
-    solve_linear,
+    kernel,
     span,
 )
 
@@ -351,14 +359,16 @@ class ChevalleyAlgebra:
     """A semisimple Lie algebra over Q in a Chevalley basis.
 
     Vectors are coordinate tuples over the basis; all brackets go through
-    the audited structure-constant table.
+    the audited structure-constant table, and every Killing pairing and
+    perp through the Killing gram.  Both hold integers: table[i][j] lists
+    the nonzero (k, c) with [b_i, b_j] = sum c b_k.
     """
 
     cartan: CartanDatum
     positive_roots: tuple[Root, ...]
     dim: int
-    table: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...] = field(repr=False)
-    killing_gram: Mat = field(repr=False)
+    table: tuple[tuple[tuple[tuple[int, int], ...], ...], ...] = field(repr=False)
+    killing_gram: IntMat = field(repr=False)
     basis_weights: tuple[tuple[int, ...] | None, ...] = field(repr=False)
     # records of the build-time audits, in report order
     audit: tuple[CheckRecord, ...] = field(default=(), repr=False)
@@ -420,7 +430,33 @@ class ChevalleyAlgebra:
         return tuple(acc)
 
     def killing(self, x: Vec, y: Vec) -> Fraction:
-        return gram_pair(self.killing_gram, x, y)
+        """kappa(x, y) = x^T G y over the integer gram rows, skipping zeros."""
+        g = self.killing_gram
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        acc = ZERO
+        for i, xi in enumerate(x):
+            if xi:
+                row = g.row(i)
+                for j, yj in ys:
+                    if row[j]:
+                        acc += xi * row[j] * yj
+        return acc
+
+    def killing_perp(self, s: Subspace) -> Subspace:
+        """The Killing perp of s: the kernel of the integer rows s.ints @ G."""
+        if s.ambient_dim != self.dim:
+            raise DimensionMismatch("subspace does not live in the algebra")
+        g = self.killing_gram
+        rows = []
+        for r in s.ints:
+            out = [0] * self.dim
+            for k, c in enumerate(r):
+                if c:
+                    for j, gkj in enumerate(g.row(k)):
+                        if gkj:
+                            out[j] += c * gkj
+            rows.append(out)
+        return kernel(IntMat.from_rows(rows, self.dim))
 
     def bracket_space(self, a: Subspace, b: Subspace) -> Subspace:
         """span{[x, y] : x in a, y in b}, over the integer basis rows.  For
@@ -474,7 +510,7 @@ def build_algebra(cartan: CartanDatum) -> ChevalleyAlgebra:
     num_pos = len(pos)
     dim = 2 * num_pos + n
 
-    es, fs, msize = _matrix_generators(label)
+    es, fs, _ = _matrix_generators(label)
     hs = [_commutator(es[i], fs[i]) for i in range(n)]
 
     # observed Cartan integers must match the declared matrix
@@ -520,10 +556,6 @@ def build_algebra(cartan: CartanDatum) -> ChevalleyAlgebra:
     weights: list[tuple[int, ...] | None] = (
         [r.coords for r in pos] + [None] * n + [tuple(-c for c in r.coords) for r in pos])
 
-    # deterministic solver data for the (diagonal) Cartan part
-    h_diag_cols = Mat.from_rows(
-        [[hs[k][i, i] for k in range(n)] for i in range(msize)], n)
-
     pos_idx = {r.coords: k for k, r in enumerate(pos)}
 
     def target_index(w: tuple[int, ...]) -> int | None:
@@ -545,10 +577,10 @@ def build_algebra(cartan: CartanDatum) -> ChevalleyAlgebra:
 
     # structure constants, using the weight grading to locate targets
     empty: tuple = ()
-    table: list[list[tuple[tuple[int, Fraction], ...]]] = [
+    table: list[list[tuple[tuple[int, int], ...]]] = [
         [empty] * dim for _ in range(dim)]
 
-    def set_entry(i: int, j: int, terms: list[tuple[int, Fraction]]):
+    def set_entry(i: int, j: int, terms: list[tuple[int, int]]):
         terms = [(k, c) for k, c in terms if c]
         table[i][j] = tuple(terms)
         table[j][i] = tuple((k, -c) for k, c in terms)
@@ -593,33 +625,24 @@ def build_algebra(cartan: CartanDatum) -> ChevalleyAlgebra:
                 if coef != want:
                     raise ConstructionAuditError(
                         f"{label}: Cartan action disagrees with declared pairing")
-                set_entry(i, j, [(vpos, coef)])
+                set_entry(i, j, [(vpos, want)])
                 continue
             s = tuple(x + y for x, y in zip(wi, wj))
             if all(x == 0 for x in s):
-                # opposite root vectors: lands in the Cartan subalgebra
-                for r_ in range(msize):
-                    for c_ in range(msize):
-                        if r_ != c_ and cmat[r_, c_] != 0:
-                            raise ConstructionAuditError(
-                                f"{label}: [e,f] for opposite roots not diagonal")
-                diag = tuple(cmat[t, t] for t in range(msize))
-                coords = solve_linear(h_diag_cols, diag)
-                if coords is None:
-                    raise ConstructionAuditError(
-                        f"{label}: [e,f] outside the Cartan subalgebra")
-                # audit: must be the integral coroot of the positive root
+                # opposite root vectors: [e_b, f_b] must be the integral
+                # coroot h_b = sum c_k h_k, negated when f comes first
                 posw = wi if any(x > 0 for x in wi) else wj
                 nsq = norm_sq(posw)
-                for k in range(n):
-                    expect_k = Fraction(posw[k]) * 2 * symm[k] / nsq
-                    # orientation: [e_b, f_b] = h_b when e comes first
-                    got = coords[k] if weights[i] == posw else -coords[k]
-                    if got != expect_k or got.denominator != 1:
-                        raise ConstructionAuditError(
-                            f"{label}: coroot of {root_name(posw)} is not the "
-                            f"expected integral vector")
-                set_entry(i, j, [(num_pos + k, coords[k]) for k in range(n)])
+                coroot = [Fraction(posw[k]) * 2 * symm[k] / nsq for k in range(n)]
+                sign = 1 if wi == posw else -1
+                want_h = functools.reduce(
+                    Mat.add, (h.scale(sign * c) for h, c in zip(hs, coroot)))
+                if any(c.denominator != 1 for c in coroot) or cmat != want_h:
+                    raise ConstructionAuditError(
+                        f"{label}: [e,f] for {root_name(posw)} is not its "
+                        f"integral coroot")
+                set_entry(i, j, [(num_pos + k, sign * c.numerator)
+                                 for k, c in enumerate(coroot)])
                 continue
             k = target_index(s)
             if k is None:
@@ -640,32 +663,18 @@ def build_algebra(cartan: CartanDatum) -> ChevalleyAlgebra:
                 raise ConstructionAuditError(
                     f"{label}: |N| = {abs(coef)} violates the (p+1) law "
                     f"(p = {p}) for {root_name(wi)}, {root_name(wj)}")
-            set_entry(i, j, [(k, coef)])
+            set_entry(i, j, [(k, coef.numerator)])
 
     tab = tuple(tuple(row) for row in table)
 
-    # sparse ad for the Killing form
-    sparse_ad: list[dict[tuple[int, int], Fraction]] = []
-    for i in range(dim):
-        d: dict[tuple[int, int], Fraction] = {}
-        for j in range(dim):
-            for k, c in tab[i][j]:
-                d[(k, j)] = c
-        sparse_ad.append(d)
-    gram_rows = []
-    for i in range(dim):
-        di = sparse_ad[i]
-        row = [ZERO] * dim
-        for j in range(dim):
-            dj = sparse_ad[j]
-            acc = ZERO
-            for (r_, c_), v in di.items():
-                w = dj.get((c_, r_))
-                if w is not None:
-                    acc += v * w
-            row[j] = acc
-        gram_rows.append(row)
-    gram = Mat.from_rows(gram_rows, dim)
+    def trace_ad_ad(i: int, j: int) -> int:
+        """kappa(b_i, b_j) = trace(ad b_i ad b_j): the b_l coefficient of
+        [b_i, [b_j, b_l]], summed over l."""
+        return sum(c * d for l in range(dim) for k, d in tab[j][l]
+                   for m, c in tab[i][k] if m == l)
+
+    gram = IntMat.from_rows([[trace_ad_ad(i, j) for j in range(dim)]
+                             for i in range(dim)], dim)
 
     alg = ChevalleyAlgebra(cartan=cartan, positive_roots=pos, dim=dim,
                            table=tab, killing_gram=gram,
@@ -684,16 +693,16 @@ def jacobi_violations(alg: ChevalleyAlgebra) -> int:
             txy = tx[y]
             ty = tab[y]
             for z in range(dim):
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 for k, c in txy:
                     for l, d in tab[k][z]:
-                        acc[l] = acc.get(l, ZERO) + c * d
+                        acc[l] = acc.get(l, 0) + c * d
                 for k, c in ty[z]:
                     for l, d in tab[k][x]:
-                        acc[l] = acc.get(l, ZERO) + c * d
+                        acc[l] = acc.get(l, 0) + c * d
                 for k, c in tab[z][x]:
                     for l, d in tab[k][y]:
-                        acc[l] = acc.get(l, ZERO) + c * d
+                        acc[l] = acc.get(l, 0) + c * d
                 if any(v != 0 for v in acc.values()):
                     bad += 1
     return bad
@@ -710,7 +719,7 @@ def killing_invariance_violations(alg: ChevalleyAlgebra) -> int:
         for x in range(dim):
             tzx = tz[x]
             for y in range(dim):
-                acc = ZERO
+                acc = 0
                 for k, c in tzx:
                     acc += c * g[k, y]
                 for k, c in tz[y]:
@@ -738,8 +747,8 @@ def _audit(alg: ChevalleyAlgebra) -> tuple[CheckRecord, ...]:
                 raise ConstructionAuditError(
                     f"{label}: Killing pairing breaks the weight grading")
     jac = jacobi_violations(alg)
-    sym = g.is_symmetric()
-    nondeg = span(g.row_list(), dim).dim == dim
+    sym = all(g[i, j] == g[j, i] for i in range(dim) for j in range(i))
+    nondeg = span([g.row(i) for i in range(dim)], dim).dim == dim
     kiv = killing_invariance_violations(alg)
     want_pos = _EXPECTED_POSITIVE_COUNT[label[0]](alg.rank)
     want_dim = 2 * want_pos + alg.rank

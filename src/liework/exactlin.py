@@ -11,10 +11,12 @@ thresholds.
 There is one elimination step, ``EchelonBuilder.insert``, and it runs in
 integers: it clears denominators once and combines rows by gcd-scaled
 integer row operations (fraction-free elimination; Bareiss 1968, Cohen,
-GTM 138, section 2.2).  Spans, ``rref``, kernels, solves, intersections
-and quotient sections all read the rows and pivots it leaves, membership
+GTM 138, section 2.2).  Spans, ``rref``, kernels, intersections and
+quotient sections all read the rows and pivots it leaves, membership
 reduces against them with the same helper, and a quotient's class map is
-a projector built once, on first use.
+a projector built once, on first use.  ``kernel`` takes a ``Mat`` or an
+integer ``IntMat``; bilinear forms live with the algebra that owns them
+(the Killing gram and its perps are in ``chevalley``).
 """
 from __future__ import annotations
 
@@ -123,10 +125,6 @@ class Mat:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
 
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self[i, j] == self[j, i] for i in range(self.rows) for j in range(i))
-
 
 @dataclass(frozen=True)
 class Subspace:
@@ -203,7 +201,7 @@ def _reduce(rows: Sequence[Sequence[int]], pivots: Sequence[int],
 class EchelonBuilder:
     """Incrementally maintained primitive echelon basis; insertion order
     independent result.  `insert` is the package's one elimination step:
-    every span, kernel, solve and quotient goes through it."""
+    every span, kernel, intersection and quotient goes through it."""
 
     def __init__(self, ambient_dim: int):
         self.n = ambient_dim
@@ -270,10 +268,10 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
                  for coeffs in ker.ints], n)
 
 
-def kernel(m: Mat) -> Subspace:
+def kernel(m: Mat | IntMat) -> Subspace:
     """Solution space of m @ x = 0, as a subspace of Q^cols: one integer
     solution per free column j, with x_j the lcm of the pivot entries."""
-    s = span(m.row_list(), m.cols)
+    s = span([m.row(i) for i in range(m.rows)], m.cols)
     pivset = set(s.pivots)
     vecs = []
     for j in range(m.cols):
@@ -285,47 +283,6 @@ def kernel(m: Mat) -> Subspace:
             v[p] = -r[j] * (v[j] // r[p])
         vecs.append(v)
     return span(vecs, m.cols)
-
-
-def perp_wrt_form(v: Subspace, gram: Mat) -> Subspace:
-    """Orthogonal complement of v under the symmetric bilinear form gram."""
-    if gram.rows != gram.cols or gram.rows != v.ambient_dim:
-        raise DimensionMismatch("gram matrix must be square of the ambient dimension")
-    if not gram.is_symmetric():
-        raise LinAlgError("gram matrix must be symmetric")
-    if v.dim == 0:
-        return Subspace.full(v.ambient_dim)
-    return kernel(Mat.from_rows(v.ints, v.ambient_dim) @ gram)
-
-
-def gram_pair(gram: Mat, x: Vec, y: Vec) -> Fraction:
-    """x^T gram y, skipping zero entries."""
-    acc = ZERO
-    ys = [(j, yj) for j, yj in enumerate(y) if yj]
-    for i, xi in enumerate(x):
-        if xi:
-            row = gram.row(i)
-            for j, yj in ys:
-                if row[j]:
-                    acc += xi * row[j] * yj
-    return acc
-
-
-def solve_linear(a: Mat, b: Vec) -> Vec | None:
-    """One exact solution x of a @ x = b, or None if inconsistent.
-
-    Free variables are set to zero; with full column rank the solution is
-    the unique one.
-    """
-    if len(b) != a.rows:
-        raise DimensionMismatch("right-hand side length does not match row count")
-    s = span([a.row(i) + (b[i],) for i in range(a.rows)], a.cols + 1)
-    if a.cols in s.pivots:
-        return None
-    x = [ZERO] * a.cols
-    for r, p in zip(s.ints, s.pivots):
-        x[p] = Fraction(r[a.cols], r[p])
-    return tuple(x)
 
 
 @dataclass(frozen=True)

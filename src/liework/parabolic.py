@@ -37,7 +37,6 @@ from .exactlin import (
     ZERO,
     class_of,
     intersect,
-    perp_wrt_form,
     quotient,
     smith_normal_form,
     span,
@@ -166,8 +165,8 @@ def build_parabolic(alg: ChevalleyAlgebra, gamma: Iterable[int]) -> ParabolicDat
     levi_derived = alg.bracket_space(levi, levi)
     u_derived = alg.bracket_space(u, u)
     p_derived = alg.bracket_space(p, p)
-    p_perp = perp_wrt_form(p, alg.killing_gram)
-    p_derived_perp = perp_wrt_form(p_derived, alg.killing_gram)
+    p_perp = alg.killing_perp(p)
+    p_derived_perp = alg.killing_perp(p_derived)
     perp_ok = p_perp == u
     derived_ok = p_derived == subspace_sum(levi_derived, u)
     inside_ok = p.contains_space(p_derived_perp)

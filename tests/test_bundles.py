@@ -56,7 +56,16 @@ from liework.bundles import (
     _act_torus,
     _divided_powers,
 )
-from liework.exactlin import Mat, class_of, quotient, solve_linear, span
+from liework.exactlin import (
+    DimensionMismatch,
+    Mat,
+    Subspace,
+    class_of,
+    kernel,
+    quotient,
+    rref,
+    span,
+)
 from liework.parabolic import find_richardson, standard_parabolic
 
 F = Fraction
@@ -566,6 +575,17 @@ def test_bracket_space_with_itself_matches_full_loop(label):
     assert alg.bracket_space(pd.p, pd.p) == pd.p_derived
 
 
+def _solve(a, b):
+    # one solution of a @ x = b, free variables zero, read off the RREF of [a | b]
+    r, pivots = rref(Mat.from_rows([a.row(i) + (b[i],) for i in range(a.rows)],
+                                   a.cols + 1))
+    assert a.cols not in pivots, "inconsistent system"
+    x = [F(0)] * a.cols
+    for k, p in enumerate(pivots):
+        x[p] = r[k, a.cols]
+    return tuple(x)
+
+
 def _class_by_solve(q, v):
     # the per-call solve that the projector replaces
     cols = q.section + q.divisor.rows
@@ -573,7 +593,7 @@ def _class_by_solve(q, v):
         return ()
     system = Mat.from_rows([[row[i] for row in cols]
                             for i in range(q.total.ambient_dim)], len(cols))
-    return solve_linear(system, v)[:q.dim]
+    return _solve(system, v)[:q.dim]
 
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)
@@ -594,3 +614,21 @@ def test_class_of_projector_matches_solve(label):
                                   for i in range(alg.dim)))
             for v in vecs:
                 assert class_of(q, v) == _class_by_solve(q, v)
+
+
+def _perp_by_fraction_gram(alg, s):
+    # the route killing_perp replaces: a Fraction gram and a Mat product
+    gram = Mat.from_rows([alg.killing_gram.row(i) for i in range(alg.dim)], alg.dim)
+    return kernel(Mat.from_rows(s.rows, alg.dim) @ gram)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_killing_perp_matches_fraction_gram_route(label):
+    alg = algebra(label)
+    rng = random.Random(f"killing-perp:{label}")
+    pd = standard_parabolic(label, frozenset({1}))
+    moved = act_subspace(alg, random_word(alg, rng, length=4), pd.p)
+    for s in (pd.p, pd.p_derived, pd.u, moved):
+        assert alg.killing_perp(s) == _perp_by_fraction_gram(alg, s)
+    with pytest.raises(DimensionMismatch):
+        alg.killing_perp(Subspace.full(alg.dim + 1))

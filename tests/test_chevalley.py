@@ -101,7 +101,7 @@ def test_a1_bracket_table():
 def test_a1_killing_frozen():
     alg = algebra("A1")
     # basis order (e, h, f)
-    want = Mat.from_rows([[0, 0, 4], [0, 8, 0], [4, 0, 0]])
+    want = IntMat.from_rows([[0, 0, 4], [0, 8, 0], [4, 0, 0]])
     assert alg.killing_gram == want
 
 
@@ -184,12 +184,13 @@ def test_g2_triple_constant_magnitude():
 
 
 def test_structure_constants_are_integers():
-    for label in ("A3", "B3", "C3", "G2"):
+    for label in SUPPORTED_TYPES:
         alg = algebra(label)
         for row in alg.table:
             for cell in row:
                 for _, c in cell:
-                    assert c.denominator == 1
+                    assert type(c) is int
+        assert all(type(x) is int for x in alg.killing_gram.entries)
 
 
 def test_audit_counters_zero():

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from liework.chevalley import algebra
 from liework.exactlin import (
     DimensionMismatch,
     DivisorNotContained,
@@ -15,15 +16,12 @@ from liework.exactlin import (
     VectorOutsideTotal,
     as_vec,
     class_of,
-    gram_pair,
     int_det,
     intersect,
     kernel,
-    perp_wrt_form,
     quotient,
     rref,
     smith_normal_form,
-    solve_linear,
     span,
     subspace_sum,
 )
@@ -31,6 +29,7 @@ from liework.exactlin import (
 # hand-built sl2 data used as an oracle, independent of the algebra builder:
 # basis order (e, h, f), brackets [h,e]=2e, [h,f]=-2f, [e,f]=h.
 SL2_GRAM = Mat.from_rows([[0, 0, 4], [0, 8, 0], [4, 0, 0]])
+A1 = algebra("A1")
 
 E = as_vec([1, 0, 0])
 H = as_vec([0, 1, 0])
@@ -108,29 +107,35 @@ def test_intersection_members_seeded():
             assert a.contains(r) and b.contains(r)
 
 
+def sl2_pair(x, y):
+    return sum(a * b for a, b in zip(x, apply(SL2_GRAM, y)))
+
+
 def test_perp_sl2_span_e():
     v = span([E], 3)
-    p = perp_wrt_form(v, SL2_GRAM)
+    p = A1.killing_perp(v)
     assert p == span([E, H], 3)
 
 
 def test_perp_of_full_and_zero():
-    assert perp_wrt_form(Subspace.full(3), SL2_GRAM) == Subspace.zero(3)
-    assert perp_wrt_form(Subspace.zero(3), SL2_GRAM) == Subspace.full(3)
+    assert A1.killing_perp(Subspace.full(3)) == Subspace.zero(3)
+    assert A1.killing_perp(Subspace.zero(3)) == Subspace.full(3)
 
 
 def test_double_perp_identity_seeded():
     rng = random.Random(5150)
     for _ in range(20):
         v = span([[rand_fraction(rng) for _ in range(3)] for _ in range(rng.randint(1, 3))], 3)
-        assert perp_wrt_form(perp_wrt_form(v, SL2_GRAM), SL2_GRAM) == v
+        assert A1.killing_perp(A1.killing_perp(v)) == v
 
 
 def test_perp_dimension_complement():
     rng = random.Random(31)
     for _ in range(20):
         v = span([[rand_fraction(rng) for _ in range(3)] for _ in range(2)], 3)
-        assert v.dim + perp_wrt_form(v, SL2_GRAM).dim == 3
+        perp = A1.killing_perp(v)
+        assert v.dim + perp.dim == 3
+        assert all(sl2_pair(x, y) == 0 for x in v.rows for y in perp.rows)
 
 
 def test_quotient_sl2_borel():
@@ -209,22 +214,6 @@ def test_smith_pinned_7x7():
     assert smith_normal_form(IntMat.from_rows(PINNED_7X7)) == (1, 1, 1, 1, 1, 1, 235533)
 
 
-def test_solve_linear_roundtrip_seeded():
-    rng = random.Random(11)
-    for _ in range(25):
-        a = rand_mat(rng, 4, 3)
-        x0 = as_vec([rand_fraction(rng) for _ in range(3)])
-        b = apply(a, x0)
-        x = solve_linear(a, b)
-        assert x is not None
-        assert apply(a, x) == b
-
-
-def test_solve_linear_inconsistent():
-    a = Mat.from_rows([[1, 0], [1, 0]])
-    assert solve_linear(a, as_vec([1, 2])) is None
-
-
 def test_kernel_annihilates():
     rng = random.Random(8)
     for _ in range(20):
@@ -244,14 +233,16 @@ def test_dimension_mismatch_errors():
         Subspace.full(3).contains(as_vec([1, 0]))
 
 
-def test_gram_pair_matches_matrix_product():
+def test_a1_killing_matches_matrix_product():
     rng = random.Random(21)
     for _ in range(10):
         x = as_vec([rand_fraction(rng) for _ in range(3)])
         y = as_vec([rand_fraction(rng) for _ in range(3)])
-        direct = gram_pair(SL2_GRAM, x, y)
-        via = sum(a * b for a, b in zip(x, apply(SL2_GRAM, y)))
-        assert direct == via
+        k = A1.killing(x, y)
+        assert type(k) is Q and k == sl2_pair(x, y)
+    # integer vectors, as subspaces hold them, still pair to a Fraction
+    k = A1.killing((1, 0, 0), (0, 0, 1))
+    assert type(k) is Q and k == 4
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
