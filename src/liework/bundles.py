@@ -7,8 +7,10 @@ v + sum_k t^k D_k v over the divided powers D_k = ad(e)^k / k!, which
 are integer matrices that vanish beyond k = 3 (Chevalley; Kostant's
 Z-form).  They are built once per algebra and root from the structure
 constants, with their integrality and nilpotency audited, so a letter
-makes no bracket call.  Every value is exact, so equivariance and
-invariance claims are checked exactly.
+makes no bracket call.  A torus letter scales each weight space by an
+integer pair, so a word acts on one integer vector over one denominator;
+Fractions appear only where a value leaves the action.  Every value is
+exact, so equivariance and invariance claims are checked exactly.
 
 Four point types are modeled:
   UCPoint    (p, x) with x in the Killing-perp of [p, p]
@@ -39,6 +41,8 @@ from .exactlin import (
     Subspace,
     Vec,
     ZERO,
+    _clear_denominators,
+    _combination,
     class_of,
     kernel,
     quotient,
@@ -154,67 +158,65 @@ def _divided_powers(alg: ChevalleyAlgebra, root: Root) -> tuple[_DividedPower, .
     return tuple(powers)
 
 
-def _act_unipotent(alg: ChevalleyAlgebra, letter: UnipotentLetter, v: Vec) -> Vec:
-    """exp(t ad e) v = v + sum_k t^k D_k v.
+def _act_ints(alg: ChevalleyAlgebra, w: GroupWord, nums: Sequence[int],
+              den: int) -> tuple[list[int], int]:
+    """The word applied to nums / den, last letter first, as (nums', den').
 
-    The sum runs in integers over the common denominator den(v) * den(t)^K,
-    K the number of nonzero divided powers; only the components it changes
-    become Fractions again.
+    A unipotent letter is v + sum_k t^k D_k v over den(t)^K, K the number
+    of nonzero D_k.  A torus letter multiplies every component, Cartan ones
+    included, by L // den_mu * num_mu over L = lcm(den_mu), num_mu / den_mu
+    the monomial of its weight mu.  Each letter ends by dividing out the gcd.
     """
-    powers = _divided_powers(alg, letter.root)
-    top = len(powers)
-    a, b = letter.t.numerator, letter.t.denominator
-    den = math.lcm(*(c.denominator for c in v if c))
-    nums = [(j, c.numerator * (den // c.denominator))
-            for j, c in enumerate(v) if c]
-    acc: dict[int, int] = {}
-    for k, cols in enumerate(powers, 1):
-        tk = a ** k * b ** (top - k)
-        for j, x in nums:
-            s = tk * x
-            for r, n in cols[j]:
-                acc[r] = acc.get(r, 0) + n * s
-    den *= b ** top
-    out = list(v)
-    for r, x in acc.items():
-        c = out[r]
-        out[r] = Fraction(c.numerator * (den // c.denominator) + x, den)
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=256)
-def _torus_scales(alg: ChevalleyAlgebra,
-                  letter: TorusLetter) -> tuple[Fraction | None, ...]:
-    """The factor of each basis vector under a torus letter, None on the
-    Cartan: each weight's monomial is evaluated once per letter."""
-    return tuple(None if w is None else
-                 math.prod(q ** e for q, e in zip(letter.params, w) if e)
-                 for w in alg.basis_weights)
-
-
-def _act_torus(alg: ChevalleyAlgebra, letter: TorusLetter, v: Vec) -> Vec:
-    if len(letter.params) != alg.rank:
-        raise ValueError("torus letter has wrong parameter count")
-    return tuple(c * s if c and s is not None else c
-                 for c, s in zip(v, _torus_scales(alg, letter)))
-
-
-def act_vector(alg: ChevalleyAlgebra, w: GroupWord, v: Vec) -> Vec:
-    """Adjoint action of the word on a vector; letters compose like a product,
-    so the last letter acts first."""
-    if len(v) != alg.dim:
+    if len(nums) != alg.dim:
         raise ValueError("vector length does not match algebra dimension")
     for letter in reversed(w.letters):
         if isinstance(letter, UnipotentLetter):
-            v = _act_unipotent(alg, letter, v)
+            powers = _divided_powers(alg, letter.root)
+            top = len(powers)
+            a, b = letter.t.as_integer_ratio()
+            scale = b ** top
+            out = [x * scale for x in nums]
+            nz = [(j, x) for j, x in enumerate(nums) if x]
+            for k, cols in enumerate(powers, 1):
+                tk = a ** k * b ** (top - k)
+                for j, x in nz:
+                    s = tk * x
+                    for r, n in cols[j]:
+                        out[r] += n * s
         else:
-            v = _act_torus(alg, letter, v)
-    return v
+            if len(letter.params) != alg.rank:
+                raise ValueError("torus letter has wrong parameter count")
+            ratios = [q.as_integer_ratio() for q in letter.params]
+            pairs = []
+            for wt in alg.basis_weights:
+                num_w = den_w = 1
+                for (a, b), e in zip(ratios, wt or ()):
+                    if e < 0:  # q ** e = (b / a) ** -e
+                        a, b, e = b, a, -e
+                    num_w *= a ** e
+                    den_w *= b ** e
+                pairs.append((num_w, den_w))
+            scale = math.lcm(*(d for _, d in pairs))
+            out = [x * (scale // d) * n if x else 0
+                   for x, (n, d) in zip(nums, pairs)]
+        den *= scale
+        g = math.gcd(den, *out)
+        nums = [x // g for x in out] if g > 1 else out
+        den //= g
+    return nums, den
+
+
+def act_vector(alg: ChevalleyAlgebra, w: GroupWord, v: Vec) -> Vec:
+    """Adjoint action of the word on a vector of ints or Fractions; letters
+    compose like a product, so the last letter acts first.  The word acts
+    on one integer vector and denominator; the result is Fractions."""
+    nums, den = _act_ints(alg, w, *_clear_denominators(v))
+    return tuple(Fraction(x, den) if x else ZERO for x in nums)
 
 
 def act_subspace(alg: ChevalleyAlgebra, w: GroupWord, s: Subspace) -> Subspace:
     """The image of s: the span of the images of its integer basis rows."""
-    return span([act_vector(alg, w, row) for row in s.ints], s.ambient_dim)
+    return span([_act_ints(alg, w, row, 1)[0] for row in s.ints], s.ambient_dim)
 
 
 _T_CHOICES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -223,19 +225,25 @@ _PARAM_CHOICES = (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),
                   Fraction(-1), Fraction(2, 3), Fraction(5))
 
 
+@functools.lru_cache(maxsize=None)
+def _signed_roots(alg: ChevalleyAlgebra) -> tuple[Root, ...]:
+    """All roots: the positive ones, then their negatives."""
+    return alg.positive_roots + tuple(-r for r in alg.positive_roots)
+
+
 def random_word(alg: ChevalleyAlgebra, rng: random.Random, length: int,
                 roots: Sequence[Root] | None = None) -> GroupWord:
     """Deterministic word from the rng; unipotent letters use the given
     roots (default: all roots, both signs)."""
     if roots is None:
-        roots = [r for r in alg.positive_roots] + [-r for r in alg.positive_roots]
+        roots = _signed_roots(alg)
     letters: list[Letter] = []
     for _ in range(length):
         if rng.random() < 0.25:
             letters.append(TorusLetter(
                 tuple(rng.choice(_PARAM_CHOICES) for _ in range(alg.rank))))
         else:
-            letters.append(UnipotentLetter(rng.choice(list(roots)),
+            letters.append(UnipotentLetter(rng.choice(roots),
                                            rng.choice(_T_CHOICES)))
     return GroupWord(tuple(letters))
 
@@ -273,13 +281,7 @@ def zero_twist(pd: ParabolicDatum) -> TwistLevel:
 
 def twist_section(pd: ParabolicDatum, psi: TwistLevel) -> Vec:
     """The canonical section representative of psi inside [p,p]-perp."""
-    v = [ZERO] * pd.alg.dim
-    for c, row in zip(psi.psi, pd.twist_space.section):
-        if c:
-            for i, r in enumerate(row):
-                if r:
-                    v[i] += c * r
-    return tuple(v)
+    return _combination(psi.psi, pd.twist_space.section, pd.alg.dim)
 
 
 @dataclass(frozen=True)
@@ -420,9 +422,8 @@ def _class_map_kernel(pd: ParabolicDatum) -> Subspace:
     coeffs = kernel(Mat.from_rows(
         [[cls[m] for cls in classes] for m in range(pd.twist_space.dim)],
         len(rows)))
-    return span([tuple(sum(a * row[i] for a, row in zip(coef, rows))
-                       for i in range(pd.alg.dim))
-                 for coef in coeffs.rows], pd.alg.dim)
+    return span([_combination(coef, rows, pd.alg.dim) for coef in coeffs.rows],
+                pd.alg.dim)
 
 
 def fiber_dimension(pd: ParabolicDatum, psi: TwistLevel) -> int:
@@ -502,14 +503,8 @@ def _coset_contains_open(pd: ParabolicDatum, x_rep: Vec) -> bool:
     offsets: list[Vec] = [tuple([ZERO] * alg.dim)]
     rows = pd.u_derived.rows
     for _ in range(_COSET_SAMPLES - 1):
-        v = [ZERO] * alg.dim
-        for row in rows:
-            c = Fraction(rng.randint(-3, 3))
-            if c:
-                for i, r in enumerate(row):
-                    if r:
-                        v[i] += c * r
-        offsets.append(tuple(v))
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in rows]
+        offsets.append(_combination(coeffs, rows, alg.dim))
     for off in offsets:
         cand = tuple(a + b for a, b in zip(x_rep, off))
         rows_t = [alg.bracket(row, cand) for row in pd.p.ints]

@@ -45,6 +45,7 @@ from .exactlin import (
     Subspace,
     Vec,
     ZERO,
+    _clear_denominators,
     int_det,
     kernel,
     span,
@@ -414,33 +415,43 @@ class ChevalleyAlgebra:
 
     # --- operations ----------------------------------------------------
     def bracket(self, x: Vec, y: Vec) -> Vec:
+        """[x, y] summed in ints over den(x) den(y), zero entries of y
+        skipped up front.  Ints come back only when x and y hold only ints,
+        as the integer basis rows of a subspace do; otherwise Fractions."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match algebra dimension")
-        acc = [ZERO] * self.dim
+        xs, dx = _clear_denominators(x)
+        ys, dy = _clear_denominators(y)
+        nz = [(j, yj) for j, yj in enumerate(ys) if yj]
+        acc = [0] * self.dim
         tab = self.table
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = tab[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                for k, c in row[j]:
-                    acc[k] += c * xi * yj
-        return tuple(acc)
+        for i, xi in enumerate(xs):
+            if xi:
+                row = tab[i]
+                for j, yj in nz:
+                    s = xi * yj
+                    for k, c in row[j]:
+                        acc[k] += c * s
+        if xs is x and ys is y:  # both came back as they stand: all ints
+            return tuple(acc)
+        den = dx * dy
+        return tuple(Fraction(a, den) if a else ZERO for a in acc)
 
     def killing(self, x: Vec, y: Vec) -> Fraction:
-        """kappa(x, y) = x^T G y over the integer gram rows, skipping zeros."""
+        """kappa(x, y) = x^T G y over the integer gram rows, summed in ints
+        over den(x) den(y) with zero entries of y skipped up front."""
+        xs, dx = _clear_denominators(x)
+        ys, dy = _clear_denominators(y)
+        nz = [(j, yj) for j, yj in enumerate(ys) if yj]
         g = self.killing_gram
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        acc = ZERO
-        for i, xi in enumerate(x):
+        acc = 0
+        for i, xi in enumerate(xs):
             if xi:
                 row = g.row(i)
-                for j, yj in ys:
+                for j, yj in nz:
                     if row[j]:
                         acc += xi * row[j] * yj
-        return acc
+        return Fraction(acc, dx * dy)
 
     def killing_perp(self, s: Subspace) -> Subspace:
         """The Killing perp of s: the kernel of the integer rows s.ints @ G."""

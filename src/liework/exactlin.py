@@ -92,19 +92,9 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
-        out = []
         orows = other.row_list()
-        for i in range(self.rows):
-            r = self.row(i)
-            acc = [ZERO] * other.cols
-            for k, c in enumerate(r):
-                if c:
-                    ork = orows[k]
-                    for j in range(other.cols):
-                        if ork[j]:
-                            acc[j] += c * ork[j]
-            out.append(acc)
-        return Mat.from_rows(out, other.cols)
+        return Mat.from_rows([_combination(self.row(i), orows, other.cols)
+                              for i in range(self.rows)], other.cols)
 
     def add(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -167,7 +157,7 @@ class Subspace:
     def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        return not any(_reduce(self.ints, self.pivots, _clear_denominators(v)))
+        return not any(_reduce(self.ints, self.pivots, _clear_denominators(v)[0]))
 
     def contains_space(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -175,11 +165,14 @@ class Subspace:
         return not any(any(_reduce(self.ints, self.pivots, r)) for r in other.ints)
 
 
-def _clear_denominators(v: Sequence) -> list[int]:
-    """The integer vector den * v, den the lcm of v's denominators."""
+def _clear_denominators(v: Sequence) -> tuple[Sequence[int], int]:
+    """(nums, den) with v = nums / den, den the lcm of v's denominators.
+    A vector that holds only ints comes back as it stands, over 1."""
+    if all(type(x) is int for x in v):
+        return v, 1
     ratios = [x.as_integer_ratio() for x in v]
     den = math.lcm(*(d for _, d in ratios))
-    return [n * (den // d) for n, d in ratios]
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _reduce(rows: Sequence[Sequence[int]], pivots: Sequence[int],
@@ -214,7 +207,7 @@ class EchelonBuilder:
         it clears its pivot column there."""
         if len(vec) != self.n:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        v = _reduce(self.rows, self.pivots, _clear_denominators(vec))
+        v = _reduce(self.rows, self.pivots, _clear_denominators(vec)[0])
         pc = next((j for j, x in enumerate(v) if x), None)
         if pc is None:
             return False
@@ -337,11 +330,16 @@ def class_of(q: QuotientSpace, vec: Sequence) -> Vec:
     combination of the projector rows."""
     if not q.total.contains(vec):
         raise VectorOutsideTotal("vector lies outside the quotient's total space")
-    acc = [ZERO] * q.dim
-    for p, cls in zip(q.total.pivots, q.projector):
-        c = vec[p]
+    return _combination([vec[p] for p in q.total.pivots], q.projector, q.dim)
+
+
+def _combination(coeffs: Sequence, rows: Sequence[Sequence], n: int) -> Vec:
+    """sum_k coeffs[k] * rows[k] as a Fraction vector of length n, skipping
+    zero coefficients and zero entries."""
+    acc = [ZERO] * n
+    for c, row in zip(coeffs, rows):
         if c:
-            for i, x in enumerate(cls):
+            for i, x in enumerate(row):
                 if x:
                     acc[i] += c * x
     return tuple(acc)

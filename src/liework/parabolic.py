@@ -344,13 +344,15 @@ def h1_witness(pd: ParabolicDatum) -> tuple[str, str, Vec] | None:
     """A concrete basis pair violating the triviality hypothesis, if any.
     Memoised: the suite's report and the bundle model's gate share one scan
     over the integer basis rows; a witness is named by its echelon rows."""
-    alg = pd.alg
-    for i, a in enumerate(pd.levi_derived.ints):
-        for j, b in enumerate(pd.u.ints):
+    alg, lev, u = pd.alg, pd.levi_derived, pd.u
+    for i, a in enumerate(lev.ints):
+        for j, b in enumerate(u.ints):
             v = alg.bracket(a, b)
             if any(v) and not pd.u_derived.contains(v):
-                a, b = pd.levi_derived.row(i), pd.u.row(j)
-                return alg.vector_name(a), alg.vector_name(b), alg.bracket(a, b)
+                # the bracket of the echelon rows a / a[pivot], b / b[pivot]
+                den = a[lev.pivots[i]] * b[u.pivots[j]]
+                return (alg.vector_name(lev.row(i)), alg.vector_name(u.row(j)),
+                        tuple(Fraction(x, den) if x else ZERO for x in v))
     return None
 
 

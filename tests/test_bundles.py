@@ -7,6 +7,7 @@ the deterministic quotient section (h spans it), so the class is 1/2 and
 the projection negates it.
 """
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -53,7 +54,9 @@ from liework.bundles import (
     twist_level,
     word_of,
     zero_twist,
-    _act_torus,
+    _PARAM_CHOICES,
+    _T_CHOICES,
+    _act_ints,
     _divided_powers,
 )
 from liework.exactlin import (
@@ -530,7 +533,7 @@ def test_uc_invariant_at_standard_p_reads_dossier():
 
 
 def _torus_per_component(alg, letter, v):
-    # the per-component scaling that _act_torus replaces
+    # a torus letter as one Fraction monomial per component
     out = list(v)
     for i, c in enumerate(v):
         w = alg.basis_weights[i]
@@ -555,7 +558,7 @@ def test_act_torus_matches_per_component_scaling(label):
             if isinstance(letter, TorusLetter):
                 letters += 1
                 for v in vs:
-                    assert _act_torus(alg, letter, v) == \
+                    assert act_vector(alg, word_of(letter), v) == \
                         _torus_per_component(alg, letter, v)
     assert letters >= 20
 
@@ -632,3 +635,79 @@ def test_killing_perp_matches_fraction_gram_route(label):
         assert alg.killing_perp(s) == _perp_by_fraction_gram(alg, s)
     with pytest.raises(DimensionMismatch):
         alg.killing_perp(Subspace.full(alg.dim + 1))
+
+
+def _old_random_word(alg, rng, length, roots=None):
+    # the construction random_word replaces: a fresh root list per word and
+    # a copy of it per letter
+    if roots is None:
+        roots = [r for r in alg.positive_roots] + [-r for r in alg.positive_roots]
+    letters = []
+    for _ in range(length):
+        if rng.random() < 0.25:
+            letters.append(TorusLetter(tuple(
+                rng.choice(_PARAM_CHOICES) for _ in range(alg.rank))))
+        else:
+            letters.append(UnipotentLetter(rng.choice(list(roots)),
+                                           rng.choice(_T_CHOICES)))
+    return GroupWord(tuple(letters))
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_random_word_draws_match_old_construction(label):
+    alg = algebra(label)
+    pd = standard_parabolic(label, frozenset({1}))
+    levi = [alg.positive_roots[k] for k in range(alg.num_positive)]
+    levi += [-alg.positive_roots[k] for k in pd.levi_root_positions]
+    new, old = random.Random(f"words:{label}"), random.Random(f"words:{label}")
+    for k in range(40):
+        assert random_word(alg, new, 1 + k % 8) == _old_random_word(alg, old, 1 + k % 8)
+        assert stabilizer_word(pd, new, 3) == _old_random_word(alg, old, 3, levi)
+    assert new.random() == old.random()
+
+
+def _act_by_fractions(alg, w, v):
+    # letter by letter over Fractions: the exp(ad) series and the
+    # per-component torus monomials
+    v = tuple(F(c) for c in v)
+    for letter in reversed(w.letters):
+        if isinstance(letter, UnipotentLetter):
+            v = _old_series(alg, letter.root, letter.t, v)
+        else:
+            v = _torus_per_component(alg, letter, v)
+    return v
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_act_vector_on_int_fraction_and_mixed_input(label):
+    alg = algebra(label)
+    rng = random.Random(f"act-ints:{label}")
+    for _ in range(20):
+        w = random_word(alg, rng, length=rng.randint(1, 6))
+        ints = tuple(rng.randint(-4, 4) for _ in range(alg.dim))
+        fracs = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(alg.dim))
+        mixed = tuple(x if k % 2 else y for k, (x, y) in enumerate(zip(ints, fracs)))
+        for v in (ints, fracs, mixed):
+            got = act_vector(alg, w, v)
+            assert got == _act_by_fractions(alg, w, v)
+            assert all(type(c) is Fraction for c in got)
+            same = act_vector(alg, IDENTITY_WORD, v)
+            assert same == v and all(type(c) is Fraction for c in same)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_act_ints_returns_lowest_terms(label):
+    alg = algebra(label)
+    rng = random.Random(f"act-lowest:{label}")
+    # half-integer times and parameters leave common factors to divide out
+    halves = [UnipotentLetter(r, F(1, 2)) for r in _all_roots(alg)]
+    halves.append(TorusLetter((F(1, 2),) * alg.rank))
+    for _ in range(20):
+        w = concat(random_word(alg, rng, length=3),
+                   word_of(*rng.sample(halves, 2)))
+        nums = [rng.randint(-4, 4) * 2 for _ in range(alg.dim)]
+        got, den = _act_ints(alg, w, nums, 2)
+        assert all(type(x) is int for x in got) and type(den) is int
+        assert den > 0 and math.gcd(den, *got) == 1
+        assert tuple(F(x, den) for x in got) == \
+            _act_by_fractions(alg, w, [F(x, 2) for x in nums])

@@ -5,6 +5,7 @@ bracket tables for sl2, Killing numbers via kappa(x,y) = sum over roots
 of beta(x)beta(y) on the Cartan (cross-checked against 2n*tr(xy) for
 type A), classical positive-root counts, and explicit root lists.
 """
+import random
 from fractions import Fraction
 
 import pytest
@@ -267,3 +268,40 @@ def test_index_roundtrip():
 def test_build_algebra_uncached_matches():
     fresh = build_algebra(cartan_datum("A1"))
     assert fresh.table == algebra("A1").table
+
+
+def _bracket_by_fractions(alg, x, y):
+    # the Fraction accumulator the integer bracket replaces
+    acc = [F(0)] * alg.dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k, c in alg.table[i][j]:
+                acc[k] += c * F(xi) * F(yj)
+    return tuple(acc)
+
+
+def _killing_by_fractions(alg, x, y):
+    return sum((F(xi) * alg.killing_gram[i, j] * F(yj)
+                for i, xi in enumerate(x) for j, yj in enumerate(y)), F(0))
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_bracket_and_killing_match_fraction_accumulators(label):
+    alg = algebra(label)
+    rng = random.Random(f"int-bracket:{label}")
+    for _ in range(10):
+        ints = [tuple(rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(alg.dim))
+                for _ in range(2)]
+        fracs = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(alg.dim))
+                 for _ in range(2)]
+        integral = [tuple(F(c) for c in v) for v in ints]
+        mixed = [tuple(a if k % 2 else b for k, (a, b) in enumerate(zip(u, v)))
+                 for u, v in zip(ints, fracs)]
+        for x, y in (ints, fracs, integral, mixed, (ints[0], fracs[1]),
+                     (fracs[0], ints[1]), (ints[0], integral[1])):
+            got = alg.bracket(x, y)
+            assert got == _bracket_by_fractions(alg, x, y)
+            both_int = all(type(c) is int for c in x + y)
+            assert all(type(c) is (int if both_int else Fraction) for c in got)
+            k = alg.killing(x, y)
+            assert type(k) is Fraction and k == _killing_by_fractions(alg, x, y)

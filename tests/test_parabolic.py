@@ -8,7 +8,7 @@ import itertools
 
 import pytest
 
-from liework.chevalley import algebra
+from liework.chevalley import SUPPORTED_TYPES, algebra
 from liework.exactlin import smith_normal_form
 from liework.parabolic import (
     ParabolicAuditError,
@@ -181,6 +181,20 @@ def test_h1_a2_gamma1_false_with_witness():
     a_name, b_name, v = wit
     assert any(v)
     assert not pd.u_derived.contains(v)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_h1_witness_is_the_first_fraction_bracket(label):
+    # the witness named from integer rows equals a scan over the Fraction
+    # echelon rows, bracket value included
+    alg = algebra(label)
+    for r in range(alg.rank + 1):
+        for gamma in itertools.combinations(range(1, alg.rank + 1), r):
+            pd = standard_parabolic(label, frozenset(gamma))
+            want = next(((alg.vector_name(a), alg.vector_name(b), alg.bracket(a, b))
+                         for a in pd.levi_derived.rows for b in pd.u.rows
+                         if not pd.u_derived.contains(alg.bracket(a, b))), None)
+            assert h1_witness(pd) == want
 
 
 def test_fixedpoint_check_everywhere():
