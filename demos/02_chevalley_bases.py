@@ -2,8 +2,8 @@
 Chevalley bases from Cartan matrices
 ====================================
 
-A Cartan matrix determines the root system; a faithful matrix realization
-pins the basis signs; the extracted structure constants are integers and
+A Cartan matrix determines the root system; the extraspecial signs pin
+the basis; the structure constants computed from them are integers and
 every classical identity is audited at build time.
 """
 from liework.chevalley import algebra, cartan_datum, root_name, roots_from_cartan

@@ -364,20 +364,21 @@ def intrinsic_quotients(alg: ChevalleyAlgebra, p: Subspace) -> IntrinsicQuotient
         twist=quotient(pdp, nil), a_p=quotient(p, pder))
 
 
-def canonical_id(pd: ParabolicDatum, w: GroupWord,
-                 psis: Sequence[TwistLevel]) -> list[TwistLevel]:
-    """Transport each twist level to the parabolic act(w, p) and read its
+def canonical_id(pd: ParabolicDatum, w: GroupWord, psis: Sequence[TwistLevel],
+                 p: Subspace | None = None) -> list[TwistLevel]:
+    """Transport each twist level to the parabolic act(w, pd.p) and read its
     coordinates in the twist space rebuilt from scratch there.
 
     The transported parabolic depends only on w and is built once, and
-    not at all when there are no levels.  For words that merely stabilize
-    p, the rebuilt space coincides with the standard one and each result
-    is claimed (and suite-checked) to be its psi itself.
+    not at all when there are no levels; a caller that already holds it,
+    such as the p of a point made by w, passes it as p.  For words that
+    merely stabilize p, the rebuilt space coincides with the standard one
+    and each result is claimed (and suite-checked) to be its psi itself.
     """
     if not psis:
         return []
     alg = pd.alg
-    intr = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))
+    intr = intrinsic_quotients(alg, act_subspace(alg, w, pd.p) if p is None else p)
     out = []
     for psi in psis:
         y2 = act_vector(alg, w, twist_section(pd, psi))

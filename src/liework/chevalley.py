@@ -1,20 +1,21 @@
 """Root systems and Chevalley bases for types A1-A3, B2, B3, C3, D4, G2.
 
-The basis is constructed inside an exact matrix realization: traceless
-matrices for type A, orthogonal/symplectic algebras for an antidiagonal
-form for types B/C/D, and the triality-invariant subalgebra of so(8) for
-G2.  Non-simple root vectors are defined inductively through extraspecial
-pairs (processed in height-then-reverse-lex order, with the +(p+1) sign
-choice), which pins every structure constant deterministically.
+The structure constants are computed from the Cartan datum and the
+positive roots alone (Carter, Simple Groups of Lie Type, 1972, 4.1-4.2;
+Cohen, Murray and Taylor, Math. Comp. 73, 2004).  Non-simple root vectors
+are defined inductively through extraspecial pairs (processed in
+height-then-reverse-lex order, with the +(p+1) sign choice), which pins
+every structure constant deterministically; the rest follow from Carter's
+relations, the Chevalley involution, the coroots and the Cartan matrix.
 
-Nothing is trusted: after extraction the construction audits the Jacobi
-identity on every ordered basis triple, the +-(p+1) magnitude law for all
-root pairs, coroot integrality against the symmetrized Cartan matrix,
-Killing form symmetry/invariance/nondegeneracy, the weight grading of
-the Killing pairing and the classical root count.  Any failed audit
-raises, naming the identity.  The reported audits come back as
-CheckRecords on ``ChevalleyAlgebra.audit``; the suites report those
-records instead of re-running the audits.
+Nothing is trusted: the construction checks that every derived constant
+is an integer obeying the +-(p+1) magnitude law and every coroot is
+integral, then audits the Jacobi identity on every ordered basis triple,
+Killing form symmetry/invariance/nondegeneracy, the weight grading of the
+Killing pairing and the classical root count.  Any failed audit raises,
+naming the identity.  The reported audits come back as CheckRecords on
+``ChevalleyAlgebra.audit``; the suites report those records instead of
+re-running the audits.
 
 In a Chevalley basis the structure constants and the Killing gram are
 integers (Chevalley 1955; Humphreys, GTM 9, section 25).  The table
@@ -41,7 +42,6 @@ from .exactlin import (
     DimensionMismatch,
     EchelonBuilder,
     IntMat,
-    Mat,
     Subspace,
     Vec,
     ZERO,
@@ -293,66 +293,12 @@ def roots_from_cartan(cartan: CartanDatum) -> tuple[Root, ...]:
 
 
 # ---------------------------------------------------------------------------
-# matrix realizations of the Chevalley generators
-
-
-def _unit(m: int, i: int, j: int) -> Mat:
-    """E_ij, 1-based indices."""
-    return Mat(m, m, tuple(Fraction(1) if (r == i - 1 and c == j - 1) else ZERO
-                           for r in range(m) for c in range(m)))
-
-
-def _anti(m: int, i: int, j: int) -> Mat:
-    """E_ij - E_{m+1-j, m+1-i}: antisymmetric for the antidiagonal form."""
-    return _unit(m, i, j).sub(_unit(m, m + 1 - j, m + 1 - i))
-
-
-def _commutator(x: Mat, y: Mat) -> Mat:
-    return (x @ y).sub(y @ x)
-
-
-def _matrix_generators(type_label: str) -> tuple[list[Mat], list[Mat], int]:
-    """Serre generator matrices (e_i, f_i) for the given type."""
-    letter, n = type_label[0], int(type_label[1:])
-    if letter == "A":
-        m = n + 1
-        es = [_unit(m, i, i + 1) for i in range(1, n + 1)]
-        fs = [_unit(m, i + 1, i) for i in range(1, n + 1)]
-        return es, fs, m
-    if letter == "B":
-        m = 2 * n + 1
-        es = [_anti(m, i, i + 1) for i in range(1, n + 1)]
-        fs = [_anti(m, i + 1, i) for i in range(1, n)]
-        fs.append(_anti(m, n + 1, n).scale(2))  # short-root normalization
-        return es, fs, m
-    if letter == "C":
-        m = 2 * n
-        es = [_unit(m, i, i + 1).sub(_unit(m, 2 * n - i, 2 * n + 1 - i))
-              for i in range(1, n)]
-        es.append(_unit(m, n, n + 1))
-        fs = [_unit(m, i + 1, i).sub(_unit(m, 2 * n + 1 - i, 2 * n - i))
-              for i in range(1, n)]
-        fs.append(_unit(m, n + 1, n))
-        return es, fs, m
-    if letter == "D":
-        m = 2 * n
-        es = [_anti(m, i, i + 1) for i in range(1, n)]
-        es.append(_anti(m, n - 1, n + 1))
-        fs = [_anti(m, i + 1, i) for i in range(1, n)]
-        fs.append(_anti(m, n + 1, n - 1))
-        return es, fs, m
-    if letter == "G":
-        # triality-invariant subalgebra of so(8): the outer-node orbit of the
-        # D4 diagram folds onto the short simple root, the center stays long
-        d_es, d_fs, m = _matrix_generators("D4")
-        e_short = d_es[0].add(d_es[2]).add(d_es[3])
-        f_short = d_fs[0].add(d_fs[2]).add(d_fs[3])
-        return [e_short, d_es[1]], [f_short, d_fs[1]], m
-    raise UnsupportedType(f"no matrix realization for {type_label!r}")
-
-
-# ---------------------------------------------------------------------------
 # the algebra
+
+
+Table = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+# a basis vector's weight in simple-root coordinates; None on the Cartan
+Weight = tuple[int, ...] | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,9 +314,9 @@ class ChevalleyAlgebra:
     cartan: CartanDatum
     positive_roots: tuple[Root, ...]
     dim: int
-    table: tuple[tuple[tuple[tuple[int, int], ...], ...], ...] = field(repr=False)
+    table: Table = field(repr=False)
     killing_gram: IntMat = field(repr=False)
-    basis_weights: tuple[tuple[int, ...] | None, ...] = field(repr=False)
+    basis_weights: tuple[Weight, ...] = field(repr=False)
     # records of the build-time audits, in report order
     audit: tuple[CheckRecord, ...] = field(default=(), repr=False)
 
@@ -510,173 +456,144 @@ def _string_down_length(gamma: tuple[int, ...], beta: tuple[int, ...],
     return p
 
 
-def build_algebra(cartan: CartanDatum) -> ChevalleyAlgebra:
-    """Construct the algebra and run every audit; raises on any failure."""
+def _integral(x: Fraction, label: str, what: str) -> int:
+    """x as an int; a derived constant that is not one raises."""
+    if x.denominator != 1:
+        raise ConstructionAuditError(f"{label}: {what} = {x} is not an integer")
+    return x.numerator
+
+
+def chevalley_table(cartan: CartanDatum,
+                    pos: Sequence[Root]) -> tuple[Table, tuple[Weight, ...]]:
+    """The structure table and basis weights of the Chevalley basis.
+
+    e_xi = [e_a, e_b]/(p+1) for each non-simple positive root xi, over its
+    extraspecial pair: a the first simple root with xi - a a root, b =
+    xi - a, and p the length of the a-string down from b.  So N_{a,b} =
+    +(p+1).  f_xi = -omega(e_xi) for the Chevalley involution omega, so
+    N_{-r,-s} = -N_{r,s}.  Every other positive N_{r,s} comes from the
+    four-term relation on (r, s, -a, -b), and a mixed-sign one from
+    N_{r,s}/(t,t) = N_{s,t}/(r,r) = N_{t,r}/(s,s) for r + s + t = 0
+    (Carter, Simple Groups of Lie Type, 4.1.2).  [e_r, f_r] is the coroot
+    of r and [h_i, x] is read off the Cartan matrix.  Each derived
+    constant must be an integer of magnitude p+1, and each coroot
+    integral; otherwise ConstructionAuditError.
+    """
     label = cartan.type_label
     n = cartan.rank
     a = cartan.matrix
-    pos = roots_from_cartan(cartan)
-    pos_set = {r.coords for r in pos}
-    signed = pos_set | {tuple(-c for c in r.coords) for r in pos}
     num_pos = len(pos)
     dim = 2 * num_pos + n
-
-    es, fs, _ = _matrix_generators(label)
-    hs = [_commutator(es[i], fs[i]) for i in range(n)]
-
-    # observed Cartan integers must match the declared matrix
-    for i in range(n):
-        for j in range(n):
-            want = es[j].scale(a[i, j])
-            if _commutator(hs[i], es[j]) != want:
-                raise ConstructionAuditError(
-                    f"{label}: [h{i+1}, e{j+1}] != A[{i+1}][{j+1}] e{j+1}")
-
-    simple_roots = [Root(tuple(1 if j == i else 0 for j in range(n))) for i in range(n)]
-    simple_order = sorted(range(n), key=lambda i: root_sort_key(simple_roots[i]))
-
-    e_mat: dict[tuple[int, ...], Mat] = {}
-    f_mat: dict[tuple[int, ...], Mat] = {}
-    for i in range(n):
-        e_mat[simple_roots[i].coords] = es[i]
-        f_mat[simple_roots[i].coords] = fs[i]
-    for delta in pos:
-        if delta.height == 1:
-            continue
-        beta0 = None
-        for i in simple_order:
-            rem = tuple(d - c for d, c in zip(delta.coords, simple_roots[i].coords))
-            if rem in pos_set:
-                beta0 = simple_roots[i].coords
-                gamma0 = rem
-                break
-        if beta0 is None:
-            raise ConstructionAuditError(
-                f"{label}: no simple summand for {root_name(delta.coords)}")
-        p = _string_down_length(gamma0, beta0, signed)
-        c = Fraction(1, p + 1)
-        ed = _commutator(e_mat[beta0], e_mat[gamma0]).scale(c)
-        fd = _commutator(f_mat[beta0], f_mat[gamma0]).scale(-c)
-        if ed.is_zero() or fd.is_zero():
-            raise ConstructionAuditError(
-                f"{label}: root vector for {root_name(delta.coords)} collapsed")
-        e_mat[delta.coords] = ed
-        f_mat[delta.coords] = fd
-
-    basis: list[Mat] = [e_mat[r.coords] for r in pos] + hs + [f_mat[r.coords] for r in pos]
-    weights: list[tuple[int, ...] | None] = (
-        [r.coords for r in pos] + [None] * n + [tuple(-c for c in r.coords) for r in pos])
-
     pos_idx = {r.coords: k for k, r in enumerate(pos)}
-
-    def target_index(w: tuple[int, ...]) -> int | None:
-        if w in pos_set:
-            return pos_idx[w]
-        neg = tuple(-x for x in w)
-        if neg in pos_set:
-            return num_pos + n + pos_idx[neg]
-        return None
-
-    def express_single(cmat: Mat, k: int, ctx: str) -> Fraction:
-        b = basis[k]
-        pivot = next(i for i, x in enumerate(b.entries) if x)
-        coef = cmat.entries[pivot] / b.entries[pivot]
-        if b.scale(coef) != cmat:
-            raise ConstructionAuditError(
-                f"{label}: bracket {ctx} is not a multiple of its root vector")
-        return coef
-
-    # structure constants, using the weight grading to locate targets
-    empty: tuple = ()
-    table: list[list[tuple[tuple[int, int], ...]]] = [
-        [empty] * dim for _ in range(dim)]
-
-    def set_entry(i: int, j: int, terms: list[tuple[int, int]]):
-        terms = [(k, c) for k, c in terms if c]
-        table[i][j] = tuple(terms)
-        table[j][i] = tuple((k, -c) for k, c in terms)
-
+    signed = set(pos_idx) | {_neg(c) for c in pos_idx}
     symm = symmetrizer(a)
-    s_form = [[symm[i] * a[i, j] for j in range(n)] for i in range(n)]
+    simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]  # a1 first
 
-    def norm_sq(coords: Sequence[int]) -> Fraction:
-        acc = Fraction(0)
-        for i, ci in enumerate(coords):
-            if ci:
-                for j, cj in enumerate(coords):
-                    if cj:
-                        acc += ci * cj * s_form[i][j]
-        return acc
+    # (r, r) with short roots at 2: the symmetrized Cartan form
+    norm_sq = {r: sum((r[i] * r[j] * symm[i] * a[i, j]
+                       for i in range(n) for j in range(n)), Fraction(0))
+               for r in signed}
 
+    def add(r, s):
+        return tuple(x + y for x, y in zip(r, s))
+
+    # N_{r,s} for ordered pairs of positive roots with r + s a root, the
+    # sums taken in root order, so each relation reads only earlier sums
+    npos: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+
+    def constant(r, s) -> int:
+        """N_{r,s} for roots r, s of any sign with r + s a root."""
+        if r in pos_idx and s in pos_idx:
+            return npos[r, s]
+        if r not in pos_idx and s not in pos_idx:
+            return -npos[_neg(r), _neg(s)]
+        t = _neg(add(r, s))
+        # of (s, t) and (t, r), exactly one pair has a common sign
+        if (s in pos_idx) == (t in pos_idx):
+            x = norm_sq[t] * constant(s, t) / norm_sq[r]
+        else:
+            x = norm_sq[t] * constant(t, r) / norm_sq[s]
+        return _integral(x, label, f"N({root_name(r)}, {root_name(s)})")
+
+    def pair_term(r, s, t, u) -> Fraction:
+        # N_{r,s} N_{t,u} / (r+s, r+s), zero when r + s is no root
+        rs = add(r, s)
+        if rs not in signed:
+            return Fraction(0)
+        return Fraction(constant(r, s) * constant(t, u), norm_sq[rs])
+
+    for xi in pos:
+        if xi.height == 1:
+            continue
+        x = xi.coords
+        ea = next((u for u in simples if add(x, _neg(u)) in pos_idx), None)
+        if ea is None:
+            raise ConstructionAuditError(f"{label}: no simple summand for {root_name(x)}")
+        eb = add(x, _neg(ea))
+        p = _string_down_length(eb, ea, signed)
+        npos[ea, eb], npos[eb, ea] = p + 1, -(p + 1)
+        for r in pos_idx:
+            s = add(x, _neg(r))
+            if s not in pos_idx or (r, s) in npos:
+                continue
+            # four-term relation on (r, s, t, u) = (r, s, -ea, -eb):
+            # N_{r,s} N_{t,u} / (xi, xi) = -rest, and N_{t,u} = -(p+1)
+            t, u = _neg(ea), _neg(eb)
+            rest = pair_term(s, t, r, u) + pair_term(t, r, s, u)
+            nrs = _integral(norm_sq[x] * rest / (p + 1), label,
+                            f"N({root_name(r)}, {root_name(s)})")
+            npos[r, s], npos[s, r] = nrs, -nrs
+
+    weights: list[Weight] = (
+        [r.coords for r in pos] + [None] * n + [_neg(r.coords) for r in pos])
+
+    def index(w: tuple[int, ...]) -> int:
+        return pos_idx[w] if w in pos_idx else num_pos + n + pos_idx[_neg(w)]
+
+    empty: tuple = ()
+    table: list[list[tuple[tuple[int, int], ...]]] = [[empty] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
-            cmat = _commutator(basis[i], basis[j])
             wi, wj = weights[i], weights[j]
             if wi is None and wj is None:
-                if not cmat.is_zero():
-                    raise ConstructionAuditError(f"{label}: Cartan part not abelian")
-                set_entry(i, j, [])
                 continue
             if wi is None or wj is None:
-                hpos = i if wi is None else j
-                vpos = j if wi is None else i
-                w = weights[vpos]
-                assert w is not None
-                expect = sum(w[k] * a[hpos - num_pos, k] for k in range(n))
-                if cmat.is_zero():
-                    if expect != 0:
-                        raise ConstructionAuditError(
-                            f"{label}: vanishing [h, x] with nonzero weight pairing")
-                    set_entry(i, j, [])
-                    continue
-                coef = express_single(
-                    cmat, vpos,
-                    f"[{_basis_label(pos, n, i)},{_basis_label(pos, n, j)}]")
-                want = expect if wi is None else -expect
-                if coef != want:
+                # [h_k, x_w] = <w, alpha_k-coroot> x_w
+                k, v, w = (i, j, wj) if wi is None else (j, i, wi)
+                c = sum(w[l] * a[k - num_pos, l] for l in range(n))
+                terms = [(v, c if wi is None else -c)]
+            elif not any(add(wi, wj)):
+                # [e_r, f_r] = h_r, the coroot: 2 r / (r, r) over the simple
+                # coroots, coefficient k being r_k (alpha_k, alpha_k) / (r, r)
+                nsq = norm_sq[wi]
+                terms = [(num_pos + k, _integral(wi[k] * 2 * symm[k] / nsq, label,
+                                                 f"coroot of {root_name(wi)}"))
+                         for k in range(n)]
+            elif add(wi, wj) in signed:
+                c = constant(wi, wj)
+                p = _string_down_length(wj, wi, signed)
+                if abs(c) != p + 1:
                     raise ConstructionAuditError(
-                        f"{label}: Cartan action disagrees with declared pairing")
-                set_entry(i, j, [(vpos, want)])
+                        f"{label}: |N| = {abs(c)} violates the (p+1) law "
+                        f"(p = {p}) for {root_name(wi)}, {root_name(wj)}")
+                terms = [(index(add(wi, wj)), c)]
+            else:
                 continue
-            s = tuple(x + y for x, y in zip(wi, wj))
-            if all(x == 0 for x in s):
-                # opposite root vectors: [e_b, f_b] must be the integral
-                # coroot h_b = sum c_k h_k, negated when f comes first
-                posw = wi if any(x > 0 for x in wi) else wj
-                nsq = norm_sq(posw)
-                coroot = [Fraction(posw[k]) * 2 * symm[k] / nsq for k in range(n)]
-                sign = 1 if wi == posw else -1
-                want_h = functools.reduce(
-                    Mat.add, (h.scale(sign * c) for h, c in zip(hs, coroot)))
-                if any(c.denominator != 1 for c in coroot) or cmat != want_h:
-                    raise ConstructionAuditError(
-                        f"{label}: [e,f] for {root_name(posw)} is not its "
-                        f"integral coroot")
-                set_entry(i, j, [(num_pos + k, sign * c.numerator)
-                                 for k, c in enumerate(coroot)])
-                continue
-            k = target_index(s)
-            if k is None:
-                if not cmat.is_zero():
-                    raise ConstructionAuditError(
-                        f"{label}: bracket created a non-root weight {s}")
-                set_entry(i, j, [])
-                continue
-            if cmat.is_zero():
-                raise ConstructionAuditError(
-                    f"{label}: vanished bracket for root sum {root_name(s)}")
-            coef = express_single(cmat, k, f"targets {root_name(s)}")
-            if coef.denominator != 1:
-                raise ConstructionAuditError(
-                    f"{label}: non-integral structure constant {coef}")
-            p = _string_down_length(wj, wi, signed)
-            if abs(coef) != p + 1:
-                raise ConstructionAuditError(
-                    f"{label}: |N| = {abs(coef)} violates the (p+1) law "
-                    f"(p = {p}) for {root_name(wi)}, {root_name(wj)}")
-            set_entry(i, j, [(k, coef.numerator)])
+            terms = [(k, c) for k, c in terms if c]
+            table[i][j] = tuple(terms)
+            table[j][i] = tuple((k, -c) for k, c in terms)
+    return tuple(tuple(row) for row in table), tuple(weights)
 
-    tab = tuple(tuple(row) for row in table)
+
+def _neg(c: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-x for x in c)
+
+
+def build_algebra(cartan: CartanDatum) -> ChevalleyAlgebra:
+    """Construct the algebra and run every audit; raises on any failure."""
+    pos = roots_from_cartan(cartan)
+    tab, weights = chevalley_table(cartan, pos)
+    dim = len(weights)
 
     def trace_ad_ad(i: int, j: int) -> int:
         """kappa(b_i, b_j) = trace(ad b_i ad b_j): the b_l coefficient of
@@ -688,8 +605,7 @@ def build_algebra(cartan: CartanDatum) -> ChevalleyAlgebra:
                              for i in range(dim)], dim)
 
     alg = ChevalleyAlgebra(cartan=cartan, positive_roots=pos, dim=dim,
-                           table=tab, killing_gram=gram,
-                           basis_weights=tuple(weights))
+                           table=tab, killing_gram=gram, basis_weights=weights)
     return dataclasses.replace(alg, audit=_audit(alg))
 
 

@@ -89,32 +89,6 @@ class Mat:
     def row_list(self) -> list[Vec]:
         return [self.row(i) for i in range(self.rows)]
 
-    def __matmul__(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise DimensionMismatch("matrix product shape mismatch")
-        orows = other.row_list()
-        return Mat.from_rows([_combination(self.row(i), orows, other.cols)
-                              for i in range(self.rows)], other.cols)
-
-    def add(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix sum shape mismatch")
-        return Mat(self.rows, self.cols,
-                   tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def sub(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix difference shape mismatch")
-        return Mat(self.rows, self.cols,
-                   tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, c) -> "Mat":
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        return Mat(self.rows, self.cols, tuple(c * x for x in self.entries))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
-
 
 @dataclass(frozen=True)
 class Subspace:

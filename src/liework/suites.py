@@ -238,7 +238,7 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
             continue
         intr = intrinsic_quotients(alg, pt.p)
         far_level = tuple(-c for c in class_of(intr.twist, pt.x))
-        [via_id] = canonical_id(pd, w, [base_level])
+        [via_id] = canonical_id(pd, w, [base_level], pt.p)
         ok = (far_level == via_id.psi
               and pi_c(pd, pt) == base_level
               and phi_c(embed(pd, pt)) == mu_c(pt))

@@ -261,6 +261,11 @@ def test_canonical_id_transports_p_once_per_word(monkeypatch):
     moved = canonical_id(pd, w, levels)
     assert calls == [w]
     assert moved == [canonical_id(pd, w, [psi])[0] for psi in levels]
+    # a caller holding act(w, p), as a point made by w does, saves the transport
+    p = make_uc_point(pd, w, pd.p_derived_perp.rows[0]).p
+    calls.clear()
+    assert canonical_id(pd, w, levels, p) == moved
+    assert calls == []
     # torus rank 0 has no levels, and then nothing is transported
     calls.clear()
     full = standard_parabolic("A2", frozenset({1, 2}))
@@ -620,9 +625,10 @@ def test_class_of_projector_matches_solve(label):
 
 
 def _perp_by_fraction_gram(alg, s):
-    # the route killing_perp replaces: a Fraction gram and a Mat product
-    gram = Mat.from_rows([alg.killing_gram.row(i) for i in range(alg.dim)], alg.dim)
-    return kernel(Mat.from_rows(s.rows, alg.dim) @ gram)
+    # the route killing_perp replaces: Fraction rows times the gram
+    g = alg.killing_gram
+    return kernel(Mat.from_rows([[sum((r[k] * g[k, j] for k in range(alg.dim)), F(0))
+                                  for j in range(alg.dim)] for r in s.rows], alg.dim))
 
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)

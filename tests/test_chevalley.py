@@ -63,6 +63,47 @@ def test_classical_positive_root_counts(label, count):
     assert len(roots_from_cartan(cartan_datum(label))) == count
 
 
+# sympy's Cartan matrix is ours for A3 and D4 and our transpose for the
+# non-simply-laced types; its simple roots live in an orthonormal basis
+_SYMPY_TRANSPOSED = {"A3": False, "B2": True, "B3": True, "C3": True,
+                     "D4": False, "G2": True}
+# sympy 1.14 lists the G2 root 2a1+a2 as (1, 0, 1), off the plane of its
+# own simple roots (0, 1, -1) and (1, -2, 1); in its coordinates the root
+# is (1, 0, -1).  A sympy that lists it right matches no key here.
+_SYMPY_MISPRINTS = {("G2", (1, 0, 1)): (1, 0, -1), ("G2", (-1, 0, -1)): (-1, 0, 1)}
+
+
+@pytest.mark.parametrize("label", sorted(_SYMPY_TRANSPOSED))
+def test_roots_match_sympy_root_system(label):
+    sympy = pytest.importorskip("sympy")
+    from sympy.liealgebras.cartan_type import CartanType
+    from sympy.liealgebras.root_system import RootSystem
+
+    ours = cartan_datum(label).matrix
+    n = ours.rows
+    rows = [[ours[i, j] for j in range(n)] for i in range(n)]
+    theirs = CartanType(label).cartan_matrix().tolist()
+    want = [list(c) for c in zip(*rows)] if _SYMPY_TRANSPOSED[label] else rows
+    assert theirs == want
+
+    system = RootSystem(label)
+    simple = [sympy.Matrix(system.simple_roots()[i + 1]) for i in range(n)]
+    # entry (i, j) of our matrix is 2 (a_j, a_i) / (a_i, a_i)
+    assert [[2 * simple[j].dot(simple[i]) / simple[i].dot(simple[i])
+             for j in range(n)] for i in range(n)] == rows
+
+    basis = sympy.Matrix.hstack(*simple)
+    found = set()
+    for root in system.all_roots().values():
+        target = sympy.Matrix(_SYMPY_MISPRINTS.get((label, tuple(root)), root))
+        coords = (basis.T * basis).solve(basis.T * target)
+        assert basis * coords == target
+        assert all(c.is_integer for c in coords)
+        found.add(tuple(int(c) for c in coords))
+    pos = {r.coords for r in roots_from_cartan(cartan_datum(label))}
+    assert found == pos | {tuple(-c for c in r) for r in pos}
+
+
 def test_symmetrizer_b2():
     # alpha1 long, alpha2 short
     assert symmetrizer(cartan_datum("B2").matrix) == (F(2), F(1))
@@ -221,8 +262,8 @@ def test_killing_matches_ad_traces():
     for _ in range(3):
         x = tuple(F(rng.randint(-3, 3)) for _ in range(alg.dim))
         y = tuple(F(rng.randint(-3, 3)) for _ in range(alg.dim))
-        prod = _ad(alg, x) @ _ad(alg, y)
-        trace = sum(prod[i, i] for i in range(alg.dim))
+        ax, ay = _ad(alg, x), _ad(alg, y)
+        trace = sum(ax[i, j] * ay[j, i] for i in range(alg.dim) for j in range(alg.dim))
         assert alg.killing(x, y) == trace
 
 
