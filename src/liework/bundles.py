@@ -8,9 +8,9 @@ are integer matrices that vanish beyond k = 3 (Chevalley; Kostant's
 Z-form).  They are built once per algebra and root from the structure
 constants, with their integrality and nilpotency audited, so a letter
 makes no bracket call.  A torus letter scales each weight space by an
-integer pair, so a word acts on one integer vector over one denominator;
-Fractions appear only where a value leaves the action.  Every value is
-exact, so equivariance and invariance claims are checked exactly.
+integer pair, so a word acts on integer vectors over one denominator
+each; Fractions appear only where a value leaves the action (the round
+trip w^-1 (w x) never leaves it), and every value is exact.
 
 Four point types are modeled:
   UCPoint    (p, x) with x in the Killing-perp of [p, p]
@@ -20,15 +20,18 @@ Four point types are modeled:
   TStarBCPoint  a BCPoint together with a covector y in [p, p]-perp
 
 Transported points carry the group word that produced them; the twist
-projection transports back through the inverse word.  Identifications
-between twist spaces at different parabolics are recomputed from scratch
-at the target subspace, so "the identity on stabilizing words" is a
-verified fact rather than a definition.
+projection transports back through the inverse word.  Membership at a
+transported p is checked from p's integer rows alone: x kills [p, p] iff
+kappa([x, a], b) = 0 for all rows a, b, by the audited invariance.
+Twist spaces at different parabolics are recomputed from scratch at the
+target subspace, so "the identity on stabilizing words" is a verified
+fact rather than a definition.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +39,7 @@ from typing import Sequence
 
 from .chevalley import ChevalleyAlgebra, ConstructionAuditError, Root
 from .exactlin import (
-    Mat,
+    IntMat,
     QuotientSpace,
     Subspace,
     Vec,
@@ -117,9 +120,9 @@ def word_of(*letters: Letter) -> GroupWord:
     return GroupWord(tuple(letters))
 
 
-# one D_k = ad(e)^k / k!, as columns: entry j lists the nonzero (row, value)
-# pairs of D_k applied to basis vector j
-_DividedPower = tuple[tuple[tuple[int, int], ...], ...]
+# one D_k = ad(e)^k / k!, by its nonzero columns: (j, the nonzero (row, value)
+# pairs of D_k applied to basis vector j), j increasing
+_DividedPower = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,54 +138,51 @@ def _divided_powers(alg: ChevalleyAlgebra, root: Root) -> tuple[_DividedPower, .
     ad = alg.table[i]
     where = f"{alg.cartan.type_label}: ad({alg.basis_label(i)})"
     powers: list[_DividedPower] = []
-    cols: list[tuple[tuple[int, Fraction | int], ...]] = list(ad)
+    cols = [(j, col) for j, col in enumerate(ad) if col]  # D_1's nonzero columns
     k = 1
-    while any(cols):
+    while cols:
         if k > alg.dim + 2:
             raise ConstructionAuditError(
                 f"{where}^{k} / {k}! is nonzero: not nilpotent")
-        if any(c.denominator != 1 for col in cols for _, c in col):
+        if any(c.denominator != 1 for _, col in cols for _, c in col):
             raise ConstructionAuditError(
                 f"{where}^{k} / {k}! has a non-integral entry")
-        powers.append(tuple(tuple((r, int(c)) for r, c in col) for col in cols))
+        powers.append(tuple((j, tuple((r, int(c)) for r, c in col)) for j, col in cols))
         k += 1
         nxt = []
-        for col in powers[-1]:
+        for j, col in powers[-1]:
             acc: dict[int, int] = {}
             for r, c in col:
                 for s, d in ad[r]:
                     acc[s] = acc.get(s, 0) + c * d
             # exact: k need not divide x, and the next pass audits that
-            nxt.append(tuple((s, Fraction(x, k)) for s, x in acc.items() if x))
-        cols = nxt
+            nxt.append((j, tuple((s, Fraction(x, k)) for s, x in acc.items() if x)))
+        cols = [(j, col) for j, col in nxt if col]
     return tuple(powers)
 
 
-def _act_ints(alg: ChevalleyAlgebra, w: GroupWord, nums: Sequence[int],
-              den: int) -> tuple[list[int], int]:
-    """The word applied to nums / den, last letter first, as (nums', den').
+def _act_ints(alg: ChevalleyAlgebra, w: GroupWord,
+              vecs: Sequence[tuple[Sequence[int], int]]) -> list[tuple[list[int], int]]:
+    """The word applied to each nums / den, last letter first, as (nums', den')
+    in lowest terms, den' > 0.
 
     A unipotent letter is v + sum_k t^k D_k v over den(t)^K, K the number
     of nonzero D_k.  A torus letter multiplies every component, Cartan ones
     included, by L // den_mu * num_mu over L = lcm(den_mu), num_mu / den_mu
-    the monomial of its weight mu.  Each letter ends by dividing out the gcd.
+    the monomial of its weight mu.  Each letter's powers of t or weight
+    multipliers are built once for all the vectors, and each vector ends
+    every letter divided by its gcd.
     """
-    if len(nums) != alg.dim:
+    if any(len(nums) != alg.dim for nums, _ in vecs):
         raise ValueError("vector length does not match algebra dimension")
+    vecs = list(vecs)
     for letter in reversed(w.letters):
         if isinstance(letter, UnipotentLetter):
             powers = _divided_powers(alg, letter.root)
             top = len(powers)
             a, b = letter.t.as_integer_ratio()
             scale = b ** top
-            out = [x * scale for x in nums]
-            nz = [(j, x) for j, x in enumerate(nums) if x]
-            for k, cols in enumerate(powers, 1):
-                tk = a ** k * b ** (top - k)
-                for j, x in nz:
-                    s = tk * x
-                    for r, n in cols[j]:
-                        out[r] += n * s
+            terms = [(a ** k * b ** (top - k), cols) for k, cols in enumerate(powers, 1)]
         else:
             if len(letter.params) != alg.rank:
                 raise ValueError("torus letter has wrong parameter count")
@@ -197,26 +197,48 @@ def _act_ints(alg: ChevalleyAlgebra, w: GroupWord, nums: Sequence[int],
                     den_w *= b ** e
                 pairs.append((num_w, den_w))
             scale = math.lcm(*(d for _, d in pairs))
-            out = [x * (scale // d) * n if x else 0
-                   for x, (n, d) in zip(nums, pairs)]
-        den *= scale
-        g = math.gcd(den, *out)
-        nums = [x // g for x in out] if g > 1 else out
-        den //= g
-    return nums, den
+            mults = [scale // d * n for n, d in pairs]
+            terms = None
+        for i, (nums, den) in enumerate(vecs):
+            if terms is None:
+                out = list(map(operator.mul, nums, mults))
+            else:
+                out = [x * scale for x in nums]
+                for tk, cols in terms:
+                    for j, col in cols:
+                        if x := nums[j]:
+                            s = tk * x
+                            for r, n in col:
+                                out[r] += n * s
+            den *= scale
+            g = math.gcd(den, *out)
+            vecs[i] = ([x // g for x in out], den // g) if g > 1 else (out, den)
+    return vecs
 
 
 def act_vector(alg: ChevalleyAlgebra, w: GroupWord, v: Vec) -> Vec:
     """Adjoint action of the word on a vector of ints or Fractions; letters
     compose like a product, so the last letter acts first.  The word acts
     on one integer vector and denominator; the result is Fractions."""
-    nums, den = _act_ints(alg, w, *_clear_denominators(v))
+    [(nums, den)] = _act_ints(alg, w, [_clear_denominators(v)])
     return tuple(Fraction(x, den) if x else ZERO for x in nums)
 
 
 def act_subspace(alg: ChevalleyAlgebra, w: GroupWord, s: Subspace) -> Subspace:
     """The image of s: the span of the images of its integer basis rows."""
-    return span([_act_ints(alg, w, row, 1)[0] for row in s.ints], s.ambient_dim)
+    return span([n for n, _ in _act_ints(alg, w, [(row, 1) for row in s.ints])],
+                s.ambient_dim)
+
+
+def act_roundtrip(alg: ChevalleyAlgebra, w: GroupWord, x: Vec) -> bool:
+    """Whether w^-1 (w x) == x and kappa(w x, w x) == kappa(x, x), both words
+    applied.  The action's pairs are in lowest terms, so the first is pair
+    equality and the second K(ys, ys) d0^2 == K(n0, n0) dy^2 in ints."""
+    n0, d0 = _clear_denominators(x)
+    [(ys, dy)] = _act_ints(alg, w, [(n0, d0)])
+    [(back, den)] = _act_ints(alg, w.inverse(), [(ys, dy)])
+    return (list(back) == list(n0) and den == d0 and
+            alg.killing_ints(ys, ys) * d0 * d0 == alg.killing_ints(n0, n0) * dy * dy)
 
 
 _T_CHOICES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -292,13 +314,10 @@ class UCPoint:
 
 
 def _verify_uc_invariant(pd: ParabolicDatum, p: Subspace, x: Vec) -> None:
-    # recomputed from p alone: x must kill [p, p] under the Killing form; at
-    # the standard p that space is the dossier's, elsewhere it is rebuilt
-    if p == pd.p:
-        pdp = pd.p_derived_perp
-    else:
-        pdp = intrinsic_quotients(pd.alg, p).p_derived_perp
-    if not pdp.contains(x):
+    # x must kill [p, p]: the dossier's [p,p]-perp at the standard p, else
+    # the algebra answers from p's rows by invariance, building no quotients
+    if not (pd.p_derived_perp.contains(x) if p == pd.p
+            else pd.alg.kills_derived(p, x)):
         raise PointInvariantError(
             "x is not Killing-orthogonal to [p, p] for its parabolic")
 
@@ -403,15 +422,13 @@ def invariance_pairing_square(pd: ParabolicDatum, w: GroupWord,
     """
     alg = pd.alg
     intr = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))
-    sections = intr.a_p.section
-    winv = w.inverse()
-    pulled = [act_vector(alg, winv, z) for z in sections]
+    sections = [_clear_denominators(z) for z in intr.a_p.section]
+    pulled = _act_ints(alg, w.inverse(), sections)
+    ys = [_clear_denominators(twist_section(pd, psi)) for psi in psis]
     out = []
-    for psi in psis:
-        y = twist_section(pd, psi)
-        y2 = act_vector(alg, w, y)
-        out.append((tuple(alg.killing(z, y2) for z in sections),
-                    tuple(alg.killing(z, y) for z in pulled)))
+    for (y, dy), (y2, dy2) in zip(ys, _act_ints(alg, w, ys)):
+        out.append((tuple(Fraction(alg.killing_ints(z, y2), dz * dy2) for z, dz in sections),
+                    tuple(Fraction(alg.killing_ints(z, y), dz * dy) for z, dz in pulled)))
     return out
 
 
@@ -420,9 +437,8 @@ def _class_map_kernel(pd: ParabolicDatum) -> Subspace:
     """Kernel of x -> class_of(twist space, x) on [p,p]-perp."""
     rows = pd.p_derived_perp.rows
     classes = [class_of(pd.twist_space, row) for row in rows]
-    coeffs = kernel(Mat.from_rows(
-        [[cls[m] for cls in classes] for m in range(pd.twist_space.dim)],
-        len(rows)))
+    coeffs = kernel(IntMat.from_rows(  # one equation per class coordinate
+        [_clear_denominators(eq)[0] for eq in zip(*classes)], len(rows)))
     return span([_combination(coef, rows, pd.alg.dim) for coef in coeffs.rows],
                 pd.alg.dim)
 

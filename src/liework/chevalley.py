@@ -21,9 +21,9 @@ In a Chevalley basis the structure constants and the Killing gram are
 integers (Chevalley 1955; Humphreys, GTM 9, section 25).  The table
 stores each constant as an int once its integrality audit has passed,
 and the gram is an ``IntMat`` of traces of ad x ad y read off the table.
-The Killing form lives here alone: ``ChevalleyAlgebra.killing`` pairs
-two vectors, and ``ChevalleyAlgebra.killing_perp`` gives the perp of a
-subspace as the kernel of its integer rows times the gram.
+The Killing form lives here alone: ``killing`` pairs two vectors,
+``killing_perp`` gives a subspace's perp as the kernel of its integer rows
+times the gram, and ``kills_derived`` tests x against [p, p] by invariance.
 
 Basis order is [e_beta for beta positive] ++ [h_1..h_r] ++ [f_beta], with
 positive roots sorted by height then reverse-lexicographically on their
@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -352,7 +353,12 @@ class ChevalleyAlgebra:
         return self.f_index(-root)
 
     def basis_label(self, i: int) -> str:
-        return _basis_label(self.positive_roots, self.rank, i)
+        n, pos = self.num_positive, self.positive_roots
+        if i < n:
+            return f"e({root_name(pos[i].coords)})"
+        if i < n + self.rank:
+            return f"h{i - n + 1}"
+        return f"f({root_name(pos[i - n - self.rank].coords)})"
 
     def one_hot(self, i: int) -> Vec:
         v = [ZERO] * self.dim
@@ -361,13 +367,21 @@ class ChevalleyAlgebra:
 
     # --- operations ----------------------------------------------------
     def bracket(self, x: Vec, y: Vec) -> Vec:
-        """[x, y] summed in ints over den(x) den(y), zero entries of y
-        skipped up front.  Ints come back only when x and y hold only ints,
-        as the integer basis rows of a subspace do; otherwise Fractions."""
+        """[x, y] over den(x) den(y) by the integer core.  Ints come back
+        only when x and y hold only ints, as the integer basis rows of a
+        subspace do; otherwise Fractions."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match algebra dimension")
         xs, dx = _clear_denominators(x)
         ys, dy = _clear_denominators(y)
+        acc = self._bracket_ints(xs, ys)
+        if xs is x and ys is y:  # both came back as they stand: all ints
+            return tuple(acc)
+        den = dx * dy
+        return tuple(Fraction(a, den) if a else ZERO for a in acc)
+
+    def _bracket_ints(self, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+        """[x, y] of two integer vectors, zero entries of y skipped up front."""
         nz = [(j, yj) for j, yj in enumerate(ys) if yj]
         acc = [0] * self.dim
         tab = self.table
@@ -378,53 +392,62 @@ class ChevalleyAlgebra:
                     s = xi * yj
                     for k, c in row[j]:
                         acc[k] += c * s
-        if xs is x and ys is y:  # both came back as they stand: all ints
-            return tuple(acc)
-        den = dx * dy
-        return tuple(Fraction(a, den) if a else ZERO for a in acc)
+        return acc
 
     def killing(self, x: Vec, y: Vec) -> Fraction:
-        """kappa(x, y) = x^T G y over the integer gram rows, summed in ints
-        over den(x) den(y) with zero entries of y skipped up front."""
+        """kappa(x, y) over den(x) den(y) by the integer core."""
         xs, dx = _clear_denominators(x)
         ys, dy = _clear_denominators(y)
-        nz = [(j, yj) for j, yj in enumerate(ys) if yj]
-        g = self.killing_gram
-        acc = 0
-        for i, xi in enumerate(xs):
-            if xi:
-                row = g.row(i)
-                for j, yj in nz:
-                    if row[j]:
-                        acc += xi * row[j] * yj
-        return Fraction(acc, dx * dy)
+        return Fraction(self.killing_ints(xs, ys), dx * dy)
+
+    def killing_ints(self, xs: Sequence[int], ys: Sequence[int]) -> int:
+        """kappa(x, y) = x^T (G y) for two integer vectors."""
+        return sum(map(operator.mul, xs, self._gram_ints(ys)))
+
+    @functools.cached_property
+    def _gram_nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(tuple((j, c) for j, c in enumerate(self.killing_gram.row(i)) if c)
+                     for i in range(self.dim))
+
+    def _gram_ints(self, v: Sequence[int]) -> list[int]:
+        """G v for an integer vector v, over the nonzero gram entries (G is
+        audited symmetric, so its rows are its columns)."""
+        out = [0] * self.dim
+        rows = self._gram_nonzeros
+        for j, x in enumerate(v):
+            if x:
+                for i, c in rows[j]:
+                    out[i] += c * x
+        return out
 
     def killing_perp(self, s: Subspace) -> Subspace:
         """The Killing perp of s: the kernel of the integer rows s.ints @ G."""
         if s.ambient_dim != self.dim:
             raise DimensionMismatch("subspace does not live in the algebra")
-        g = self.killing_gram
-        rows = []
-        for r in s.ints:
-            out = [0] * self.dim
-            for k, c in enumerate(r):
-                if c:
-                    for j, gkj in enumerate(g.row(k)):
-                        if gkj:
-                            out[j] += c * gkj
-            rows.append(out)
-        return kernel(IntMat.from_rows(rows, self.dim))
+        return kernel(IntMat.from_rows([self._gram_ints(r) for r in s.ints], self.dim))
+
+    def kills_derived(self, p: Subspace, x: Vec) -> bool:
+        """Whether kappa(x, [p, p]) = 0, from p's integer rows with no [p, p]
+        built: by the audited invariance kappa(x, [a, b]) = kappa([x, a], b),
+        iff G [x, a] pairs to zero with every row b after row a of p."""
+        if len(x) != self.dim or p.ambient_dim != self.dim:
+            raise DimensionMismatch("vector or subspace does not live in the algebra")
+        xs = _clear_denominators(x)[0]
+        gcs = [self._gram_ints(self._bracket_ints(xs, a)) for a in p.ints]
+        return not any(sum(map(operator.mul, b, gc))
+                       for i, gc in enumerate(gcs) for b in p.ints[i + 1:])
 
     def bracket_space(self, a: Subspace, b: Subspace) -> Subspace:
-        """span{[x, y] : x in a, y in b}, over the integer basis rows.  For
-        a == b only pairs x before y: [x, x] = 0 and [y, x] = -[x, y]."""
+        """span{[x, y] : x in a, y in b}, the integer basis rows handed to
+        the integer bracket and echelon cores.  For a == b only pairs x
+        before y: [x, x] = 0 and [y, x] = -[x, y]."""
         eb = EchelonBuilder(self.dim)
         same = a == b
         for i, x in enumerate(a.ints):
             for y in b.ints[i + 1:] if same else b.ints:
-                v = self.bracket(x, y)
+                v = self._bracket_ints(x, y)
                 if any(v):
-                    eb.insert(v)
+                    eb.insert_ints(v)
         return eb.subspace()
 
     def vector_name(self, v: Vec) -> str:
@@ -434,15 +457,6 @@ class ChevalleyAlgebra:
                 coef = "" if c == 1 else ("-" if c == -1 else f"{c}*")
                 terms.append(f"{coef}{self.basis_label(i)}")
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
-
-
-def _basis_label(pos: Sequence[Root], rank: int, i: int) -> str:
-    n = len(pos)
-    if i < n:
-        return f"e({root_name(pos[i].coords)})"
-    if i < n + rank:
-        return f"h{i - n + 1}"
-    return f"f({root_name(pos[i - n - rank].coords)})"
 
 
 def _string_down_length(gamma: tuple[int, ...], beta: tuple[int, ...],

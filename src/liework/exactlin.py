@@ -1,22 +1,22 @@
 """Exact linear algebra over the rationals, with integer elimination.
 
 Vectors are tuples of ``fractions.Fraction``; matrices are immutable
-row-major ``Mat`` values.  A subspace holds its canonical primitive
-integer rows, the rows of its reduced row-echelon basis each scaled to
-coprime integers with a positive pivot.  That form is unique, so equality
-of subspaces is literal equality of rows; the Fraction RREF view is
-derived from it.  Everything is exact: no floats, no tolerances, no pivot
-thresholds.
+row-major ``IntMat`` values (the rational ``Mat`` is left as ``rref``'s
+output).  A subspace holds its canonical primitive integer rows, the rows
+of its reduced row-echelon basis each scaled to coprime integers with a
+positive pivot.  That form is unique, so equality of subspaces is literal
+equality of rows; the Fraction RREF view is derived from it.  Everything
+is exact: no floats, no tolerances, no pivot thresholds.
 
-There is one elimination step, ``EchelonBuilder.insert``, and it runs in
-integers: it clears denominators once and combines rows by gcd-scaled
-integer row operations (fraction-free elimination; Bareiss 1968, Cohen,
-GTM 138, section 2.2).  Spans, ``rref``, kernels, intersections and
-quotient sections all read the rows and pivots it leaves, membership
-reduces against them with the same helper, and a quotient's class map is
-a projector built once, on first use.  ``kernel`` takes a ``Mat`` or an
-integer ``IntMat``; bilinear forms live with the algebra that owns them
-(the Killing gram and its perps are in ``chevalley``).
+There is one elimination step, ``EchelonBuilder.insert_ints``, and it
+runs in integers, combining rows by gcd-scaled integer row operations
+(fraction-free elimination; Bareiss 1968, Cohen, GTM 138, section 2.2);
+``insert`` clears a vector's denominators once and hands it over.  Spans,
+``rref``, kernels, intersections and quotient sections all read the rows
+and pivots it leaves, membership reduces against them with the same
+helper, and a quotient's class map is a projector built once, on first
+use.  ``kernel`` takes an ``IntMat`` or a ``Mat``; the Killing form and
+its perps live with the algebra that owns them, in ``chevalley``.
 """
 from __future__ import annotations
 
@@ -176,12 +176,16 @@ class EchelonBuilder:
         self.pivots: list[int] = []
 
     def insert(self, vec: Sequence) -> bool:
-        """Insert a vector of ints or Fractions; True iff the rank grew.  The
-        new row gets a positive pivot, and reducing the other rows against
-        it clears its pivot column there."""
+        """Insert a vector of ints or Fractions; True iff the rank grew."""
         if len(vec) != self.n:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        v = _reduce(self.rows, self.pivots, _clear_denominators(vec)[0])
+        return self.insert_ints(_clear_denominators(vec)[0])
+
+    def insert_ints(self, v: Sequence[int]) -> bool:
+        """The integer core of insert, for an integer vector of the right
+        length.  The new row gets a positive pivot, and reducing the other
+        rows against it clears its pivot column there."""
+        v = _reduce(self.rows, self.pivots, v)
         pc = next((j for j, x in enumerate(v) if x), None)
         if pc is None:
             return False
@@ -229,8 +233,8 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(n)
     # columns: the coefficients of a's basis, then those of b's basis
-    ker = kernel(Mat.from_rows([[r[i] for r in a.ints] + [-r[i] for r in b.ints]
-                                for i in range(n)], a.dim + b.dim))
+    ker = kernel(IntMat.from_rows([[r[i] for r in a.ints] + [-r[i] for r in b.ints]
+                                   for i in range(n)], a.dim + b.dim))
     return span([[sum(c * row[j] for c, row in zip(coeffs, a.ints)) for j in range(n)]
                  for coeffs in ker.ints], n)
 

@@ -37,8 +37,8 @@ from .parabolic import (
 from .bundles import (
     IDENTITY_WORD,
     act_gc_point,
+    act_roundtrip,
     act_uc_point,
-    act_vector,
     bc_torus_action,
     canonical_id,
     embed,
@@ -212,13 +212,9 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
     bad = 0
     witness = None
     total = 100
-    kxx = alg.killing(x0, x0)
     for k in range(total):
         w = random_word(alg, rng, length=rng.randint(1, case.max_word_len))
-        y = act_vector(alg, w, x0)
-        ok = (act_vector(alg, w.inverse(), y) == x0
-              and alg.killing(y, y) == kxx)
-        if not ok:
+        if not act_roundtrip(alg, w, x0):
             bad += 1
             if witness is None:
                 witness = f"word #{k}: {w}"

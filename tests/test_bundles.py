@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from liework import bundles
 from liework.chevalley import (
     SUPPORTED_TYPES,
     ConstructionAuditError,
@@ -29,6 +30,7 @@ from liework.bundles import (
     UCPoint,
     UnipotentLetter,
     WitnessTransportError,
+    act_roundtrip,
     act_subspace,
     act_uc_point,
     act_vector,
@@ -58,9 +60,11 @@ from liework.bundles import (
     _T_CHOICES,
     _act_ints,
     _divided_powers,
+    _verify_uc_invariant,
 )
 from liework.exactlin import (
     DimensionMismatch,
+    _clear_denominators,
     Mat,
     Subspace,
     class_of,
@@ -438,8 +442,12 @@ def test_divided_powers_integral_and_short(label):
         powers = _divided_powers(alg, root)
         longest = max(longest, len(powers))
         for k, cols in enumerate(powers, 1):
-            assert all(type(n) is int and n for col in cols for _, n in col)
-            assert [_dense(alg, col) for col in cols] == \
+            # only the nonzero columns are listed, each once, in order
+            assert all(col for _, col in cols)
+            assert [j for j, _ in cols] == sorted({j for j, _ in cols})
+            assert all(type(n) is int and n for _, col in cols for _, n in col)
+            listed = dict(cols)
+            assert [_dense(alg, listed.get(j, ())) for j in range(alg.dim)] == \
                 _ad_power_columns(alg, root, k)
         zero = tuple([F(0)] * alg.dim)
         assert _ad_power_columns(alg, root, len(powers) + 1) == \
@@ -712,8 +720,145 @@ def test_act_ints_returns_lowest_terms(label):
         w = concat(random_word(alg, rng, length=3),
                    word_of(*rng.sample(halves, 2)))
         nums = [rng.randint(-4, 4) * 2 for _ in range(alg.dim)]
-        got, den = _act_ints(alg, w, nums, 2)
+        [(got, den)] = _act_ints(alg, w, [(nums, 2)])
         assert all(type(x) is int for x in got) and type(den) is int
         assert den > 0 and math.gcd(den, *got) == 1
         assert tuple(F(x, den) for x in got) == \
             _act_by_fractions(alg, w, [F(x, 2) for x in nums])
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_invariance_membership_matches_quotient_perp(label):
+    # kills_derived answers from p's rows alone; the oracle is the
+    # [p,p]-perp that intrinsic_quotients rebuilds at p
+    alg = algebra(label)
+    rng = random.Random(f"membership:{label}")
+    checked = rejected = 0
+    for gamma in (frozenset(), frozenset({1})):
+        pd = standard_parabolic(label, gamma)
+        for _ in range(3):
+            w = random_word(alg, rng, length=3)
+            p = act_subspace(alg, w, pd.p)
+            pdp = intrinsic_quotients(alg, p).p_derived_perp
+            coeffs = [F(rng.randint(-3, 3), rng.randint(1, 2))
+                      for _ in pd.p_derived_perp.rows]
+            x = act_vector(alg, w, tuple(
+                sum((c * r[i] for c, r in zip(coeffs, pd.p_derived_perp.rows)), F(0))
+                for i in range(alg.dim)))
+            # basis vectors pairing with [p, p] push x out of its perp
+            outside = [i for i in range(alg.dim) if not pdp.contains(alg.one_hot(i))]
+            assert outside
+            cands = [x] + [tuple(a + b for a, b in zip(x, alg.one_hot(i)))
+                           for i in rng.sample(outside, min(3, len(outside)))]
+            cands.append(tuple(F(rng.randint(-2, 2), rng.randint(1, 3))
+                               for _ in range(alg.dim)))
+            for v in cands:
+                want = pdp.contains(v)
+                assert alg.kills_derived(p, v) == want
+                checked += 1
+                if not want:
+                    rejected += 1
+                    with pytest.raises(PointInvariantError, match="Killing-orthogonal"):
+                        _verify_uc_invariant(pd, p, v)
+            assert alg.kills_derived(p, x)
+            _verify_uc_invariant(pd, p, x)
+            for v in (x[:-1], x + (F(0),)):
+                with pytest.raises(DimensionMismatch):
+                    _verify_uc_invariant(pd, p, v)
+    assert rejected >= checked // 2
+
+
+def test_uc_point_off_standard_p_leaves_quotient_cache_alone():
+    pd = standard_parabolic("B2", frozenset({1}))
+    x0 = pd.p_derived_perp.rows[0]
+    w = _w_unip(Root((0, -1)), 2)  # -a2 lies outside the Levi of {1}
+    before = intrinsic_quotients.cache_info()
+    pt = make_uc_point(pd, w, x0)
+    moved = act_uc_point(pd, _w_unip(Root((-1, -1)), 1), pt)
+    assert pt.p != pd.p and moved.p not in (pd.p, pt.p)
+    assert intrinsic_quotients.cache_info() == before
+
+
+def _roundtrip_by_fractions(alg, w, winv, x):
+    y = act_vector(alg, w, x)
+    return (act_vector(alg, winv, y) == tuple(F(c) for c in x)
+            and alg.killing(y, y) == alg.killing(x, x))
+
+
+def _tampered_inverses(rng, inv):
+    # one letter dropped; one unipotent t negated, when there is one
+    letters = list(inv.letters)
+    k = rng.randrange(len(letters))
+    out = [GroupWord(tuple(letters[:k] + letters[k + 1:]))]
+    unip = [j for j, l in enumerate(letters) if isinstance(l, UnipotentLetter)]
+    if unip:
+        j = rng.choice(unip)
+        letters[j] = UnipotentLetter(letters[j].root, -letters[j].t)
+        out.append(GroupWord(tuple(letters)))
+    return out
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_act_roundtrip_matches_fraction_route(label, monkeypatch):
+    alg = algebra(label)
+    rng = random.Random(f"roundtrip:{label}")
+    x = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(alg.dim))
+    ints = tuple(rng.randint(-4, 4) for _ in range(alg.dim))
+    assert alg.killing(x, x) != 0
+    words = [random_word(alg, rng, length=rng.randint(1, 8)) for _ in range(12)]
+    for w in words + [IDENTITY_WORD]:
+        for v in (x, ints):
+            assert act_roundtrip(alg, w, v)
+            assert _roundtrip_by_fractions(alg, w, w.inverse(), v)
+
+    real_inverse = GroupWord.inverse
+    tampered = failed = 0
+    for w in words:
+        for bad in _tampered_inverses(rng, real_inverse(w)):
+            with monkeypatch.context() as m:
+                m.setattr(GroupWord, "inverse", lambda self, bad=bad: bad)
+                got = act_roundtrip(alg, w, x)
+            assert got == _roundtrip_by_fractions(alg, w, bad, x)
+            tampered += 1
+            failed += not got
+    assert failed >= tampered - 2
+
+    real_act = bundles._act_ints
+    w = words[0]
+
+    def perturbed(alg_, w_, vecs):
+        # the forward image moved by one basis vector
+        [(nums, den)] = real_act(alg_, w_, vecs)
+        if w_ is w:
+            nums = [c + den * (i == 0) for i, c in enumerate(nums)]
+        return [(nums, den)]
+
+    def scaled(alg_, w_, vecs):
+        # the forward image doubled and the way back halved: the vector
+        # returns, so only the Killing comparison can see it
+        [(nums, den)] = real_act(alg_, w_, vecs)
+        s = 2 if w_ is w else F(1, 2)
+        return [_clear_denominators([F(c, den) * s for c in nums])]
+
+    for fake in (perturbed, scaled):
+        with monkeypatch.context() as m:
+            m.setattr(bundles, "_act_ints", fake)
+            assert not act_roundtrip(alg, w, x)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_act_ints_on_many_vectors_matches_one_at_a_time(label):
+    # a letter's powers and torus multipliers are shared by all the vectors
+    alg = algebra(label)
+    rng = random.Random(f"act-many:{label}")
+    for _ in range(10):
+        torus = TorusLetter(tuple(rng.choice((F(2), F(-1, 3), F(3, 2)))
+                                  for _ in range(alg.rank)))
+        w = concat(random_word(alg, rng, length=3), word_of(torus))
+        vecs = [([rng.randint(-4, 4) for _ in range(alg.dim)], rng.randint(1, 3))
+                for _ in range(4)]
+        got = _act_ints(alg, w, vecs)
+        assert got == [_act_ints(alg, w, [v])[0] for v in vecs]
+        for (nums, den), (v, d) in zip(got, vecs):
+            assert tuple(F(c, den) for c in nums) == \
+                _act_by_fractions(alg, w, [F(c, d) for c in v])
