@@ -9,16 +9,15 @@ normal form over Z.
 from fractions import Fraction
 
 from liework.exactlin import (
-    IntMat, Mat, class_of, intersect, kernel, quotient, rref,
+    IntMat, class_of, intersect, kernel, quotient, rref,
     smith_normal_form, span, subspace_sum,
 )
 
-# A matrix over Q is a frozen value; rref returns the reduced form and the
-# pivot columns.  No epsilon anywhere: 1/3 stays 1/3.
-m = Mat.from_rows([[1, 2, 3], [2, 4, 7], [1, 2, 4]])
-r, pivots = rref(m)
+# A matrix over Q is its rows and a column count; rref returns the reduced
+# rows and the pivot columns.  No epsilon anywhere: 1/3 stays 1/3.
+r, pivots = rref([[1, 2, 3], [2, 4, 7], [1, 2, 4]], 3)
 print("rref pivots:", pivots)
-print("rref row 0:", r.row(0))
+print("rref row 0:", r[0])
 
 # Subspaces are canonical: two spans of the same space compare equal.
 a = span([[1, 0, 1], [0, 1, 1]], 3)
@@ -31,7 +30,7 @@ print("intersection dim:", line.dim, "basis:", list(line.rows))
 print("sum dim:", subspace_sum(a, span([[0, 0, 1]], 3)).dim)
 
 # Kernels are exact too.
-k = kernel(Mat.from_rows([[1, 2, 0], [0, 0, 1]]))
+k = kernel([[1, 2, 0], [0, 0, 1]], 3)
 print("kernel basis:", list(k.rows))
 
 # Quotients carry a deterministic section; class_of returns coordinates of
@@ -42,8 +41,7 @@ print("class of (1, 0, 0):", class_of(q, [1, 0, 0]))
 print("class of (1, 1, 0):", class_of(q, [1, 1, 0]))
 
 # Fractions propagate exactly through row reduction.
-third = Mat.from_rows([[Fraction(1, 3)]])
-print("1/3 rref:", rref(third)[0].row(0))
+print("1/3 rref:", rref([[Fraction(1, 3)]], 1)[0][0])
 
 # Over Z, the Smith invariants certify lattice properties: these say the
 # rows generate a full sublattice of index 2.  They are computed modulo

@@ -39,10 +39,10 @@ from typing import Sequence
 
 from .chevalley import ChevalleyAlgebra, ConstructionAuditError, Root
 from .exactlin import (
-    IntMat,
     QuotientSpace,
     Subspace,
     Vec,
+    VectorOutsideTotal,
     ZERO,
     _clear_denominators,
     _combination,
@@ -350,10 +350,11 @@ def pi_c(pd: ParabolicDatum, pt: UCPoint) -> TwistLevel:
     """Twist level of a point: transport x back to the standard parabolic
     through the witness inverse and take minus its class."""
     back = act_vector(pd.alg, pt.witness.inverse(), pt.x)
-    if not pd.p_derived_perp.contains(back):
+    try:  # the twist space's total is the standard [p,p]-perp
+        cls = class_of(pd.twist_space, back)
+    except VectorOutsideTotal as exc:
         raise WitnessTransportError(
-            "witness inverse did not return x to the standard [p,p]-perp")
-    cls = class_of(pd.twist_space, back)
+            "witness inverse did not return x to the standard [p,p]-perp") from exc
     return TwistLevel(tuple(-c for c in cls))
 
 
@@ -361,9 +362,6 @@ def pi_c(pd: ParabolicDatum, pt: UCPoint) -> TwistLevel:
 class IntrinsicQuotients:
     """Twist and torus quotients recomputed from a subspace alone."""
 
-    p: Subspace
-    nilradical: Subspace
-    p_derived: Subspace
     p_derived_perp: Subspace
     twist: QuotientSpace
     a_p: QuotientSpace
@@ -378,9 +376,8 @@ def intrinsic_quotients(alg: ChevalleyAlgebra, p: Subspace) -> IntrinsicQuotient
     nil = alg.killing_perp(p)
     if not p.contains_space(nil):
         raise PointInvariantError("p-perp escaped p; p is not parabolic-like")
-    return IntrinsicQuotients(
-        p=p, nilradical=nil, p_derived=pder, p_derived_perp=pdp,
-        twist=quotient(pdp, nil), a_p=quotient(p, pder))
+    return IntrinsicQuotients(p_derived_perp=pdp, twist=quotient(pdp, nil),
+                              a_p=quotient(p, pder))
 
 
 def canonical_id(pd: ParabolicDatum, w: GroupWord, psis: Sequence[TwistLevel],
@@ -401,10 +398,11 @@ def canonical_id(pd: ParabolicDatum, w: GroupWord, psis: Sequence[TwistLevel],
     out = []
     for psi in psis:
         y2 = act_vector(alg, w, twist_section(pd, psi))
-        if not intr.p_derived_perp.contains(y2):
+        try:  # the twist space's total is the target [p,p]-perp
+            out.append(TwistLevel(class_of(intr.twist, y2)))
+        except VectorOutsideTotal as exc:
             raise WitnessTransportError(
-                "transported section left the target [p,p]-perp")
-        out.append(TwistLevel(class_of(intr.twist, y2)))
+                "transported section left the target [p,p]-perp") from exc
     return out
 
 
@@ -437,8 +435,7 @@ def _class_map_kernel(pd: ParabolicDatum) -> Subspace:
     """Kernel of x -> class_of(twist space, x) on [p,p]-perp."""
     rows = pd.p_derived_perp.rows
     classes = [class_of(pd.twist_space, row) for row in rows]
-    coeffs = kernel(IntMat.from_rows(  # one equation per class coordinate
-        [_clear_denominators(eq)[0] for eq in zip(*classes)], len(rows)))
+    coeffs = kernel(zip(*classes), len(rows))  # one equation per class coordinate
     return span([_combination(coef, rows, pd.alg.dim) for coef in coeffs.rows],
                 pd.alg.dim)
 
@@ -512,10 +509,10 @@ _COSET_SAMPLES = 16
 
 
 def _coset_contains_open(pd: ParabolicDatum, x_rep: Vec) -> bool:
-    """Generic test that x_rep + [u,u] meets the open orbit piece, tried at
-    x_rep and at _COSET_SAMPLES - 1 seeded offsets in [u,u]."""
+    """Generic test that x_rep + [u,u] meets the open orbit piece: the
+    tangent test of find_richardson, [p, cand] == u, tried at x_rep and at
+    _COSET_SAMPLES - 1 seeded offsets in [u,u]."""
     alg = pd.alg
-    want = pd.u
     rng = random.Random(f"coset:{pd.label()}:0")
     offsets: list[Vec] = [tuple([ZERO] * alg.dim)]
     rows = pd.u_derived.rows
@@ -524,8 +521,7 @@ def _coset_contains_open(pd: ParabolicDatum, x_rep: Vec) -> bool:
         offsets.append(_combination(coeffs, rows, alg.dim))
     for off in offsets:
         cand = tuple(a + b for a, b in zip(x_rep, off))
-        rows_t = [alg.bracket(row, cand) for row in pd.p.ints]
-        if span(rows_t, alg.dim) == want:
+        if alg.bracket_space(pd.p, span([cand], alg.dim)) == pd.u:
             return True
     return False
 

@@ -146,10 +146,15 @@ class CartanDatum:
 
     Entry (i, j) is <alpha_j, alpha_i-coroot>, i.e. alpha_j evaluated on
     the i-th simple coroot; row i lists the pairings against coroot i.
+    A matrix that is not a finite-type Cartan matrix is rejected here,
+    with NotFiniteType.
     """
 
     type_label: str
     matrix: IntMat
+
+    def __post_init__(self):
+        validate_finite_type(self.matrix)
 
     @property
     def rank(self) -> int:
@@ -193,9 +198,7 @@ def cartan_datum(type_label: str) -> CartanDatum:
         raise UnsupportedType(
             f"type label {type_label!r} not in supported set {SUPPORTED_TYPES}")
     letter, n = type_label[0], int(type_label[1:])
-    m = IntMat.from_rows(_cartan_rows(letter, n), n)
-    validate_finite_type(m)
-    return CartanDatum(type_label, m)
+    return CartanDatum(type_label, IntMat.from_rows(_cartan_rows(letter, n), n))
 
 
 def symmetrizer(m: IntMat) -> tuple[Fraction, ...]:
@@ -263,7 +266,6 @@ def roots_from_cartan(cartan: CartanDatum) -> tuple[Root, ...]:
     """All positive roots, by closing the simple roots under root strings."""
     n = cartan.rank
     a = cartan.matrix
-    validate_finite_type(a)
 
     def pairing(coords: tuple[int, ...], i: int) -> int:
         return sum(coords[j] * a[i, j] for j in range(n))
@@ -424,7 +426,7 @@ class ChevalleyAlgebra:
         """The Killing perp of s: the kernel of the integer rows s.ints @ G."""
         if s.ambient_dim != self.dim:
             raise DimensionMismatch("subspace does not live in the algebra")
-        return kernel(IntMat.from_rows([self._gram_ints(r) for r in s.ints], self.dim))
+        return kernel([self._gram_ints(r) for r in s.ints], self.dim)
 
     def kills_derived(self, p: Subspace, x: Vec) -> bool:
         """Whether kappa(x, [p, p]) = 0, from p's integer rows with no [p, p]

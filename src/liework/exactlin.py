@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals, with integer elimination.
 
-Vectors are tuples of ``fractions.Fraction``; matrices are immutable
-row-major ``IntMat`` values (the rational ``Mat`` is left as ``rref``'s
-output).  A subspace holds its canonical primitive integer rows, the rows
-of its reduced row-echelon basis each scaled to coprime integers with a
-positive pivot.  That form is unique, so equality of subspaces is literal
-equality of rows; the Fraction RREF view is derived from it.  Everything
-is exact: no floats, no tolerances, no pivot thresholds.
+Vectors are tuples of ``fractions.Fraction``.  A rational matrix is a
+sequence of rows of ints or Fractions, which is how ``span``, ``rref``
+and ``kernel`` take it; the one matrix type, ``IntMat``, holds integer
+matrices such as Smith input.  A subspace holds its canonical primitive
+integer rows, the rows of its reduced row-echelon basis each scaled to
+coprime integers with a positive pivot.  That form is unique, so
+equality of subspaces is literal equality of rows; the Fraction RREF view
+is derived from it.  Everything is exact: no floats, no tolerances, no
+pivot thresholds.
 
 There is one elimination step, ``EchelonBuilder.insert_ints``, and it
 runs in integers, combining rows by gcd-scaled integer row operations
@@ -15,8 +17,8 @@ runs in integers, combining rows by gcd-scaled integer row operations
 ``rref``, kernels, intersections and quotient sections all read the rows
 and pivots it leaves, membership reduces against them with the same
 helper, and a quotient's class map is a projector built once, on first
-use.  ``kernel`` takes an ``IntMat`` or a ``Mat``; the Killing form and
-its perps live with the algebra that owns them, in ``chevalley``.
+use.  The Killing form and its perps live with the algebra that owns
+them, in ``chevalley``.
 """
 from __future__ import annotations
 
@@ -46,48 +48,6 @@ class DivisorNotContained(LinAlgError):
 
 class VectorOutsideTotal(LinAlgError):
     """Class computation for a vector outside the quotient's total space."""
-
-
-def as_vec(seq: Iterable) -> Vec:
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in seq)
-
-
-@dataclass(frozen=True)
-class Mat:
-    """Immutable rational matrix, row-major entries."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise LinAlgError("negative matrix shape")
-        if len(self.entries) != self.rows * self.cols:
-            raise LinAlgError("entry count does not match shape")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Mat":
-        rows = [as_vec(r) for r in rows]
-        if rows:
-            cols = len(rows[0]) if cols is None else cols
-            for r in rows:
-                if len(r) != cols:
-                    raise DimensionMismatch("ragged rows")
-        elif cols is None:
-            raise LinAlgError("empty matrix needs an explicit column count")
-        flat = tuple(x for r in rows for x in r)
-        return Mat(len(rows), cols, flat)
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> Vec:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_list(self) -> list[Vec]:
-        return [self.row(i) for i in range(self.rows)]
 
 
 @dataclass(frozen=True)
@@ -211,12 +171,12 @@ def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
     return b.subspace()
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot columns: the
-    canonical basis of the row space, padded with zero rows."""
-    s = span(m.row_list(), m.cols)
-    zero = (ZERO,) * m.cols
-    return Mat.from_rows(s.rows + (zero,) * (m.rows - s.dim), m.cols), s.pivots
+def rref(rows: Sequence[Sequence], cols: int) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+    """Reduced row echelon form of rows of ints or Fractions, each of length
+    cols, and the tuple of pivot columns: the canonical basis of the row
+    space, padded with zero rows to the number of rows given."""
+    s = span(rows, cols)
+    return s.rows + ((ZERO,) * cols,) * (len(rows) - s.dim), s.pivots
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -233,27 +193,27 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(n)
     # columns: the coefficients of a's basis, then those of b's basis
-    ker = kernel(IntMat.from_rows([[r[i] for r in a.ints] + [-r[i] for r in b.ints]
-                                   for i in range(n)], a.dim + b.dim))
+    ker = kernel([[r[i] for r in a.ints] + [-r[i] for r in b.ints] for i in range(n)],
+                 a.dim + b.dim)
     return span([[sum(c * row[j] for c, row in zip(coeffs, a.ints)) for j in range(n)]
                  for coeffs in ker.ints], n)
 
 
-def kernel(m: Mat | IntMat) -> Subspace:
-    """Solution space of m @ x = 0, as a subspace of Q^cols: one integer
+def kernel(rows: Iterable[Sequence], cols: int) -> Subspace:
+    """Solution space of rows @ x = 0, as a subspace of Q^cols: one integer
     solution per free column j, with x_j the lcm of the pivot entries."""
-    s = span([m.row(i) for i in range(m.rows)], m.cols)
+    s = span(rows, cols)
     pivset = set(s.pivots)
     vecs = []
-    for j in range(m.cols):
+    for j in range(cols):
         if j in pivset:
             continue
-        v = [0] * m.cols
+        v = [0] * cols
         v[j] = math.lcm(*(r[p] for r, p in zip(s.ints, s.pivots)))
         for r, p in zip(s.ints, s.pivots):
             v[p] = -r[j] * (v[j] // r[p])
         vecs.append(v)
-    return span(vecs, m.cols)
+    return span(vecs, cols)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from liework.chevalley import (
     root_sort_key,
     roots_from_cartan,
 )
-from liework.exactlin import IntMat, Mat, rref
+from liework.exactlin import IntMat, rref
 
 ZERO = Fraction(0)
 
@@ -133,13 +133,13 @@ class Realization:
     basis: tuple[Sparse, ...]
     size: int
     # entry positions where the basis matrices are independent, and the
-    # inverse of the basis restricted to them
+    # inverse of the basis restricted to them, as rows
     positions: tuple[tuple[int, int], ...]
-    inverse: Mat
+    inverse: tuple[tuple[Fraction, ...], ...]
 
     def coords(self, x: Sparse) -> tuple[Fraction, ...]:
         """Coordinates of x in the basis; asserts that x lies in the algebra."""
-        c = tuple(sum((x[p] * self.inverse[k, i]
+        c = tuple(sum((x[p] * self.inverse[k][i]
                        for k, p in enumerate(self.positions) if p in x), ZERO)
                   for i in range(len(self.basis)))
         assert self.matrix(c) == x, "matrix outside the realized algebra"
@@ -189,14 +189,13 @@ def realization(label: str) -> Realization:
     basis = [e_mat[r.coords] for r in pos] + hs + [f_mat[r.coords] for r in pos]
     dim = len(basis)
     cells = [(i, j) for i in range(m) for j in range(m)]
-    _, pivots = rref(Mat.from_rows([[b.get(ij, 0) for ij in cells] for b in basis]))
+    _, pivots = rref([[b.get(ij, 0) for ij in cells] for b in basis], len(cells))
     positions = tuple(cells[p] for p in pivots)
     assert len(positions) == dim, f"{label}: basis matrices are dependent"
     # invert the basis restricted to those positions: rref of [square | 1]
-    reduced, _ = rref(Mat.from_rows([[b.get(p, 0) for p in positions]
-                                     + [int(i == j) for j in range(dim)]
-                                     for i, b in enumerate(basis)]))
-    inverse = Mat.from_rows([reduced.row(i)[dim:] for i in range(dim)], dim)
+    reduced, _ = rref([[b.get(p, 0) for p in positions] + [int(i == j) for j in range(dim)]
+                       for i, b in enumerate(basis)], 2 * dim)
+    inverse = tuple(row[dim:] for row in reduced)
     return Realization(tuple(basis), m, positions, inverse)
 
 

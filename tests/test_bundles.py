@@ -65,7 +65,6 @@ from liework.bundles import (
 from liework.exactlin import (
     DimensionMismatch,
     _clear_denominators,
-    Mat,
     Subspace,
     class_of,
     kernel,
@@ -249,6 +248,23 @@ def test_canonical_id_stabilizing_words_are_identity():
         for _ in range(4):
             w = stabilizer_word(pd, rng, length=3)
             assert canonical_id(pd, w, units) == units
+
+
+def test_canonical_id_rejects_section_leaving_target(monkeypatch):
+    pd = standard_parabolic("A2", frozenset({1}))
+    alg = pd.alg
+    w = random_word(alg, random.Random("canid:leave"), length=3)
+    levels = _unit_levels(pd)
+    canonical_id(pd, w, levels)  # the true transport stays inside
+    target = intrinsic_quotients(alg, act_subspace(alg, w, pd.p)).p_derived_perp
+    off = next(v for v in map(alg.one_hot, range(alg.dim)) if not target.contains(v))
+
+    def pushed_out(alg, w, v):
+        return tuple(a + b for a, b in zip(act_vector(alg, w, v), off))
+
+    monkeypatch.setattr("liework.bundles.act_vector", pushed_out)
+    with pytest.raises(WitnessTransportError, match="left the target"):
+        canonical_id(pd, w, levels)
 
 
 def test_canonical_id_transports_p_once_per_word(monkeypatch):
@@ -591,14 +607,14 @@ def test_bracket_space_with_itself_matches_full_loop(label):
     assert alg.bracket_space(pd.p, pd.p) == pd.p_derived
 
 
-def _solve(a, b):
-    # one solution of a @ x = b, free variables zero, read off the RREF of [a | b]
-    r, pivots = rref(Mat.from_rows([a.row(i) + (b[i],) for i in range(a.rows)],
-                                   a.cols + 1))
-    assert a.cols not in pivots, "inconsistent system"
-    x = [F(0)] * a.cols
+def _solve(a, cols, b):
+    # one solution of a @ x = b for the rows a, free variables zero, read off
+    # the RREF of [a | b]
+    r, pivots = rref([list(row) + [b[i]] for i, row in enumerate(a)], cols + 1)
+    assert cols not in pivots, "inconsistent system"
+    x = [F(0)] * cols
     for k, p in enumerate(pivots):
-        x[p] = r[k, a.cols]
+        x[p] = r[k][cols]
     return tuple(x)
 
 
@@ -607,9 +623,8 @@ def _class_by_solve(q, v):
     cols = q.section + q.divisor.rows
     if not cols:
         return ()
-    system = Mat.from_rows([[row[i] for row in cols]
-                            for i in range(q.total.ambient_dim)], len(cols))
-    return _solve(system, v)[:q.dim]
+    system = [[row[i] for row in cols] for i in range(q.total.ambient_dim)]
+    return _solve(system, len(cols), v)[:q.dim]
 
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)
@@ -635,8 +650,8 @@ def test_class_of_projector_matches_solve(label):
 def _perp_by_fraction_gram(alg, s):
     # the route killing_perp replaces: Fraction rows times the gram
     g = alg.killing_gram
-    return kernel(Mat.from_rows([[sum((r[k] * g[k, j] for k in range(alg.dim)), F(0))
-                                  for j in range(alg.dim)] for r in s.rows], alg.dim))
+    return kernel([[sum((r[k] * g[k, j] for k in range(alg.dim)), F(0))
+                    for j in range(alg.dim)] for r in s.rows], alg.dim)
 
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)

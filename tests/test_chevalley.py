@@ -26,7 +26,7 @@ from liework.chevalley import (
     roots_from_cartan,
     symmetrizer,
 )
-from liework.exactlin import IntMat, Mat, Subspace
+from liework.exactlin import IntMat, Subspace
 
 F = Fraction
 
@@ -116,6 +116,14 @@ def test_symmetrizer_g2():
 def test_affine_matrix_rejected():
     with pytest.raises(NotFiniteType):
         roots_from_cartan(CartanDatum("X2", IntMat.from_rows([[2, -2], [-2, 2]])))
+
+
+@pytest.mark.parametrize("rows", [[[2, -2], [-2, 2]], [[2, 1], [1, 2]],
+                                  [[3, -1], [-1, 2]], [[2, -1], [0, 2]]])
+def test_cartan_datum_rejects_non_finite_matrix(rows):
+    # the datum validates itself, before any root closure runs
+    with pytest.raises(NotFiniteType):
+        CartanDatum("X2", IntMat.from_rows(rows))
 
 
 def test_unsupported_label_rejected():
@@ -249,10 +257,9 @@ def test_all_supported_types_build():
 
 
 def _ad(alg, x):
-    """Matrix of ad x: column j is [x, basis_j]."""
+    """Rows of the matrix of ad x: column j is [x, basis_j]."""
     cols = [alg.bracket(x, alg.one_hot(j)) for j in range(alg.dim)]
-    return Mat.from_rows([[cols[j][i] for j in range(alg.dim)]
-                          for i in range(alg.dim)], alg.dim)
+    return [[cols[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
 
 
 def test_killing_matches_ad_traces():
@@ -263,7 +270,7 @@ def test_killing_matches_ad_traces():
         x = tuple(F(rng.randint(-3, 3)) for _ in range(alg.dim))
         y = tuple(F(rng.randint(-3, 3)) for _ in range(alg.dim))
         ax, ay = _ad(alg, x), _ad(alg, y)
-        trace = sum(ax[i, j] * ay[j, i] for i in range(alg.dim) for j in range(alg.dim))
+        trace = sum(ax[i][j] * ay[j][i] for i in range(alg.dim) for j in range(alg.dim))
         assert alg.killing(x, y) == trace
 
 
