@@ -30,15 +30,15 @@ print("induced rank:", tc.induced_rank, "of", pd.torus_rank,
 # Lattice certificate: the characters through which the torus scales the
 # support of x span the full restricted weight lattice exactly when every
 # Smith invariant is 1.  That rules out finite stabilizers too.
-print("character rows:", tc.character_set.characters.rows)
+print("character rows:", tc.characters.rows)
 print("smith invariants:", list(tc.smith_invariants),
       "->", "generating" if tc.lattice_generating else "NOT generating")
 
 # The characters themselves: coordinates of u-roots in the simple-root
 # basis with the gamma positions deleted.
 chars = torus_character_set(pd, cert.element)
-for row in range(chars.characters.rows):
-    print("  character", chars.characters.row(row))
+for row in range(chars.rows):
+    print("  character", chars.row(row))
 
 # Both certificates hold across every gamma of every supported type; the
 # verification suites sweep that matrix.

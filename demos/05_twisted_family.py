@@ -28,7 +28,7 @@ x0 = twist_section(pd, psi)
 print("section of psi=3:", alg.vector_name(x0))
 
 base = make_uc_point(pd, IDENTITY_WORD, x0)
-print("pi of base point:", pi_c(pd, base).psi)
+print("pi of base point:", pi_c(pd, base))
 
 # Transport by a random word: the subspace moves, the covector moves, and
 # the membership invariant is re-verified at the destination.
@@ -37,7 +37,7 @@ w = random_word(alg, rng, length=4)
 moved = act_uc_point(pd, w, base)
 print("moved parabolic equals p:", moved.p == pd.p)
 print("mu is equivariant:", mu_c(moved) == act_vector(alg, w, x0))
-print("pi is invariant:", pi_c(pd, moved).psi == pi_c(pd, base).psi)
+print("pi is invariant:", pi_c(pd, moved) == pi_c(pd, base))
 
 # Words built from parabolic generators stabilize p; the twist space
 # rebuilt from scratch at the (unchanged) subspace gives the identity on

@@ -24,8 +24,9 @@ projection transports back through the inverse word.  Membership at a
 transported p is checked from p's integer rows alone: x kills [p, p] iff
 kappa([x, a], b) = 0 for all rows a, b, by the audited invariance.
 Twist spaces at different parabolics are recomputed from scratch at the
-target subspace, so "the identity on stabilizing words" is a verified
-fact rather than a definition.
+target subspace by killing_quotients, the derivation build_parabolic
+uses, so "the identity on stabilizing words" is a verified fact rather
+than a definition.  A twist level is a Vec of section coordinates.
 """
 from __future__ import annotations
 
@@ -48,13 +49,13 @@ from .exactlin import (
     _combination,
     class_of,
     kernel,
-    quotient,
     span,
 )
 from .parabolic import (
     ParabolicDatum,
     RichardsonCertificate,
     hypothesis_h1,
+    killing_quotients,
 )
 
 
@@ -285,25 +286,20 @@ def stabilizer_word(pd: ParabolicDatum, rng: random.Random,
 # twist levels and the incidence family
 
 
-@dataclass(frozen=True)
-class TwistLevel:
-    psi: Vec
-
-
-def twist_level(pd: ParabolicDatum, coords: Sequence) -> TwistLevel:
+def twist_level(pd: ParabolicDatum, coords: Sequence) -> Vec:
     psi = tuple(Fraction(c) for c in coords)
     if len(psi) != pd.torus_rank:
         raise ValueError("twist level has wrong length")
-    return TwistLevel(psi)
+    return psi
 
 
-def zero_twist(pd: ParabolicDatum) -> TwistLevel:
-    return TwistLevel((ZERO,) * pd.torus_rank)
+def zero_twist(pd: ParabolicDatum) -> Vec:
+    return (ZERO,) * pd.torus_rank
 
 
-def twist_section(pd: ParabolicDatum, psi: TwistLevel) -> Vec:
+def twist_section(pd: ParabolicDatum, psi: Vec) -> Vec:
     """The canonical section representative of psi inside [p,p]-perp."""
-    return _combination(psi.psi, pd.twist_space.section, pd.alg.dim)
+    return _combination(psi, pd.twist_space.section, pd.alg.dim)
 
 
 @dataclass(frozen=True)
@@ -315,7 +311,11 @@ class UCPoint:
 
 def _verify_uc_invariant(pd: ParabolicDatum, p: Subspace, x: Vec) -> None:
     # x must kill [p, p]: the dossier's [p,p]-perp at the standard p, else
-    # the algebra answers from p's rows by invariance, building no quotients
+    # the algebra answers from p's rows by invariance, building no quotients.
+    # The input picks the fork: a matrix17 pass sends 215 of 309 calls (d4:
+    # 141 of 249) to the standard p, where contains takes ~18 us to
+    # kills_derived's ~81 (d4: ~30 to ~345; Python 3.11, 2-vCPU VM), so one
+    # route would add ~3% to a matrix17 verify pass and ~6% to a d4 one.
     if not (pd.p_derived_perp.contains(x) if p == pd.p
             else pd.alg.kills_derived(p, x)):
         raise PointInvariantError(
@@ -327,11 +327,7 @@ def make_uc_point(pd: ParabolicDatum, w: GroupWord, x0: Vec) -> UCPoint:
     re-verified intrinsically at the transported subspace."""
     if not pd.p_derived_perp.contains(x0):
         raise PointInvariantError("x0 must lie in [p,p]-perp of the standard p")
-    alg = pd.alg
-    p = act_subspace(alg, w, pd.p)
-    x = act_vector(alg, w, x0)
-    _verify_uc_invariant(pd, p, x)
-    return UCPoint(p=p, x=x, witness=w)
+    return act_uc_point(pd, w, UCPoint(p=pd.p, x=x0, witness=IDENTITY_WORD))
 
 
 def act_uc_point(pd: ParabolicDatum, w: GroupWord, pt: UCPoint) -> UCPoint:
@@ -346,7 +342,7 @@ def mu_c(pt: UCPoint) -> Vec:
     return pt.x
 
 
-def pi_c(pd: ParabolicDatum, pt: UCPoint) -> TwistLevel:
+def pi_c(pd: ParabolicDatum, pt: UCPoint) -> Vec:
     """Twist level of a point: transport x back to the standard parabolic
     through the witness inverse and take minus its class."""
     back = act_vector(pd.alg, pt.witness.inverse(), pt.x)
@@ -355,33 +351,22 @@ def pi_c(pd: ParabolicDatum, pt: UCPoint) -> TwistLevel:
     except VectorOutsideTotal as exc:
         raise WitnessTransportError(
             "witness inverse did not return x to the standard [p,p]-perp") from exc
-    return TwistLevel(tuple(-c for c in cls))
-
-
-@dataclass(frozen=True)
-class IntrinsicQuotients:
-    """Twist and torus quotients recomputed from a subspace alone."""
-
-    p_derived_perp: Subspace
-    twist: QuotientSpace
-    a_p: QuotientSpace
+    return tuple(-c for c in cls)
 
 
 @functools.lru_cache(maxsize=None)
-def intrinsic_quotients(alg: ChevalleyAlgebra, p: Subspace) -> IntrinsicQuotients:
-    """Everything pi/canonical-id needs, derived from the subspace p with no
-    reference to how p was produced."""
-    pder = alg.bracket_space(p, p)
-    pdp = alg.killing_perp(pder)
-    nil = alg.killing_perp(p)
-    if not p.contains_space(nil):
+def intrinsic_quotients(alg: ChevalleyAlgebra,
+                        p: Subspace) -> tuple[QuotientSpace, QuotientSpace]:
+    """The (twist, a_p) pair of killing_quotients at a transported p, cached
+    per subspace; raises if p-perp is not inside p."""
+    twist, a_p = killing_quotients(alg, p)
+    if not p.contains_space(twist.divisor):
         raise PointInvariantError("p-perp escaped p; p is not parabolic-like")
-    return IntrinsicQuotients(p_derived_perp=pdp, twist=quotient(pdp, nil),
-                              a_p=quotient(p, pder))
+    return twist, a_p
 
 
-def canonical_id(pd: ParabolicDatum, w: GroupWord, psis: Sequence[TwistLevel],
-                 p: Subspace | None = None) -> list[TwistLevel]:
+def canonical_id(pd: ParabolicDatum, w: GroupWord, psis: Sequence[Vec],
+                 p: Subspace | None = None) -> list[Vec]:
     """Transport each twist level to the parabolic act(w, pd.p) and read its
     coordinates in the twist space rebuilt from scratch there.
 
@@ -394,12 +379,12 @@ def canonical_id(pd: ParabolicDatum, w: GroupWord, psis: Sequence[TwistLevel],
     if not psis:
         return []
     alg = pd.alg
-    intr = intrinsic_quotients(alg, act_subspace(alg, w, pd.p) if p is None else p)
+    twist, _ = intrinsic_quotients(alg, act_subspace(alg, w, pd.p) if p is None else p)
     out = []
     for psi in psis:
         y2 = act_vector(alg, w, twist_section(pd, psi))
         try:  # the twist space's total is the target [p,p]-perp
-            out.append(TwistLevel(class_of(intr.twist, y2)))
+            out.append(class_of(twist, y2))
         except VectorOutsideTotal as exc:
             raise WitnessTransportError(
                 "transported section left the target [p,p]-perp") from exc
@@ -407,7 +392,7 @@ def canonical_id(pd: ParabolicDatum, w: GroupWord, psis: Sequence[TwistLevel],
 
 
 def invariance_pairing_square(pd: ParabolicDatum, w: GroupWord,
-                              psis: Sequence[TwistLevel]) -> list[tuple[Vec, Vec]]:
+                              psis: Sequence[Vec]) -> list[tuple[Vec, Vec]]:
     """Two routes around the transport square for each level, as Killing
     pairings against the torus sections rebuilt at the transported
     parabolic.
@@ -419,8 +404,8 @@ def invariance_pairing_square(pd: ParabolicDatum, w: GroupWord,
     suite asserts that each pair is equal.
     """
     alg = pd.alg
-    intr = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))
-    sections = [_clear_denominators(z) for z in intr.a_p.section]
+    _, a_p = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))
+    sections = [_clear_denominators(z) for z in a_p.section]
     pulled = _act_ints(alg, w.inverse(), sections)
     ys = [_clear_denominators(twist_section(pd, psi)) for psi in psis]
     out = []
@@ -440,7 +425,7 @@ def _class_map_kernel(pd: ParabolicDatum) -> Subspace:
                 pd.alg.dim)
 
 
-def fiber_dimension(pd: ParabolicDatum, psi: TwistLevel) -> int:
+def fiber_dimension(pd: ParabolicDatum, psi: Vec) -> int:
     """Dimension of the twist-projection fiber over psi.
 
     Over the standard parabolic the fiber is the solution set of
@@ -448,10 +433,10 @@ def fiber_dimension(pd: ParabolicDatum, psi: TwistLevel) -> int:
     the class map, which is checked to be the nilradical.  The whole fiber
     adds dim C base directions.
     """
-    if len(psi.psi) != pd.torus_rank:
+    if len(psi) != pd.torus_rank:
         raise ValueError("twist level has wrong length")
-    target = tuple(-c for c in psi.psi)
-    particular = twist_section(pd, TwistLevel(target))
+    target = tuple(-c for c in psi)
+    particular = twist_section(pd, target)
     if class_of(pd.twist_space, particular) != target:
         raise RuntimeError("section failed to solve the class equation")
     solutions = _class_map_kernel(pd)
@@ -577,5 +562,5 @@ def quotient_to_uc(pd: ParabolicDatum, pt: TStarBCPoint) -> UCPoint:
     return UCPoint(p=pt.base.p, x=pt.y, witness=pt.base.witness)
 
 
-def nu_t(pd: ParabolicDatum, pt: TStarBCPoint) -> TwistLevel:
+def nu_t(pd: ParabolicDatum, pt: TStarBCPoint) -> Vec:
     return pi_c(pd, quotient_to_uc(pd, pt))

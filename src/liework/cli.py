@@ -29,7 +29,7 @@ from .suites import (
     CaseSpec,
     SuiteResult,
     default_case_matrix,
-    run_suite,
+    run_suites,
 )
 
 TOOL_VERSION = __version__
@@ -128,9 +128,7 @@ def _cmd_verify(args, out) -> int:
         cases = default_case_matrix(include_d4=args.include_d4, seed=seed,
                                     max_word_len=mwl)
     names = args.suite or list(SUITE_NAMES)
-    results: list[SuiteResult] = []
-    for name in names:
-        results.extend(run_suite(name, cases))
+    results = run_suites(names, cases)
 
     width = max(len(n) for n in names)
     for name in names:

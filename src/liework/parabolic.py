@@ -6,7 +6,8 @@ spaces, and the negative root spaces of roots supported inside gamma.
 Alongside p this module computes the Levi factor, the nilradical u, the
 derived subalgebras, Killing perps, and three quotients: the torus
 quotient p/[p,p], the abelianized nilradical u/[u,u], and the twist
-space [p,p]-perp / u.
+space [p,p]-perp / p-perp.  killing_quotients reads the last two off the
+subspace p alone, for the standard p here and for every transported p.
 
 Every structural identity is checked at construction time and failures
 raise ParabolicAuditError naming the identity, so downstream code can
@@ -36,7 +37,6 @@ from .exactlin import (
     Vec,
     ZERO,
     class_of,
-    intersect,
     quotient,
     smith_normal_form,
     span,
@@ -80,27 +80,13 @@ class ParabolicDatum:
     audit: tuple[CheckRecord, ...] = field(repr=False)
 
     def label(self) -> str:
-        idx = ",".join(str(i) for i in sorted(self.gamma)) or "-"
-        return f"{self.alg.cartan.type_label}:{idx}"
-
-
-@dataclass(frozen=True)
-class TorusCharacterSet:
-    """Distinct torus weights of a vector's components, mod the gamma roots.
-
-    Rows are root coordinates with the gamma positions deleted (the gamma
-    simple roots are unit vectors, so deletion realizes the quotient
-    lattice).  Row count equals the number of distinct restricted weights.
-    """
-
-    characters: IntMat
+        return format_case(self.alg.cartan.type_label, self.gamma)
 
 
 @dataclass(frozen=True)
 class RichardsonCertificate:
     element: Vec
     tangent: Subspace
-    is_open: bool
 
 
 @dataclass(frozen=True)
@@ -108,7 +94,7 @@ class TorsorCertificate:
     infinitesimal_free: bool
     lattice_generating: bool
     induced_rank: int
-    character_set: TorusCharacterSet
+    characters: IntMat  # torus_character_set of the element
     smith_invariants: tuple[int, ...]
 
 
@@ -128,8 +114,22 @@ def parse_case(text: str) -> tuple[str, frozenset[int]]:
     return label, idx
 
 
+def format_case(type_label: str, gamma: Iterable[int]) -> str:
+    """The case string parse_case reads: "A3:1,3", or "B2:-" for empty gamma."""
+    return f"{type_label}:" + (",".join(str(i) for i in sorted(gamma)) or "-")
+
+
 def _supported_on(coords: Sequence[int], gamma: frozenset[int]) -> bool:
     return all(c == 0 or (i + 1) in gamma for i, c in enumerate(coords))
+
+
+def killing_quotients(alg: ChevalleyAlgebra,
+                      p: Subspace) -> tuple[QuotientSpace, QuotientSpace]:
+    """The twist space [p,p]-perp / p-perp and the torus quotient p/[p,p],
+    read off the subspace p alone, with no reference to how p was made."""
+    p_derived = alg.bracket_space(p, p)
+    return (quotient(alg.killing_perp(p_derived), alg.killing_perp(p)),
+            quotient(p, p_derived))
 
 
 def build_parabolic(alg: ChevalleyAlgebra, gamma: Iterable[int]) -> ParabolicDatum:
@@ -157,30 +157,23 @@ def build_parabolic(alg: ChevalleyAlgebra, gamma: Iterable[int]) -> ParabolicDat
     levi = coord_span(levi_idx)
     u = coord_span(u_idx)
 
-    if levi.dim + u.dim != p.dim:
-        raise ParabolicAuditError("p = levi (+) u failed: dimensions do not add")
-    if intersect(levi, u).dim != 0:
-        raise ParabolicAuditError("p = levi (+) u failed: nonzero intersection")
-
     levi_derived = alg.bracket_space(levi, levi)
     u_derived = alg.bracket_space(u, u)
-    p_derived = alg.bracket_space(p, p)
-    p_perp = alg.killing_perp(p)
-    p_derived_perp = alg.killing_perp(p_derived)
+    twist_space, a_p = killing_quotients(alg, p)
+    p_derived, p_perp = a_p.divisor, twist_space.divisor
+    p_derived_perp = twist_space.total
     perp_ok = p_perp == u
     derived_ok = p_derived == subspace_sum(levi_derived, u)
     inside_ok = p.contains_space(p_derived_perp)
     where = f"{alg.cartan.type_label} gamma {sorted(gset)}"
-    # the quotients below need these subspace identities
+    # the twist space's divisor is p-perp; these identities make it u
     audit = raise_on_failure((
         check_record("nilradical-is-p-perp", True, perp_ok, perp_ok),
         check_record("derived-p-decomposition", True, derived_ok, derived_ok),
         check_record("derived-perp-inside-p", True, inside_ok, inside_ok),
     ), ParabolicAuditError, where)
 
-    a_p = quotient(p, p_derived)
     a_u = quotient(u, u_derived)
-    twist_space = quotient(p_derived_perp, u)
 
     torus_rank = alg.rank - len(gset)
     rank_ok = a_p.dim == torus_rank == twist_space.dim
@@ -278,15 +271,20 @@ def find_richardson(pd: ParabolicDatum, seed: int = 0,
         x = richardson_candidate(pd, coeffs)
         tangent = pd.alg.bracket_space(pd.p, span([x], pd.alg.dim))
         if tangent == want:
-            return RichardsonCertificate(element=x, tangent=tangent, is_open=True)
+            return RichardsonCertificate(element=x, tangent=tangent)
         best = max(best, tangent.dim)
     raise RichardsonSearchError(
         f"no open orbit found for {pd.label()} after {max_retries} retries",
         best_tangent_dim=best)
 
 
-def torus_character_set(pd: ParabolicDatum, x: Vec) -> TorusCharacterSet:
-    """Distinct restricted weights of x's nonzero components."""
+def torus_character_set(pd: ParabolicDatum, x: Vec) -> IntMat:
+    """Distinct torus weights of x's nonzero components, mod the gamma roots.
+
+    Rows are root coordinates with the gamma positions deleted (the gamma
+    simple roots are unit vectors, so deletion realizes the quotient
+    lattice), one per distinct restricted weight, sorted.
+    """
     keep = [i for i in range(pd.alg.rank) if (i + 1) not in pd.gamma]
     seen = set()
     for i, c in enumerate(x):
@@ -297,7 +295,7 @@ def torus_character_set(pd: ParabolicDatum, x: Vec) -> TorusCharacterSet:
             raise ValueError("vector has a component outside the root spaces")
         seen.add(tuple(w[k] for k in keep))
     rows = sorted(seen)
-    return TorusCharacterSet(IntMat.from_rows(rows, len(keep)))
+    return IntMat.from_rows(rows, len(keep))
 
 
 def torsor_certificate(pd: ParabolicDatum,
@@ -310,22 +308,22 @@ def torsor_certificate(pd: ParabolicDatum,
     with rank equal to the torus rank, ruling out finite stabilizers that
     the linear check cannot see.
     """
-    if not cert.is_open:
+    if cert.tangent != pd.u:
         raise ValueError("torsor certificate requires an open-orbit element")
     x = cert.element
     rows = [class_of(pd.a_u, pd.alg.bracket(z, x)) for z in pd.a_p.section]
     induced_rank = span(rows, pd.a_u.dim).dim if rows else 0
     infinitesimal_free = induced_rank == pd.torus_rank
 
-    charset = torus_character_set(pd, x)
-    invariants = smith_normal_form(charset.characters)
+    characters = torus_character_set(pd, x)
+    invariants = smith_normal_form(characters)
     lattice_generating = (len(invariants) == pd.torus_rank
                           and all(v == 1 for v in invariants))
     return TorsorCertificate(
         infinitesimal_free=infinitesimal_free,
         lattice_generating=lattice_generating,
         induced_rank=induced_rank,
-        character_set=charset,
+        characters=characters,
         smith_invariants=invariants)
 
 

@@ -7,6 +7,7 @@ the deterministic quotient section (h spans it), so the class is 1/2 and
 the projection negates it.
 """
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -26,7 +27,6 @@ from liework.bundles import (
     IDENTITY_WORD,
     PointInvariantError,
     TorusLetter,
-    TwistLevel,
     UCPoint,
     UnipotentLetter,
     WitnessTransportError,
@@ -72,7 +72,7 @@ from liework.exactlin import (
     rref,
     span,
 )
-from liework.parabolic import find_richardson, standard_parabolic
+from liework.parabolic import find_richardson, format_case, standard_parabolic
 
 F = Fraction
 
@@ -190,9 +190,9 @@ def test_pi_c_values_sl2():
     alg = pd.alg
     h_half = tuple(c / 2 for c in alg.one_hot(1))
     pt = make_uc_point(pd, IDENTITY_WORD, h_half)
-    assert pi_c(pd, pt) == TwistLevel((F(-1, 2),))
+    assert pi_c(pd, pt) == (F(-1, 2),)
     e_pt = make_uc_point(pd, IDENTITY_WORD, alg.one_hot(0))
-    assert pi_c(pd, e_pt) == TwistLevel((F(0),))
+    assert pi_c(pd, e_pt) == (F(0),)
 
 
 def test_pi_c_detects_corrupted_witness():
@@ -256,7 +256,7 @@ def test_canonical_id_rejects_section_leaving_target(monkeypatch):
     w = random_word(alg, random.Random("canid:leave"), length=3)
     levels = _unit_levels(pd)
     canonical_id(pd, w, levels)  # the true transport stays inside
-    target = intrinsic_quotients(alg, act_subspace(alg, w, pd.p)).p_derived_perp
+    target = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))[0].total
     off = next(v for v in map(alg.one_hot, range(alg.dim)) if not target.contains(v))
 
     def pushed_out(alg, w, v):
@@ -551,6 +551,21 @@ def test_fiber_dimension_rejects_corrupted_twist_space():
     assert fiber_dimension(pd, twist_level(pd, [1, -2])) == 6
 
 
+_ALL_CASES = [(label, frozenset(gamma)) for label in SUPPORTED_TYPES
+              for r in range(int(label[1:]) + 1)
+              for gamma in itertools.combinations(range(1, int(label[1:]) + 1), r)]
+
+
+@pytest.mark.parametrize("label,gamma", _ALL_CASES,
+                         ids=[format_case(*c) for c in _ALL_CASES])
+def test_intrinsic_quotients_match_dossier(label, gamma):
+    # the transported-p route, run at the standard p, rebuilds the dossier's
+    # quotients, and the twist divisor it reads off p is the nilradical
+    pd = standard_parabolic(label, gamma)
+    assert intrinsic_quotients(pd.alg, pd.p) == (pd.twist_space, pd.a_p)
+    assert pd.twist_space.divisor == pd.u
+
+
 def test_uc_invariant_at_standard_p_reads_dossier():
     pd = standard_parabolic("B2", frozenset({1}))
     x0 = pd.p_derived_perp.rows[0]
@@ -635,8 +650,8 @@ def test_class_of_projector_matches_solve(label):
         gamma = frozenset(i for i in range(1, alg.rank + 1) if rng.random() < 0.5)
         pd = standard_parabolic(label, gamma)
         w = random_word(alg, rng, length=rng.randint(1, 4))
-        intr = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))
-        for q in (intr.twist, intr.a_p):
+        twist, a_p = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))
+        for q in (twist, a_p):
             rows = q.total.rows
             vecs = list(rows)
             for _ in range(3):
@@ -754,7 +769,7 @@ def test_invariance_membership_matches_quotient_perp(label):
         for _ in range(3):
             w = random_word(alg, rng, length=3)
             p = act_subspace(alg, w, pd.p)
-            pdp = intrinsic_quotients(alg, p).p_derived_perp
+            pdp = intrinsic_quotients(alg, p)[0].total
             coeffs = [F(rng.randint(-3, 3), rng.randint(1, 2))
                       for _ in pd.p_derived_perp.rows]
             x = act_vector(alg, w, tuple(
