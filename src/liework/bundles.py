@@ -5,12 +5,12 @@ exp(t ad_e) for a root vector e and torus letters acting on each root
 space by a rational monomial in the parameters.  A unipotent letter is
 v + sum_k t^k D_k v over the divided powers D_k = ad(e)^k / k!, which
 are integer matrices that vanish beyond k = 3 (Chevalley; Kostant's
-Z-form).  They are built once per algebra and root from the structure
-constants, with their integrality and nilpotency audited, so a letter
-makes no bracket call.  A torus letter scales each weight space by an
-integer pair, so a word acts on integer vectors over one denominator
-each; Fractions appear only where a value leaves the action (the round
-trip w^-1 (w x) never leaves it), and every value is exact.
+Z-form), built once per algebra and root from the structure constants
+with their integrality and nilpotency audited.  Each letter is compiled
+to integers once per algebra, root or simple root, and parameter, so a
+word acts on integer vectors over one denominator each, and an inverse
+word is applied in place, with no inverse word built.  Fractions appear
+only where a value is compared or reported, and every value is exact.
 
 Four point types are modeled:
   UCPoint    (p, x) with x in the Killing-perp of [p, p]
@@ -40,11 +40,14 @@ from typing import Sequence
 
 from .chevalley import ChevalleyAlgebra, ConstructionAuditError, Root
 from .exactlin import (
+    EchelonBuilder,
     QuotientSpace,
     Subspace,
     Vec,
     VectorOutsideTotal,
     ZERO,
+    _as_vec,
+    _class_of_ints,
     _clear_denominators,
     _combination,
     class_of,
@@ -80,9 +83,6 @@ class UnipotentLetter:
     root: Root
     t: Fraction
 
-    def inverse(self) -> "UnipotentLetter":
-        return UnipotentLetter(self.root, -self.t)
-
 
 @dataclass(frozen=True)
 class TorusLetter:
@@ -92,9 +92,6 @@ class TorusLetter:
         if any(p == 0 for p in self.params):
             raise ValueError("torus parameters must be nonzero")
 
-    def inverse(self) -> "TorusLetter":
-        return TorusLetter(tuple(Fraction(1) / p for p in self.params))
-
 
 Letter = UnipotentLetter | TorusLetter
 
@@ -102,12 +99,6 @@ Letter = UnipotentLetter | TorusLetter
 @dataclass(frozen=True)
 class GroupWord:
     letters: tuple[Letter, ...]
-
-    def inverse(self) -> "GroupWord":
-        return GroupWord(tuple(l.inverse() for l in reversed(self.letters)))
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
 
 IDENTITY_WORD = GroupWord(())
@@ -128,13 +119,10 @@ _DividedPower = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 @functools.lru_cache(maxsize=None)
 def _divided_powers(alg: ChevalleyAlgebra, root: Root) -> tuple[_DividedPower, ...]:
-    """D_1, D_2, ... for the root vector of root, up to the last nonzero one.
-
-    Built once per (algebra, root) from the structure constants.  Chevalley's
-    theorem says ad(e) is nilpotent and every D_k is an integer matrix; both
-    are audited, and a violation raises ConstructionAuditError naming the
-    root and k.
-    """
+    """D_1, D_2, ... for the root vector of root, up to the last nonzero one,
+    from the structure constants.  Chevalley's theorem says ad(e) is
+    nilpotent and every D_k is an integer matrix; both are audited, and a
+    violation raises ConstructionAuditError naming the root and k."""
     i = alg.index_of_root_vector(root)
     ad = alg.table[i]
     where = f"{alg.cartan.type_label}: ad({alg.basis_label(i)})"
@@ -162,55 +150,72 @@ def _divided_powers(alg: ChevalleyAlgebra, root: Root) -> tuple[_DividedPower, .
     return tuple(powers)
 
 
-def _act_ints(alg: ChevalleyAlgebra, w: GroupWord,
-              vecs: Sequence[tuple[Sequence[int], int]]) -> list[tuple[list[int], int]]:
-    """The word applied to each nums / den, last letter first, as (nums', den')
-    in lowest terms, den' > 0.
+@functools.lru_cache(maxsize=None)
+def _unipotent_letter(alg: ChevalleyAlgebra, root: Root, a: int,
+                      b: int) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """exp(t ad e) for t = a / b, b > 0, compiled from the divided powers as
+    (b^K, one (j, (r0, c0, r1, c1, ...)) per nonzero column j): the entries
+    of sum_k a^k b^(K-k) D_k e_j, K the number of nonzero D_k."""
+    powers = _divided_powers(alg, root)
+    top = len(powers)
+    cols: dict[int, list[int]] = {}
+    for k, dk in enumerate(powers, 1):
+        tk = a ** k * b ** (top - k)
+        for j, col in dk:
+            cols.setdefault(j, []).extend(x for r, n in col for x in (r, n * tk))
+    return b ** top, tuple((j, tuple(flat)) for j, flat in cols.items())
 
-    A unipotent letter is v + sum_k t^k D_k v over den(t)^K, K the number
-    of nonzero D_k.  A torus letter multiplies every component, Cartan ones
-    included, by L // den_mu * num_mu over L = lcm(den_mu), num_mu / den_mu
-    the monomial of its weight mu.  Each letter's powers of t or weight
-    multipliers are built once for all the vectors, and each vector ends
-    every letter divided by its gcd.
-    """
+
+@functools.lru_cache(maxsize=None)
+def _torus_factor(alg: ChevalleyAlgebra, i: int, a: int,
+                  b: int) -> tuple[int, tuple[int, ...]]:
+    """(scale > 0, mults) with mults[v] = scale * q^e for q = a / b, b > 0, and e
+    the i-th simple-root coordinate of basis vector v's weight (0 on h)."""
+    es = [wt[i] if wt else 0 for wt in alg.basis_weights]
+    lo, hi = min(es), max(es)  # lo <= 0 <= hi
+    sign = -1 if a < 0 and lo % 2 else 1  # makes a^-lo b^hi positive
+    return (sign * a ** -lo * b ** hi,
+            tuple(sign * a ** (e - lo) * b ** (hi - e) for e in es))
+
+
+def _act_ints(alg: ChevalleyAlgebra, w: GroupWord,
+              vecs: Sequence[tuple[Sequence[int], int]], *,
+              inverse: bool = False) -> list[tuple[list[int], int]]:
+    """The word, last letter first, applied to each nums / den, as (nums',
+    den') in lowest terms, den' > 0; with inverse, its inverse in place:
+    first letter first, exp(-t ad e) and each torus parameter a / b read
+    as b / a.  Letters come compiled from _unipotent_letter and from one
+    _torus_factor per simple root; each vector ends every letter divided
+    by its gcd."""
     if any(len(nums) != alg.dim for nums, _ in vecs):
         raise ValueError("vector length does not match algebra dimension")
     vecs = list(vecs)
-    for letter in reversed(w.letters):
+    for letter in w.letters if inverse else reversed(w.letters):
         if isinstance(letter, UnipotentLetter):
-            powers = _divided_powers(alg, letter.root)
-            top = len(powers)
             a, b = letter.t.as_integer_ratio()
-            scale = b ** top
-            terms = [(a ** k * b ** (top - k), cols) for k, cols in enumerate(powers, 1)]
+            scale, cols = _unipotent_letter(alg, letter.root, -a if inverse else a, b)
+            mults = None
         else:
             if len(letter.params) != alg.rank:
                 raise ValueError("torus letter has wrong parameter count")
-            ratios = [q.as_integer_ratio() for q in letter.params]
-            pairs = []
-            for wt in alg.basis_weights:
-                num_w = den_w = 1
-                for (a, b), e in zip(ratios, wt or ()):
-                    if e < 0:  # q ** e = (b / a) ** -e
-                        a, b, e = b, a, -e
-                    num_w *= a ** e
-                    den_w *= b ** e
-                pairs.append((num_w, den_w))
-            scale = math.lcm(*(d for _, d in pairs))
-            mults = [scale // d * n for n, d in pairs]
-            terms = None
+            scale, mults = 1, None
+            for i, q in enumerate(letter.params):
+                a, b = q.as_integer_ratio()
+                if inverse:
+                    a, b = (b, a) if a > 0 else (-b, -a)
+                s, m = _torus_factor(alg, i, a, b)
+                scale *= s
+                mults = m if mults is None else list(map(operator.mul, mults, m))
         for i, (nums, den) in enumerate(vecs):
-            if terms is None:
+            if mults is not None:
                 out = list(map(operator.mul, nums, mults))
             else:
-                out = [x * scale for x in nums]
-                for tk, cols in terms:
-                    for j, col in cols:
-                        if x := nums[j]:
-                            s = tk * x
-                            for r, n in col:
-                                out[r] += n * s
+                out = list(nums) if scale == 1 else [x * scale for x in nums]
+                for j, flat in cols:
+                    if x := nums[j]:
+                        it = iter(flat)
+                        for r, c in zip(it, it):
+                            out[r] += c * x
             den *= scale
             g = math.gcd(den, *out)
             vecs[i] = ([x // g for x in out], den // g) if g > 1 else (out, den)
@@ -221,23 +226,24 @@ def act_vector(alg: ChevalleyAlgebra, w: GroupWord, v: Vec) -> Vec:
     """Adjoint action of the word on a vector of ints or Fractions; letters
     compose like a product, so the last letter acts first.  The word acts
     on one integer vector and denominator; the result is Fractions."""
-    [(nums, den)] = _act_ints(alg, w, [_clear_denominators(v)])
-    return tuple(Fraction(x, den) if x else ZERO for x in nums)
+    return _as_vec(*_act_ints(alg, w, [_clear_denominators(v)])[0])
 
 
 def act_subspace(alg: ChevalleyAlgebra, w: GroupWord, s: Subspace) -> Subspace:
     """The image of s: the span of the images of its integer basis rows."""
-    return span([n for n, _ in _act_ints(alg, w, [(row, 1) for row in s.ints])],
-                s.ambient_dim)
+    eb = EchelonBuilder(s.ambient_dim)
+    for nums, _ in _act_ints(alg, w, [(row, 1) for row in s.ints]):
+        eb.insert_ints(nums)
+    return eb.subspace()
 
 
 def act_roundtrip(alg: ChevalleyAlgebra, w: GroupWord, x: Vec) -> bool:
-    """Whether w^-1 (w x) == x and kappa(w x, w x) == kappa(x, x), both words
-    applied.  The action's pairs are in lowest terms, so the first is pair
+    """Whether w^-1 (w x) == x and kappa(w x, w x) == kappa(x, x), w^-1 applied
+    in place.  The action's pairs are in lowest terms, so the first is pair
     equality and the second K(ys, ys) d0^2 == K(n0, n0) dy^2 in ints."""
     n0, d0 = _clear_denominators(x)
     [(ys, dy)] = _act_ints(alg, w, [(n0, d0)])
-    [(back, den)] = _act_ints(alg, w.inverse(), [(ys, dy)])
+    [(back, den)] = _act_ints(alg, w, [(ys, dy)], inverse=True)
     return (list(back) == list(n0) and den == d0 and
             alg.killing_ints(ys, ys) * d0 * d0 == alg.killing_ints(n0, n0) * dy * dy)
 
@@ -345,9 +351,9 @@ def mu_c(pt: UCPoint) -> Vec:
 def pi_c(pd: ParabolicDatum, pt: UCPoint) -> Vec:
     """Twist level of a point: transport x back to the standard parabolic
     through the witness inverse and take minus its class."""
-    back = act_vector(pd.alg, pt.witness.inverse(), pt.x)
+    [back] = _act_ints(pd.alg, pt.witness, [_clear_denominators(pt.x)], inverse=True)
     try:  # the twist space's total is the standard [p,p]-perp
-        cls = class_of(pd.twist_space, back)
+        cls = _class_of_ints(pd.twist_space, *back)
     except VectorOutsideTotal as exc:
         raise WitnessTransportError(
             "witness inverse did not return x to the standard [p,p]-perp") from exc
@@ -381,10 +387,10 @@ def canonical_id(pd: ParabolicDatum, w: GroupWord, psis: Sequence[Vec],
     alg = pd.alg
     twist, _ = intrinsic_quotients(alg, act_subspace(alg, w, pd.p) if p is None else p)
     out = []
-    for psi in psis:
-        y2 = act_vector(alg, w, twist_section(pd, psi))
+    ys = [_clear_denominators(twist_section(pd, psi)) for psi in psis]
+    for y2 in _act_ints(alg, w, ys):
         try:  # the twist space's total is the target [p,p]-perp
-            out.append(class_of(twist, y2))
+            out.append(_class_of_ints(twist, *y2))
         except VectorOutsideTotal as exc:
             raise WitnessTransportError(
                 "transported section left the target [p,p]-perp") from exc
@@ -406,13 +412,11 @@ def invariance_pairing_square(pd: ParabolicDatum, w: GroupWord,
     alg = pd.alg
     _, a_p = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))
     sections = [_clear_denominators(z) for z in a_p.section]
-    pulled = _act_ints(alg, w.inverse(), sections)
+    pulled = _act_ints(alg, w, sections, inverse=True)
     ys = [_clear_denominators(twist_section(pd, psi)) for psi in psis]
-    out = []
-    for (y, dy), (y2, dy2) in zip(ys, _act_ints(alg, w, ys)):
-        out.append((tuple(Fraction(alg.killing_ints(z, y2), dz * dy2) for z, dz in sections),
-                    tuple(Fraction(alg.killing_ints(z, y), dz * dy) for z, dz in pulled)))
-    return out
+    return [(tuple(Fraction(alg.killing_ints(z, y2), dz * dy2) for z, dz in sections),
+             tuple(Fraction(alg.killing_ints(z, y), dz * dy) for z, dz in pulled))
+            for (y, dy), (y2, dy2) in zip(ys, _act_ints(alg, w, ys))]
 
 
 @functools.lru_cache(maxsize=None)
@@ -535,10 +539,10 @@ def make_bc_point(pd: ParabolicDatum, cert: RichardsonCertificate,
 def bc_torus_action(pd: ParabolicDatum, pt: BCPoint,
                     params: Sequence) -> BCPoint:
     """Action of an adjoint-torus point on a bundle point: the class
-    representative moves by the inverse torus letter."""
-    letter = TorusLetter(tuple(Fraction(c) for c in params)).inverse()
-    moved = act_vector(pd.alg, GroupWord((letter,)), pt.x_rep)
-    return BCPoint(p=pt.p, x_rep=moved, witness=pt.witness)
+    representative moves by the torus letter applied inversely."""
+    w = word_of(TorusLetter(tuple(Fraction(c) for c in params)))
+    [moved] = _act_ints(pd.alg, w, [_clear_denominators(pt.x_rep)], inverse=True)
+    return BCPoint(p=pt.p, x_rep=_as_vec(*moved), witness=pt.witness)
 
 
 @dataclass(frozen=True)

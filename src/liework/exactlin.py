@@ -16,8 +16,8 @@ runs in integers, combining rows by gcd-scaled integer row operations
 ``insert`` clears a vector's denominators once and hands it over.  Spans,
 ``rref``, kernels, intersections and quotient sections all read the rows
 and pivots it leaves, membership reduces against them with the same
-helper, and a quotient's class map is a projector built once, on first
-use.  The Killing form and its perps live with the algebra that owns
+helper, and a quotient's class map is an integer projector built once,
+on first use.  The Killing form and its perps live with the algebra that owns
 them, in ``chevalley``.
 """
 from __future__ import annotations
@@ -71,9 +71,7 @@ class Subspace:
 
     def row(self, k: int) -> Vec:
         """Row k of the reduced row-echelon basis: ints[k] over its pivot."""
-        r = self.ints[k]
-        d = r[self.pivots[k]]
-        return tuple(Fraction(x, d) if x else ZERO for x in r)
+        return _as_vec(self.ints[k], self.ints[k][self.pivots[k]])
 
     @property
     def dim(self) -> int:
@@ -107,6 +105,11 @@ def _clear_denominators(v: Sequence) -> tuple[Sequence[int], int]:
     ratios = [x.as_integer_ratio() for x in v]
     den = math.lcm(*(d for _, d in ratios))
     return [n * (den // d) for n, d in ratios], den
+
+
+def _as_vec(nums: Sequence[int], den: int) -> Vec:
+    """The Fraction vector nums / den."""
+    return tuple(Fraction(x, den) if x else ZERO for x in nums)
 
 
 def _reduce(rows: Sequence[Sequence[int]], pivots: Sequence[int],
@@ -234,19 +237,19 @@ class QuotientSpace:
         return len(self.section)
 
     @functools.cached_property
-    def projector(self) -> tuple[Vec, ...]:
-        """projector[k]: the class of the k-th echelon row of the total.
-
-        At the total's pivot columns the section and divisor rows form an
-        invertible C; row k of C^-1, read off the RREF [I | C^-1] of
-        [C | I], holds total row k's coordinates, the first dim of them
-        on the section."""
+    def projector(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, den), rows[k] / den the class of the k-th echelon row of the
+        total.  At the total's pivot columns the section and divisor rows
+        form an invertible C; row k of C^-1, read off the RREF [I | C^-1] of
+        [C | I] (integer row k over its entry k), holds total row k's
+        coordinates, the first dim of them on the section."""
         n = self.total.dim
-        pivots = self.total.pivots
-        c = [[r[p] for p in pivots] for r in self.section + self.divisor.ints]
+        c = [[r[p] for p in self.total.pivots] for r in self.section + self.divisor.ints]
         inv = span([row + [int(i == k) for k in range(n)] for i, row in enumerate(c)],
-                   2 * n).rows
-        return tuple(r[n:n + self.dim] for r in inv)
+                   2 * n).ints
+        den = math.lcm(*(r[k] for k, r in enumerate(inv)))
+        return tuple(tuple(x * (den // r[k]) for x in r[n:n + self.dim])
+                     for k, r in enumerate(inv)), den
 
 
 def quotient(total: Subspace, divisor: Subspace) -> QuotientSpace:
@@ -266,9 +269,20 @@ def class_of(q: QuotientSpace, vec: Sequence) -> Vec:
     """Coordinates of vec's class in the section basis of the quotient: vec
     is sum_k vec[pivot_k] * (total row k), so its class is the same
     combination of the projector rows."""
-    if not q.total.contains(vec):
+    if len(vec) != q.total.ambient_dim:
+        raise DimensionMismatch("vector length does not match ambient dimension")
+    return _class_of_ints(q, *_clear_denominators(vec))
+
+
+def _class_of_ints(q: QuotientSpace, nums: Sequence[int], den: int) -> Vec:
+    """The integer core of class_of, for nums / den of the right length: one
+    reduction against the total, then integer projector rows combined."""
+    if any(_reduce(q.total.ints, q.total.pivots, nums)):
         raise VectorOutsideTotal("vector lies outside the quotient's total space")
-    return _combination([vec[p] for p in q.total.pivots], q.projector, q.dim)
+    rows, pden = q.projector
+    coeffs = [nums[p] for p in q.total.pivots]
+    acc = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows)]
+    return _as_vec(acc, den * pden)
 
 
 def _combination(coeffs: Sequence, rows: Sequence[Sequence], n: int) -> Vec:

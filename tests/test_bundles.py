@@ -60,6 +60,7 @@ from liework.bundles import (
     _T_CHOICES,
     _act_ints,
     _divided_powers,
+    _unipotent_letter,
     _verify_uc_invariant,
 )
 from liework.exactlin import (
@@ -79,6 +80,18 @@ F = Fraction
 
 def _w_unip(root, t):
     return word_of(UnipotentLetter(root, F(t)))
+
+
+def _inverse_letter(letter):
+    if isinstance(letter, UnipotentLetter):
+        return UnipotentLetter(letter.root, -letter.t)
+    return TorusLetter(tuple(1 / p for p in letter.params))
+
+
+def _inverse(w):
+    # the explicit inverse word, the oracle for the action's in-place inverse:
+    # the letters reversed, each inverted
+    return GroupWord(tuple(_inverse_letter(l) for l in reversed(w.letters)))
 
 
 def test_exp_ad_e_on_f_sl2():
@@ -123,7 +136,7 @@ def test_inverse_roundtrip_random_words():
     for k in range(8):
         w = random_word(alg, rng, length=1 + k % 8)
         v = tuple(F(rng.randint(-5, 5)) for _ in range(alg.dim))
-        assert act_vector(alg, w.inverse(), act_vector(alg, w, v)) == v
+        assert act_vector(alg, _inverse(w), act_vector(alg, w, v)) == v
 
 
 def killing_invariance_audit(alg, w, pairs):
@@ -255,16 +268,20 @@ def test_canonical_id_rejects_section_leaving_target(monkeypatch):
     alg = pd.alg
     w = random_word(alg, random.Random("canid:leave"), length=3)
     levels = _unit_levels(pd)
-    canonical_id(pd, w, levels)  # the true transport stays inside
-    target = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))[0].total
-    off = next(v for v in map(alg.one_hot, range(alg.dim)) if not target.contains(v))
+    p = act_subspace(alg, w, pd.p)
+    canonical_id(pd, w, levels, p)  # the true transport stays inside
+    target = intrinsic_quotients(alg, p)[0].total
+    off = next(i for i in range(alg.dim) if not target.contains(alg.one_hot(i)))
+    real_act = bundles._act_ints
 
-    def pushed_out(alg, w, v):
-        return tuple(a + b for a, b in zip(act_vector(alg, w, v), off))
+    def pushed_out(alg, w, vecs, inverse=False):
+        # each image moved by the basis vector off
+        return [([c + den * (i == off) for i, c in enumerate(nums)], den)
+                for nums, den in real_act(alg, w, vecs, inverse=inverse)]
 
-    monkeypatch.setattr("liework.bundles.act_vector", pushed_out)
+    monkeypatch.setattr(bundles, "_act_ints", pushed_out)
     with pytest.raises(WitnessTransportError, match="left the target"):
-        canonical_id(pd, w, levels)
+        canonical_id(pd, w, levels, p)
 
 
 def test_canonical_id_transports_p_once_per_word(monkeypatch):
@@ -815,9 +832,9 @@ def _roundtrip_by_fractions(alg, w, winv, x):
             and alg.killing(y, y) == alg.killing(x, x))
 
 
-def _tampered_inverses(rng, inv):
+def _tampered_words(rng, w):
     # one letter dropped; one unipotent t negated, when there is one
-    letters = list(inv.letters)
+    letters = list(w.letters)
     k = rng.randrange(len(letters))
     out = [GroupWord(tuple(letters[:k] + letters[k + 1:]))]
     unip = [j for j, l in enumerate(letters) if isinstance(l, UnipotentLetter)]
@@ -839,35 +856,38 @@ def test_act_roundtrip_matches_fraction_route(label, monkeypatch):
     for w in words + [IDENTITY_WORD]:
         for v in (x, ints):
             assert act_roundtrip(alg, w, v)
-            assert _roundtrip_by_fractions(alg, w, w.inverse(), v)
+            assert _roundtrip_by_fractions(alg, w, _inverse(w), v)
 
-    real_inverse = GroupWord.inverse
+    real_act = bundles._act_ints
     tampered = failed = 0
     for w in words:
-        for bad in _tampered_inverses(rng, real_inverse(w)):
+        for bad in _tampered_words(rng, w):
+            def tampered_inverse(alg_, w_, vecs, inverse=False, bad=bad):
+                # the in-place inverse run on the tampered word
+                return real_act(alg_, bad if inverse else w_, vecs, inverse=inverse)
+
             with monkeypatch.context() as m:
-                m.setattr(GroupWord, "inverse", lambda self, bad=bad: bad)
+                m.setattr(bundles, "_act_ints", tampered_inverse)
                 got = act_roundtrip(alg, w, x)
-            assert got == _roundtrip_by_fractions(alg, w, bad, x)
+            assert got == _roundtrip_by_fractions(alg, w, _inverse(bad), x)
             tampered += 1
             failed += not got
     assert failed >= tampered - 2
 
-    real_act = bundles._act_ints
     w = words[0]
 
-    def perturbed(alg_, w_, vecs):
+    def perturbed(alg_, w_, vecs, inverse=False):
         # the forward image moved by one basis vector
-        [(nums, den)] = real_act(alg_, w_, vecs)
-        if w_ is w:
+        [(nums, den)] = real_act(alg_, w_, vecs, inverse=inverse)
+        if not inverse:
             nums = [c + den * (i == 0) for i, c in enumerate(nums)]
         return [(nums, den)]
 
-    def scaled(alg_, w_, vecs):
+    def scaled(alg_, w_, vecs, inverse=False):
         # the forward image doubled and the way back halved: the vector
         # returns, so only the Killing comparison can see it
-        [(nums, den)] = real_act(alg_, w_, vecs)
-        s = 2 if w_ is w else F(1, 2)
+        [(nums, den)] = real_act(alg_, w_, vecs, inverse=inverse)
+        s = F(1, 2) if inverse else 2
         return [_clear_denominators([F(c, den) * s for c in nums])]
 
     for fake in (perturbed, scaled):
@@ -892,3 +912,55 @@ def test_act_ints_on_many_vectors_matches_one_at_a_time(label):
         for (nums, den), (v, d) in zip(got, vecs):
             assert tuple(F(c, den) for c in nums) == \
                 _act_by_fractions(alg, w, [F(c, d) for c in v])
+
+
+def _letter_by_terms(alg, root, a, b, nums):
+    # the loop the compiled letter replaces: each D_k applied with its own
+    # a^k b^(K-k), over b^K
+    powers = _divided_powers(alg, root)
+    top = len(powers)
+    out = [x * b ** top for x in nums]
+    for k, cols in enumerate(powers, 1):
+        tk = a ** k * b ** (top - k)
+        for j, col in cols:
+            if x := nums[j]:
+                for r, n in col:
+                    out[r] += n * tk * x
+    return out, b ** top
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_compiled_unipotent_letter_matches_divided_power_terms(label):
+    alg = algebra(label)
+    for root in _all_roots(alg):
+        for t in _T_CHOICES + tuple(-t for t in _T_CHOICES):
+            a, b = t.as_integer_ratio()
+            scale, cols = _unipotent_letter(alg, root, a, b)
+            listed = dict(cols)
+            assert len(listed) == len(cols)
+            for j in range(alg.dim):
+                e_j = [int(i == j) for i in range(alg.dim)]
+                col = [scale * x for x in e_j]
+                flat = listed.get(j, ())
+                for r, c in zip(flat[::2], flat[1::2]):
+                    col[r] += c
+                assert (col, scale) == _letter_by_terms(alg, root, a, b, e_j)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_act_ints_inverse_matches_explicit_inverse_word(label):
+    # -1 and -1/3 at odd exponents make a negative scale that the in-place
+    # inverse normalises to a positive denominator
+    alg = algebra(label)
+    rng = random.Random(f"act-inverse:{label}")
+    params = (F(-1), F(-1, 3), F(5))
+    for _ in range(10):
+        torus = TorusLetter(tuple(rng.choice(params) for _ in range(alg.rank)))
+        w = concat(concat(random_word(alg, rng, length=3), word_of(torus)),
+                   random_word(alg, rng, length=2))
+        vecs = [([rng.randint(-4, 4) for _ in range(alg.dim)], rng.randint(1, 3))
+                for _ in range(3)]
+        for (nums, den), (v, d) in zip(_act_ints(alg, w, vecs, inverse=True), vecs):
+            assert den > 0 and math.gcd(den, *nums) == 1
+            assert tuple(F(c, den) for c in nums) == \
+                _act_by_fractions(alg, _inverse(w), [F(c, d) for c in v])
