@@ -12,12 +12,14 @@ word acts on integer vectors over one denominator each, and an inverse
 word is applied in place, with no inverse word built.  Fractions appear
 only where a value is compared or reported, and every value is exact.
 
-Four point types are modeled:
+Two point types are modeled:
   UCPoint    (p, x) with x in the Killing-perp of [p, p]
-  GCPoint    (p, x) with x in p
   BCPoint    (p, [x]) with [x] a class in the abelianized nilradical
-             whose coset contains an open-orbit element
-  TStarBCPoint  a BCPoint together with a covector y in [p, p]-perp
+             whose representative is a Richardson element
+The moment maps of both families, and the embedding of the incidence
+family into the partial resolution family, only read a point's fields,
+so they are not modeled as functions; the suites check what the paper
+claims of them against a second computation.
 
 Transported points carry the group word that produced them; the twist
 projection transports back through the inverse word.  Membership at a
@@ -237,15 +239,22 @@ def act_subspace(alg: ChevalleyAlgebra, w: GroupWord, s: Subspace) -> Subspace:
     return eb.subspace()
 
 
-def act_roundtrip(alg: ChevalleyAlgebra, w: GroupWord, x: Vec) -> bool:
-    """Whether w^-1 (w x) == x and kappa(w x, w x) == kappa(x, x), w^-1 applied
-    in place.  The action's pairs are in lowest terms, so the first is pair
-    equality and the second K(ys, ys) d0^2 == K(n0, n0) dy^2 in ints."""
+def act_roundtrip(alg: ChevalleyAlgebra, words: Sequence[GroupWord],
+                  x: Vec) -> list[bool]:
+    """For each word w, whether w^-1 (w x) == x and kappa(w x, w x) ==
+    kappa(x, x), w^-1 applied in place; x is cleared and paired once for
+    all the words.  The action's pairs are in lowest terms, so the first is
+    pair equality and the second K(ys, ys) d0^2 == K(n0, n0) dy^2 in ints."""
     n0, d0 = _clear_denominators(x)
-    [(ys, dy)] = _act_ints(alg, w, [(n0, d0)])
-    [(back, den)] = _act_ints(alg, w, [(ys, dy)], inverse=True)
-    return (list(back) == list(n0) and den == d0 and
-            alg.killing_ints(ys, ys) * d0 * d0 == alg.killing_ints(n0, n0) * dy * dy)
+    n0 = list(n0)
+    k0 = alg.killing_ints(n0, n0)
+    out = []
+    for w in words:
+        [(ys, dy)] = _act_ints(alg, w, [(n0, d0)])
+        [(back, den)] = _act_ints(alg, w, [(ys, dy)], inverse=True)
+        out.append(list(back) == n0 and den == d0 and
+                   alg.killing_ints(ys, ys) * d0 * d0 == k0 * dy * dy)
+    return out
 
 
 _T_CHOICES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -342,10 +351,6 @@ def act_uc_point(pd: ParabolicDatum, w: GroupWord, pt: UCPoint) -> UCPoint:
     x = act_vector(alg, w, pt.x)
     _verify_uc_invariant(pd, p, x)
     return UCPoint(p=p, x=x, witness=concat(w, pt.witness))
-
-
-def mu_c(pt: UCPoint) -> Vec:
-    return pt.x
 
 
 def pi_c(pd: ParabolicDatum, pt: UCPoint) -> Vec:
@@ -450,40 +455,6 @@ def fiber_dimension(pd: ParabolicDatum, psi: Vec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the partial resolution family
-
-
-@dataclass(frozen=True)
-class GCPoint:
-    p: Subspace
-    x: Vec
-    witness: GroupWord
-
-
-def make_gc_point(alg: ChevalleyAlgebra, p: Subspace, x: Vec,
-                  witness: GroupWord = IDENTITY_WORD) -> GCPoint:
-    if not p.contains(x):
-        raise PointInvariantError("x must lie in p")
-    return GCPoint(p=p, x=x, witness=witness)
-
-
-def embed(pd: ParabolicDatum, pt: UCPoint) -> GCPoint:
-    """Inclusion of the incidence family into the resolution family; the
-    content is the membership x in p, which holds because [p,p]-perp is
-    contained in p (re-verified per point, not assumed)."""
-    return make_gc_point(pd.alg, pt.p, pt.x, pt.witness)
-
-
-def phi_c(pt: GCPoint) -> Vec:
-    return pt.x
-
-
-def act_gc_point(alg: ChevalleyAlgebra, w: GroupWord, pt: GCPoint) -> GCPoint:
-    return make_gc_point(alg, act_subspace(alg, w, pt.p),
-                         act_vector(alg, w, pt.x), concat(w, pt.witness))
-
-
-# ---------------------------------------------------------------------------
 # the torus-bundle model (gated on the triviality hypothesis)
 
 
@@ -492,27 +463,6 @@ class BCPoint:
     p: Subspace
     x_rep: Vec
     witness: GroupWord
-
-
-_COSET_SAMPLES = 16
-
-
-def _coset_contains_open(pd: ParabolicDatum, x_rep: Vec) -> bool:
-    """Generic test that x_rep + [u,u] meets the open orbit piece: the
-    tangent test of find_richardson, [p, cand] == u, tried at x_rep and at
-    _COSET_SAMPLES - 1 seeded offsets in [u,u]."""
-    alg = pd.alg
-    rng = random.Random(f"coset:{pd.label()}:0")
-    offsets: list[Vec] = [tuple([ZERO] * alg.dim)]
-    rows = pd.u_derived.rows
-    for _ in range(_COSET_SAMPLES - 1):
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in rows]
-        offsets.append(_combination(coeffs, rows, alg.dim))
-    for off in offsets:
-        cand = tuple(a + b for a, b in zip(x_rep, off))
-        if alg.bracket_space(pd.p, span([cand], alg.dim)) == pd.u:
-            return True
-    return False
 
 
 def make_bc_point(pd: ParabolicDatum, cert: RichardsonCertificate,
@@ -528,9 +478,9 @@ def make_bc_point(pd: ParabolicDatum, cert: RichardsonCertificate,
             "the bundle model is only claimed under it")
     if not pd.u.contains(cert.element):
         raise PointInvariantError("representative must lie in the nilradical")
-    if not _coset_contains_open(pd, cert.element):
+    if cert.tangent != pd.u:
         raise PointInvariantError(
-            "coset of the representative misses the open orbit")
+            "certificate's tangent [p, x] is not the nilradical")
     return BCPoint(p=act_subspace(pd.alg, w, pd.p),
                    x_rep=act_vector(pd.alg, w, cert.element),
                    witness=w)
@@ -543,28 +493,3 @@ def bc_torus_action(pd: ParabolicDatum, pt: BCPoint,
     w = word_of(TorusLetter(tuple(Fraction(c) for c in params)))
     [moved] = _act_ints(pd.alg, w, [_clear_denominators(pt.x_rep)], inverse=True)
     return BCPoint(p=pt.p, x_rep=_as_vec(*moved), witness=pt.witness)
-
-
-@dataclass(frozen=True)
-class TStarBCPoint:
-    base: BCPoint
-    y: Vec
-
-
-def make_tstar_point(pd: ParabolicDatum, base: BCPoint, y: Vec) -> TStarBCPoint:
-    _verify_uc_invariant(pd, base.p, y)
-    return TStarBCPoint(base=base, y=y)
-
-
-def nu_g(pt: TStarBCPoint) -> Vec:
-    return pt.y
-
-
-def quotient_to_uc(pd: ParabolicDatum, pt: TStarBCPoint) -> UCPoint:
-    """Forget the class part: ((p, [x]), y) becomes (p, y)."""
-    _verify_uc_invariant(pd, pt.base.p, pt.y)
-    return UCPoint(p=pt.base.p, x=pt.y, witness=pt.base.witness)
-
-
-def nu_t(pd: ParabolicDatum, pt: TStarBCPoint) -> Vec:
-    return pi_c(pd, quotient_to_uc(pd, pt))

@@ -37,27 +37,25 @@ from .parabolic import (
 )
 from .bundles import (
     IDENTITY_WORD,
-    act_gc_point,
+    GroupWord,
+    PointInvariantError,
+    TorusLetter,
+    UnipotentLetter,
     act_roundtrip,
     act_uc_point,
+    act_vector,
     bc_torus_action,
     canonical_id,
-    embed,
     fiber_dimension,
     intrinsic_quotients,
     invariance_pairing_square,
     make_bc_point,
-    make_tstar_point,
     make_uc_point,
-    mu_c,
-    nu_g,
-    nu_t,
-    phi_c,
     pi_c,
-    quotient_to_uc,
     random_word,
     stabilizer_word,
     twist_level,
+    twist_section,
 )
 
 DEFAULT_SEED = 0xC0FFEE
@@ -209,15 +207,15 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
     base_level = pi_c(pd, base)
 
     rng = _rng(case, "uc-family", "words")
-    bad = 0
-    witness = None
     total = 100
-    for k in range(total):
-        w = random_word(alg, rng, length=rng.randint(1, case.max_word_len))
-        if not act_roundtrip(alg, w, x0):
-            bad += 1
-            if witness is None:
-                witness = f"word #{k}: {w}"
+    words = [random_word(alg, rng, length=rng.randint(1, case.max_word_len))
+             for _ in range(total)]
+    oks = act_roundtrip(alg, words, x0)
+    bad = oks.count(False)
+    witness = None
+    if bad:
+        k = oks.index(False)
+        witness = f"word #{k}: {words[k]}"
     checks.append(check_record("action-roundtrip-and-killing", f"{total} exact",
                                f"{total - bad} exact", bad == 0, witness))
 
@@ -235,10 +233,7 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
         twist, _ = intrinsic_quotients(alg, pt.p)
         far_level = tuple(-c for c in class_of(twist, pt.x))
         [via_id] = canonical_id(pd, w, [base_level], pt.p)
-        ok = (far_level == via_id
-              and pi_c(pd, pt) == base_level
-              and phi_c(embed(pd, pt)) == mu_c(pt))
-        if not ok:
+        if far_level != via_id or pi_c(pd, pt) != base_level:
             pt_bad += 1
             pt_witness = pt_witness or f"point #{k}: transported level mismatch"
     checks.append(check_record("transported-points-consistent", "4 exact",
@@ -280,7 +275,25 @@ def _suite_invariance(case: CaseSpec) -> tuple[CheckRecord, ...]:
                          f"{total - bad} equal", bad == 0, witness),)
 
 
+def _split(w: GroupWord) -> GroupWord:
+    """The same group element in other letters: exp(te) as
+    exp(te/3) exp(2te/3), and each torus parameter q as 2 * (q/2)."""
+    letters = []
+    for letter in w.letters:
+        if isinstance(letter, UnipotentLetter):
+            letters += [UnipotentLetter(letter.root, letter.t / 3),
+                        UnipotentLetter(letter.root, 2 * letter.t / 3)]
+        else:
+            letters += [TorusLetter((Fraction(2),) * len(letter.params)),
+                        TorusLetter(tuple(q / 2 for q in letter.params))]
+    return GroupWord(tuple(letters))
+
+
 def _suite_embedding(case: CaseSpec) -> tuple[CheckRecord, ...]:
+    # The embedding into the partial resolution family sends (p, x) to
+    # (p, x), so its content is x in p; both moment maps read x, so the
+    # triangle and equivariance compare the transported x against x moved
+    # by a split word, the same group element in other letters.
     pd = standard_parabolic(case.type_label, case.gamma)
     alg = pd.alg
     rng = _rng(case, "embedding", "points")
@@ -293,19 +306,20 @@ def _suite_embedding(case: CaseSpec) -> tuple[CheckRecord, ...]:
         w = random_word(alg, rng, length=1 + k % 3)
         try:
             pt = make_uc_point(pd, w, x0)
-            gc = embed(pd, pt)
+            if not pt.p.contains(pt.x):
+                raise PointInvariantError("x must lie in p")
             embedded += 1
         except Exception as err:
             witness = witness or f"point #{k}: {err}"
             continue
-        if phi_c(gc) == mu_c(pt) and gc.p == pt.p:
+        if act_vector(alg, _split(w), x0) == pt.x:
             triangle += 1
         else:
             witness = witness or f"point #{k}: triangle broke"
         v = random_word(alg, rng, length=1)
-        lhs = act_gc_point(alg, v, gc)
-        rhs = embed(pd, act_uc_point(pd, v, pt))
-        if lhs.p == rhs.p and lhs.x == rhs.x:
+        rhs = act_uc_point(pd, v, pt)
+        x2 = act_vector(alg, _split(v), pt.x)
+        if x2 == rhs.x and rhs.p.contains(x2):
             equivariant += 1
         else:
             witness = witness or f"point #{k}: equivariance broke"
@@ -336,14 +350,17 @@ def _suite_bc(case: CaseSpec) -> tuple[CheckRecord, ...]:
     checks = [check_record("triviality-hypothesis", "reported", "true", True)]
     cert = find_richardson(pd, seed=case.seed)
     bc = make_bc_point(pd, cert)
-    rows = pd.p_derived_perp.rows
-    ys = rows[:2] if rows else [tuple([Fraction(0)] * pd.alg.dim)]
+    # nu_T is pi_C of the covector y.  Each a_p section z lies in p and
+    # y - section(class y) in p-perp, so kappa(z, y) must equal kappa(z,
+    # twist_section(-pi_C y)): the class projector against the Killing form.
+    ys = [*pd.p_derived_perp.rows[:2], _uc_base_vector(pd)]
     factor_ok = True
     witness = None
     for y in ys:
-        ptt = make_tstar_point(pd, bc, y)
-        uc = quotient_to_uc(pd, ptt)
-        if nu_g(ptt) != mu_c(uc) or nu_t(pd, ptt) != pi_c(pd, uc):
+        level = pi_c(pd, make_uc_point(pd, IDENTITY_WORD, y))
+        via_level = twist_section(pd, tuple(-c for c in level))
+        if ([pd.alg.killing(z, y) for z in pd.a_p.section]
+                != [pd.alg.killing(z, via_level) for z in pd.a_p.section]):
             factor_ok = False
             witness = f"y = {pd.alg.vector_name(y)}"
             break

@@ -37,23 +37,16 @@ from liework.bundles import (
     bc_torus_action,
     canonical_id,
     concat,
-    embed,
     fiber_dimension,
     intrinsic_quotients,
     invariance_pairing_square,
     make_bc_point,
-    make_gc_point,
-    make_tstar_point,
     make_uc_point,
-    mu_c,
-    nu_g,
-    nu_t,
-    phi_c,
     pi_c,
-    quotient_to_uc,
     random_word,
     stabilizer_word,
     twist_level,
+    twist_section,
     word_of,
     zero_twist,
     _PARAM_CHOICES,
@@ -74,6 +67,7 @@ from liework.exactlin import (
     span,
 )
 from liework.parabolic import find_richardson, format_case, standard_parabolic
+from liework.suites import _split
 
 F = Fraction
 
@@ -177,7 +171,7 @@ def test_make_uc_point_identity_zero():
     pd = standard_parabolic("A2", frozenset())
     pt = make_uc_point(pd, IDENTITY_WORD, tuple([F(0)] * 8))
     assert pt.p == pd.p
-    assert mu_c(pt) == tuple([F(0)] * 8)
+    assert pt.x == tuple([F(0)] * 8)
     assert sigma_c(pt) == pd.p
 
 
@@ -343,22 +337,18 @@ def test_fiber_dimension_constant_in_psi():
 
 
 def test_embed_and_triangle():
+    # the embedding's content is x in p; the triangle's is that a split
+    # word, the same group element in other letters, moves x0 to the same x
     pd = standard_parabolic("A2", frozenset({1}))
     rng = random.Random("embed")
     x0 = pd.p_derived_perp.rows[1]
     for _ in range(5):
         w = random_word(pd.alg, rng, length=3)
         pt = make_uc_point(pd, w, x0)
-        gc = embed(pd, pt)
-        assert phi_c(gc) == mu_c(pt)
-        assert gc.p == pt.p
-
-
-def test_gc_point_rejects_outside_p():
-    pd = standard_parabolic("A2", frozenset())
-    f1 = pd.alg.one_hot(pd.alg.f_index(Root((1, 0))))
-    with pytest.raises(PointInvariantError):
-        make_gc_point(pd.alg, pd.p, f1)
+        assert pt.p.contains(pt.x)
+        split = _split(w)
+        assert act_vector(pd.alg, split, x0) == pt.x
+        assert act_subspace(pd.alg, split, pd.p) == pt.p
 
 
 def test_bc_point_gated_on_hypothesis():
@@ -377,6 +367,15 @@ def test_bc_point_borel_and_torus_action():
     assert moved.x_rep == (F(1, 3), F(0), F(0))
 
 
+def test_bc_point_rejects_tangent_short_of_u():
+    pd = standard_parabolic("A2", frozenset())
+    cert = find_richardson(pd)
+    short = dataclasses.replace(cert, tangent=pd.u_derived)
+    assert short.tangent != pd.u
+    with pytest.raises(PointInvariantError, match="tangent"):
+        make_bc_point(pd, short)
+
+
 def test_bc_point_full_gamma_trivial():
     pd = standard_parabolic("A2", frozenset({1, 2}))
     cert = find_richardson(pd)
@@ -385,23 +384,17 @@ def test_bc_point_full_gamma_trivial():
 
 
 def test_tstar_moment_maps_factor():
+    # nu_T(y) = pi_C(y): pairing a_p's sections with y and with the section
+    # of -pi_C(y) agree, since y minus that section lies in p-perp
     pd = standard_parabolic("A2", frozenset())
-    cert = find_richardson(pd)
-    base = make_bc_point(pd, cert)
-    y = pd.p_derived_perp.rows[2]
-    ptt = make_tstar_point(pd, base, y)
-    uc = quotient_to_uc(pd, ptt)
-    assert nu_g(ptt) == mu_c(uc)
-    assert nu_t(pd, ptt) == pi_c(pd, uc)
-
-
-def test_tstar_invariant_checked():
-    pd = standard_parabolic("A2", frozenset())
-    cert = find_richardson(pd)
-    base = make_bc_point(pd, cert)
-    f1 = pd.alg.one_hot(pd.alg.f_index(Root((1, 0))))
-    with pytest.raises(PointInvariantError):
-        make_tstar_point(pd, base, f1)
+    alg = pd.alg
+    for y in pd.p_derived_perp.rows:
+        level = pi_c(pd, make_uc_point(pd, IDENTITY_WORD, y))
+        via_level = twist_section(pd, tuple(-c for c in level))
+        assert pd.p_derived_perp.contains(via_level)
+        assert pd.u.contains(tuple(a - b for a, b in zip(y, via_level)))
+        assert [alg.killing(z, y) for z in pd.a_p.section] == \
+            [alg.killing(z, via_level) for z in pd.a_p.section]
 
 
 def test_uc_invariant_checked_at_transported_p():
@@ -441,7 +434,7 @@ def test_mu_equivariance_seeded():
     pt = make_uc_point(pd, IDENTITY_WORD, x0)
     for _ in range(10):
         w = random_word(alg, rng, length=3)
-        assert mu_c(act_uc_point(pd, w, pt)) == act_vector(alg, w, mu_c(pt))
+        assert act_uc_point(pd, w, pt).x == act_vector(alg, w, pt.x)
 
 
 def _all_roots(alg):
@@ -853,9 +846,9 @@ def test_act_roundtrip_matches_fraction_route(label, monkeypatch):
     ints = tuple(rng.randint(-4, 4) for _ in range(alg.dim))
     assert alg.killing(x, x) != 0
     words = [random_word(alg, rng, length=rng.randint(1, 8)) for _ in range(12)]
-    for w in words + [IDENTITY_WORD]:
-        for v in (x, ints):
-            assert act_roundtrip(alg, w, v)
+    for v in (x, ints):
+        assert act_roundtrip(alg, words + [IDENTITY_WORD], v) == [True] * 13
+        for w in words + [IDENTITY_WORD]:
             assert _roundtrip_by_fractions(alg, w, _inverse(w), v)
 
     real_act = bundles._act_ints
@@ -868,7 +861,7 @@ def test_act_roundtrip_matches_fraction_route(label, monkeypatch):
 
             with monkeypatch.context() as m:
                 m.setattr(bundles, "_act_ints", tampered_inverse)
-                got = act_roundtrip(alg, w, x)
+                [got] = act_roundtrip(alg, [w], x)
             assert got == _roundtrip_by_fractions(alg, w, _inverse(bad), x)
             tampered += 1
             failed += not got
@@ -893,7 +886,31 @@ def test_act_roundtrip_matches_fraction_route(label, monkeypatch):
     for fake in (perturbed, scaled):
         with monkeypatch.context() as m:
             m.setattr(bundles, "_act_ints", fake)
-            assert not act_roundtrip(alg, w, x)
+            assert act_roundtrip(alg, [w], x) == [False]
+
+
+def test_act_roundtrip_clears_and_pairs_x_once(monkeypatch):
+    alg = algebra("B2")
+    rng = random.Random("roundtrip:once")
+    x = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(alg.dim))
+    words = [random_word(alg, rng, length=3) for _ in range(6)]
+    cleared, paired = [], []
+    real_clear, real_pair = bundles._clear_denominators, type(alg).killing_ints
+
+    def clear(v):
+        cleared.append(v)
+        return real_clear(v)
+
+    def pair(self, xs, ys):
+        paired.append(xs)
+        return real_pair(self, xs, ys)
+
+    monkeypatch.setattr(bundles, "_clear_denominators", clear)
+    monkeypatch.setattr(type(alg), "killing_ints", pair)
+    assert act_roundtrip(alg, words, x) == [True] * len(words)
+    # x once, then one pairing of each image
+    assert cleared == [x]
+    assert len(paired) == 1 + len(words)
 
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)

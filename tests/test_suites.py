@@ -2,8 +2,9 @@ import functools
 
 import pytest
 
-from liework import chevalley, suites
-from liework.chevalley import algebra
+from liework import bundles, chevalley, exactlin, suites
+from liework.bundles import UCPoint
+from liework.chevalley import Root, algebra
 from liework.parabolic import standard_parabolic
 from liework.suites import (
     DEFAULT_SEED,
@@ -126,6 +127,69 @@ def test_invariance_suite_counts_pairs():
 def test_embedding_suite_passes():
     res = run_suite("embedding", [case("B2:1")])
     assert res[0].status == "pass"
+
+
+def test_points_embed_fails_on_x_outside_p(monkeypatch):
+    # a point whose x leaves p fails points-embed with its witness, and the
+    # triangle and equivariance are not counted for it
+    pd = standard_parabolic("A2", frozenset())
+    f1 = pd.alg.one_hot(pd.alg.f_index(Root((1, 0))))
+    assert not pd.p.contains(f1)
+    monkeypatch.setattr(suites, "make_uc_point",
+                        lambda pd, w, x0: UCPoint(p=pd.p, x=f1, witness=w))
+    by_name = {c.name: c for c in suites._suite_embedding(case("A2:-"))}
+    assert by_name["points-embed"].actual == "0"
+    assert by_name["points-embed"].witness == "point #0: x must lie in p"
+    assert not by_name["triangle-phi-embed-mu"].ok
+    assert not by_name["embed-equivariant"].ok
+
+
+_FLIPPED_TRIANGLE = ["A2:-", "A3:1", "B3:2,3", "C3:2,3", "G2:-"]
+_FLIPPED_EQUIVARIANT = ["A3:1", "A3:1,3", "C3:-", "C3:1,3", "C3:2,3"]
+
+
+def test_embedding_records_fail_on_flipped_torus_factor(monkeypatch):
+    # simple root 1's positive parameters read inverted: every letter still
+    # acts by an automorphism, so points embed, but 2 * (q/2) no longer acts
+    # as q when q = -1, and a split word moves x elsewhere
+    real = bundles._torus_factor
+
+    def flipped(alg, i, a, b):
+        return real(alg, i, b, a) if i == 0 and a > 0 else real(alg, i, a, b)
+
+    monkeypatch.setattr(bundles, "_torus_factor", flipped)
+    failed = {"points-embed": [], "triangle-phi-embed-mu": [],
+              "embed-equivariant": []}
+    for c in default_case_matrix():
+        for rec in suites._suite_embedding(c):
+            if not rec.ok:
+                failed[rec.name].append(c.case_label())
+    assert failed == {"points-embed": [],
+                      "triangle-phi-embed-mu": _FLIPPED_TRIANGLE,
+                      "embed-equivariant": _FLIPPED_EQUIVARIANT}
+
+
+def test_factoring_record_fails_on_negated_projector(monkeypatch):
+    cases = default_case_matrix(include_d4=True)
+    for c in cases:  # dossiers built with the true projector
+        standard_parabolic(c.type_label, c.gamma)
+    real = exactlin.QuotientSpace.projector.func
+
+    def negated(self):
+        rows, den = real(self)
+        return tuple(tuple(-x for x in r) for r in rows), den
+
+    monkeypatch.setattr(exactlin.QuotientSpace, "projector", property(negated))
+    failed = []
+    for c in cases:
+        by_name = {r.name: r for r in suites._suite_bc(c)}
+        assert "unexpected-error" not in by_name
+        rec = by_name.get("moment-maps-factor-through-quotient")
+        if rec is not None and not rec.ok:
+            assert rec.witness.startswith("y = ")
+            failed.append(c.case_label())
+    # every Borel case, D4 included; no other case pairs a_p against y
+    assert failed == [f"{t}:-" for t in ("A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4")]
 
 
 def test_bc_suite_gates_on_h1():
