@@ -471,6 +471,7 @@ def make_bc_point(pd: ParabolicDatum, cert: RichardsonCertificate,
 
     Gated on the reported triviality hypothesis for this gamma; raises
     HypothesisNotSatisfied (not an invariant violation) when it fails.
+    The tangent [p, x] is recomputed from the certificate's element too.
     """
     if not hypothesis_h1(pd):
         raise HypothesisNotSatisfied(
@@ -478,7 +479,8 @@ def make_bc_point(pd: ParabolicDatum, cert: RichardsonCertificate,
             "the bundle model is only claimed under it")
     if not pd.u.contains(cert.element):
         raise PointInvariantError("representative must lie in the nilradical")
-    if cert.tangent != pd.u:
+    if (cert.tangent != pd.u or pd.alg.bracket_space(
+            pd.p, span([cert.element], pd.alg.dim)) != pd.u):
         raise PointInvariantError(
             "certificate's tangent [p, x] is not the nilradical")
     return BCPoint(p=act_subspace(pd.alg, w, pd.p),

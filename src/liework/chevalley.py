@@ -376,24 +376,24 @@ class ChevalleyAlgebra:
             raise ValueError("vector length does not match algebra dimension")
         xs, dx = _clear_denominators(x)
         ys, dy = _clear_denominators(y)
-        acc = self._bracket_ints(xs, ys)
+        acc = self._bracket_ints(_support(xs), _support(ys))
         if xs is x and ys is y:  # both came back as they stand: all ints
             return tuple(acc)
         den = dx * dy
         return tuple(Fraction(a, den) if a else ZERO for a in acc)
 
-    def _bracket_ints(self, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-        """[x, y] of two integer vectors, zero entries of y skipped up front."""
-        nz = [(j, yj) for j, yj in enumerate(ys) if yj]
+    def _bracket_ints(self, xs: Sequence[tuple[int, int]],
+                      ys: Sequence[tuple[int, int]]) -> list[int]:
+        """[x, y] of two integer vectors given by their supports, the lists
+        of their nonzero (index, value) pairs: the one bracket loop."""
         acc = [0] * self.dim
         tab = self.table
-        for i, xi in enumerate(xs):
-            if xi:
-                row = tab[i]
-                for j, yj in nz:
-                    s = xi * yj
-                    for k, c in row[j]:
-                        acc[k] += c * s
+        for i, xi in xs:
+            row = tab[i]
+            for j, yj in ys:
+                s = xi * yj
+                for k, c in row[j]:
+                    acc[k] += c * s
         return acc
 
     def killing(self, x: Vec, y: Vec) -> Fraction:
@@ -434,21 +434,27 @@ class ChevalleyAlgebra:
         iff G [x, a] pairs to zero with every row b after row a of p."""
         if len(x) != self.dim or p.ambient_dim != self.dim:
             raise DimensionMismatch("vector or subspace does not live in the algebra")
-        xs = _clear_denominators(x)[0]
-        gcs = [self._gram_ints(self._bracket_ints(xs, a)) for a in p.ints]
+        xs = _support(_clear_denominators(x)[0])
+        gcs = [self._gram_ints(self._bracket_ints(xs, _support(a))) for a in p.ints]
         return not any(sum(map(operator.mul, b, gc))
                        for i, gc in enumerate(gcs) for b in p.ints[i + 1:])
 
     def bracket_space(self, a: Subspace, b: Subspace) -> Subspace:
-        """span{[x, y] : x in a, y in b}, the integer basis rows handed to
-        the integer bracket and echelon cores.  For a == b only pairs x
-        before y: [x, x] = 0 and [y, x] = -[x, y]."""
+        """span{[x, y] : x in a, y in b}: each integer basis row's support
+        read once, brackets by the integer core.  For a == b only pairs x
+        before y: [x, x] = 0 and [y, x] = -[x, y].  A bracket equal to one
+        inserted before (or zero) lies in the span and is skipped."""
+        if not (a.dim and b.dim):
+            return Subspace.zero(self.dim)
         eb = EchelonBuilder(self.dim)
-        same = a == b
-        for i, x in enumerate(a.ints):
-            for y in b.ints[i + 1:] if same else b.ints:
-                v = self._bracket_ints(x, y)
-                if any(v):
+        xs = [_support(r) for r in a.ints]
+        ys = xs if a == b else [_support(r) for r in b.ints]
+        seen = {(0,) * self.dim}
+        for i, x in enumerate(xs):
+            for y in ys[i + 1:] if ys is xs else ys:
+                v = tuple(self._bracket_ints(x, y))
+                if v not in seen:
+                    seen.add(v)
                     eb.insert_ints(v)
         return eb.subspace()
 
@@ -459,6 +465,10 @@ class ChevalleyAlgebra:
                 coef = "" if c == 1 else ("-" if c == -1 else f"{c}*")
                 terms.append(f"{coef}{self.basis_label(i)}")
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+
+def _support(v: Sequence[int]) -> list[tuple[int, int]]:
+    return [(j, x) for j, x in enumerate(v) if x]
 
 
 def _string_down_length(gamma: tuple[int, ...], beta: tuple[int, ...],

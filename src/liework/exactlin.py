@@ -12,13 +12,15 @@ pivot thresholds.
 
 There is one elimination step, ``EchelonBuilder.insert_ints``, and it
 runs in integers, combining rows by gcd-scaled integer row operations
-(fraction-free elimination; Bareiss 1968, Cohen, GTM 138, section 2.2);
-``insert`` clears a vector's denominators once and hands it over.  Spans,
-``rref``, kernels, intersections and quotient sections all read the rows
-and pivots it leaves, membership reduces against them with the same
-helper, and a quotient's class map is an integer projector built once,
-on first use.  The Killing form and its perps live with the algebra that owns
-them, in ``chevalley``.
+(fraction-free elimination; Bareiss 1968, Cohen, GTM 138, section 2.2).
+``span`` hands each row to ``insert``, which clears its denominators;
+rows held as ints (kernel solutions, quotient rows, brackets) go to
+``insert_ints`` with no type scan.  Spans, ``rref``, kernels,
+intersections and quotient sections all read the rows and pivots it
+leaves, membership reduces against them with the same helper, and a
+quotient's class map is an integer projector built once, on first use.
+The Killing form and its perps live with the algebra that owns them, in
+``chevalley``.
 """
 from __future__ import annotations
 
@@ -130,8 +132,8 @@ def _reduce(rows: Sequence[Sequence[int]], pivots: Sequence[int],
 
 class EchelonBuilder:
     """Incrementally maintained primitive echelon basis; insertion order
-    independent result.  `insert` is the package's one elimination step:
-    every span, kernel, intersection and quotient goes through it."""
+    independent result.  `insert_ints` is the package's one elimination
+    step: every span, kernel, intersection and quotient goes through it."""
 
     def __init__(self, ambient_dim: int):
         self.n = ambient_dim
@@ -149,8 +151,10 @@ class EchelonBuilder:
         length.  The new row gets a positive pivot, and reducing the other
         rows against it clears its pivot column there."""
         v = _reduce(self.rows, self.pivots, v)
-        pc = next((j for j, x in enumerate(v) if x), None)
-        if pc is None:
+        for pc, x in enumerate(v):
+            if x:
+                break
+        else:
             return False
         if v[pc] < 0:
             v = [-x for x in v]
@@ -207,7 +211,7 @@ def kernel(rows: Iterable[Sequence], cols: int) -> Subspace:
     solution per free column j, with x_j the lcm of the pivot entries."""
     s = span(rows, cols)
     pivset = set(s.pivots)
-    vecs = []
+    eb = EchelonBuilder(cols)
     for j in range(cols):
         if j in pivset:
             continue
@@ -215,8 +219,8 @@ def kernel(rows: Iterable[Sequence], cols: int) -> Subspace:
         v[j] = math.lcm(*(r[p] for r, p in zip(s.ints, s.pivots)))
         for r, p in zip(s.ints, s.pivots):
             v[p] = -r[j] * (v[j] // r[p])
-        vecs.append(v)
-    return span(vecs, cols)
+        eb.insert_ints(v)
+    return eb.subspace()
 
 
 @dataclass(frozen=True)
@@ -259,8 +263,9 @@ def quotient(total: Subspace, divisor: Subspace) -> QuotientSpace:
         raise DivisorNotContained("divisor is not contained in the total space")
     eb = EchelonBuilder(total.ambient_dim)
     for r in divisor.ints:
-        eb.insert(r)
-    section = tuple(total.row(k) for k, r in enumerate(total.ints) if eb.insert(r))
+        eb.insert_ints(r)
+    section = tuple(total.row(k) for k, r in enumerate(total.ints)
+                    if eb.insert_ints(r))
     assert len(section) == total.dim - divisor.dim
     return QuotientSpace(total, divisor, section)
 

@@ -252,13 +252,15 @@ def richardson_candidate(pd: ParabolicDatum, coeffs: Sequence[int]) -> Vec:
     return tuple(v)
 
 
+@functools.lru_cache(maxsize=None)
 def find_richardson(pd: ParabolicDatum, seed: int = 0,
                     max_retries: int = 32) -> RichardsonCertificate:
     """Element of u whose parabolic orbit is open in u.
 
     Tries the sum of all root vectors of u first; falls back to seeded
     random small integer coefficients.  Raises RichardsonSearchError with
-    the best achieved tangent dimension if every retry fails.
+    the best achieved tangent dimension if every retry fails.  Memoised:
+    the suites share one search per case; an error is not cached.
     """
     want = pd.u
     best = -1

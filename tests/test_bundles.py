@@ -66,7 +66,12 @@ from liework.exactlin import (
     rref,
     span,
 )
-from liework.parabolic import find_richardson, format_case, standard_parabolic
+from liework.parabolic import (
+    RichardsonCertificate,
+    find_richardson,
+    format_case,
+    standard_parabolic,
+)
 from liework.suites import _split
 
 F = Fraction
@@ -374,6 +379,14 @@ def test_bc_point_rejects_tangent_short_of_u():
     assert short.tangent != pd.u
     with pytest.raises(PointInvariantError, match="tangent"):
         make_bc_point(pd, short)
+
+
+def test_bc_point_recomputes_the_tangent_from_the_element():
+    # a certificate whose tangent field claims u for the zero element
+    pd = standard_parabolic("A2", frozenset())
+    forged = RichardsonCertificate(element=(F(0),) * pd.alg.dim, tangent=pd.u)
+    with pytest.raises(PointInvariantError, match="tangent"):
+        make_bc_point(pd, forged)
 
 
 def test_bc_point_full_gamma_trivial():

@@ -26,7 +26,9 @@ from liework.chevalley import (
     roots_from_cartan,
     symmetrizer,
 )
-from liework.exactlin import IntMat, Subspace
+from liework.bundles import act_subspace, random_word
+from liework.exactlin import IntMat, Subspace, span
+from liework.parabolic import standard_parabolic
 
 F = Fraction
 
@@ -353,3 +355,28 @@ def test_bracket_and_killing_match_fraction_accumulators(label):
             assert all(type(c) is (int if both_int else Fraction) for c in got)
             k = alg.killing(x, y)
             assert type(k) is Fraction and k == _killing_by_fractions(alg, x, y)
+
+
+def _bracket_space_by_fractions(alg, a, b):
+    # span of every pairwise bracket of the two bases, by the Fraction
+    # accumulator
+    return span([_bracket_by_fractions(alg, x, y) for x in a.rows for y in b.rows],
+                alg.dim)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_bracket_space_matches_span_of_all_pairwise_brackets(label):
+    # unit rows (the standard p and u), transported rows, dense rows, a == b,
+    # a != b and a one-row b.  Brackets of dense rows share their support,
+    # so a repeat skip keyed on less than the whole bracket would lose rank.
+    alg = algebra(label)
+    rng = random.Random(f"bracket-space-oracle:{label}")
+    pd = standard_parabolic(label, frozenset({1}))
+    w = random_word(alg, rng, length=4)
+    moved_p, moved_u = act_subspace(alg, w, pd.p), act_subspace(alg, w, pd.u)
+    dense = span([[rng.randint(-3, 3) for _ in range(alg.dim)] for _ in range(3)],
+                 alg.dim)
+    line = span([moved_p.rows[-1]], alg.dim)
+    for a, b in ((pd.u, pd.u), (pd.u, pd.p), (moved_p, moved_p), (moved_u, pd.p),
+                 (dense, dense), (dense, moved_p), (moved_p, line), (dense, line)):
+        assert alg.bracket_space(a, b) == _bracket_space_by_fractions(alg, a, b)

@@ -212,6 +212,29 @@ def test_bc_suite_scans_h1_once():
     assert (info.misses, info.hits) == (1, 1)
 
 
+def test_bc_suite_reuses_the_richardson_search(monkeypatch):
+    # bc-hypotheses reuses the certificate richardson-torsor found; a search
+    # that fails raises on every call, so no failure is cached
+    from liework.parabolic import RichardsonSearchError, find_richardson
+    find_richardson.cache_clear()
+    try:
+        run_suite("richardson-torsor", [case("A2:-")])
+        hits = find_richardson.cache_info().hits
+        assert run_suite("bc-hypotheses", [case("A2:-")])[0].status == "pass"
+        assert find_richardson.cache_info().hits > hits
+        find_richardson.cache_clear()
+        pd = standard_parabolic("A2", frozenset())
+        monkeypatch.setattr(chevalley.ChevalleyAlgebra, "bracket_space",
+                            lambda alg, a, b: exactlin.Subspace.zero(alg.dim))
+        for _ in range(2):
+            with pytest.raises(RichardsonSearchError):
+                find_richardson(pd, seed=DEFAULT_SEED)
+        info = find_richardson.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+    finally:
+        find_richardson.cache_clear()
+
+
 def test_bc_suite_full_gamma_trivial():
     res = run_suite("bc-hypotheses", [case("A1:1")])
     assert res[0].status == "pass"
