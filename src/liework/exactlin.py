@@ -14,11 +14,12 @@ There is one elimination step, ``EchelonBuilder.insert_ints``, and it
 runs in integers, combining rows by gcd-scaled integer row operations
 (fraction-free elimination; Bareiss 1968, Cohen, GTM 138, section 2.2).
 ``span`` hands each row to ``insert``, which clears its denominators;
-rows held as ints (kernel solutions, quotient rows, brackets) go to
-``insert_ints`` with no type scan.  Spans, ``rref``, kernels,
-intersections and quotient sections all read the rows and pivots it
-leaves, membership reduces against them with the same helper, and a
-quotient's class map is an integer projector built once, on first use.
+rows held as ints (kernel solutions, quotient rows, brackets, the rows
+of a subspace sum) go to ``insert_ints`` with no type scan.  Spans,
+``rref``, kernels, intersections and quotient sections all read the rows
+and pivots it leaves, membership reduces against them with the same
+helper, and a quotient's class map is an integer projector built once,
+on first use.
 The Killing form and its perps live with the algebra that owns them, in
 ``chevalley``.
 """
@@ -85,8 +86,13 @@ class Subspace:
 
     @staticmethod
     def full(n: int) -> "Subspace":
-        return Subspace(n, tuple(tuple(int(i == j) for j in range(n))
-                                 for i in range(n)), tuple(range(n)))
+        return Subspace.coordinate(n, range(n))
+
+    @staticmethod
+    def coordinate(n: int, indices: Iterable[int]) -> "Subspace":
+        """The span of the unit vectors at distinct indices: canonical rows."""
+        idx = tuple(sorted(indices))
+        return Subspace(n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in idx), idx)
 
     def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
@@ -189,7 +195,10 @@ def rref(rows: Sequence[Sequence], cols: int) -> tuple[tuple[Vec, ...], tuple[in
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    return span(a.ints + b.ints, a.ambient_dim)
+    eb = EchelonBuilder(a.ambient_dim)
+    for r in a.ints + b.ints:
+        eb.insert_ints(r)
+    return eb.subspace()
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

@@ -144,18 +144,11 @@ def build_parabolic(alg: ChevalleyAlgebra, gamma: Iterable[int]) -> ParabolicDat
                      if _supported_on(r.coords, gset))
     u_pos = tuple(k for k in range(num_pos) if k not in set(levi_pos))
 
-    h_idx = [num_pos + i for i in range(alg.rank)]
-    levi_idx = ([k for k in levi_pos] + h_idx
+    levi_idx = (list(levi_pos) + [num_pos + i for i in range(alg.rank)]
                 + [num_pos + alg.rank + k for k in levi_pos])
-    u_idx = list(u_pos)
-    p_idx = sorted(levi_idx + u_idx)
-
-    def coord_span(indices: Sequence[int]) -> Subspace:
-        return span([alg.one_hot(i) for i in indices], dim)
-
-    p = coord_span(p_idx)
-    levi = coord_span(levi_idx)
-    u = coord_span(u_idx)
+    p = Subspace.coordinate(dim, levi_idx + list(u_pos))
+    levi = Subspace.coordinate(dim, levi_idx)
+    u = Subspace.coordinate(dim, u_pos)
 
     levi_derived = alg.bracket_space(levi, levi)
     u_derived = alg.bracket_space(u, u)

@@ -73,6 +73,7 @@ from liework.parabolic import (
     standard_parabolic,
 )
 from liework.suites import _split
+from test_chevalley import _bracket_by_fractions
 
 F = Fraction
 
@@ -631,7 +632,10 @@ def test_act_torus_matches_per_component_scaling(label):
 
 
 def _bracket_space_full_loop(alg, a, b):
-    return span([alg.bracket(x, y) for x in a.rows for y in b.rows], alg.dim)
+    # every pairwise bracket by the Fraction accumulator, which shares no
+    # code with the integer core that bracket_space runs
+    return span([_bracket_by_fractions(alg, x, y) for x in a.rows for y in b.rows],
+                alg.dim)
 
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)

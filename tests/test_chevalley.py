@@ -5,6 +5,8 @@ bracket tables for sl2, Killing numbers via kappa(x,y) = sum over roots
 of beta(x)beta(y) on the Cartan (cross-checked against 2n*tr(xy) for
 type A), classical positive-root counts, and explicit root lists.
 """
+import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from liework.chevalley import (
     Root,
     SUPPORTED_TYPES,
     UnsupportedType,
+    _audit,
     algebra,
     build_algebra,
     cartan_datum,
@@ -29,6 +32,7 @@ from liework.chevalley import (
 from liework.bundles import act_subspace, random_word
 from liework.exactlin import IntMat, Subspace, span
 from liework.parabolic import standard_parabolic
+from test_realization import _derived_pair, _mixed_pair, _negate, _tampered_build
 
 F = Fraction
 
@@ -245,11 +249,95 @@ def test_structure_constants_are_integers():
         assert all(type(x) is int for x in alg.killing_gram.entries)
 
 
+
+
+def _jacobi_all_ordered_triples(alg):
+    # the audit's loop before it used the Jacobiator's alternation: the
+    # Jacobiator of every ordered basis triple, each one computed
+    tab = alg.table
+    bad = 0
+    for x, y, z in itertools.product(range(alg.dim), repeat=3):
+        acc = {}
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            for k, s in tab[a][b]:
+                for l, t in tab[k][c]:
+                    acc[l] = acc.get(l, 0) + s * t
+        bad += any(acc.values())
+    return bad
+
+
+def _invariance_all_pairs(alg):
+    # the audit's loop before it used the summand's symmetry in (x, y)
+    tab, g = alg.table, alg.killing_gram
+    return sum(1 for z, x, y in itertools.product(range(alg.dim), repeat=3)
+               if sum(c * g[k, y] for k, c in tab[z][x])
+               + sum(g[x, k] * c for k, c in tab[z][y]))
+
+
+def _tampered_algebra(label, kind):
+    # algebra(label) over a table with one constant negated on both sides,
+    # so it stays antisymmetric; the gram stays the audited one
+    alg = algebra(label)
+    rows = [list(row) for row in alg.table]
+    weights, num_pos = alg.basis_weights, alg.num_positive
+    if kind == "derived":
+        _negate(rows, *_derived_pair(weights, num_pos, alg.rank))
+    elif kind == "mixed":
+        _negate(rows, *_mixed_pair(weights, num_pos))
+    else:  # the highest root's first coroot coefficient
+        i, j = num_pos - 1, alg.dim - 1
+        first = rows[i][j][0][0]
+        _negate(rows, i, j, keep=lambda k: k == first)
+    return dataclasses.replace(alg, table=tuple(map(tuple, rows)))
+
+
 def test_audit_counters_zero():
-    for label in ("A2", "B2", "G2"):
+    for label in SUPPORTED_TYPES:
         alg = algebra(label)
-        assert jacobi_violations(alg) == 0
-        assert killing_invariance_violations(alg) == 0
+        assert jacobi_violations(alg) == _jacobi_all_ordered_triples(alg) == 0
+        assert killing_invariance_violations(alg) == _invariance_all_pairs(alg) == 0
+
+
+@pytest.mark.parametrize("label,kind", [
+    ("A3", "derived"), ("B3", "derived"), ("C3", "derived"), ("D4", "derived"),
+    ("G2", "derived"), ("A2", "mixed"), ("B2", "mixed"), ("A2", "coroot"),
+    ("B3", "coroot"), ("G2", "coroot"),
+])
+def test_audit_counts_match_the_oracles_on_a_tampered_table(label, kind):
+    alg = _tampered_algebra(label, kind)
+    jac, kiv = _jacobi_all_ordered_triples(alg), _invariance_all_pairs(alg)
+    assert jac > 0 and kiv > 0
+    assert jacobi_violations(alg) == jac
+    assert killing_invariance_violations(alg) == kiv
+
+
+@pytest.mark.parametrize("label", ["A1", "B3", "G2", "D4"])
+@pytest.mark.parametrize("edit", ["one-sided", "diagonal"])
+def test_build_rejects_a_table_that_is_not_antisymmetric(monkeypatch, label, edit):
+    # [e_a1, f_a1] = h_1: negated on one side only, or copied onto [e_a1, e_a1]
+    def tamper(rows, weights, num_pos):
+        j = len(weights) - num_pos
+        if edit == "one-sided":
+            rows[0][j] = tuple((k, -c) for k, c in rows[0][j])
+        else:
+            rows[0][0] = rows[0][j]
+
+    with pytest.raises(ConstructionAuditError,
+                       match=rf"{label}: bracket table is not antisymmetric"):
+        _tampered_build(monkeypatch, label, tamper)
+
+
+@pytest.mark.parametrize("other", ["h1", "e(a2)", "f(a2)"])
+def test_audit_rejects_a_gram_that_breaks_the_weight_grading(other):
+    # kappa(e_a1, b) made 1 for a basis vector b whose weight is not -a1
+    alg = algebra("B2")
+    i, j = 0, next(k for k in range(alg.dim) if alg.basis_label(k) == other)
+    rows = [list(alg.killing_gram.row(k)) for k in range(alg.dim)]
+    rows[i][j] = rows[j][i] = 1
+    bad = dataclasses.replace(alg, killing_gram=IntMat.from_rows(rows, alg.dim))
+    with pytest.raises(ConstructionAuditError,
+                       match="B2: Killing pairing breaks the weight grading"):
+        _audit(bad)
 
 
 def test_all_supported_types_build():

@@ -9,7 +9,7 @@ import itertools
 import pytest
 
 from liework.chevalley import SUPPORTED_TYPES, algebra
-from liework.exactlin import smith_normal_form
+from liework.exactlin import smith_normal_form, span
 from liework.parabolic import (
     ParabolicAuditError,
     RichardsonCertificate,
@@ -94,6 +94,24 @@ def test_leaf_always_twice_codim():
             for gamma in itertools.combinations(range(1, alg.rank + 1), r):
                 rep = dimension_report(standard_parabolic(label, frozenset(gamma)))
                 assert rep.leaf_dim == 2 * rep.dim_c
+
+
+def test_coordinate_subspaces_match_spans_of_one_hots():
+    # the basis vectors of p, the levi and u, read off their weights: the
+    # Cartan, the roots supported on gamma, and the positive roots outside
+    for label in SUPPORTED_TYPES:
+        alg = algebra(label)
+        for r in range(alg.rank + 1):
+            for gamma in itertools.combinations(range(1, alg.rank + 1), r):
+                pd = standard_parabolic(label, frozenset(gamma))
+                levi = [i for i, w in enumerate(alg.basis_weights)
+                        if w is None or all(c == 0 or k + 1 in gamma
+                                            for k, c in enumerate(w))]
+                u = [i for i, w in enumerate(alg.basis_weights)
+                     if i not in levi and w is not None and min(w) >= 0]
+                for got, idx in ((pd.p, levi + u), (pd.levi, levi), (pd.u, u)):
+                    want = span([alg.one_hot(i) for i in idx], alg.dim)
+                    assert got == want and got.pivots == want.pivots
 
 
 def test_richardson_a2_borel_is_all_ones():
