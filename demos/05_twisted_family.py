@@ -8,6 +8,7 @@ twist map reads off the torus level, and both behave under the action
 exactly as claimed.
 """
 import random
+from fractions import Fraction
 
 from liework.bundles import (
     act_uc_point, act_vector, canonical_id, fiber_dimension,
@@ -24,7 +25,8 @@ print("case", pd.label(), " twist dim =", pd.twist_space.dim)
 # twist map carries the opposite sign of the section class: covectors at
 # level psi sit over the character -psi of the torus.
 psi = twist_level(pd, [3])
-x0 = twist_section(pd, psi)
+nums, den = twist_section(pd, psi)  # integer numerators over one denominator
+x0 = tuple(Fraction(x, den) for x in nums)
 print("section of psi=3:", alg.vector_name(x0))
 
 base = make_uc_point(pd, IDENTITY_WORD, x0)

@@ -9,8 +9,14 @@ Z-form), built once per algebra and root from the structure constants
 with their integrality and nilpotency audited.  Each letter is compiled
 to integers once per algebra, root or simple root, and parameter, so a
 word acts on integer vectors over one denominator each, and an inverse
-word is applied in place, with no inverse word built.  Fractions appear
-only where a value is compared or reported, and every value is exact.
+word is applied in place, with no inverse word built.
+
+This is the points layer: a point's vector and a twist level are
+Fractions, cleared once to integer numerators over one denominator
+before they meet the integer-only algebra and linear algebra (bracket,
+Killing form, echelon insert), and the section of a twist level is
+built from the quotient's integer rows as such a pair.  Every value is
+exact.
 
 Two point types are modeled:
   UCPoint    (p, x) with x in the Killing-perp of [p, p]
@@ -28,7 +34,8 @@ kappa([x, a], b) = 0 for all rows a, b, by the audited invariance.
 Twist spaces at different parabolics are recomputed from scratch at the
 target subspace by killing_quotients, the derivation build_parabolic
 uses, so "the identity on stabilizing words" is a verified fact rather
-than a definition.  A twist level is a Vec of section coordinates.
+than a definition.  A twist level is a Vec of Fraction section
+coordinates.
 """
 from __future__ import annotations
 
@@ -47,11 +54,8 @@ from .exactlin import (
     Subspace,
     Vec,
     VectorOutsideTotal,
-    ZERO,
     _as_vec,
-    _class_of_ints,
     _clear_denominators,
-    _combination,
     class_of,
     kernel,
     span,
@@ -235,7 +239,7 @@ def act_subspace(alg: ChevalleyAlgebra, w: GroupWord, s: Subspace) -> Subspace:
     """The image of s: the span of the images of its integer basis rows."""
     eb = EchelonBuilder(s.ambient_dim)
     for nums, _ in _act_ints(alg, w, [(row, 1) for row in s.ints]):
-        eb.insert_ints(nums)
+        eb.insert(nums)
     return eb.subspace()
 
 
@@ -247,13 +251,13 @@ def act_roundtrip(alg: ChevalleyAlgebra, words: Sequence[GroupWord],
     pair equality and the second K(ys, ys) d0^2 == K(n0, n0) dy^2 in ints."""
     n0, d0 = _clear_denominators(x)
     n0 = list(n0)
-    k0 = alg.killing_ints(n0, n0)
+    k0 = alg.killing(n0, n0)
     out = []
     for w in words:
         [(ys, dy)] = _act_ints(alg, w, [(n0, d0)])
         [(back, den)] = _act_ints(alg, w, [(ys, dy)], inverse=True)
         out.append(list(back) == n0 and den == d0 and
-                   alg.killing_ints(ys, ys) * d0 * d0 == k0 * dy * dy)
+                   alg.killing(ys, ys) * d0 * d0 == k0 * dy * dy)
     return out
 
 
@@ -308,13 +312,14 @@ def twist_level(pd: ParabolicDatum, coords: Sequence) -> Vec:
     return psi
 
 
-def zero_twist(pd: ParabolicDatum) -> Vec:
-    return (ZERO,) * pd.torus_rank
-
-
-def twist_section(pd: ParabolicDatum, psi: Vec) -> Vec:
-    """The canonical section representative of psi inside [p,p]-perp."""
-    return _combination(psi, pd.twist_space.section, pd.alg.dim)
+def twist_section(pd: ParabolicDatum, psi: Sequence) -> tuple[list[int], int]:
+    """The canonical section representative of psi inside [p,p]-perp, as
+    integer numerators over one positive denominator: psi's cleared
+    coordinates combine the section's integer rows."""
+    rows, den = pd.twist_space.section
+    coeffs, cden = _clear_denominators(psi)
+    acc = [sum(map(operator.mul, coeffs, col)) for col in zip(*rows)]
+    return acc or [0] * pd.alg.dim, cden * den
 
 
 @dataclass(frozen=True)
@@ -332,7 +337,7 @@ def _verify_uc_invariant(pd: ParabolicDatum, p: Subspace, x: Vec) -> None:
     # kills_derived's ~81 (d4: ~30 to ~345; Python 3.11, 2-vCPU VM), so one
     # route would add ~3% to a matrix17 verify pass and ~6% to a d4 one.
     if not (pd.p_derived_perp.contains(x) if p == pd.p
-            else pd.alg.kills_derived(p, x)):
+            else pd.alg.kills_derived(p, _clear_denominators(x)[0])):
         raise PointInvariantError(
             "x is not Killing-orthogonal to [p, p] for its parabolic")
 
@@ -358,7 +363,7 @@ def pi_c(pd: ParabolicDatum, pt: UCPoint) -> Vec:
     through the witness inverse and take minus its class."""
     [back] = _act_ints(pd.alg, pt.witness, [_clear_denominators(pt.x)], inverse=True)
     try:  # the twist space's total is the standard [p,p]-perp
-        cls = _class_of_ints(pd.twist_space, *back)
+        cls = class_of(pd.twist_space, *back)
     except VectorOutsideTotal as exc:
         raise WitnessTransportError(
             "witness inverse did not return x to the standard [p,p]-perp") from exc
@@ -392,10 +397,10 @@ def canonical_id(pd: ParabolicDatum, w: GroupWord, psis: Sequence[Vec],
     alg = pd.alg
     twist, _ = intrinsic_quotients(alg, act_subspace(alg, w, pd.p) if p is None else p)
     out = []
-    ys = [_clear_denominators(twist_section(pd, psi)) for psi in psis]
+    ys = [twist_section(pd, psi) for psi in psis]
     for y2 in _act_ints(alg, w, ys):
         try:  # the twist space's total is the target [p,p]-perp
-            out.append(_class_of_ints(twist, *y2))
+            out.append(class_of(twist, *y2))
         except VectorOutsideTotal as exc:
             raise WitnessTransportError(
                 "transported section left the target [p,p]-perp") from exc
@@ -416,22 +421,25 @@ def invariance_pairing_square(pd: ParabolicDatum, w: GroupWord,
     """
     alg = pd.alg
     _, a_p = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))
-    sections = [_clear_denominators(z) for z in a_p.section]
-    pulled = _act_ints(alg, w, sections, inverse=True)
-    ys = [_clear_denominators(twist_section(pd, psi)) for psi in psis]
-    return [(tuple(Fraction(alg.killing_ints(z, y2), dz * dy2) for z, dz in sections),
-             tuple(Fraction(alg.killing_ints(z, y), dz * dy) for z, dz in pulled))
+    rows, dz = a_p.section
+    pulled = _act_ints(alg, w, [(z, dz) for z in rows], inverse=True)
+    ys = [twist_section(pd, psi) for psi in psis]
+    return [(tuple(Fraction(alg.killing(z, y2), dz * dy2) for z in rows),
+             tuple(Fraction(alg.killing(z, y), dp * dy) for z, dp in pulled))
             for (y, dy), (y2, dy2) in zip(ys, _act_ints(alg, w, ys))]
 
 
 @functools.lru_cache(maxsize=None)
 def _class_map_kernel(pd: ParabolicDatum) -> Subspace:
-    """Kernel of x -> class_of(twist space, x) on [p,p]-perp."""
-    rows = pd.p_derived_perp.rows
-    classes = [class_of(pd.twist_space, row) for row in rows]
-    coeffs = kernel(zip(*classes), len(rows))  # one equation per class coordinate
-    return span([_combination(coef, rows, pd.alg.dim) for coef in coeffs.rows],
-                pd.alg.dim)
+    """Kernel of x -> class_of(twist space, x) on [p,p]-perp.  Projector row
+    k is the class of the total's k-th echelon row, so the class of its
+    integer row k is that row's pivot entry times projector row k."""
+    t, n = pd.twist_space.total, pd.alg.dim
+    proj, _ = pd.twist_space.projector
+    classes = [[r[p] * c for c in cls] for r, p, cls in zip(t.ints, t.pivots, proj)]
+    coeffs = kernel(zip(*classes), t.dim)  # one equation per class coordinate
+    return span([[sum(c * r[j] for c, r in zip(coef, t.ints)) for j in range(n)]
+                 for coef in coeffs.ints], n)
 
 
 def fiber_dimension(pd: ParabolicDatum, psi: Vec) -> int:
@@ -446,7 +454,7 @@ def fiber_dimension(pd: ParabolicDatum, psi: Vec) -> int:
         raise ValueError("twist level has wrong length")
     target = tuple(-c for c in psi)
     particular = twist_section(pd, target)
-    if class_of(pd.twist_space, particular) != target:
+    if class_of(pd.twist_space, *particular) != target:
         raise RuntimeError("section failed to solve the class equation")
     solutions = _class_map_kernel(pd)
     if solutions != pd.u:

@@ -21,7 +21,9 @@ In a Chevalley basis the structure constants and the Killing gram are
 integers (Chevalley 1955; Humphreys, GTM 9, section 25).  The table
 stores each constant as an int once its integrality audit has passed,
 and the gram is an ``IntMat`` of traces of ad x ad y read off the table.
-The Killing form lives here alone: ``killing`` pairs two vectors,
+Vectors are tuples of ints: ``bracket`` takes and returns them, and the
+caller that holds rationals clears their denominators first.  The
+Killing form lives here alone: ``killing`` pairs two integer vectors,
 ``killing_perp`` gives a subspace's perp as the kernel of its integer rows
 times the gram, and ``kills_derived`` tests x against [p, p] by invariance.
 
@@ -44,9 +46,6 @@ from .exactlin import (
     EchelonBuilder,
     IntMat,
     Subspace,
-    Vec,
-    ZERO,
-    _clear_denominators,
     int_det,
     kernel,
     span,
@@ -308,10 +307,10 @@ Weight = tuple[int, ...] | None
 class ChevalleyAlgebra:
     """A semisimple Lie algebra over Q in a Chevalley basis.
 
-    Vectors are coordinate tuples over the basis; all brackets go through
-    the audited structure-constant table, and every Killing pairing and
-    perp through the Killing gram.  Both hold integers: table[i][j] lists
-    the nonzero (k, c) with [b_i, b_j] = sum c b_k.
+    Vectors are integer coordinate tuples over the basis; all brackets go
+    through the audited structure-constant table, and every Killing
+    pairing and perp through the Killing gram.  Both hold integers:
+    table[i][j] lists the nonzero (k, c) with [b_i, b_j] = sum c b_k.
     """
 
     cartan: CartanDatum
@@ -362,25 +361,15 @@ class ChevalleyAlgebra:
             return f"h{i - n + 1}"
         return f"f({root_name(pos[i - n - self.rank].coords)})"
 
-    def one_hot(self, i: int) -> Vec:
-        v = [ZERO] * self.dim
-        v[i] = Fraction(1)
-        return tuple(v)
+    def one_hot(self, i: int) -> tuple[int, ...]:
+        return (0,) * i + (1,) + (0,) * (self.dim - 1 - i)
 
     # --- operations ----------------------------------------------------
-    def bracket(self, x: Vec, y: Vec) -> Vec:
-        """[x, y] over den(x) den(y) by the integer core.  Ints come back
-        only when x and y hold only ints, as the integer basis rows of a
-        subspace do; otherwise Fractions."""
+    def bracket(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+        """[x, y] of two integer vectors, by the integer core."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match algebra dimension")
-        xs, dx = _clear_denominators(x)
-        ys, dy = _clear_denominators(y)
-        acc = self._bracket_ints(_support(xs), _support(ys))
-        if xs is x and ys is y:  # both came back as they stand: all ints
-            return tuple(acc)
-        den = dx * dy
-        return tuple(Fraction(a, den) if a else ZERO for a in acc)
+        return tuple(self._bracket_ints(_support(x), _support(y)))
 
     def _bracket_ints(self, xs: Sequence[tuple[int, int]],
                       ys: Sequence[tuple[int, int]]) -> list[int]:
@@ -396,13 +385,7 @@ class ChevalleyAlgebra:
                     acc[k] += c * s
         return acc
 
-    def killing(self, x: Vec, y: Vec) -> Fraction:
-        """kappa(x, y) over den(x) den(y) by the integer core."""
-        xs, dx = _clear_denominators(x)
-        ys, dy = _clear_denominators(y)
-        return Fraction(self.killing_ints(xs, ys), dx * dy)
-
-    def killing_ints(self, xs: Sequence[int], ys: Sequence[int]) -> int:
+    def killing(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         """kappa(x, y) = x^T (G y) for two integer vectors."""
         return sum(map(operator.mul, xs, self._gram_ints(ys)))
 
@@ -428,13 +411,14 @@ class ChevalleyAlgebra:
             raise DimensionMismatch("subspace does not live in the algebra")
         return kernel([self._gram_ints(r) for r in s.ints], self.dim)
 
-    def kills_derived(self, p: Subspace, x: Vec) -> bool:
-        """Whether kappa(x, [p, p]) = 0, from p's integer rows with no [p, p]
-        built: by the audited invariance kappa(x, [a, b]) = kappa([x, a], b),
-        iff G [x, a] pairs to zero with every row b after row a of p."""
+    def kills_derived(self, p: Subspace, x: Sequence[int]) -> bool:
+        """Whether kappa(x, [p, p]) = 0 for an integer vector x, from p's
+        integer rows with no [p, p] built: by the audited invariance
+        kappa(x, [a, b]) = kappa([x, a], b), iff G [x, a] pairs to zero
+        with every row b after row a of p."""
         if len(x) != self.dim or p.ambient_dim != self.dim:
             raise DimensionMismatch("vector or subspace does not live in the algebra")
-        xs = _support(_clear_denominators(x)[0])
+        xs = _support(x)
         gcs = [self._gram_ints(self._bracket_ints(xs, _support(a))) for a in p.ints]
         return not any(sum(map(operator.mul, b, gc))
                        for i, gc in enumerate(gcs) for b in p.ints[i + 1:])
@@ -455,10 +439,10 @@ class ChevalleyAlgebra:
                 v = tuple(self._bracket_ints(x, y))
                 if v not in seen:
                     seen.add(v)
-                    eb.insert_ints(v)
+                    eb.insert(v)
         return eb.subspace()
 
-    def vector_name(self, v: Vec) -> str:
+    def vector_name(self, v: Sequence) -> str:
         terms = []
         for i, c in enumerate(v):
             if c:

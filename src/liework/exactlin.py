@@ -1,25 +1,22 @@
 """Exact linear algebra over the rationals, with integer elimination.
 
-Vectors are tuples of ``fractions.Fraction``.  A rational matrix is a
-sequence of rows of ints or Fractions, which is how ``span``, ``rref``
-and ``kernel`` take it; the one matrix type, ``IntMat``, holds integer
-matrices such as Smith input.  A subspace holds its canonical primitive
-integer rows, the rows of its reduced row-echelon basis each scaled to
-coprime integers with a positive pivot.  That form is unique, so
-equality of subspaces is literal equality of rows; the Fraction RREF view
-is derived from it.  Everything is exact: no floats, no tolerances, no
-pivot thresholds.
+Inside the package a vector is a tuple of ints: a subspace holds its
+canonical primitive integer rows, the rows of its reduced row-echelon
+basis each scaled to coprime integers with a positive pivot, and a
+quotient's section holds integer rows over one positive denominator.
+That form is unique, so equality of subspaces is literal equality of
+rows.  Fractions enter only through ``span`` and ``Subspace.contains``,
+which clear denominators, and leave through the Fraction views
+``Subspace.rows``, ``rref`` and ``class_of``'s coordinates.  Everything
+is exact: no floats, no tolerances, no pivot thresholds.
 
-There is one elimination step, ``EchelonBuilder.insert_ints``, and it
-runs in integers, combining rows by gcd-scaled integer row operations
+There is one elimination step, ``EchelonBuilder.insert``, and it runs in
+integers, combining rows by gcd-scaled integer row operations
 (fraction-free elimination; Bareiss 1968, Cohen, GTM 138, section 2.2).
-``span`` hands each row to ``insert``, which clears its denominators;
-rows held as ints (kernel solutions, quotient rows, brackets, the rows
-of a subspace sum) go to ``insert_ints`` with no type scan.  Spans,
-``rref``, kernels, intersections and quotient sections all read the rows
-and pivots it leaves, membership reduces against them with the same
-helper, and a quotient's class map is an integer projector built once,
-on first use.
+Spans, ``rref``, kernels, intersections and quotient sections all read
+the rows and pivots it leaves, membership reduces against them with the
+same helper, and a quotient's class map is an integer projector built
+once, on first use.
 The Killing form and its perps live with the algebra that owns them, in
 ``chevalley``.
 """
@@ -69,12 +66,8 @@ class Subspace:
 
     @property
     def rows(self) -> tuple[Vec, ...]:
-        """The reduced row-echelon basis."""
-        return tuple(self.row(k) for k in range(self.dim))
-
-    def row(self, k: int) -> Vec:
-        """Row k of the reduced row-echelon basis: ints[k] over its pivot."""
-        return _as_vec(self.ints[k], self.ints[k][self.pivots[k]])
+        """The reduced row-echelon basis as Fractions: each row over its pivot."""
+        return tuple(_as_vec(r, r[p]) for r, p in zip(self.ints, self.pivots))
 
     @property
     def dim(self) -> int:
@@ -138,24 +131,20 @@ def _reduce(rows: Sequence[Sequence[int]], pivots: Sequence[int],
 
 class EchelonBuilder:
     """Incrementally maintained primitive echelon basis; insertion order
-    independent result.  `insert_ints` is the package's one elimination
-    step: every span, kernel, intersection and quotient goes through it."""
+    independent result.  `insert` is the package's one elimination step:
+    every span, kernel, intersection and quotient goes through it."""
 
     def __init__(self, ambient_dim: int):
         self.n = ambient_dim
         self.rows: list[Sequence[int]] = []
         self.pivots: list[int] = []
 
-    def insert(self, vec: Sequence) -> bool:
-        """Insert a vector of ints or Fractions; True iff the rank grew."""
-        if len(vec) != self.n:
+    def insert(self, v: Sequence[int]) -> bool:
+        """Insert an integer vector; True iff the rank grew.  The new row
+        gets a positive pivot, and reducing the other rows against it
+        clears its pivot column there."""
+        if len(v) != self.n:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        return self.insert_ints(_clear_denominators(vec)[0])
-
-    def insert_ints(self, v: Sequence[int]) -> bool:
-        """The integer core of insert, for an integer vector of the right
-        length.  The new row gets a positive pivot, and reducing the other
-        rows against it clears its pivot column there."""
         v = _reduce(self.rows, self.pivots, v)
         for pc, x in enumerate(v):
             if x:
@@ -177,10 +166,11 @@ class EchelonBuilder:
 
 
 def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
-    """Canonical subspace spanned by the given vectors of ints or Fractions."""
+    """Canonical subspace spanned by the given vectors of ints or Fractions:
+    the one elimination entry that clears denominators."""
     b = EchelonBuilder(ambient_dim)
     for v in vectors:
-        b.insert(v)
+        b.insert(_clear_denominators(v)[0])
     return b.subspace()
 
 
@@ -197,7 +187,7 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
         raise DimensionMismatch("ambient dimensions differ")
     eb = EchelonBuilder(a.ambient_dim)
     for r in a.ints + b.ints:
-        eb.insert_ints(r)
+        eb.insert(r)
     return eb.subspace()
 
 
@@ -211,24 +201,30 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     # columns: the coefficients of a's basis, then those of b's basis
     ker = kernel([[r[i] for r in a.ints] + [-r[i] for r in b.ints] for i in range(n)],
                  a.dim + b.dim)
-    return span([[sum(c * row[j] for c, row in zip(coeffs, a.ints)) for j in range(n)]
-                 for coeffs in ker.ints], n)
+    eb = EchelonBuilder(n)
+    for coeffs in ker.ints:
+        eb.insert([sum(c * row[j] for c, row in zip(coeffs, a.ints)) for j in range(n)])
+    return eb.subspace()
 
 
-def kernel(rows: Iterable[Sequence], cols: int) -> Subspace:
-    """Solution space of rows @ x = 0, as a subspace of Q^cols: one integer
-    solution per free column j, with x_j the lcm of the pivot entries."""
-    s = span(rows, cols)
+def kernel(rows: Iterable[Sequence[int]], cols: int) -> Subspace:
+    """Solution space of the integer rows @ x = 0, as a subspace of Q^cols:
+    one integer solution per free column j, with x_j the lcm of the pivot
+    entries."""
+    s = EchelonBuilder(cols)
+    for r in rows:
+        s.insert(r)
     pivset = set(s.pivots)
+    top = math.lcm(*(r[p] for r, p in zip(s.rows, s.pivots)))
     eb = EchelonBuilder(cols)
     for j in range(cols):
         if j in pivset:
             continue
         v = [0] * cols
-        v[j] = math.lcm(*(r[p] for r, p in zip(s.ints, s.pivots)))
-        for r, p in zip(s.ints, s.pivots):
+        v[j] = top
+        for r, p in zip(s.rows, s.pivots):
             v[p] = -r[j] * (v[j] // r[p])
-        eb.insert_ints(v)
+        eb.insert(v)
     return eb.subspace()
 
 
@@ -236,30 +232,32 @@ def kernel(rows: Iterable[Sequence], cols: int) -> Subspace:
 class QuotientSpace:
     """total / divisor with a deterministic section.
 
-    The section rows are the rows of the total's echelon basis that extend
-    the divisor's echelon basis; their classes form a basis of the
-    quotient.
+    The section is (rows, den): rows[k] / den are the rows of the total's
+    reduced echelon basis that extend the divisor's echelon basis, over one
+    positive denominator; their classes form a basis of the quotient.
     """
 
     total: Subspace
     divisor: Subspace
-    section: tuple[Vec, ...]
+    section: tuple[tuple[tuple[int, ...], ...], int]
 
     @property
     def dim(self) -> int:
-        return len(self.section)
+        return len(self.section[0])
 
     @functools.cached_property
     def projector(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(rows, den), rows[k] / den the class of the k-th echelon row of the
-        total.  At the total's pivot columns the section and divisor rows
-        form an invertible C; row k of C^-1, read off the RREF [I | C^-1] of
-        [C | I] (integer row k over its entry k), holds total row k's
+        total.  At the total's pivot columns the integer section rows and the
+        divisor rows form an invertible C.  The section's vectors are its
+        rows over d, so row k of d C^-1, read off the RREF [I | d C^-1] of
+        [C | d I] (integer row k over its entry k), holds total row k's
         coordinates, the first dim of them on the section."""
-        n = self.total.dim
-        c = [[r[p] for p in self.total.pivots] for r in self.section + self.divisor.ints]
-        inv = span([row + [int(i == k) for k in range(n)] for i, row in enumerate(c)],
-                   2 * n).ints
+        n, piv = self.total.dim, self.total.pivots
+        rows, d = self.section
+        c = [[r[p] for p in piv] + [d * (i == k) for k in range(n)]
+             for i, r in enumerate(rows + self.divisor.ints)]
+        inv = span(c, 2 * n).ints
         den = math.lcm(*(r[k] for k, r in enumerate(inv)))
         return tuple(tuple(x * (den // r[k]) for x in r[n:n + self.dim])
                      for k, r in enumerate(inv)), den
@@ -272,43 +270,26 @@ def quotient(total: Subspace, divisor: Subspace) -> QuotientSpace:
         raise DivisorNotContained("divisor is not contained in the total space")
     eb = EchelonBuilder(total.ambient_dim)
     for r in divisor.ints:
-        eb.insert_ints(r)
-    section = tuple(total.row(k) for k, r in enumerate(total.ints)
-                    if eb.insert_ints(r))
-    assert len(section) == total.dim - divisor.dim
-    return QuotientSpace(total, divisor, section)
+        eb.insert(r)
+    picked = [(r, p) for r, p in zip(total.ints, total.pivots) if eb.insert(r)]
+    assert len(picked) == total.dim - divisor.dim
+    den = math.lcm(*(r[p] for r, p in picked))
+    rows = tuple(tuple(x * (den // r[p]) for x in r) for r, p in picked)
+    return QuotientSpace(total, divisor, (rows, den))
 
 
-def class_of(q: QuotientSpace, vec: Sequence) -> Vec:
-    """Coordinates of vec's class in the section basis of the quotient: vec
-    is sum_k vec[pivot_k] * (total row k), so its class is the same
-    combination of the projector rows."""
-    if len(vec) != q.total.ambient_dim:
+def class_of(q: QuotientSpace, nums: Sequence[int], den: int = 1) -> Vec:
+    """Coordinates of the class of nums / den, den > 0, in the section basis
+    of the quotient: the vector is sum_k nums[pivot_k] / den * (total row
+    k), so its class is the same combination of the projector rows."""
+    if len(nums) != q.total.ambient_dim:
         raise DimensionMismatch("vector length does not match ambient dimension")
-    return _class_of_ints(q, *_clear_denominators(vec))
-
-
-def _class_of_ints(q: QuotientSpace, nums: Sequence[int], den: int) -> Vec:
-    """The integer core of class_of, for nums / den of the right length: one
-    reduction against the total, then integer projector rows combined."""
     if any(_reduce(q.total.ints, q.total.pivots, nums)):
         raise VectorOutsideTotal("vector lies outside the quotient's total space")
     rows, pden = q.projector
     coeffs = [nums[p] for p in q.total.pivots]
     acc = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows)]
     return _as_vec(acc, den * pden)
-
-
-def _combination(coeffs: Sequence, rows: Sequence[Sequence], n: int) -> Vec:
-    """sum_k coeffs[k] * rows[k] as a Fraction vector of length n, skipping
-    zero coefficients and zero entries."""
-    acc = [ZERO] * n
-    for c, row in zip(coeffs, rows):
-        if c:
-            for i, x in enumerate(row):
-                if x:
-                    acc[i] += c * x
-    return tuple(acc)
 
 
 # ---------------------------------------------------------------------------

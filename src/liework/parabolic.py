@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .chevalley import (
@@ -35,7 +34,7 @@ from .exactlin import (
     QuotientSpace,
     Subspace,
     Vec,
-    ZERO,
+    _as_vec,
     class_of,
     quotient,
     smith_normal_form,
@@ -85,7 +84,7 @@ class ParabolicDatum:
 
 @dataclass(frozen=True)
 class RichardsonCertificate:
-    element: Vec
+    element: tuple[int, ...]
     tangent: Subspace
 
 
@@ -173,7 +172,8 @@ def build_parabolic(alg: ChevalleyAlgebra, gamma: Iterable[int]) -> ParabolicDat
     # Killing form must pair the two torus-rank quotients perfectly
     pairing_ok = True
     if torus_rank:
-        gram = [[alg.killing(z, y) for y in twist_space.section] for z in a_p.section]
+        gram = [[alg.killing(z, y) for y in twist_space.section[0]]
+                for z in a_p.section[0]]
         pairing_ok = span(gram, torus_rank).dim == torus_rank
     dim_c = dim - p.dim
     leaf_dim = dim_c + p_derived_perp.dim - torus_rank
@@ -238,10 +238,10 @@ def dimension_report(pd: ParabolicDatum) -> DimensionReport:
         dim_c=dim_c, dim_uc=dim_uc, leaf_dim=leaf_dim)
 
 
-def richardson_candidate(pd: ParabolicDatum, coeffs: Sequence[int]) -> Vec:
-    v = [ZERO] * pd.alg.dim
+def richardson_candidate(pd: ParabolicDatum, coeffs: Sequence[int]) -> tuple[int, ...]:
+    v = [0] * pd.alg.dim
     for c, k in zip(coeffs, pd.u_root_positions):
-        v[k] = Fraction(c)
+        v[k] = c
     return tuple(v)
 
 
@@ -273,7 +273,7 @@ def find_richardson(pd: ParabolicDatum, seed: int = 0,
         best_tangent_dim=best)
 
 
-def torus_character_set(pd: ParabolicDatum, x: Vec) -> IntMat:
+def torus_character_set(pd: ParabolicDatum, x: Sequence) -> IntMat:
     """Distinct torus weights of x's nonzero components, mod the gamma roots.
 
     Rows are root coordinates with the gamma positions deleted (the gamma
@@ -306,7 +306,7 @@ def torsor_certificate(pd: ParabolicDatum,
     if cert.tangent != pd.u:
         raise ValueError("torsor certificate requires an open-orbit element")
     x = cert.element
-    rows = [class_of(pd.a_u, pd.alg.bracket(z, x)) for z in pd.a_p.section]
+    rows = [class_of(pd.a_u, pd.alg.bracket(z, x)) for z in pd.a_p.section[0]]
     induced_rank = span(rows, pd.a_u.dim).dim if rows else 0
     infinitesimal_free = induced_rank == pd.torus_rank
 
@@ -342,10 +342,10 @@ def h1_witness(pd: ParabolicDatum) -> tuple[str, str, Vec] | None:
         for j, b in enumerate(u.ints):
             v = alg.bracket(a, b)
             if any(v) and not pd.u_derived.contains(v):
-                # the bracket of the echelon rows a / a[pivot], b / b[pivot]
-                den = a[lev.pivots[i]] * b[u.pivots[j]]
-                return (alg.vector_name(lev.row(i)), alg.vector_name(u.row(j)),
-                        tuple(Fraction(x, den) if x else ZERO for x in v))
+                # the bracket of the echelon rows a / da, b / db
+                da, db = a[lev.pivots[i]], b[u.pivots[j]]
+                return (alg.vector_name(_as_vec(a, da)), alg.vector_name(_as_vec(b, db)),
+                        _as_vec(v, da * db))
     return None
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chevalley import SUPPORTED_TYPES, CheckRecord, algebra, check_record
-from .exactlin import class_of
+from .exactlin import _clear_denominators, class_of
 from .parabolic import (
     RichardsonSearchError,
     dimension_report,
@@ -177,14 +177,10 @@ def _suite_richardson(case: CaseSpec) -> tuple[CheckRecord, ...]:
 
 
 def _uc_base_vector(pd) -> tuple:
-    """Deterministic representative of [p,p]-perp with full twist support."""
-    alg = pd.alg
-    v = [Fraction(0)] * alg.dim
-    for row in pd.twist_space.section + pd.u.rows:
-        for i, c in enumerate(row):
-            if c:
-                v[i] += c
-    return tuple(v)
+    """Deterministic representative of [p,p]-perp with full twist support:
+    the sum of the twist section's rows and the nilradical's rows."""
+    nums, den = twist_section(pd, [1] * pd.torus_rank)
+    return tuple(sum(col, Fraction(x, den)) for x, *col in zip(nums, *pd.u.rows))
 
 
 def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
@@ -231,7 +227,7 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
             pt_witness = pt_witness or f"point #{k}: {err}"
             continue
         twist, _ = intrinsic_quotients(alg, pt.p)
-        far_level = tuple(-c for c in class_of(twist, pt.x))
+        far_level = tuple(-c for c in class_of(twist, *_clear_denominators(pt.x)))
         [via_id] = canonical_id(pd, w, [base_level], pt.p)
         if far_level != via_id or pi_c(pd, pt) != base_level:
             pt_bad += 1
@@ -354,13 +350,15 @@ def _suite_bc(case: CaseSpec) -> tuple[CheckRecord, ...]:
     # y - section(class y) in p-perp, so kappa(z, y) must equal kappa(z,
     # twist_section(-pi_C y)): the class projector against the Killing form.
     ys = [*pd.p_derived_perp.rows[:2], _uc_base_vector(pd)]
+    sections, _ = pd.a_p.section
     factor_ok = True
     witness = None
     for y in ys:
         level = pi_c(pd, make_uc_point(pd, IDENTITY_WORD, y))
-        via_level = twist_section(pd, tuple(-c for c in level))
-        if ([pd.alg.killing(z, y) for z in pd.a_p.section]
-                != [pd.alg.killing(z, via_level) for z in pd.a_p.section]):
+        via, dv = twist_section(pd, tuple(-c for c in level))
+        ny, dy = _clear_denominators(y)
+        if any(pd.alg.killing(z, ny) * dv != pd.alg.killing(z, via) * dy
+               for z in sections):
             factor_ok = False
             witness = f"y = {pd.alg.vector_name(y)}"
             break

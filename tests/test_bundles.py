@@ -48,7 +48,6 @@ from liework.bundles import (
     twist_level,
     twist_section,
     word_of,
-    zero_twist,
     _PARAM_CHOICES,
     _T_CHOICES,
     _act_ints,
@@ -76,6 +75,25 @@ from liework.suites import _split
 from test_chevalley import _bracket_by_fractions
 
 F = Fraction
+
+
+def _frac_bracket(alg, x, y):
+    """[x, y] of rational vectors: the integer bracket of the cleared
+    vectors over the product of their denominators."""
+    (xs, dx), (ys, dy) = _clear_denominators(x), _clear_denominators(y)
+    return tuple(F(c, dx * dy) for c in alg.bracket(xs, ys))
+
+
+def _frac_killing(alg, x, y):
+    """kappa(x, y) of rational vectors, the same way."""
+    (xs, dx), (ys, dy) = _clear_denominators(x), _clear_denominators(y)
+    return F(alg.killing(xs, ys), dx * dy)
+
+
+def _section_rows(q):
+    """A quotient's section rows as Fraction vectors."""
+    rows, den = q.section
+    return [tuple(F(c, den) for c in r) for r in rows]
 
 
 def _w_unip(root, t):
@@ -115,7 +133,7 @@ def test_torus_letter_scales_by_weight():
     w = word_of(TorusLetter((F(5),)))
     e, h, f = alg.one_hot(0), alg.one_hot(1), alg.one_hot(2)
     assert act_vector(alg, w, e) == tuple(5 * c for c in e)
-    assert act_vector(alg, w, f) == tuple(c / 5 for c in f)
+    assert act_vector(alg, w, f) == tuple(F(c, 5) for c in f)
     assert act_vector(alg, w, h) == h
 
 
@@ -142,7 +160,7 @@ def test_inverse_roundtrip_random_words():
 def killing_invariance_audit(alg, w, pairs):
     """kappa(w.x, w.y) == kappa(x, y) on every pair."""
     for x, y in pairs:
-        if alg.killing(act_vector(alg, w, x), act_vector(alg, w, y)) != \
+        if _frac_killing(alg, act_vector(alg, w, x), act_vector(alg, w, y)) != \
                 alg.killing(x, y):
             return False
     return True
@@ -152,7 +170,7 @@ def bracket_morphism_audit(alg, w, pairs):
     """w.[x, y] == [w.x, w.y] on every pair."""
     for x, y in pairs:
         lhs = act_vector(alg, w, alg.bracket(x, y))
-        rhs = alg.bracket(act_vector(alg, w, x), act_vector(alg, w, y))
+        rhs = _frac_bracket(alg, act_vector(alg, w, x), act_vector(alg, w, y))
         if lhs != rhs:
             return False
     return True
@@ -201,7 +219,7 @@ def test_make_uc_point_transported_sl2():
 def test_pi_c_values_sl2():
     pd = standard_parabolic("A1", frozenset())
     alg = pd.alg
-    h_half = tuple(c / 2 for c in alg.one_hot(1))
+    h_half = tuple(F(c, 2) for c in alg.one_hot(1))
     pt = make_uc_point(pd, IDENTITY_WORD, h_half)
     assert pi_c(pd, pt) == (F(-1, 2),)
     e_pt = make_uc_point(pd, IDENTITY_WORD, alg.one_hot(0))
@@ -222,7 +240,7 @@ def test_pi_c_transport_consistency():
     pd = standard_parabolic("A2", frozenset({1}))
     alg = pd.alg
     rng = random.Random("transport")
-    x0 = pd.twist_space.section[0]
+    x0 = _section_rows(pd.twist_space)[0]
     base = make_uc_point(pd, IDENTITY_WORD, x0)
     level = pi_c(pd, base)
     for _ in range(5):
@@ -328,12 +346,12 @@ def test_invariance_square_closes():
 
 
 def test_fiber_dimension_frozen():
-    assert fiber_dimension(standard_parabolic("A2", frozenset()),
-                           zero_twist(standard_parabolic("A2", frozenset()))) == 6
+    pd0 = standard_parabolic("A2", frozenset())
+    assert fiber_dimension(pd0, twist_level(pd0, [0] * pd0.torus_rank)) == 6
     pd1 = standard_parabolic("A2", frozenset({1}))
     assert fiber_dimension(pd1, twist_level(pd1, [7])) == 4
     pdf = standard_parabolic("A2", frozenset({1, 2}))
-    assert fiber_dimension(pdf, zero_twist(pdf)) == 0
+    assert fiber_dimension(pdf, twist_level(pdf, [0] * pdf.torus_rank)) == 0
 
 
 def test_fiber_dimension_constant_in_psi():
@@ -385,7 +403,7 @@ def test_bc_point_rejects_tangent_short_of_u():
 def test_bc_point_recomputes_the_tangent_from_the_element():
     # a certificate whose tangent field claims u for the zero element
     pd = standard_parabolic("A2", frozenset())
-    forged = RichardsonCertificate(element=(F(0),) * pd.alg.dim, tangent=pd.u)
+    forged = RichardsonCertificate(element=(0,) * pd.alg.dim, tangent=pd.u)
     with pytest.raises(PointInvariantError, match="tangent"):
         make_bc_point(pd, forged)
 
@@ -404,11 +422,13 @@ def test_tstar_moment_maps_factor():
     alg = pd.alg
     for y in pd.p_derived_perp.rows:
         level = pi_c(pd, make_uc_point(pd, IDENTITY_WORD, y))
-        via_level = twist_section(pd, tuple(-c for c in level))
+        nums, den = twist_section(pd, tuple(-c for c in level))
+        via_level = tuple(F(c, den) for c in nums)
         assert pd.p_derived_perp.contains(via_level)
         assert pd.u.contains(tuple(a - b for a, b in zip(y, via_level)))
-        assert [alg.killing(z, y) for z in pd.a_p.section] == \
-            [alg.killing(z, via_level) for z in pd.a_p.section]
+        sections = _section_rows(pd.a_p)
+        assert [_frac_killing(alg, z, y) for z in sections] == \
+            [_frac_killing(alg, z, via_level) for z in sections]
 
 
 def test_uc_invariant_checked_at_transported_p():
@@ -430,7 +450,7 @@ def test_act_uc_point_witness_composition():
     pd = standard_parabolic("A2", frozenset())
     alg = pd.alg
     rng = random.Random("compose")
-    x0 = pd.twist_space.section[0]
+    x0 = _section_rows(pd.twist_space)[0]
     w1 = random_word(alg, rng, length=2)
     w2 = random_word(alg, rng, length=2)
     via_act = act_uc_point(pd, w2, make_uc_point(pd, w1, x0))
@@ -462,7 +482,7 @@ def _ad_power_columns(alg, root, k):
     for j in range(alg.dim):
         x = alg.one_hot(j)
         for m in range(1, k + 1):
-            x = tuple(c / m for c in alg.bracket(e, x))
+            x = tuple(c / m for c in _frac_bracket(alg, e, x))
         cols.append(x)
     return cols
 
@@ -504,7 +524,7 @@ def _old_series(alg, root, t, v):
     k = 0
     while any(term):
         k += 1
-        term = tuple(c / k for c in alg.bracket(y, term))
+        term = tuple(c / k for c in _frac_bracket(alg, y, term))
         acc = [a + c for a, c in zip(acc, term)]
     return tuple(acc)
 
@@ -662,7 +682,7 @@ def _solve(a, cols, b):
 
 def _class_by_solve(q, v):
     # the per-call solve that the projector replaces
-    cols = q.section + q.divisor.rows
+    cols = _section_rows(q) + list(q.divisor.rows)
     if not cols:
         return ()
     system = [[row[i] for row in cols] for i in range(q.total.ambient_dim)]
@@ -686,14 +706,18 @@ def test_class_of_projector_matches_solve(label):
                 vecs.append(tuple(sum((c * r[i] for c, r in zip(coeffs, rows)), F(0))
                                   for i in range(alg.dim)))
             for v in vecs:
-                assert class_of(q, v) == _class_by_solve(q, v)
+                nums, den = _clear_denominators(v)
+                for d in (den, 2 * den, 6 * den):  # den > 1 too
+                    assert class_of(q, nums, d) == \
+                        _class_by_solve(q, tuple(F(c, d) for c in nums))
 
 
 def _perp_by_fraction_gram(alg, s):
     # the route killing_perp replaces: Fraction rows times the gram
     g = alg.killing_gram
-    return kernel([[sum((r[k] * g[k, j] for k in range(alg.dim)), F(0))
-                    for j in range(alg.dim)] for r in s.rows], alg.dim)
+    return kernel([_clear_denominators([sum((r[k] * g[k, j] for k in range(alg.dim)), F(0))
+                                        for j in range(alg.dim)])[0] for r in s.rows],
+                  alg.dim)
 
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)
@@ -811,13 +835,13 @@ def test_invariance_membership_matches_quotient_perp(label):
                                for _ in range(alg.dim)))
             for v in cands:
                 want = pdp.contains(v)
-                assert alg.kills_derived(p, v) == want
+                assert alg.kills_derived(p, _clear_denominators(v)[0]) == want
                 checked += 1
                 if not want:
                     rejected += 1
                     with pytest.raises(PointInvariantError, match="Killing-orthogonal"):
                         _verify_uc_invariant(pd, p, v)
-            assert alg.kills_derived(p, x)
+            assert alg.kills_derived(p, _clear_denominators(x)[0])
             _verify_uc_invariant(pd, p, x)
             for v in (x[:-1], x + (F(0),)):
                 with pytest.raises(DimensionMismatch):
@@ -839,7 +863,7 @@ def test_uc_point_off_standard_p_leaves_quotient_cache_alone():
 def _roundtrip_by_fractions(alg, w, winv, x):
     y = act_vector(alg, w, x)
     return (act_vector(alg, winv, y) == tuple(F(c) for c in x)
-            and alg.killing(y, y) == alg.killing(x, x))
+            and _frac_killing(alg, y, y) == _frac_killing(alg, x, x))
 
 
 def _tampered_words(rng, w):
@@ -861,7 +885,7 @@ def test_act_roundtrip_matches_fraction_route(label, monkeypatch):
     rng = random.Random(f"roundtrip:{label}")
     x = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(alg.dim))
     ints = tuple(rng.randint(-4, 4) for _ in range(alg.dim))
-    assert alg.killing(x, x) != 0
+    assert _frac_killing(alg, x, x) != 0
     words = [random_word(alg, rng, length=rng.randint(1, 8)) for _ in range(12)]
     for v in (x, ints):
         assert act_roundtrip(alg, words + [IDENTITY_WORD], v) == [True] * 13
@@ -912,7 +936,7 @@ def test_act_roundtrip_clears_and_pairs_x_once(monkeypatch):
     x = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(alg.dim))
     words = [random_word(alg, rng, length=3) for _ in range(6)]
     cleared, paired = [], []
-    real_clear, real_pair = bundles._clear_denominators, type(alg).killing_ints
+    real_clear, real_pair = bundles._clear_denominators, type(alg).killing
 
     def clear(v):
         cleared.append(v)
@@ -923,7 +947,7 @@ def test_act_roundtrip_clears_and_pairs_x_once(monkeypatch):
         return real_pair(self, xs, ys)
 
     monkeypatch.setattr(bundles, "_clear_denominators", clear)
-    monkeypatch.setattr(type(alg), "killing_ints", pair)
+    monkeypatch.setattr(type(alg), "killing", pair)
     assert act_roundtrip(alg, words, x) == [True] * len(words)
     # x once, then one pairing of each image
     assert cleared == [x]

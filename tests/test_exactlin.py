@@ -34,6 +34,12 @@ def as_vec(seq):
     return tuple(map(Q, seq))
 
 
+def cleared(v):
+    """A rational vector as (integer numerators, positive denominator)."""
+    den = math.lcm(*(Q(x).denominator for x in v))
+    return [int(x * den) for x in v], den
+
+
 E = as_vec([1, 0, 0])
 H = as_vec([0, 1, 0])
 F = as_vec([0, 0, 1])
@@ -143,10 +149,10 @@ def test_quotient_sl2_borel():
     divisor = span([E], 3)
     q = quotient(total, divisor)
     assert q.dim == 1
-    assert q.section == (H,)
+    assert q.section == (((0, 1, 0),), 1)
     # class of h/2 is (1/2); e maps to zero
-    assert class_of(q, as_vec([0, Q(1, 2), 0])) == (Q(1, 2),)
-    assert class_of(q, E) == (Q(0),)
+    assert class_of(q, [0, 1, 0], 2) == (Q(1, 2),)
+    assert class_of(q, (1, 0, 0)) == (Q(0),)
 
 
 def test_quotient_errors_are_distinct():
@@ -155,7 +161,9 @@ def test_quotient_errors_are_distinct():
         quotient(total, span([F], 3))
     q = quotient(total, span([E], 3))
     with pytest.raises(VectorOutsideTotal):
-        class_of(q, F)
+        class_of(q, (0, 0, 1))
+    with pytest.raises(DimensionMismatch):
+        class_of(q, (0, 1))
 
 
 def test_quotient_class_linear_seeded():
@@ -167,8 +175,9 @@ def test_quotient_class_linear_seeded():
         c1, c2 = rand_fraction(rng), rand_fraction(rng)
         v1 = as_vec([c1, c2, 0, 2 * c1])
         v2 = as_vec([0, c2, c1, -c1])
-        lhs = class_of(q, as_vec([a + b for a, b in zip(v1, v2)]))
-        rhs = tuple(a + b for a, b in zip(class_of(q, v1), class_of(q, v2)))
+        lhs = class_of(q, *cleared([a + b for a, b in zip(v1, v2)]))
+        rhs = tuple(a + b for a, b in zip(class_of(q, *cleared(v1)),
+                                          class_of(q, *cleared(v2))))
         assert lhs == rhs
 
 
@@ -176,7 +185,8 @@ def test_zero_dimensional_quotient():
     total = span([E, H], 3)
     q = quotient(total, total)
     assert q.dim == 0
-    assert class_of(q, H) == ()
+    assert q.section == ((), 1)
+    assert class_of(q, (0, 1, 0)) == ()
 
 
 def test_smith_frozen_example():
@@ -218,7 +228,7 @@ def test_kernel_annihilates():
     rng = random.Random(8)
     for _ in range(20):
         m = rand_mat(rng, 3, 5)
-        k = kernel(m, 5)
+        k = kernel([cleared(r)[0] for r in m], 5)
         assert k.dim == 5 - len(rref(m, 5)[1])
         for r in k.rows:
             assert all(x == 0 for x in apply(m, r))
@@ -245,13 +255,12 @@ def test_dimension_mismatch_errors():
 def test_a1_killing_matches_matrix_product():
     rng = random.Random(21)
     for _ in range(10):
-        x = as_vec([rand_fraction(rng) for _ in range(3)])
-        y = as_vec([rand_fraction(rng) for _ in range(3)])
+        x = [rng.randint(-6, 6) for _ in range(3)]
+        y = [rng.randint(-6, 6) for _ in range(3)]
         k = A1.killing(x, y)
-        assert type(k) is Q and k == sl2_pair(x, y)
-    # integer vectors, as subspaces hold them, still pair to a Fraction
+        assert type(k) is int and k == sl2_pair(x, y)
     k = A1.killing((1, 0, 0), (0, 0, 1))
-    assert type(k) is Q and k == 4
+    assert type(k) is int and k == 4
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -325,8 +334,10 @@ def test_echelon_builder_matches_span():
     rows = [[rand_fraction(rng) for _ in range(5)] for _ in range(6)]
     eb = EchelonBuilder(5)
     for r in rows:
-        eb.insert(as_vec(r))
+        eb.insert(cleared(r)[0])
     assert eb.subspace() == span(rows, 5)
+    with pytest.raises(DimensionMismatch):
+        eb.insert([1, 2, 3, 4])
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +393,7 @@ def test_rref_matches_sympy(sympy, m):
 @oracle
 @given(m=fraction_matrices())
 def test_kernel_matches_sympy_nullspace(sympy, m):
-    k = kernel(m, len(m[0]))
+    k = kernel([cleared(r)[0] for r in m], len(m[0]))
     want = [list(map(_frac, v)) for v in sympy.Matrix(m).nullspace()]
     assert k.dim == len(want)
     assert k == span(want, len(m[0]))
@@ -427,15 +438,43 @@ def test_quotient_class_of_match_sympy_solve(sympy, data):
 
     q = quotient(span(rt, cols), span(rd, cols))
     assert q.dim == rank(rt) - rank(rd)
-    basis = list(q.section + q.divisor.rows)
+    rows, den = q.section
+    section = [[Q(x, den) for x in r] for r in rows]
+    basis = section + list(q.divisor.rows)
     assert rank(basis) == len(basis) == rank(rt)
-    cls = class_of(q, v)
+    cls = class_of(q, *cleared(v))
     if basis:
         x = sympy.Matrix(basis).T.solve(sympy.Matrix(v))
         assert cls == tuple(map(_frac, x[:q.dim]))
     # v minus the section combination lies in the divisor
-    residual = [a - b for a, b in zip(v, _combine(cls, q.section))] if cls else v
+    residual = [a - b for a, b in zip(v, _combine(cls, section))] if cls else v
     assert rank(rd + [residual]) == rank(rd)
+
+
+def _rref_section(total, divisor):
+    """The section as quotient picked it when it held Fraction rows: the
+    total's reduced echelon rows, in order, that extend the divisor's
+    echelon basis."""
+    eb = EchelonBuilder(total.ambient_dim)
+    for r in divisor.ints:
+        eb.insert(r)
+    return tuple(row for row, r in zip(total.rows, total.ints) if eb.insert(r))
+
+
+@oracle
+@given(data=st.data())
+def test_integer_section_is_the_rref_rows_over_one_denominator(data):
+    cols = data.draw(st.integers(1, 10))
+    rt = data.draw(fraction_matrices(cols))
+    coeffs = st.lists(fraction_entries, min_size=len(rt), max_size=len(rt))
+    rd = [_combine(c, rt) for c in data.draw(st.lists(coeffs, max_size=8))]
+    total, divisor = span(rt, cols), span(rd, cols)
+    rows, den = quotient(total, divisor).section
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for r in rows for x in r)
+    # den is the least common denominator of the rows
+    assert math.gcd(den, *(x for r in rows for x in r)) == 1
+    assert tuple(tuple(Q(x, den) for x in r) for r in rows) == _rref_section(total, divisor)
 
 
 @oracle

@@ -4,12 +4,13 @@ The A1/A2 numbers were derived directly in the 3- and 8-dimensional
 Chevalley bases; the B2 gamma={2} block was worked out by hand from the
 four positive roots (its nilradical is abelian of dimension 3).
 """
+import dataclasses
 import itertools
 
 import pytest
 
 from liework.chevalley import SUPPORTED_TYPES, algebra
-from liework.exactlin import smith_normal_form, span
+from liework.exactlin import QuotientSpace, Subspace, smith_normal_form, span
 from liework.parabolic import (
     ParabolicAuditError,
     RichardsonCertificate,
@@ -25,6 +26,7 @@ from liework.parabolic import (
     torsor_certificate,
     torus_character_set,
 )
+from test_chevalley import _bracket_by_fractions
 
 
 def test_a1_borel_dimensions():
@@ -112,6 +114,38 @@ def test_coordinate_subspaces_match_spans_of_one_hots():
                 for got, idx in ((pd.p, levi + u), (pd.levi, levi), (pd.u, u)):
                     want = span([alg.one_hot(i) for i in idx], alg.dim)
                     assert got == want and got.pivots == want.pivots
+
+
+def _all_ints(rows):
+    return all(type(x) is int for r in rows for x in r)
+
+
+def test_dossier_and_certificate_coordinates_are_ints():
+    # every subspace and quotient of every dossier, and every Richardson
+    # certificate, over all 54 cases: integer coordinates, positive
+    # section and projector denominators
+    subspaces = quotients = 0
+    for label in SUPPORTED_TYPES:
+        alg = algebra(label)
+        for r in range(alg.rank + 1):
+            for gamma in itertools.combinations(range(1, alg.rank + 1), r):
+                pd = standard_parabolic(label, frozenset(gamma))
+                cert = find_richardson(pd)
+                values = [getattr(pd, f.name) for f in dataclasses.fields(pd)]
+                spaces = [v for v in values if isinstance(v, Subspace)] + [cert.tangent]
+                for q in (v for v in values if isinstance(v, QuotientSpace)):
+                    rows, den = q.section
+                    prows, pden = q.projector
+                    assert type(den) is int and den > 0
+                    assert type(pden) is int and pden > 0
+                    assert _all_ints(rows) and _all_ints(prows)
+                    spaces += [q.total, q.divisor]
+                    quotients += 1
+                for s in spaces:
+                    assert _all_ints(s.ints) and _all_ints([s.pivots])
+                    subspaces += 1
+                assert _all_ints([cert.element])
+    assert quotients == 3 * 54 and subspaces == 15 * 54
 
 
 def test_richardson_a2_borel_is_all_ones():
@@ -208,9 +242,11 @@ def test_h1_witness_is_the_first_fraction_bracket(label):
     for r in range(alg.rank + 1):
         for gamma in itertools.combinations(range(1, alg.rank + 1), r):
             pd = standard_parabolic(label, frozenset(gamma))
-            want = next(((alg.vector_name(a), alg.vector_name(b), alg.bracket(a, b))
+            want = next(((alg.vector_name(a), alg.vector_name(b),
+                          _bracket_by_fractions(alg, a, b))
                          for a in pd.levi_derived.rows for b in pd.u.rows
-                         if not pd.u_derived.contains(alg.bracket(a, b))), None)
+                         if not pd.u_derived.contains(_bracket_by_fractions(alg, a, b))),
+                        None)
             assert h1_witness(pd) == want
 
 
