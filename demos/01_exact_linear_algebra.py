@@ -34,11 +34,13 @@ k = kernel([[1, 2, 0], [0, 0, 1]], 3)
 print("kernel basis:", list(k.rows))
 
 # Quotients carry a deterministic section; class_of returns coordinates of
-# a vector's class in that section basis.
+# a vector's class in that section basis, as integer numerators over one
+# positive denominator in lowest terms.
 q = quotient(span([[1, 0, 0], [0, 1, 0]], 3), span([[1, 1, 0]], 3))
 print("quotient dim:", q.dim)
-print("class of (1, 0, 0):", class_of(q, [1, 0, 0]))
-print("class of (1, 1, 0):", class_of(q, [1, 1, 0]))
+for v in ([1, 0, 0], [1, 1, 0]):
+    nums, den = class_of(q, v)
+    print(f"class of {tuple(v)}:", tuple(Fraction(x, den) for x in nums))
 
 # Fractions propagate exactly through row reduction.
 print("1/3 rref:", rref([[Fraction(1, 3)]], 1)[0][0])

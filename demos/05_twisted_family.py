@@ -3,7 +3,9 @@ The twisted family over the torus
 =================================
 
 Points of the incidence family are pairs (parabolic, covector) moved
-around by exact group words.  The moment map reads off the covector, the
+around by exact group words.  Covectors and twist levels are integer
+numerators over one positive denominator in lowest terms, turned into
+Fractions only to print them.  The moment map reads off the covector, the
 twist map reads off the torus level, and both behave under the action
 exactly as claimed.
 """
@@ -21,16 +23,22 @@ pd = standard_parabolic("A2", frozenset({1}))
 alg = pd.alg
 print("case", pd.label(), " twist dim =", pd.twist_space.dim)
 
+
+def fractions(v):
+    """A (numerators, denominator) vector as Fractions, for printing."""
+    nums, den = v
+    return tuple(Fraction(x, den) for x in nums)
+
+
 # Pick a twist level and take its canonical section in [p,p]-perp.  The
 # twist map carries the opposite sign of the section class: covectors at
 # level psi sit over the character -psi of the torus.
 psi = twist_level(pd, [3])
-nums, den = twist_section(pd, psi)  # integer numerators over one denominator
-x0 = tuple(Fraction(x, den) for x in nums)
-print("section of psi=3:", alg.vector_name(x0))
+x0 = twist_section(pd, psi)  # integer numerators over one denominator
+print("section of psi=3:", alg.vector_name(fractions(x0)))
 
 base = make_uc_point(pd, IDENTITY_WORD, x0)
-print("pi of base point:", pi_c(pd, base))
+print("pi of base point:", fractions(pi_c(pd, base)))
 
 # Transport by a random word: the subspace moves, the covector moves, and
 # the membership invariant is re-verified at the destination.
@@ -50,7 +58,7 @@ print("stabilizer fixes p:", canonical_id(pd, s, [psi]) == [psi])
 # The two routes around the transport square agree exactly: pairing
 # against torus sections rebuilt far away equals pairing pulled back near.
 [(far, near)] = invariance_pairing_square(pd, w, [psi])
-print("invariance square:", far == near, " value:", far)
+print("invariance square:", far == near, " value:", fractions(far))
 
 # Fibers of pi are equi-dimensional: twice the codimension of p at every
 # level.
@@ -60,4 +68,4 @@ print("fiber dims at psi = 0..3:",
 # The family embeds into the partial resolution family, pairs (p, x) with
 # x in p, by the identity on pairs: both moment maps read x, so the
 # triangle commutes once the moved covector lies in the moved parabolic.
-print("embedding keeps moment:", moved.p.contains(moved.x))
+print("embedding keeps moment:", moved.p.contains(moved.x[0]))

@@ -3,20 +3,16 @@
 Group elements are words in two kinds of generators: unipotent letters
 exp(t ad_e) for a root vector e and torus letters acting on each root
 space by a rational monomial in the parameters.  A unipotent letter is
-v + sum_k t^k D_k v over the divided powers D_k = ad(e)^k / k!, which
-are integer matrices that vanish beyond k = 3 (Chevalley; Kostant's
-Z-form), built once per algebra and root from the structure constants
-with their integrality and nilpotency audited.  Each letter is compiled
-to integers once per algebra, root or simple root, and parameter, so a
-word acts on integer vectors over one denominator each, and an inverse
-word is applied in place, with no inverse word built.
+v + sum_k t^k D_k v over the divided powers D_k = ad(e)^k / k!, integer
+matrices that vanish beyond k = 3 (Chevalley; Kostant's Z-form), built
+once per algebra and root with their integrality and nilpotency audited.
+Letters are compiled to integers once, and a word is decoded once per
+call, its inverse in place; each vector runs through all its steps over
+one denominator and is brought to lowest terms once, at the end.
 
-This is the points layer: a point's vector and a twist level are
-Fractions, cleared once to integer numerators over one denominator
-before they meet the integer-only algebra and linear algebra (bracket,
-Killing form, echelon insert), and the section of a twist level is
-built from the quotient's integer rows as such a pair.  Every value is
-exact.
+This is the points layer, and its vectors are no Fractions: a point's
+vector, a twist level and a class are QVecs, integer numerators over one
+positive denominator in lowest terms, so equal values are equal tuples.
 
 Two point types are modeled:
   UCPoint    (p, x) with x in the Killing-perp of [p, p]
@@ -34,8 +30,7 @@ kappa([x, a], b) = 0 for all rows a, b, by the audited invariance.
 Twist spaces at different parabolics are recomputed from scratch at the
 target subspace by killing_quotients, the derivation build_parabolic
 uses, so "the identity on stabilizing words" is a verified fact rather
-than a definition.  A twist level is a Vec of Fraction section
-coordinates.
+than a definition.
 """
 from __future__ import annotations
 
@@ -51,11 +46,11 @@ from .chevalley import ChevalleyAlgebra, ConstructionAuditError, Root
 from .exactlin import (
     EchelonBuilder,
     QuotientSpace,
+    QVec,
     Subspace,
-    Vec,
     VectorOutsideTotal,
-    _as_vec,
     _clear_denominators,
+    _lowest,
     class_of,
     kernel,
     span,
@@ -84,10 +79,20 @@ class HypothesisNotSatisfied(RuntimeError):
 # group words
 
 
+def _check_scalars(values: Sequence, what: str) -> None:
+    """No float enters: raise unless each value is a non-bool int or a Fraction."""
+    for x in values:
+        if type(x) is bool or not isinstance(x, (int, Fraction)):
+            raise TypeError(f"{what} must be ints or Fractions, got {x!r}")
+
+
 @dataclass(frozen=True)
 class UnipotentLetter:
     root: Root
     t: Fraction
+
+    def __post_init__(self):
+        _check_scalars((self.t,), "a unipotent letter's t")
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,8 @@ class TorusLetter:
     params: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "params", tuple(self.params))  # a cache key
+        _check_scalars(self.params, "torus parameters")
         if any(p == 0 for p in self.params):
             raise ValueError("torus parameters must be nonzero")
 
@@ -157,19 +164,16 @@ def _divided_powers(alg: ChevalleyAlgebra, root: Root) -> tuple[_DividedPower, .
 
 
 @functools.lru_cache(maxsize=None)
-def _unipotent_letter(alg: ChevalleyAlgebra, root: Root, a: int,
-                      b: int) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+def _unipotent_letter(alg: ChevalleyAlgebra, root: Root, a: int, b: int) -> tuple:
     """exp(t ad e) for t = a / b, b > 0, compiled from the divided powers as
-    (b^K, one (j, (r0, c0, r1, c1, ...)) per nonzero column j): the entries
-    of sum_k a^k b^(K-k) D_k e_j, K the number of nonzero D_k."""
+    (b^K, the flat (j, r, c) triples, None): each c the entry r of
+    sum_k a^k b^(K-k) D_k e_j, K the number of nonzero D_k."""
     powers = _divided_powers(alg, root)
     top = len(powers)
-    cols: dict[int, list[int]] = {}
-    for k, dk in enumerate(powers, 1):
-        tk = a ** k * b ** (top - k)
-        for j, col in dk:
-            cols.setdefault(j, []).extend(x for r, n in col for x in (r, n * tk))
-    return b ** top, tuple((j, tuple(flat)) for j, flat in cols.items())
+    tks = [a ** k * b ** (top - k) for k in range(1, top + 1)]
+    # D_k e_j has weight wt(e_j) + k root, so no (j, r) comes twice
+    return b ** top, tuple(x for tk, dk in zip(tks, powers) for j, col in dk
+                           for r, n in col for x in (j, r, n * tk)), None
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,59 +188,64 @@ def _torus_factor(alg: ChevalleyAlgebra, i: int, a: int,
             tuple(sign * a ** (e - lo) * b ** (hi - e) for e in es))
 
 
-def _act_ints(alg: ChevalleyAlgebra, w: GroupWord,
-              vecs: Sequence[tuple[Sequence[int], int]], *,
-              inverse: bool = False) -> list[tuple[list[int], int]]:
-    """The word, last letter first, applied to each nums / den, as (nums',
-    den') in lowest terms, den' > 0; with inverse, its inverse in place:
-    first letter first, exp(-t ad e) and each torus parameter a / b read
-    as b / a.  Letters come compiled from _unipotent_letter and from one
-    _torus_factor per simple root; each vector ends every letter divided
-    by its gcd."""
-    if any(len(nums) != alg.dim for nums, _ in vecs):
-        raise ValueError("vector length does not match algebra dimension")
-    vecs = list(vecs)
+@functools.lru_cache(maxsize=None)
+def _torus_letter(alg: ChevalleyAlgebra, params: tuple, inverse: bool) -> tuple:
+    """The torus letter with these parameters, one per simple root, or its
+    inverse, as (scale, None, mults): the product of the simple roots'
+    _torus_factor at each a / b, b > 0, read as b / a in the inverse."""
+    if len(params) != alg.rank:
+        raise ValueError("torus letter has wrong parameter count")
+    ratios = [q.as_integer_ratio() for q in params]
+    if inverse:
+        ratios = [(b, a) if a > 0 else (-b, -a) for a, b in ratios]
+    scales, mults = zip(*(_torus_factor(alg, i, a, b) for i, (a, b) in enumerate(ratios)))
+    return math.prod(scales), None, tuple(map(math.prod, zip(*mults)))
+
+
+def _act_ints(alg: ChevalleyAlgebra, w: GroupWord, vecs, *,
+              inverse: bool = False) -> list[QVec]:
+    """The word, last letter first, applied to each (nums, den), den > 0, as
+    a QVec; with inverse, its inverse in place: first letter first,
+    exp(-t ad e) and each torus parameter a / b read as b / a.  The word is
+    decoded once into compiled letters (scale, triples, mults), and each
+    vector runs through all of them before its gcd with the denominator is
+    divided out once: lowest terms with den > 0 are unique."""
+    steps = []
     for letter in w.letters if inverse else reversed(w.letters):
-        if isinstance(letter, UnipotentLetter):
+        if type(letter) is UnipotentLetter:
             a, b = letter.t.as_integer_ratio()
-            scale, cols = _unipotent_letter(alg, letter.root, -a if inverse else a, b)
-            mults = None
+            steps.append(_unipotent_letter(alg, letter.root, -a if inverse else a, b))
         else:
-            if len(letter.params) != alg.rank:
-                raise ValueError("torus letter has wrong parameter count")
-            scale, mults = 1, None
-            for i, q in enumerate(letter.params):
-                a, b = q.as_integer_ratio()
-                if inverse:
-                    a, b = (b, a) if a > 0 else (-b, -a)
-                s, m = _torus_factor(alg, i, a, b)
-                scale *= s
-                mults = m if mults is None else list(map(operator.mul, mults, m))
-        for i, (nums, den) in enumerate(vecs):
-            if mults is not None:
-                out = list(map(operator.mul, nums, mults))
+            steps.append(_torus_letter(alg, letter.params, inverse))
+    out = []
+    for v, den in vecs:  # read once, so a one-shot iterator works
+        if len(v) != alg.dim:
+            raise ValueError("vector length does not match algebra dimension")
+        for scale, triples, mults in steps:
+            if mults is None:
+                moved = [x * scale for x in v] if scale != 1 else list(v)
+                it = iter(triples)
+                for j, r, c in zip(it, it, it):
+                    if x := v[j]:
+                        moved[r] += c * x
+                v = moved
             else:
-                out = list(nums) if scale == 1 else [x * scale for x in nums]
-                for j, flat in cols:
-                    if x := nums[j]:
-                        it = iter(flat)
-                        for r, c in zip(it, it):
-                            out[r] += c * x
+                v = list(map(operator.mul, v, mults))
             den *= scale
-            g = math.gcd(den, *out)
-            vecs[i] = ([x // g for x in out], den // g) if g > 1 else (out, den)
-    return vecs
+        out.append(_lowest(v, den))
+    return out
 
 
-def act_vector(alg: ChevalleyAlgebra, w: GroupWord, v: Vec) -> Vec:
-    """Adjoint action of the word on a vector of ints or Fractions; letters
-    compose like a product, so the last letter acts first.  The word acts
-    on one integer vector and denominator; the result is Fractions."""
-    return _as_vec(*_act_ints(alg, w, [_clear_denominators(v)])[0])
+def act_vector(alg: ChevalleyAlgebra, w: GroupWord, v: QVec) -> QVec:
+    """Adjoint action of the word on a vector (nums, den); letters compose
+    like a product, so the last letter acts first."""
+    return _act_ints(alg, w, [v])[0]
 
 
 def act_subspace(alg: ChevalleyAlgebra, w: GroupWord, s: Subspace) -> Subspace:
     """The image of s: the span of the images of its integer basis rows."""
+    if not w.letters:
+        return s
     eb = EchelonBuilder(s.ambient_dim)
     for nums, _ in _act_ints(alg, w, [(row, 1) for row in s.ints]):
         eb.insert(nums)
@@ -244,20 +253,18 @@ def act_subspace(alg: ChevalleyAlgebra, w: GroupWord, s: Subspace) -> Subspace:
 
 
 def act_roundtrip(alg: ChevalleyAlgebra, words: Sequence[GroupWord],
-                  x: Vec) -> list[bool]:
+                  x: QVec) -> list[bool]:
     """For each word w, whether w^-1 (w x) == x and kappa(w x, w x) ==
-    kappa(x, x), w^-1 applied in place; x is cleared and paired once for
-    all the words.  The action's pairs are in lowest terms, so the first is
-    pair equality and the second K(ys, ys) d0^2 == K(n0, n0) dy^2 in ints."""
-    n0, d0 = _clear_denominators(x)
-    n0 = list(n0)
+    kappa(x, x), w^-1 applied in place; x is brought to lowest terms and
+    paired once.  The first is pair equality, the second K(ys, ys) d0^2 ==
+    K(n0, n0) dy^2 in ints."""
+    n0, d0 = x = _lowest(*x)
     k0 = alg.killing(n0, n0)
     out = []
     for w in words:
-        [(ys, dy)] = _act_ints(alg, w, [(n0, d0)])
-        [(back, den)] = _act_ints(alg, w, [(ys, dy)], inverse=True)
-        out.append(list(back) == n0 and den == d0 and
-                   alg.killing(ys, ys) * d0 * d0 == k0 * dy * dy)
+        [(ys, dy)] = _act_ints(alg, w, [x])
+        [back] = _act_ints(alg, w, [(ys, dy)], inverse=True)
+        out.append(back == x and alg.killing(ys, ys) * d0 * d0 == k0 * dy * dy)
     return out
 
 
@@ -268,26 +275,27 @@ _PARAM_CHOICES = (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),
 
 
 @functools.lru_cache(maxsize=None)
-def _signed_roots(alg: ChevalleyAlgebra) -> tuple[Root, ...]:
-    """All roots: the positive ones, then their negatives."""
-    return alg.positive_roots + tuple(-r for r in alg.positive_roots)
+def _letter_table(alg: ChevalleyAlgebra,
+                  levi: tuple[int, ...] | None) -> tuple[tuple[UnipotentLetter, ...], ...]:
+    """The unipotent letters random_word draws from, one row per root with
+    its letter at each of _T_CHOICES: the positive roots, then the negatives
+    of all of them, or of those at the positive-root positions levi."""
+    pos = alg.positive_roots
+    roots = pos + tuple(-pos[k] for k in (range(len(pos)) if levi is None else levi))
+    return tuple(tuple(UnipotentLetter(r, t) for t in _T_CHOICES) for r in roots)
 
 
 def random_word(alg: ChevalleyAlgebra, rng: random.Random, length: int,
-                roots: Sequence[Root] | None = None) -> GroupWord:
-    """Deterministic word from the rng; unipotent letters use the given
-    roots (default: all roots, both signs)."""
-    if roots is None:
-        roots = _signed_roots(alg)
-    letters: list[Letter] = []
-    for _ in range(length):
-        if rng.random() < 0.25:
-            letters.append(TorusLetter(
-                tuple(rng.choice(_PARAM_CHOICES) for _ in range(alg.rank))))
-        else:
-            letters.append(UnipotentLetter(rng.choice(roots),
-                                           rng.choice(_T_CHOICES)))
-    return GroupWord(tuple(letters))
+                levi: tuple[int, ...] | None = None) -> GroupWord:
+    """Deterministic word from the rng; unipotent letters use all roots,
+    both signs, or with levi only those of the standard parabolic whose
+    Levi holds the positive roots at those positions.  A letter drawn as
+    choice(choice(table)) takes the rng draws of a root, then a t."""
+    table = _letter_table(alg, levi)
+    return GroupWord(tuple(
+        TorusLetter(tuple(rng.choice(_PARAM_CHOICES) for _ in range(alg.rank)))
+        if rng.random() < 0.25 else rng.choice(rng.choice(table))
+        for _ in range(length)))
 
 
 def stabilizer_word(pd: ParabolicDatum, rng: random.Random,
@@ -295,29 +303,29 @@ def stabilizer_word(pd: ParabolicDatum, rng: random.Random,
     """Word from generators of the parabolic subgroup: unipotent letters
     for roots of p (all positive roots plus negatives supported on gamma)
     and arbitrary torus letters.  Such words fix p as a subspace."""
-    alg = pd.alg
-    roots = [alg.positive_roots[k] for k in range(alg.num_positive)]
-    roots += [-alg.positive_roots[k] for k in pd.levi_root_positions]
-    return random_word(alg, rng, length, roots=roots)
+    return random_word(pd.alg, rng, length, levi=pd.levi_root_positions)
 
 
 # ---------------------------------------------------------------------------
 # twist levels and the incidence family
 
 
-def twist_level(pd: ParabolicDatum, coords: Sequence) -> Vec:
-    psi = tuple(Fraction(c) for c in coords)
-    if len(psi) != pd.torus_rank:
+def twist_level(pd: ParabolicDatum, coords: Sequence) -> QVec:
+    """The twist level with the given section coordinates, ints or
+    Fractions, as a QVec."""
+    coords = tuple(coords)
+    _check_scalars(coords, "twist level coordinates")
+    if len(coords) != pd.torus_rank:
         raise ValueError("twist level has wrong length")
-    return psi
+    return _lowest(*_clear_denominators(coords))
 
 
-def twist_section(pd: ParabolicDatum, psi: Sequence) -> tuple[list[int], int]:
+def twist_section(pd: ParabolicDatum, psi: QVec) -> tuple[list[int], int]:
     """The canonical section representative of psi inside [p,p]-perp, as
-    integer numerators over one positive denominator: psi's cleared
-    coordinates combine the section's integer rows."""
+    integer numerators over one positive denominator: psi's numerators
+    combine the section's integer rows."""
     rows, den = pd.twist_space.section
-    coeffs, cden = _clear_denominators(psi)
+    coeffs, cden = psi
     acc = [sum(map(operator.mul, coeffs, col)) for col in zip(*rows)]
     return acc or [0] * pd.alg.dim, cden * den
 
@@ -325,27 +333,27 @@ def twist_section(pd: ParabolicDatum, psi: Sequence) -> tuple[list[int], int]:
 @dataclass(frozen=True)
 class UCPoint:
     p: Subspace
-    x: Vec
+    x: QVec
     witness: GroupWord
 
 
-def _verify_uc_invariant(pd: ParabolicDatum, p: Subspace, x: Vec) -> None:
+def _verify_uc_invariant(pd: ParabolicDatum, p: Subspace, x: QVec) -> None:
     # x must kill [p, p]: the dossier's [p,p]-perp at the standard p, else
     # the algebra answers from p's rows by invariance, building no quotients.
     # The input picks the fork: a matrix17 pass sends 215 of 309 calls (d4:
     # 141 of 249) to the standard p, where contains takes ~18 us to
     # kills_derived's ~81 (d4: ~30 to ~345; Python 3.11, 2-vCPU VM), so one
     # route would add ~3% to a matrix17 verify pass and ~6% to a d4 one.
-    if not (pd.p_derived_perp.contains(x) if p == pd.p
-            else pd.alg.kills_derived(p, _clear_denominators(x)[0])):
+    if not (pd.p_derived_perp.contains(x[0]) if p == pd.p
+            else pd.alg.kills_derived(p, x[0])):
         raise PointInvariantError(
             "x is not Killing-orthogonal to [p, p] for its parabolic")
 
 
-def make_uc_point(pd: ParabolicDatum, w: GroupWord, x0: Vec) -> UCPoint:
-    """Transport (p_standard, x0) by w; the membership invariant is
-    re-verified intrinsically at the transported subspace."""
-    if not pd.p_derived_perp.contains(x0):
+def make_uc_point(pd: ParabolicDatum, w: GroupWord, x0: QVec) -> UCPoint:
+    """Transport (p_standard, x0) by w, x0 = (nums, den); the membership
+    invariant is re-verified intrinsically at the transported subspace."""
+    if not pd.p_derived_perp.contains(x0[0]):
         raise PointInvariantError("x0 must lie in [p,p]-perp of the standard p")
     return act_uc_point(pd, w, UCPoint(p=pd.p, x=x0, witness=IDENTITY_WORD))
 
@@ -358,16 +366,16 @@ def act_uc_point(pd: ParabolicDatum, w: GroupWord, pt: UCPoint) -> UCPoint:
     return UCPoint(p=p, x=x, witness=concat(w, pt.witness))
 
 
-def pi_c(pd: ParabolicDatum, pt: UCPoint) -> Vec:
+def pi_c(pd: ParabolicDatum, pt: UCPoint) -> QVec:
     """Twist level of a point: transport x back to the standard parabolic
     through the witness inverse and take minus its class."""
-    [back] = _act_ints(pd.alg, pt.witness, [_clear_denominators(pt.x)], inverse=True)
+    [back] = _act_ints(pd.alg, pt.witness, [pt.x], inverse=True)
     try:  # the twist space's total is the standard [p,p]-perp
-        cls = class_of(pd.twist_space, *back)
+        nums, den = class_of(pd.twist_space, *back)
     except VectorOutsideTotal as exc:
         raise WitnessTransportError(
             "witness inverse did not return x to the standard [p,p]-perp") from exc
-    return tuple(-c for c in cls)
+    return tuple(-c for c in nums), den
 
 
 @functools.lru_cache(maxsize=None)
@@ -381,8 +389,8 @@ def intrinsic_quotients(alg: ChevalleyAlgebra,
     return twist, a_p
 
 
-def canonical_id(pd: ParabolicDatum, w: GroupWord, psis: Sequence[Vec],
-                 p: Subspace | None = None) -> list[Vec]:
+def canonical_id(pd: ParabolicDatum, w: GroupWord, psis: Sequence[QVec],
+                 p: Subspace | None = None) -> list[QVec]:
     """Transport each twist level to the parabolic act(w, pd.p) and read its
     coordinates in the twist space rebuilt from scratch there.
 
@@ -408,24 +416,27 @@ def canonical_id(pd: ParabolicDatum, w: GroupWord, psis: Sequence[Vec],
 
 
 def invariance_pairing_square(pd: ParabolicDatum, w: GroupWord,
-                              psis: Sequence[Vec]) -> list[tuple[Vec, Vec]]:
-    """Two routes around the transport square for each level, as Killing
-    pairings against the torus sections rebuilt at the transported
+                              psis: Sequence[QVec]) -> list[tuple[QVec, QVec]]:
+    """Two routes around the transport square for each level, as QVecs of
+    Killing pairings against the torus sections rebuilt at the transported
     parabolic.
 
     Route one pushes the twist section forward through w and pairs at the
     far side; route two pulls the far sections back through the inverse
-    word and pairs at the standard side.  The transported parabolic and
-    the pulled-back sections depend only on w and are built once.  The
-    suite asserts that each pair is equal.
+    word and pairs at the standard side.  The transported parabolic, the
+    pulled-back sections and G z for each section z depend only on w and
+    are built once.  The suite asserts that each pair is equal.
     """
     alg = pd.alg
     _, a_p = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))
     rows, dz = a_p.section
+    far = [alg._gram_ints(z) for z in rows]
     pulled = _act_ints(alg, w, [(z, dz) for z in rows], inverse=True)
+    dn = math.lcm(*(d for _, d in pulled))
+    near = [alg._gram_ints([x * (dn // d) for x in z]) for z, d in pulled]
     ys = [twist_section(pd, psi) for psi in psis]
-    return [(tuple(Fraction(alg.killing(z, y2), dz * dy2) for z in rows),
-             tuple(Fraction(alg.killing(z, y), dp * dy) for z, dp in pulled))
+    return [(_lowest([sum(map(operator.mul, g, y2)) for g in far], dz * dy2),
+             _lowest([sum(map(operator.mul, g, y)) for g in near], dn * dy))
             for (y, dy), (y2, dy2) in zip(ys, _act_ints(alg, w, ys))]
 
 
@@ -442,7 +453,7 @@ def _class_map_kernel(pd: ParabolicDatum) -> Subspace:
                  for coef in coeffs.ints], n)
 
 
-def fiber_dimension(pd: ParabolicDatum, psi: Vec) -> int:
+def fiber_dimension(pd: ParabolicDatum, psi: QVec) -> int:
     """Dimension of the twist-projection fiber over psi.
 
     Over the standard parabolic the fiber is the solution set of
@@ -450,11 +461,11 @@ def fiber_dimension(pd: ParabolicDatum, psi: Vec) -> int:
     the class map, which is checked to be the nilradical.  The whole fiber
     adds dim C base directions.
     """
-    if len(psi) != pd.torus_rank:
+    nums, den = psi
+    if len(nums) != pd.torus_rank:
         raise ValueError("twist level has wrong length")
-    target = tuple(-c for c in psi)
-    particular = twist_section(pd, target)
-    if class_of(pd.twist_space, *particular) != target:
+    target = _lowest([-c for c in nums], den)
+    if class_of(pd.twist_space, *twist_section(pd, target)) != target:
         raise RuntimeError("section failed to solve the class equation")
     solutions = _class_map_kernel(pd)
     if solutions != pd.u:
@@ -469,7 +480,7 @@ def fiber_dimension(pd: ParabolicDatum, psi: Vec) -> int:
 @dataclass(frozen=True)
 class BCPoint:
     p: Subspace
-    x_rep: Vec
+    x_rep: QVec
     witness: GroupWord
 
 
@@ -492,14 +503,15 @@ def make_bc_point(pd: ParabolicDatum, cert: RichardsonCertificate,
         raise PointInvariantError(
             "certificate's tangent [p, x] is not the nilradical")
     return BCPoint(p=act_subspace(pd.alg, w, pd.p),
-                   x_rep=act_vector(pd.alg, w, cert.element),
+                   x_rep=act_vector(pd.alg, w, (cert.element, 1)),
                    witness=w)
 
 
 def bc_torus_action(pd: ParabolicDatum, pt: BCPoint,
                     params: Sequence) -> BCPoint:
-    """Action of an adjoint-torus point on a bundle point: the class
-    representative moves by the torus letter applied inversely."""
-    w = word_of(TorusLetter(tuple(Fraction(c) for c in params)))
-    [moved] = _act_ints(pd.alg, w, [_clear_denominators(pt.x_rep)], inverse=True)
-    return BCPoint(p=pt.p, x_rep=_as_vec(*moved), witness=pt.witness)
+    """Action of an adjoint-torus point, ints or Fractions, on a bundle
+    point: the class representative moves by the torus letter applied
+    inversely."""
+    w = word_of(TorusLetter(tuple(params)))
+    [moved] = _act_ints(pd.alg, w, [pt.x_rep], inverse=True)
+    return BCPoint(p=pt.p, x_rep=moved, witness=pt.witness)

@@ -5,10 +5,12 @@ canonical primitive integer rows, the rows of its reduced row-echelon
 basis each scaled to coprime integers with a positive pivot, and a
 quotient's section holds integer rows over one positive denominator.
 That form is unique, so equality of subspaces is literal equality of
-rows.  Fractions enter only through ``span`` and ``Subspace.contains``,
-which clear denominators, and leave through the Fraction views
-``Subspace.rows``, ``rref`` and ``class_of``'s coordinates.  Everything
-is exact: no floats, no tolerances, no pivot thresholds.
+rows, and so is equality of QVecs, the (integer numerators, positive
+denominator) pairs in lowest terms that hold a class's coordinates.
+Fractions enter only through ``span`` and ``Subspace.contains``, which
+clear denominators, and leave through the Fraction views ``Subspace.rows``
+and ``rref``.  Everything is exact: no floats, no tolerances, no pivot
+thresholds.
 
 There is one elimination step, ``EchelonBuilder.insert``, and it runs in
 integers, combining rows by gcd-scaled integer row operations
@@ -30,6 +32,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
+QVec = tuple[tuple[int, ...], int]  # (nums, den > 0) in lowest terms
 
 ZERO = Fraction(0)
 
@@ -106,6 +109,12 @@ def _clear_denominators(v: Sequence) -> tuple[Sequence[int], int]:
     ratios = [x.as_integer_ratio() for x in v]
     den = math.lcm(*(d for _, d in ratios))
     return [n * (den // d) for n, d in ratios], den
+
+
+def _lowest(nums: Sequence[int], den: int) -> QVec:
+    """nums / den, den > 0, as a QVec."""
+    g = math.gcd(den, *nums)
+    return (tuple([x // g for x in nums]), den // g) if g > 1 else (tuple(nums), den)
 
 
 def _as_vec(nums: Sequence[int], den: int) -> Vec:
@@ -278,10 +287,11 @@ def quotient(total: Subspace, divisor: Subspace) -> QuotientSpace:
     return QuotientSpace(total, divisor, (rows, den))
 
 
-def class_of(q: QuotientSpace, nums: Sequence[int], den: int = 1) -> Vec:
+def class_of(q: QuotientSpace, nums: Sequence[int], den: int = 1) -> QVec:
     """Coordinates of the class of nums / den, den > 0, in the section basis
-    of the quotient: the vector is sum_k nums[pivot_k] / den * (total row
-    k), so its class is the same combination of the projector rows."""
+    of the quotient, as a QVec: the vector is sum_k nums[pivot_k] / den *
+    (total row k), so its class is the same combination of the projector
+    rows."""
     if len(nums) != q.total.ambient_dim:
         raise DimensionMismatch("vector length does not match ambient dimension")
     if any(_reduce(q.total.ints, q.total.pivots, nums)):
@@ -289,7 +299,7 @@ def class_of(q: QuotientSpace, nums: Sequence[int], den: int = 1) -> Vec:
     rows, pden = q.projector
     coeffs = [nums[p] for p in q.total.pivots]
     acc = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows)]
-    return _as_vec(acc, den * pden)
+    return _lowest(acc, den * pden)
 
 
 # ---------------------------------------------------------------------------

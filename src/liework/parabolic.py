@@ -306,7 +306,7 @@ def torsor_certificate(pd: ParabolicDatum,
     if cert.tangent != pd.u:
         raise ValueError("torsor certificate requires an open-orbit element")
     x = cert.element
-    rows = [class_of(pd.a_u, pd.alg.bracket(z, x)) for z in pd.a_p.section[0]]
+    rows = [class_of(pd.a_u, pd.alg.bracket(z, x))[0] for z in pd.a_p.section[0]]
     induced_rank = span(rows, pd.a_u.dim).dim if rows else 0
     infinitesimal_free = induced_rank == pd.torus_rank
 

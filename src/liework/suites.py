@@ -18,12 +18,13 @@ failures and are counted separately.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chevalley import SUPPORTED_TYPES, CheckRecord, algebra, check_record
-from .exactlin import _clear_denominators, class_of
+from .exactlin import _as_vec, _lowest, class_of
 from .parabolic import (
     RichardsonSearchError,
     dimension_report,
@@ -176,11 +177,17 @@ def _suite_richardson(case: CaseSpec) -> tuple[CheckRecord, ...]:
     )
 
 
+def _echelon_rows(s) -> list[tuple]:
+    """A subspace's reduced row-echelon rows as (nums, den) pairs."""
+    return [(r, r[p]) for r, p in zip(s.ints, s.pivots)]
+
+
 def _uc_base_vector(pd) -> tuple:
     """Deterministic representative of [p,p]-perp with full twist support:
-    the sum of the twist section's rows and the nilradical's rows."""
-    nums, den = twist_section(pd, [1] * pd.torus_rank)
-    return tuple(sum(col, Fraction(x, den)) for x, *col in zip(nums, *pd.u.rows))
+    the QVec sum of the twist section's rows and u's echelon rows."""
+    rows = [twist_section(pd, ((1,) * pd.torus_rank, 1)), *_echelon_rows(pd.u)]
+    den = math.lcm(*(d for _, d in rows))
+    return _lowest([sum(c) for c in zip(*([x * (den // d) for x in r] for r, d in rows))], den)
 
 
 def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
@@ -227,7 +234,8 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
             pt_witness = pt_witness or f"point #{k}: {err}"
             continue
         twist, _ = intrinsic_quotients(alg, pt.p)
-        far_level = tuple(-c for c in class_of(twist, *_clear_denominators(pt.x)))
+        nums, den = class_of(twist, *pt.x)
+        far_level = tuple(-c for c in nums), den
         [via_id] = canonical_id(pd, w, [base_level], pt.p)
         if far_level != via_id or pi_c(pd, pt) != base_level:
             pt_bad += 1
@@ -266,7 +274,8 @@ def _suite_invariance(case: CaseSpec) -> tuple[CheckRecord, ...]:
             total += 1
             if far != near:
                 bad += 1
-                witness = witness or f"word #{wk} psi #{pk}: {far} != {near}"
+                witness = witness or (f"word #{wk} psi #{pk}: "
+                                      f"{_as_vec(*far)} != {_as_vec(*near)}")
     return (check_record("pairing-square", f"{total} equal",
                          f"{total - bad} equal", bad == 0, witness),)
 
@@ -280,7 +289,7 @@ def _split(w: GroupWord) -> GroupWord:
             letters += [UnipotentLetter(letter.root, letter.t / 3),
                         UnipotentLetter(letter.root, 2 * letter.t / 3)]
         else:
-            letters += [TorusLetter((Fraction(2),) * len(letter.params)),
+            letters += [TorusLetter((2,) * len(letter.params)),
                         TorusLetter(tuple(q / 2 for q in letter.params))]
     return GroupWord(tuple(letters))
 
@@ -293,16 +302,16 @@ def _suite_embedding(case: CaseSpec) -> tuple[CheckRecord, ...]:
     pd = standard_parabolic(case.type_label, case.gamma)
     alg = pd.alg
     rng = _rng(case, "embedding", "points")
-    rows = pd.p_derived_perp.rows
+    rows = _echelon_rows(pd.p_derived_perp)
     embedded = triangle = equivariant = 0
     total = 5
     witness = None
     for k in range(total):
-        x0 = rows[k % len(rows)] if rows else tuple([Fraction(0)] * alg.dim)
+        x0 = rows[k % len(rows)] if rows else ((0,) * alg.dim, 1)
         w = random_word(alg, rng, length=1 + k % 3)
         try:
             pt = make_uc_point(pd, w, x0)
-            if not pt.p.contains(pt.x):
+            if not pt.p.contains(pt.x[0]):
                 raise PointInvariantError("x must lie in p")
             embedded += 1
         except Exception as err:
@@ -315,7 +324,7 @@ def _suite_embedding(case: CaseSpec) -> tuple[CheckRecord, ...]:
         v = random_word(alg, rng, length=1)
         rhs = act_uc_point(pd, v, pt)
         x2 = act_vector(alg, _split(v), pt.x)
-        if x2 == rhs.x and rhs.p.contains(x2):
+        if x2 == rhs.x and rhs.p.contains(x2[0]):
             equivariant += 1
         else:
             witness = witness or f"point #{k}: equivariance broke"
@@ -349,22 +358,22 @@ def _suite_bc(case: CaseSpec) -> tuple[CheckRecord, ...]:
     # nu_T is pi_C of the covector y.  Each a_p section z lies in p and
     # y - section(class y) in p-perp, so kappa(z, y) must equal kappa(z,
     # twist_section(-pi_C y)): the class projector against the Killing form.
-    ys = [*pd.p_derived_perp.rows[:2], _uc_base_vector(pd)]
+    ys = [*_echelon_rows(pd.p_derived_perp)[:2], _uc_base_vector(pd)]
     sections, _ = pd.a_p.section
     factor_ok = True
     witness = None
     for y in ys:
-        level = pi_c(pd, make_uc_point(pd, IDENTITY_WORD, y))
-        via, dv = twist_section(pd, tuple(-c for c in level))
-        ny, dy = _clear_denominators(y)
+        nums, den = pi_c(pd, make_uc_point(pd, IDENTITY_WORD, y))
+        via, dv = twist_section(pd, (tuple(-c for c in nums), den))
+        ny, dy = y
         if any(pd.alg.killing(z, ny) * dv != pd.alg.killing(z, via) * dy
                for z in sections):
             factor_ok = False
-            witness = f"y = {pd.alg.vector_name(y)}"
+            witness = f"y = {pd.alg.vector_name(_as_vec(*y))}"
             break
     checks.append(check_record("moment-maps-factor-through-quotient", True,
                                factor_ok, factor_ok, witness))
-    params = [Fraction(3)] * pd.alg.rank
+    params = [3] * pd.alg.rank
     inv_params = [Fraction(1, 3)] * pd.alg.rank
     back = bc_torus_action(pd, bc_torus_action(pd, bc, params), inv_params)
     torus_ok = back.x_rep == bc.x_rep

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liework import bundles
 from liework.chevalley import (
@@ -96,6 +97,26 @@ def _section_rows(q):
     return [tuple(F(c, den) for c in r) for r in rows]
 
 
+def _q(v):
+    """A vector of ints or Fractions as a QVec."""
+    nums, den = _clear_denominators(v)
+    return tuple(nums), den
+
+
+def _frac(qvec):
+    """A QVec, checked to be ints over a positive denominator in lowest
+    terms, as a Fraction vector."""
+    nums, den = qvec
+    assert type(nums) is tuple and all(type(x) is int for x in nums)
+    assert type(den) is int and den > 0 and math.gcd(den, *nums) == 1
+    return tuple(F(x, den) for x in nums)
+
+
+def _act(alg, w, v):
+    """act_vector on a vector of ints or Fractions, read back as Fractions."""
+    return _frac(act_vector(alg, w, _q(v)))
+
+
 def _w_unip(root, t):
     return word_of(UnipotentLetter(root, F(t)))
 
@@ -115,32 +136,32 @@ def _inverse(w):
 def test_exp_ad_e_on_f_sl2():
     alg = algebra("A1")
     e, h, f = alg.one_hot(0), alg.one_hot(1), alg.one_hot(2)
-    out = act_vector(alg, _w_unip(Root((1,)), 1), f)
-    want = tuple(a + b - c for a, b, c in zip(f, h, e))
-    assert out == want
+    out = act_vector(alg, _w_unip(Root((1,)), 1), (f, 1))
+    assert out == (tuple(a + b - c for a, b, c in zip(f, h, e)), 1)
 
 
 def test_exp_ad_f_on_e_sl2():
     alg = algebra("A1")
     e, h, f = alg.one_hot(0), alg.one_hot(1), alg.one_hot(2)
-    out = act_vector(alg, _w_unip(-Root((1,)), 1), e)
-    want = tuple(a - b - c for a, b, c in zip(e, h, f))
-    assert out == want
+    out = act_vector(alg, _w_unip(-Root((1,)), 1), (e, 1))
+    assert out == (tuple(a - b - c for a, b, c in zip(e, h, f)), 1)
 
 
 def test_torus_letter_scales_by_weight():
     alg = algebra("A1")
     w = word_of(TorusLetter((F(5),)))
     e, h, f = alg.one_hot(0), alg.one_hot(1), alg.one_hot(2)
-    assert act_vector(alg, w, e) == tuple(5 * c for c in e)
-    assert act_vector(alg, w, f) == tuple(F(c, 5) for c in f)
-    assert act_vector(alg, w, h) == h
+    assert act_vector(alg, w, (e, 1)) == (tuple(5 * c for c in e), 1)
+    assert act_vector(alg, w, (f, 1)) == (f, 5)
+    assert act_vector(alg, w, (h, 3)) == (h, 3)
 
 
 def test_empty_word_is_identity():
     alg = algebra("A2")
-    v = tuple(F(i - 3) for i in range(alg.dim))
-    assert act_vector(alg, IDENTITY_WORD, v) == v
+    v = tuple(i - 3 for i in range(alg.dim))
+    assert act_vector(alg, IDENTITY_WORD, (v, 1)) == (v, 1)
+    # the identity word brings its input to lowest terms too
+    assert act_vector(alg, IDENTITY_WORD, ([2 * c for c in v], 2)) == (v, 1)
 
 
 def test_zero_torus_parameter_rejected():
@@ -154,13 +175,13 @@ def test_inverse_roundtrip_random_words():
     for k in range(8):
         w = random_word(alg, rng, length=1 + k % 8)
         v = tuple(F(rng.randint(-5, 5)) for _ in range(alg.dim))
-        assert act_vector(alg, _inverse(w), act_vector(alg, w, v)) == v
+        assert _act(alg, _inverse(w), _act(alg, w, v)) == v
 
 
 def killing_invariance_audit(alg, w, pairs):
     """kappa(w.x, w.y) == kappa(x, y) on every pair."""
     for x, y in pairs:
-        if _frac_killing(alg, act_vector(alg, w, x), act_vector(alg, w, y)) != \
+        if _frac_killing(alg, _act(alg, w, x), _act(alg, w, y)) != \
                 alg.killing(x, y):
             return False
     return True
@@ -169,8 +190,8 @@ def killing_invariance_audit(alg, w, pairs):
 def bracket_morphism_audit(alg, w, pairs):
     """w.[x, y] == [w.x, w.y] on every pair."""
     for x, y in pairs:
-        lhs = act_vector(alg, w, alg.bracket(x, y))
-        rhs = _frac_bracket(alg, act_vector(alg, w, x), act_vector(alg, w, y))
+        lhs = _act(alg, w, alg.bracket(x, y))
+        rhs = _frac_bracket(alg, _act(alg, w, x), _act(alg, w, y))
         if lhs != rhs:
             return False
     return True
@@ -193,9 +214,9 @@ def test_killing_and_bracket_audits_full_grid():
 
 def test_make_uc_point_identity_zero():
     pd = standard_parabolic("A2", frozenset())
-    pt = make_uc_point(pd, IDENTITY_WORD, tuple([F(0)] * 8))
+    pt = make_uc_point(pd, IDENTITY_WORD, ((0,) * 8, 1))
     assert pt.p == pd.p
-    assert pt.x == tuple([F(0)] * 8)
+    assert pt.x == ((0,) * 8, 1)
     assert sigma_c(pt) == pd.p
 
 
@@ -203,34 +224,33 @@ def test_make_uc_point_precondition():
     pd = standard_parabolic("A2", frozenset())
     f1 = pd.alg.one_hot(pd.alg.f_index(Root((1, 0))))
     with pytest.raises(PointInvariantError):
-        make_uc_point(pd, IDENTITY_WORD, f1)
+        make_uc_point(pd, IDENTITY_WORD, (f1, 1))
 
 
 def test_make_uc_point_transported_sl2():
     pd = standard_parabolic("A1", frozenset())
     alg = pd.alg
     e = alg.one_hot(0)
-    pt = make_uc_point(pd, _w_unip(-Root((1,)), 1), e)
+    pt = make_uc_point(pd, _w_unip(-Root((1,)), 1), (e, 1))
     # hand expansion: e - h - f, and the membership is re-verified inside
-    assert pt.x == (F(1), F(-1), F(-1))
+    assert pt.x == ((1, -1, -1), 1)
     assert pt.p != pd.p
 
 
 def test_pi_c_values_sl2():
     pd = standard_parabolic("A1", frozenset())
     alg = pd.alg
-    h_half = tuple(F(c, 2) for c in alg.one_hot(1))
-    pt = make_uc_point(pd, IDENTITY_WORD, h_half)
-    assert pi_c(pd, pt) == (F(-1, 2),)
-    e_pt = make_uc_point(pd, IDENTITY_WORD, alg.one_hot(0))
-    assert pi_c(pd, e_pt) == (F(0),)
+    pt = make_uc_point(pd, IDENTITY_WORD, (alg.one_hot(1), 2))  # h / 2
+    assert pi_c(pd, pt) == ((-1,), 2)
+    e_pt = make_uc_point(pd, IDENTITY_WORD, (alg.one_hot(0), 1))
+    assert pi_c(pd, e_pt) == ((0,), 1)
 
 
 def test_pi_c_detects_corrupted_witness():
     pd = standard_parabolic("A1", frozenset())
     alg = pd.alg
     w = _w_unip(-Root((1,)), 1)
-    pt = make_uc_point(pd, w, alg.one_hot(0))
+    pt = make_uc_point(pd, w, (alg.one_hot(0), 1))
     bad = UCPoint(p=pt.p, x=pt.x, witness=IDENTITY_WORD)
     with pytest.raises(WitnessTransportError):
         pi_c(pd, bad)
@@ -240,7 +260,7 @@ def test_pi_c_transport_consistency():
     pd = standard_parabolic("A2", frozenset({1}))
     alg = pd.alg
     rng = random.Random("transport")
-    x0 = _section_rows(pd.twist_space)[0]
+    x0 = _q(_section_rows(pd.twist_space)[0])
     base = make_uc_point(pd, IDENTITY_WORD, x0)
     level = pi_c(pd, base)
     for _ in range(5):
@@ -317,7 +337,7 @@ def test_canonical_id_transports_p_once_per_word(monkeypatch):
     assert calls == [w]
     assert moved == [canonical_id(pd, w, [psi])[0] for psi in levels]
     # a caller holding act(w, p), as a point made by w does, saves the transport
-    p = make_uc_point(pd, w, pd.p_derived_perp.rows[0]).p
+    p = make_uc_point(pd, w, _q(pd.p_derived_perp.rows[0])).p
     calls.clear()
     assert canonical_id(pd, w, levels, p) == moved
     assert calls == []
@@ -341,7 +361,7 @@ def test_invariance_square_closes():
             squares = invariance_pairing_square(pd, w, psis)
             assert len(squares) == len(psis)
             for far, near in squares:
-                assert len(far) == pd.torus_rank
+                assert len(_frac(far)) == pd.torus_rank
                 assert far == near
 
 
@@ -365,11 +385,11 @@ def test_embed_and_triangle():
     # word, the same group element in other letters, moves x0 to the same x
     pd = standard_parabolic("A2", frozenset({1}))
     rng = random.Random("embed")
-    x0 = pd.p_derived_perp.rows[1]
+    x0 = _q(pd.p_derived_perp.rows[1])
     for _ in range(5):
         w = random_word(pd.alg, rng, length=3)
         pt = make_uc_point(pd, w, x0)
-        assert pt.p.contains(pt.x)
+        assert pt.p.contains(pt.x[0])
         split = _split(w)
         assert act_vector(pd.alg, split, x0) == pt.x
         assert act_subspace(pd.alg, split, pd.p) == pt.p
@@ -386,9 +406,10 @@ def test_bc_point_borel_and_torus_action():
     pd = standard_parabolic("A1", frozenset())
     cert = find_richardson(pd)
     pt = make_bc_point(pd, cert)
-    assert pt.x_rep == (F(1), F(0), F(0))
+    assert pt.x_rep == ((1, 0, 0), 1)
     moved = bc_torus_action(pd, pt, [3])
-    assert moved.x_rep == (F(1, 3), F(0), F(0))
+    assert moved.x_rep == ((1, 0, 0), 3)
+    assert bc_torus_action(pd, moved, [F(1, 3)]) == pt
 
 
 def test_bc_point_rejects_tangent_short_of_u():
@@ -412,7 +433,7 @@ def test_bc_point_full_gamma_trivial():
     pd = standard_parabolic("A2", frozenset({1, 2}))
     cert = find_richardson(pd)
     pt = make_bc_point(pd, cert)
-    assert pt.x_rep == tuple([F(0)] * 8)
+    assert pt.x_rep == ((0,) * 8, 1)
 
 
 def test_tstar_moment_maps_factor():
@@ -421,8 +442,8 @@ def test_tstar_moment_maps_factor():
     pd = standard_parabolic("A2", frozenset())
     alg = pd.alg
     for y in pd.p_derived_perp.rows:
-        level = pi_c(pd, make_uc_point(pd, IDENTITY_WORD, y))
-        nums, den = twist_section(pd, tuple(-c for c in level))
+        level, dl = pi_c(pd, make_uc_point(pd, IDENTITY_WORD, _q(y)))
+        nums, den = twist_section(pd, (tuple(-c for c in level), dl))
         via_level = tuple(F(c, den) for c in nums)
         assert pd.p_derived_perp.contains(via_level)
         assert pd.u.contains(tuple(a - b for a, b in zip(y, via_level)))
@@ -439,10 +460,10 @@ def test_uc_invariant_checked_at_transported_p():
     assert moved != pd.p
     f1 = alg.one_hot(alg.f_index(Root((1, 0))))
     assert not pd.p_derived_perp.contains(f1)
-    bad = UCPoint(p=pd.p, x=f1, witness=IDENTITY_WORD)
+    bad = UCPoint(p=pd.p, x=(f1, 1), witness=IDENTITY_WORD)
     with pytest.raises(PointInvariantError, match="Killing-orthogonal"):
         act_uc_point(pd, w, bad)
-    good = make_uc_point(pd, IDENTITY_WORD, pd.p_derived_perp.rows[0])
+    good = make_uc_point(pd, IDENTITY_WORD, _q(pd.p_derived_perp.rows[0]))
     assert act_uc_point(pd, w, good).p == moved
 
 
@@ -450,7 +471,7 @@ def test_act_uc_point_witness_composition():
     pd = standard_parabolic("A2", frozenset())
     alg = pd.alg
     rng = random.Random("compose")
-    x0 = _section_rows(pd.twist_space)[0]
+    x0 = _q(_section_rows(pd.twist_space)[0])
     w1 = random_word(alg, rng, length=2)
     w2 = random_word(alg, rng, length=2)
     via_act = act_uc_point(pd, w2, make_uc_point(pd, w1, x0))
@@ -464,7 +485,7 @@ def test_mu_equivariance_seeded():
     pd = standard_parabolic("A2", frozenset({1}))
     alg = pd.alg
     rng = random.Random("mu-eq")
-    x0 = pd.p_derived_perp.rows[0]
+    x0 = _q(pd.p_derived_perp.rows[0])
     pt = make_uc_point(pd, IDENTITY_WORD, x0)
     for _ in range(10):
         w = random_word(alg, rng, length=3)
@@ -542,8 +563,8 @@ def test_act_vector_matches_exp_ad_series(label):
             if isinstance(letter, UnipotentLetter):
                 want = _old_series(alg, letter.root, letter.t, want)
             else:
-                want = act_vector(alg, word_of(letter), want)
-        assert act_vector(alg, w, v) == want
+                want = _act(alg, word_of(letter), want)
+        assert _act(alg, w, v) == want
 
 
 def _patched_a1(j, terms):
@@ -560,22 +581,28 @@ def test_divided_powers_audit_rejects_non_integral_constants():
     half = _patched_a1(2, ((1, F(1, 2)),))  # [e, f] = h/2
     with pytest.raises(ConstructionAuditError,
                        match=r"A1: ad\(e\(a1\)\)\^1 / 1! has a non-integral"):
-        act_vector(half, w, f)
+        act_vector(half, w, (f, 1))
     # [e, h] = -e keeps ad(e) integral but makes ad(e)^2 f / 2 = -e/2
     odd = _patched_a1(1, ((0, F(-1)),))
     with pytest.raises(ConstructionAuditError,
                        match=r"A1: ad\(e\(a1\)\)\^2 / 2! has a non-integral"):
-        act_vector(odd, w, f)
+        act_vector(odd, w, (f, 1))
 
 
 def test_act_vector_rejects_wrong_length():
     alg = algebra("A2")
-    short = tuple([F(1)] * (alg.dim - 1))
+    short = (1,) * (alg.dim - 1)
     for w in (_w_unip(Root((1, 0)), 1), word_of(TorusLetter((F(2), F(3))))):
         with pytest.raises(ValueError, match="algebra dimension"):
-            act_vector(alg, w, short)
+            act_vector(alg, w, (short, 1))
         with pytest.raises(ValueError, match="algebra dimension"):
-            act_vector(alg, w, short + (F(0), F(0)))
+            act_vector(alg, w, (short + (0, 0), 1))
+    # a torus letter needs one parameter per simple root, in either direction
+    for params in ((F(2),), (F(2), F(3), F(5))):
+        for inverse in (False, True):
+            with pytest.raises(ValueError, match="parameter count"):
+                _act_ints(alg, word_of(TorusLetter(params)), [(short + (0,), 1)],
+                          inverse=inverse)
 
 
 def test_fiber_dimension_rejects_corrupted_twist_space():
@@ -612,7 +639,7 @@ def test_intrinsic_quotients_match_dossier(label, gamma):
 
 def test_uc_invariant_at_standard_p_reads_dossier():
     pd = standard_parabolic("B2", frozenset({1}))
-    x0 = pd.p_derived_perp.rows[0]
+    x0 = _q(pd.p_derived_perp.rows[0])
     before = intrinsic_quotients.cache_info()
     pt = make_uc_point(pd, IDENTITY_WORD, x0)
     assert pt.p == pd.p
@@ -646,7 +673,7 @@ def test_act_torus_matches_per_component_scaling(label):
             if isinstance(letter, TorusLetter):
                 letters += 1
                 for v in vs:
-                    assert act_vector(alg, word_of(letter), v) == \
+                    assert _act(alg, word_of(letter), v) == \
                         _torus_per_component(alg, letter, v)
     assert letters >= 20
 
@@ -708,7 +735,7 @@ def test_class_of_projector_matches_solve(label):
             for v in vecs:
                 nums, den = _clear_denominators(v)
                 for d in (den, 2 * den, 6 * den):  # den > 1 too
-                    assert class_of(q, nums, d) == \
+                    assert _frac(class_of(q, nums, d)) == \
                         _class_by_solve(q, tuple(F(c, d) for c in nums))
 
 
@@ -783,11 +810,9 @@ def test_act_vector_on_int_fraction_and_mixed_input(label):
         fracs = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(alg.dim))
         mixed = tuple(x if k % 2 else y for k, (x, y) in enumerate(zip(ints, fracs)))
         for v in (ints, fracs, mixed):
-            got = act_vector(alg, w, v)
-            assert got == _act_by_fractions(alg, w, v)
-            assert all(type(c) is Fraction for c in got)
-            same = act_vector(alg, IDENTITY_WORD, v)
-            assert same == v and all(type(c) is Fraction for c in same)
+            got = act_vector(alg, w, _q(v))
+            assert _frac(got) == _act_by_fractions(alg, w, v)
+            assert act_vector(alg, IDENTITY_WORD, _q(v)) == _q(v)
 
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)
@@ -823,27 +848,27 @@ def test_invariance_membership_matches_quotient_perp(label):
             pdp = intrinsic_quotients(alg, p)[0].total
             coeffs = [F(rng.randint(-3, 3), rng.randint(1, 2))
                       for _ in pd.p_derived_perp.rows]
-            x = act_vector(alg, w, tuple(
+            x = act_vector(alg, w, _q(tuple(
                 sum((c * r[i] for c, r in zip(coeffs, pd.p_derived_perp.rows)), F(0))
-                for i in range(alg.dim)))
+                for i in range(alg.dim))))
             # basis vectors pairing with [p, p] push x out of its perp
             outside = [i for i in range(alg.dim) if not pdp.contains(alg.one_hot(i))]
             assert outside
-            cands = [x] + [tuple(a + b for a, b in zip(x, alg.one_hot(i)))
+            cands = [x] + [_q(tuple(a + b for a, b in zip(_frac(x), alg.one_hot(i))))
                            for i in rng.sample(outside, min(3, len(outside)))]
-            cands.append(tuple(F(rng.randint(-2, 2), rng.randint(1, 3))
-                               for _ in range(alg.dim)))
+            cands.append(_q(tuple(F(rng.randint(-2, 2), rng.randint(1, 3))
+                                  for _ in range(alg.dim))))
             for v in cands:
-                want = pdp.contains(v)
-                assert alg.kills_derived(p, _clear_denominators(v)[0]) == want
+                want = pdp.contains(_frac(v))
+                assert alg.kills_derived(p, v[0]) == want
                 checked += 1
                 if not want:
                     rejected += 1
                     with pytest.raises(PointInvariantError, match="Killing-orthogonal"):
                         _verify_uc_invariant(pd, p, v)
-            assert alg.kills_derived(p, _clear_denominators(x)[0])
+            assert alg.kills_derived(p, x[0])
             _verify_uc_invariant(pd, p, x)
-            for v in (x[:-1], x + (F(0),)):
+            for v in ((x[0][:-1], x[1]), (x[0] + (0,), x[1])):
                 with pytest.raises(DimensionMismatch):
                     _verify_uc_invariant(pd, p, v)
     assert rejected >= checked // 2
@@ -851,7 +876,7 @@ def test_invariance_membership_matches_quotient_perp(label):
 
 def test_uc_point_off_standard_p_leaves_quotient_cache_alone():
     pd = standard_parabolic("B2", frozenset({1}))
-    x0 = pd.p_derived_perp.rows[0]
+    x0 = _q(pd.p_derived_perp.rows[0])
     w = _w_unip(Root((0, -1)), 2)  # -a2 lies outside the Levi of {1}
     before = intrinsic_quotients.cache_info()
     pt = make_uc_point(pd, w, x0)
@@ -861,8 +886,9 @@ def test_uc_point_off_standard_p_leaves_quotient_cache_alone():
 
 
 def _roundtrip_by_fractions(alg, w, winv, x):
-    y = act_vector(alg, w, x)
-    return (act_vector(alg, winv, y) == tuple(F(c) for c in x)
+    # letter by letter over Fractions, the explicit inverse word winv
+    y = _act_by_fractions(alg, w, x)
+    return (_act_by_fractions(alg, winv, y) == tuple(F(c) for c in x)
             and _frac_killing(alg, y, y) == _frac_killing(alg, x, x))
 
 
@@ -888,7 +914,7 @@ def test_act_roundtrip_matches_fraction_route(label, monkeypatch):
     assert _frac_killing(alg, x, x) != 0
     words = [random_word(alg, rng, length=rng.randint(1, 8)) for _ in range(12)]
     for v in (x, ints):
-        assert act_roundtrip(alg, words + [IDENTITY_WORD], v) == [True] * 13
+        assert act_roundtrip(alg, words + [IDENTITY_WORD], _q(v)) == [True] * 13
         for w in words + [IDENTITY_WORD]:
             assert _roundtrip_by_fractions(alg, w, _inverse(w), v)
 
@@ -902,7 +928,7 @@ def test_act_roundtrip_matches_fraction_route(label, monkeypatch):
 
             with monkeypatch.context() as m:
                 m.setattr(bundles, "_act_ints", tampered_inverse)
-                [got] = act_roundtrip(alg, [w], x)
+                [got] = act_roundtrip(alg, [w], _q(x))
             assert got == _roundtrip_by_fractions(alg, w, _inverse(bad), x)
             tampered += 1
             failed += not got
@@ -922,35 +948,40 @@ def test_act_roundtrip_matches_fraction_route(label, monkeypatch):
         # returns, so only the Killing comparison can see it
         [(nums, den)] = real_act(alg_, w_, vecs, inverse=inverse)
         s = F(1, 2) if inverse else 2
-        return [_clear_denominators([F(c, den) * s for c in nums])]
+        return [_q([F(c, den) * s for c in nums])]
 
     for fake in (perturbed, scaled):
         with monkeypatch.context() as m:
             m.setattr(bundles, "_act_ints", fake)
-            assert act_roundtrip(alg, [w], x) == [False]
+            assert act_roundtrip(alg, [w], _q(x)) == [False]
 
 
 def test_act_roundtrip_clears_and_pairs_x_once(monkeypatch):
+    # x is brought to lowest terms and paired once for all the words, and
+    # each image is brought to lowest terms once per word and direction
     alg = algebra("B2")
     rng = random.Random("roundtrip:once")
     x = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(alg.dim))
     words = [random_word(alg, rng, length=3) for _ in range(6)]
-    cleared, paired = [], []
-    real_clear, real_pair = bundles._clear_denominators, type(alg).killing
+    nums, den = _q(x)
+    lowered, paired = [], []
+    real_lowest, real_pair = bundles._lowest, type(alg).killing
 
-    def clear(v):
-        cleared.append(v)
-        return real_clear(v)
+    def lowest(nums, den):
+        lowered.append((tuple(nums), den))
+        return real_lowest(nums, den)
 
     def pair(self, xs, ys):
         paired.append(xs)
         return real_pair(self, xs, ys)
 
-    monkeypatch.setattr(bundles, "_clear_denominators", clear)
+    monkeypatch.setattr(bundles, "_lowest", lowest)
     monkeypatch.setattr(type(alg), "killing", pair)
-    assert act_roundtrip(alg, words, x) == [True] * len(words)
+    assert act_roundtrip(alg, words, ([3 * c for c in nums], 3 * den)) == \
+        [True] * len(words)
     # x once, then one pairing of each image
-    assert cleared == [x]
+    assert lowered[0] == ((tuple(3 * c for c in nums)), 3 * den)
+    assert len(lowered) == 1 + 2 * len(words)
     assert len(paired) == 1 + len(words)
 
 
@@ -993,15 +1024,18 @@ def test_compiled_unipotent_letter_matches_divided_power_terms(label):
     for root in _all_roots(alg):
         for t in _T_CHOICES + tuple(-t for t in _T_CHOICES):
             a, b = t.as_integer_ratio()
-            scale, cols = _unipotent_letter(alg, root, a, b)
-            listed = dict(cols)
-            assert len(listed) == len(cols)
+            scale, triples, mults = _unipotent_letter(alg, root, a, b)
+            assert mults is None and len(triples) % 3 == 0
+            entries = list(zip(triples[::3], triples[1::3], triples[2::3]))
+            # one nonzero integer entry per listed (j, r)
+            assert len({(j, r) for j, r, _ in entries}) == len(entries)
+            assert all(type(c) is int and c for _, _, c in entries)
             for j in range(alg.dim):
                 e_j = [int(i == j) for i in range(alg.dim)]
                 col = [scale * x for x in e_j]
-                flat = listed.get(j, ())
-                for r, c in zip(flat[::2], flat[1::2]):
-                    col[r] += c
+                for jj, r, c in entries:
+                    if jj == j:
+                        col[r] += c
                 assert (col, scale) == _letter_by_terms(alg, root, a, b, e_j)
 
 
@@ -1022,3 +1056,92 @@ def test_act_ints_inverse_matches_explicit_inverse_word(label):
             assert den > 0 and math.gcd(den, *nums) == 1
             assert tuple(F(c, den) for c in nums) == \
                 _act_by_fractions(alg, _inverse(w), [F(c, d) for c in v])
+
+
+# torus parameters whose odd exponents make negative scales
+_SIGNED_PARAMS = (F(-1), F(-1, 3), F(5))
+
+
+@st.composite
+def _words_and_vectors(draw):
+    label = draw(st.sampled_from(SUPPORTED_TYPES))
+    alg = algebra(label)
+    roots = _all_roots(alg)
+    letter = st.one_of(
+        st.builds(UnipotentLetter, st.sampled_from(roots), st.sampled_from(_T_CHOICES)),
+        st.builds(TorusLetter, st.tuples(*[st.sampled_from(_SIGNED_PARAMS)] * alg.rank)))
+    n = draw(st.integers(0, 40))
+    w = GroupWord(tuple(draw(st.lists(letter, min_size=n, max_size=n))))
+    vecs = draw(st.lists(st.tuples(
+        st.lists(st.integers(-4, 4), min_size=alg.dim, max_size=alg.dim),
+        st.integers(1, 6)), min_size=1, max_size=3))
+    return alg, w, vecs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_words_and_vectors())
+def test_compiled_words_match_letter_by_letter_fractions(case):
+    # one gcd per vector at the end of the word gives the pair that the
+    # letter-by-letter Fraction route reaches, in lowest terms, den > 0
+    alg, w, vecs = case
+    fracs = [[F(x, d) for x in nums] for nums, d in vecs]
+    for inverse, word in ((False, w), (True, _inverse(w))):
+        got = _act_ints(alg, w, vecs, inverse=inverse)
+        assert [_frac(v) for v in got] == [_act_by_fractions(alg, word, v) for v in fracs]
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_act_subspace_is_the_span_of_fraction_images(label):
+    alg = algebra(label)
+    rng = random.Random(f"act-subspace:{label}")
+    pd = standard_parabolic(label, frozenset({1}))
+    for _ in range(3):
+        torus = TorusLetter(tuple(rng.choice(_SIGNED_PARAMS) for _ in range(alg.rank)))
+        w = concat(random_word(alg, rng, length=3), word_of(torus))
+        for s in (pd.p, pd.u, pd.p_derived_perp):
+            assert act_subspace(alg, w, s) == \
+                span([_act_by_fractions(alg, w, r) for r in s.rows], alg.dim)
+    # the identity word returns the subspace itself
+    assert act_subspace(alg, IDENTITY_WORD, pd.p) is pd.p
+
+
+def test_act_ints_reads_a_one_shot_iterator():
+    alg = algebra("B2")
+    w = random_word(alg, random.Random("act-iter"), length=4)
+    vecs = [([k - j for j in range(alg.dim)], k + 1) for k in range(3)]
+    assert _act_ints(alg, w, iter(vecs)) == _act_ints(alg, w, vecs)
+    assert len(_act_ints(alg, w, iter(vecs), inverse=True)) == 3
+    with pytest.raises(ValueError, match="algebra dimension"):
+        _act_ints(alg, w, iter(vecs + [([1], 1)]))
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, False, "1"])
+def test_floats_and_bools_rejected_where_they_enter(bad):
+    pd = standard_parabolic("A2", frozenset())
+    root = pd.alg.positive_roots[0]
+    with pytest.raises(TypeError):
+        UnipotentLetter(root, bad)
+    with pytest.raises(TypeError):
+        TorusLetter((F(1, 4), bad))
+    with pytest.raises(TypeError):
+        twist_level(pd, [bad, 2])
+    pt = make_bc_point(standard_parabolic("A1", frozenset()),
+                       find_richardson(standard_parabolic("A1", frozenset())))
+    with pytest.raises(TypeError):
+        bc_torus_action(standard_parabolic("A1", frozenset()), pt, [bad])
+
+
+def test_ints_and_fractions_accepted_where_they_enter():
+    pd = standard_parabolic("A2", frozenset())
+    alg = pd.alg
+    root = alg.positive_roots[0]
+    v = (tuple(range(alg.dim)), 1)
+    assert act_vector(alg, word_of(UnipotentLetter(root, 2)), v) == \
+        act_vector(alg, word_of(UnipotentLetter(root, F(2))), v)
+    assert act_vector(alg, word_of(TorusLetter((3, F(1, 2)))), v) == \
+        act_vector(alg, word_of(TorusLetter((F(3), F(1, 2)))), v)
+    # parameters given as a list are held as a tuple
+    assert TorusLetter([3, F(1, 2)]) == TorusLetter((3, F(1, 2)))
+    assert twist_level(pd, [F(1, 2), 2]) == ((1, 4), 2)
+    assert twist_level(pd, [F(2, 4), F(1, 3)]) == ((3, 2), 6)
+    assert twist_level(pd, iter([1, -2])) == ((1, -2), 1)

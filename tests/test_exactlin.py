@@ -40,6 +40,15 @@ def cleared(v):
     return [int(x * den) for x in v], den
 
 
+def fractions(qvec):
+    """A QVec, checked to be ints over a positive denominator in lowest
+    terms, as a Fraction vector."""
+    nums, den = qvec
+    assert type(nums) is tuple and all(type(x) is int for x in nums)
+    assert type(den) is int and den > 0 and math.gcd(den, *nums) == 1
+    return tuple(Q(x, den) for x in nums)
+
+
 E = as_vec([1, 0, 0])
 H = as_vec([0, 1, 0])
 F = as_vec([0, 0, 1])
@@ -151,8 +160,9 @@ def test_quotient_sl2_borel():
     assert q.dim == 1
     assert q.section == (((0, 1, 0),), 1)
     # class of h/2 is (1/2); e maps to zero
-    assert class_of(q, [0, 1, 0], 2) == (Q(1, 2),)
-    assert class_of(q, (1, 0, 0)) == (Q(0),)
+    assert class_of(q, [0, 1, 0], 2) == ((1,), 2)
+    assert class_of(q, [0, 2, 0], 4) == ((1,), 2)  # in lowest terms
+    assert class_of(q, (1, 0, 0)) == ((0,), 1)
 
 
 def test_quotient_errors_are_distinct():
@@ -175,9 +185,9 @@ def test_quotient_class_linear_seeded():
         c1, c2 = rand_fraction(rng), rand_fraction(rng)
         v1 = as_vec([c1, c2, 0, 2 * c1])
         v2 = as_vec([0, c2, c1, -c1])
-        lhs = class_of(q, *cleared([a + b for a, b in zip(v1, v2)]))
-        rhs = tuple(a + b for a, b in zip(class_of(q, *cleared(v1)),
-                                          class_of(q, *cleared(v2))))
+        lhs = fractions(class_of(q, *cleared([a + b for a, b in zip(v1, v2)])))
+        rhs = tuple(a + b for a, b in zip(fractions(class_of(q, *cleared(v1))),
+                                          fractions(class_of(q, *cleared(v2)))))
         assert lhs == rhs
 
 
@@ -186,7 +196,7 @@ def test_zero_dimensional_quotient():
     q = quotient(total, total)
     assert q.dim == 0
     assert q.section == ((), 1)
-    assert class_of(q, (0, 1, 0)) == ()
+    assert class_of(q, (0, 1, 0)) == ((), 1)
 
 
 def test_smith_frozen_example():
@@ -442,7 +452,7 @@ def test_quotient_class_of_match_sympy_solve(sympy, data):
     section = [[Q(x, den) for x in r] for r in rows]
     basis = section + list(q.divisor.rows)
     assert rank(basis) == len(basis) == rank(rt)
-    cls = class_of(q, *cleared(v))
+    cls = fractions(class_of(q, *cleared(v)))
     if basis:
         x = sympy.Matrix(basis).T.solve(sympy.Matrix(v))
         assert cls == tuple(map(_frac, x[:q.dim]))

@@ -136,7 +136,7 @@ def test_points_embed_fails_on_x_outside_p(monkeypatch):
     f1 = pd.alg.one_hot(pd.alg.f_index(Root((1, 0))))
     assert not pd.p.contains(f1)
     monkeypatch.setattr(suites, "make_uc_point",
-                        lambda pd, w, x0: UCPoint(p=pd.p, x=f1, witness=w))
+                        lambda pd, w, x0: UCPoint(p=pd.p, x=(f1, 1), witness=w))
     by_name = {c.name: c for c in suites._suite_embedding(case("A2:-"))}
     assert by_name["points-embed"].actual == "0"
     assert by_name["points-embed"].witness == "point #0: x must lie in p"
@@ -157,13 +157,18 @@ def test_embedding_records_fail_on_flipped_torus_factor(monkeypatch):
     def flipped(alg, i, a, b):
         return real(alg, i, b, a) if i == 0 and a > 0 else real(alg, i, a, b)
 
+    # the compiled torus letters above _torus_factor are built from it
+    bundles._torus_letter.cache_clear()
     monkeypatch.setattr(bundles, "_torus_factor", flipped)
     failed = {"points-embed": [], "triangle-phi-embed-mu": [],
               "embed-equivariant": []}
-    for c in default_case_matrix():
-        for rec in suites._suite_embedding(c):
-            if not rec.ok:
-                failed[rec.name].append(c.case_label())
+    try:
+        for c in default_case_matrix():
+            for rec in suites._suite_embedding(c):
+                if not rec.ok:
+                    failed[rec.name].append(c.case_label())
+    finally:
+        bundles._torus_letter.cache_clear()
     assert failed == {"points-embed": [],
                       "triangle-phi-embed-mu": _FLIPPED_TRIANGLE,
                       "embed-equivariant": _FLIPPED_EQUIVARIANT}
