@@ -9,7 +9,7 @@ normal form over Z.
 from fractions import Fraction
 
 from liework.exactlin import (
-    IntMat, class_of, intersect, kernel, quotient, rref,
+    IntMat, class_of, kernel, quotient, rref,
     smith_normal_form, span, subspace_sum,
 )
 
@@ -24,14 +24,17 @@ a = span([[1, 0, 1], [0, 1, 1]], 3)
 b = span([[1, 1, 2], [1, -1, 0]], 3)
 print("same plane:", a == b)
 
-# Sum and intersection come from echelon bookkeeping, not numerics.
-line = intersect(a, span([[1, 0, 1], [0, 0, 1]], 3))
-print("intersection dim:", line.dim, "basis:", list(line.rows))
+# Sum and intersection come from echelon bookkeeping, not numerics: the
+# intersection is the set of vectors that satisfy the annihilating
+# equations of both subspaces, and rref prints a subspace's rows over Q.
+c = span([[1, 0, 1], [0, 0, 1]], 3)
+line = kernel(kernel(a.ints, 3).ints + kernel(c.ints, 3).ints, 3)
+print("intersection dim:", line.dim, "basis:", list(rref(line.ints, 3)[0]))
 print("sum dim:", subspace_sum(a, span([[0, 0, 1]], 3)).dim)
 
 # Kernels are exact too.
 k = kernel([[1, 2, 0], [0, 0, 1]], 3)
-print("kernel basis:", list(k.rows))
+print("kernel basis:", list(rref(k.ints, 3)[0]))
 
 # Quotients carry a deterministic section; class_of returns coordinates of
 # a vector's class in that section basis, as integer numerators over one

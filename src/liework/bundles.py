@@ -140,16 +140,16 @@ def _divided_powers(alg: ChevalleyAlgebra, root: Root) -> tuple[_DividedPower, .
     ad = alg.table[i]
     where = f"{alg.cartan.type_label}: ad({alg.basis_label(i)})"
     powers: list[_DividedPower] = []
-    cols = [(j, col) for j, col in enumerate(ad) if col]  # D_1's nonzero columns
+    cols = [(j, col) for j, col in enumerate(ad) if col]  # nonzero columns of k D_k
     k = 1
     while cols:
         if k > alg.dim + 2:
             raise ConstructionAuditError(
                 f"{where}^{k} / {k}! is nonzero: not nilpotent")
-        if any(c.denominator != 1 for _, col in cols for _, c in col):
+        if any(c % k for _, col in cols for _, c in col):
             raise ConstructionAuditError(
                 f"{where}^{k} / {k}! has a non-integral entry")
-        powers.append(tuple((j, tuple((r, int(c)) for r, c in col)) for j, col in cols))
+        powers.append(tuple((j, tuple((r, c // k) for r, c in col)) for j, col in cols))
         k += 1
         nxt = []
         for j, col in powers[-1]:
@@ -157,8 +157,7 @@ def _divided_powers(alg: ChevalleyAlgebra, root: Root) -> tuple[_DividedPower, .
             for r, c in col:
                 for s, d in ad[r]:
                     acc[s] = acc.get(s, 0) + c * d
-            # exact: k need not divide x, and the next pass audits that
-            nxt.append((j, tuple((s, Fraction(x, k)) for s, x in acc.items() if x)))
+            nxt.append((j, tuple((s, x) for s, x in acc.items() if x)))
         cols = [(j, col) for j, col in nxt if col]
     return tuple(powers)
 
@@ -189,13 +188,12 @@ def _torus_factor(alg: ChevalleyAlgebra, i: int, a: int,
 
 
 @functools.lru_cache(maxsize=None)
-def _torus_letter(alg: ChevalleyAlgebra, params: tuple, inverse: bool) -> tuple:
-    """The torus letter with these parameters, one per simple root, or its
-    inverse, as (scale, None, mults): the product of the simple roots'
-    _torus_factor at each a / b, b > 0, read as b / a in the inverse."""
-    if len(params) != alg.rank:
+def _torus_letter(alg: ChevalleyAlgebra, ratios: tuple, inverse: bool) -> tuple:
+    """The torus letter with parameters a / b, b > 0, one per simple root, or
+    its inverse, as (scale, None, mults): the product of the simple roots'
+    _torus_factor at each a / b, read as b / a in the inverse."""
+    if len(ratios) != alg.rank:
         raise ValueError("torus letter has wrong parameter count")
-    ratios = [q.as_integer_ratio() for q in params]
     if inverse:
         ratios = [(b, a) if a > 0 else (-b, -a) for a, b in ratios]
     scales, mults = zip(*(_torus_factor(alg, i, a, b) for i, (a, b) in enumerate(ratios)))
@@ -216,7 +214,8 @@ def _act_ints(alg: ChevalleyAlgebra, w: GroupWord, vecs, *,
             a, b = letter.t.as_integer_ratio()
             steps.append(_unipotent_letter(alg, letter.root, -a if inverse else a, b))
         else:
-            steps.append(_torus_letter(alg, letter.params, inverse))
+            steps.append(_torus_letter(
+                alg, tuple([q.as_integer_ratio() for q in letter.params]), inverse))
     out = []
     for v, den in vecs:  # read once, so a one-shot iterator works
         if len(v) != alg.dim:
@@ -237,8 +236,10 @@ def _act_ints(alg: ChevalleyAlgebra, w: GroupWord, vecs, *,
 
 
 def act_vector(alg: ChevalleyAlgebra, w: GroupWord, v: QVec) -> QVec:
-    """Adjoint action of the word on a vector (nums, den); letters compose
-    like a product, so the last letter acts first."""
+    """Adjoint action of the word on a vector (nums, den), den > 0; letters
+    compose like a product, so the last letter acts first."""
+    if v[1] <= 0:
+        raise ValueError(f"denominator must be positive, got {v[1]}")
     return _act_ints(alg, w, [v])[0]
 
 
@@ -464,6 +465,8 @@ def fiber_dimension(pd: ParabolicDatum, psi: QVec) -> int:
     nums, den = psi
     if len(nums) != pd.torus_rank:
         raise ValueError("twist level has wrong length")
+    if den <= 0:
+        raise ValueError(f"denominator must be positive, got {den}")
     target = _lowest([-c for c in nums], den)
     if class_of(pd.twist_space, *twist_section(pd, target)) != target:
         raise RuntimeError("section failed to solve the class equation")

@@ -442,10 +442,12 @@ class ChevalleyAlgebra:
                     eb.insert(v)
         return eb.subspace()
 
-    def vector_name(self, v: Sequence) -> str:
+    def vector_name(self, v: Sequence, den: int = 1) -> str:
+        """v / den, den > 0, as a combination of basis labels."""
         terms = []
-        for i, c in enumerate(v):
-            if c:
+        for i, x in enumerate(v):
+            if x:
+                c = Fraction(x, den)
                 coef = "" if c == 1 else ("-" if c == -1 else f"{c}*")
                 terms.append(f"{coef}{self.basis_label(i)}")
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"

@@ -7,18 +7,17 @@ quotient's section holds integer rows over one positive denominator.
 That form is unique, so equality of subspaces is literal equality of
 rows, and so is equality of QVecs, the (integer numerators, positive
 denominator) pairs in lowest terms that hold a class's coordinates.
-Fractions enter only through ``span`` and ``Subspace.contains``, which
-clear denominators, and leave through the Fraction views ``Subspace.rows``
-and ``rref``.  Everything is exact: no floats, no tolerances, no pivot
-thresholds.
+Every entry point takes integer vectors; ``rref`` alone takes rows of
+Fractions, clearing their denominators, and returns Fraction rows.
+Everything is exact: no floats, no tolerances, no pivot thresholds.
 
 There is one elimination step, ``EchelonBuilder.insert``, and it runs in
 integers, combining rows by gcd-scaled integer row operations
 (fraction-free elimination; Bareiss 1968, Cohen, GTM 138, section 2.2).
-Spans, ``rref``, kernels, intersections and quotient sections all read
-the rows and pivots it leaves, membership reduces against them with the
-same helper, and a quotient's class map is an integer projector built
-once, on first use.
+Spans, ``rref``, kernels and quotient sections all read the rows and
+pivots it leaves, membership reduces against them with the same helper,
+and a quotient's class map is an integer projector built once, on first
+use.
 The Killing form and its perps live with the algebra that owns them, in
 ``chevalley``.
 """
@@ -31,10 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Vec = tuple[Fraction, ...]
 QVec = tuple[tuple[int, ...], int]  # (nums, den > 0) in lowest terms
-
-ZERO = Fraction(0)
 
 
 class LinAlgError(ValueError):
@@ -68,11 +64,6 @@ class Subspace:
     pivots: tuple[int, ...] = field(compare=False)  # leading column of each row
 
     @property
-    def rows(self) -> tuple[Vec, ...]:
-        """The reduced row-echelon basis as Fractions: each row over its pivot."""
-        return tuple(_as_vec(r, r[p]) for r, p in zip(self.ints, self.pivots))
-
-    @property
     def dim(self) -> int:
         return len(self.ints)
 
@@ -90,10 +81,10 @@ class Subspace:
         idx = tuple(sorted(indices))
         return Subspace(n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in idx), idx)
 
-    def contains(self, v: Sequence) -> bool:
+    def contains(self, v: Sequence[int]) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        return not any(_reduce(self.ints, self.pivots, _clear_denominators(v)[0]))
+        return not any(_reduce(self.ints, self.pivots, v))
 
     def contains_space(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -117,11 +108,6 @@ def _lowest(nums: Sequence[int], den: int) -> QVec:
     return (tuple([x // g for x in nums]), den // g) if g > 1 else (tuple(nums), den)
 
 
-def _as_vec(nums: Sequence[int], den: int) -> Vec:
-    """The Fraction vector nums / den."""
-    return tuple(Fraction(x, den) if x else ZERO for x in nums)
-
-
 def _reduce(rows: Sequence[Sequence[int]], pivots: Sequence[int],
             v: Sequence[int]) -> Sequence[int]:
     """v minus its components along primitive echelon rows (positive pivot,
@@ -141,7 +127,7 @@ def _reduce(rows: Sequence[Sequence[int]], pivots: Sequence[int],
 class EchelonBuilder:
     """Incrementally maintained primitive echelon basis; insertion order
     independent result.  `insert` is the package's one elimination step:
-    every span, kernel, intersection and quotient goes through it."""
+    every span, kernel and quotient goes through it."""
 
     def __init__(self, ambient_dim: int):
         self.n = ambient_dim
@@ -174,21 +160,22 @@ class EchelonBuilder:
         return Subspace(self.n, tuple(map(tuple, self.rows)), tuple(self.pivots))
 
 
-def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
-    """Canonical subspace spanned by the given vectors of ints or Fractions:
-    the one elimination entry that clears denominators."""
+def span(vectors: Iterable[Sequence[int]], ambient_dim: int) -> Subspace:
+    """Canonical subspace spanned by the given integer vectors."""
     b = EchelonBuilder(ambient_dim)
     for v in vectors:
-        b.insert(_clear_denominators(v)[0])
+        b.insert(v)
     return b.subspace()
 
 
-def rref(rows: Sequence[Sequence], cols: int) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+def rref(rows: Sequence[Sequence], cols: int) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     """Reduced row echelon form of rows of ints or Fractions, each of length
     cols, and the tuple of pivot columns: the canonical basis of the row
-    space, padded with zero rows to the number of rows given."""
-    s = span(rows, cols)
-    return s.rows + ((ZERO,) * cols,) * (len(rows) - s.dim), s.pivots
+    space as Fractions, each integer row over its pivot entry, padded with
+    zero rows to the number of rows given.  The package's one Fraction door."""
+    s = span([_clear_denominators(r)[0] for r in rows], cols)
+    return (tuple(tuple(Fraction(x, r[p]) for x in r) for r, p in zip(s.ints, s.pivots))
+            + ((Fraction(0),) * cols,) * (len(rows) - s.dim), s.pivots)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -197,22 +184,6 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     eb = EchelonBuilder(a.ambient_dim)
     for r in a.ints + b.ints:
         eb.insert(r)
-    return eb.subspace()
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of two subspaces, via the kernel of [A^T | -B^T]."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    n = a.ambient_dim
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(n)
-    # columns: the coefficients of a's basis, then those of b's basis
-    ker = kernel([[r[i] for r in a.ints] + [-r[i] for r in b.ints] for i in range(n)],
-                 a.dim + b.dim)
-    eb = EchelonBuilder(n)
-    for coeffs in ker.ints:
-        eb.insert([sum(c * row[j] for c, row in zip(coeffs, a.ints)) for j in range(n)])
     return eb.subspace()
 
 
@@ -292,6 +263,8 @@ def class_of(q: QuotientSpace, nums: Sequence[int], den: int = 1) -> QVec:
     of the quotient, as a QVec: the vector is sum_k nums[pivot_k] / den *
     (total row k), so its class is the same combination of the projector
     rows."""
+    if den <= 0:
+        raise ValueError(f"denominator must be positive, got {den}")
     if len(nums) != q.total.ambient_dim:
         raise DimensionMismatch("vector length does not match ambient dimension")
     if any(_reduce(q.total.ints, q.total.pivots, nums)):

@@ -33,14 +33,14 @@ from .exactlin import (
     IntMat,
     QuotientSpace,
     Subspace,
-    Vec,
-    _as_vec,
     class_of,
     quotient,
     smith_normal_form,
     span,
     subspace_sum,
 )
+
+_MAX_RETRIES = 32  # find_richardson's seeded candidates after the first
 
 
 class ParabolicAuditError(RuntimeError):
@@ -246,8 +246,7 @@ def richardson_candidate(pd: ParabolicDatum, coeffs: Sequence[int]) -> tuple[int
 
 
 @functools.lru_cache(maxsize=None)
-def find_richardson(pd: ParabolicDatum, seed: int = 0,
-                    max_retries: int = 32) -> RichardsonCertificate:
+def find_richardson(pd: ParabolicDatum, seed: int = 0) -> RichardsonCertificate:
     """Element of u whose parabolic orbit is open in u.
 
     Tries the sum of all root vectors of u first; falls back to seeded
@@ -258,7 +257,7 @@ def find_richardson(pd: ParabolicDatum, seed: int = 0,
     want = pd.u
     best = -1
     rng = random.Random(f"richardson:{pd.label()}:{seed}")
-    for attempt in range(max_retries + 1):
+    for attempt in range(_MAX_RETRIES + 1):
         if attempt == 0:
             coeffs: list[int] = [1] * len(pd.u_root_positions)
         else:
@@ -269,7 +268,7 @@ def find_richardson(pd: ParabolicDatum, seed: int = 0,
             return RichardsonCertificate(element=x, tangent=tangent)
         best = max(best, tangent.dim)
     raise RichardsonSearchError(
-        f"no open orbit found for {pd.label()} after {max_retries} retries",
+        f"no open orbit found for {pd.label()} after {_MAX_RETRIES} retries",
         best_tangent_dim=best)
 
 
@@ -333,10 +332,11 @@ def hypothesis_h1(pd: ParabolicDatum) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def h1_witness(pd: ParabolicDatum) -> tuple[str, str, Vec] | None:
-    """A concrete basis pair violating the triviality hypothesis, if any.
-    Memoised: the suite's report and the bundle model's gate share one scan
-    over the integer basis rows; a witness is named by its echelon rows."""
+def h1_witness(pd: ParabolicDatum) -> str | None:
+    """A concrete basis pair violating the triviality hypothesis, if any, as
+    the text "[a, b] = v".  Memoised: the suite's report and the bundle
+    model's gate share one scan over the integer basis rows; a witness is
+    named by its echelon rows."""
     alg, lev, u = pd.alg, pd.levi_derived, pd.u
     for i, a in enumerate(lev.ints):
         for j, b in enumerate(u.ints):
@@ -344,8 +344,8 @@ def h1_witness(pd: ParabolicDatum) -> tuple[str, str, Vec] | None:
             if any(v) and not pd.u_derived.contains(v):
                 # the bracket of the echelon rows a / da, b / db
                 da, db = a[lev.pivots[i]], b[u.pivots[j]]
-                return (alg.vector_name(_as_vec(a, da)), alg.vector_name(_as_vec(b, db)),
-                        _as_vec(v, da * db))
+                return (f"[{alg.vector_name(a, da)}, {alg.vector_name(b, db)}] = "
+                        f"{alg.vector_name(v, da * db)}")
     return None
 
 

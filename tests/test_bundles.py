@@ -74,6 +74,7 @@ from liework.parabolic import (
 )
 from liework.suites import _split
 from test_chevalley import _bracket_by_fractions
+from test_exactlin import frac_rows, qspan
 
 F = Fraction
 
@@ -337,7 +338,7 @@ def test_canonical_id_transports_p_once_per_word(monkeypatch):
     assert calls == [w]
     assert moved == [canonical_id(pd, w, [psi])[0] for psi in levels]
     # a caller holding act(w, p), as a point made by w does, saves the transport
-    p = make_uc_point(pd, w, _q(pd.p_derived_perp.rows[0])).p
+    p = make_uc_point(pd, w, _q(frac_rows(pd.p_derived_perp)[0])).p
     calls.clear()
     assert canonical_id(pd, w, levels, p) == moved
     assert calls == []
@@ -385,7 +386,7 @@ def test_embed_and_triangle():
     # word, the same group element in other letters, moves x0 to the same x
     pd = standard_parabolic("A2", frozenset({1}))
     rng = random.Random("embed")
-    x0 = _q(pd.p_derived_perp.rows[1])
+    x0 = _q(frac_rows(pd.p_derived_perp)[1])
     for _ in range(5):
         w = random_word(pd.alg, rng, length=3)
         pt = make_uc_point(pd, w, x0)
@@ -441,12 +442,12 @@ def test_tstar_moment_maps_factor():
     # of -pi_C(y) agree, since y minus that section lies in p-perp
     pd = standard_parabolic("A2", frozenset())
     alg = pd.alg
-    for y in pd.p_derived_perp.rows:
+    for y in frac_rows(pd.p_derived_perp):
         level, dl = pi_c(pd, make_uc_point(pd, IDENTITY_WORD, _q(y)))
         nums, den = twist_section(pd, (tuple(-c for c in level), dl))
         via_level = tuple(F(c, den) for c in nums)
-        assert pd.p_derived_perp.contains(via_level)
-        assert pd.u.contains(tuple(a - b for a, b in zip(y, via_level)))
+        assert pd.p_derived_perp.contains(_q(via_level)[0])
+        assert pd.u.contains(_q(tuple(a - b for a, b in zip(y, via_level)))[0])
         sections = _section_rows(pd.a_p)
         assert [_frac_killing(alg, z, y) for z in sections] == \
             [_frac_killing(alg, z, via_level) for z in sections]
@@ -463,7 +464,7 @@ def test_uc_invariant_checked_at_transported_p():
     bad = UCPoint(p=pd.p, x=(f1, 1), witness=IDENTITY_WORD)
     with pytest.raises(PointInvariantError, match="Killing-orthogonal"):
         act_uc_point(pd, w, bad)
-    good = make_uc_point(pd, IDENTITY_WORD, _q(pd.p_derived_perp.rows[0]))
+    good = make_uc_point(pd, IDENTITY_WORD, _q(frac_rows(pd.p_derived_perp)[0]))
     assert act_uc_point(pd, w, good).p == moved
 
 
@@ -485,7 +486,7 @@ def test_mu_equivariance_seeded():
     pd = standard_parabolic("A2", frozenset({1}))
     alg = pd.alg
     rng = random.Random("mu-eq")
-    x0 = _q(pd.p_derived_perp.rows[0])
+    x0 = _q(frac_rows(pd.p_derived_perp)[0])
     pt = make_uc_point(pd, IDENTITY_WORD, x0)
     for _ in range(10):
         w = random_word(alg, rng, length=3)
@@ -605,6 +606,21 @@ def test_act_vector_rejects_wrong_length():
                           inverse=inverse)
 
 
+@pytest.mark.parametrize("den", [0, -1, -2])
+def test_act_vector_rejects_nonpositive_denominators(den):
+    alg = algebra("A2")
+    for w in (IDENTITY_WORD, _w_unip(Root((1, 0)), 1)):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            act_vector(alg, w, (alg.one_hot(0), den))
+
+
+@pytest.mark.parametrize("den", [0, -1, -2])
+def test_fiber_dimension_rejects_nonpositive_denominators(den):
+    pd = standard_parabolic("A2", frozenset())
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        fiber_dimension(pd, ((1, 2), den))
+
+
 def test_fiber_dimension_rejects_corrupted_twist_space():
     pd = standard_parabolic("A2", frozenset())
     alg = pd.alg
@@ -639,7 +655,7 @@ def test_intrinsic_quotients_match_dossier(label, gamma):
 
 def test_uc_invariant_at_standard_p_reads_dossier():
     pd = standard_parabolic("B2", frozenset({1}))
-    x0 = _q(pd.p_derived_perp.rows[0])
+    x0 = _q(frac_rows(pd.p_derived_perp)[0])
     before = intrinsic_quotients.cache_info()
     pt = make_uc_point(pd, IDENTITY_WORD, x0)
     assert pt.p == pd.p
@@ -681,8 +697,8 @@ def test_act_torus_matches_per_component_scaling(label):
 def _bracket_space_full_loop(alg, a, b):
     # every pairwise bracket by the Fraction accumulator, which shares no
     # code with the integer core that bracket_space runs
-    return span([_bracket_by_fractions(alg, x, y) for x in a.rows for y in b.rows],
-                alg.dim)
+    return qspan([_bracket_by_fractions(alg, x, y) for x in frac_rows(a) for y in frac_rows(b)],
+                 alg.dim)
 
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)
@@ -709,7 +725,7 @@ def _solve(a, cols, b):
 
 def _class_by_solve(q, v):
     # the per-call solve that the projector replaces
-    cols = _section_rows(q) + list(q.divisor.rows)
+    cols = _section_rows(q) + list(frac_rows(q.divisor))
     if not cols:
         return ()
     system = [[row[i] for row in cols] for i in range(q.total.ambient_dim)]
@@ -726,7 +742,7 @@ def test_class_of_projector_matches_solve(label):
         w = random_word(alg, rng, length=rng.randint(1, 4))
         twist, a_p = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))
         for q in (twist, a_p):
-            rows = q.total.rows
+            rows = frac_rows(q.total)
             vecs = list(rows)
             for _ in range(3):
                 coeffs = [F(rng.randint(-3, 3)) for _ in rows]
@@ -743,7 +759,7 @@ def _perp_by_fraction_gram(alg, s):
     # the route killing_perp replaces: Fraction rows times the gram
     g = alg.killing_gram
     return kernel([_clear_denominators([sum((r[k] * g[k, j] for k in range(alg.dim)), F(0))
-                                        for j in range(alg.dim)])[0] for r in s.rows],
+                                        for j in range(alg.dim)])[0] for r in frac_rows(s)],
                   alg.dim)
 
 
@@ -847,9 +863,9 @@ def test_invariance_membership_matches_quotient_perp(label):
             p = act_subspace(alg, w, pd.p)
             pdp = intrinsic_quotients(alg, p)[0].total
             coeffs = [F(rng.randint(-3, 3), rng.randint(1, 2))
-                      for _ in pd.p_derived_perp.rows]
+                      for _ in frac_rows(pd.p_derived_perp)]
             x = act_vector(alg, w, _q(tuple(
-                sum((c * r[i] for c, r in zip(coeffs, pd.p_derived_perp.rows)), F(0))
+                sum((c * r[i] for c, r in zip(coeffs, frac_rows(pd.p_derived_perp))), F(0))
                 for i in range(alg.dim))))
             # basis vectors pairing with [p, p] push x out of its perp
             outside = [i for i in range(alg.dim) if not pdp.contains(alg.one_hot(i))]
@@ -859,7 +875,7 @@ def test_invariance_membership_matches_quotient_perp(label):
             cands.append(_q(tuple(F(rng.randint(-2, 2), rng.randint(1, 3))
                                   for _ in range(alg.dim))))
             for v in cands:
-                want = pdp.contains(_frac(v))
+                want = pdp.contains(v[0])
                 assert alg.kills_derived(p, v[0]) == want
                 checked += 1
                 if not want:
@@ -876,7 +892,7 @@ def test_invariance_membership_matches_quotient_perp(label):
 
 def test_uc_point_off_standard_p_leaves_quotient_cache_alone():
     pd = standard_parabolic("B2", frozenset({1}))
-    x0 = _q(pd.p_derived_perp.rows[0])
+    x0 = _q(frac_rows(pd.p_derived_perp)[0])
     w = _w_unip(Root((0, -1)), 2)  # -a2 lies outside the Levi of {1}
     before = intrinsic_quotients.cache_info()
     pt = make_uc_point(pd, w, x0)
@@ -1100,7 +1116,7 @@ def test_act_subspace_is_the_span_of_fraction_images(label):
         w = concat(random_word(alg, rng, length=3), word_of(torus))
         for s in (pd.p, pd.u, pd.p_derived_perp):
             assert act_subspace(alg, w, s) == \
-                span([_act_by_fractions(alg, w, r) for r in s.rows], alg.dim)
+                qspan([_act_by_fractions(alg, w, r) for r in frac_rows(s)], alg.dim)
     # the identity word returns the subspace itself
     assert act_subspace(alg, IDENTITY_WORD, pd.p) is pd.p
 

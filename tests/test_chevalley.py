@@ -33,6 +33,7 @@ from liework.bundles import act_subspace, random_word
 from liework.exactlin import IntMat, Subspace, span
 from liework.parabolic import standard_parabolic
 from test_realization import _derived_pair, _mixed_pair, _negate, _tampered_build
+from test_exactlin import frac_rows, qspan
 
 F = Fraction
 
@@ -443,8 +444,8 @@ def test_bracket_and_killing_match_fraction_accumulators(label):
 def _bracket_space_by_fractions(alg, a, b):
     # span of every pairwise bracket of the two bases, by the Fraction
     # accumulator
-    return span([_bracket_by_fractions(alg, x, y) for x in a.rows for y in b.rows],
-                alg.dim)
+    return qspan([_bracket_by_fractions(alg, x, y) for x in frac_rows(a) for y in frac_rows(b)],
+                 alg.dim)
 
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)
@@ -459,7 +460,7 @@ def test_bracket_space_matches_span_of_all_pairwise_brackets(label):
     moved_p, moved_u = act_subspace(alg, w, pd.p), act_subspace(alg, w, pd.u)
     dense = span([[rng.randint(-3, 3) for _ in range(alg.dim)] for _ in range(3)],
                  alg.dim)
-    line = span([moved_p.rows[-1]], alg.dim)
+    line = span([moved_p.ints[-1]], alg.dim)
     for a, b in ((pd.u, pd.u), (pd.u, pd.p), (moved_p, moved_p), (moved_u, pd.p),
                  (dense, dense), (dense, moved_p), (moved_p, line), (dense, line)):
         assert alg.bracket_space(a, b) == _bracket_space_by_fractions(alg, a, b)

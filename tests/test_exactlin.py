@@ -15,7 +15,6 @@ from liework.exactlin import (
     VectorOutsideTotal,
     class_of,
     int_det,
-    intersect,
     kernel,
     quotient,
     rref,
@@ -40,6 +39,23 @@ def cleared(v):
     return [int(x * den) for x in v], den
 
 
+def qspan(vectors, n):
+    """The span of vectors of ints or Fractions: denominators cleared first."""
+    return span([cleared(v)[0] for v in vectors], n)
+
+
+def frac_rows(s):
+    """The Fraction view of a subspace: its reduced row-echelon rows."""
+    return rref(s.ints, s.ambient_dim)[0]
+
+
+def meet(a, b):
+    """The intersection of two subspaces of Q^n, as demo 01 computes it: the
+    vectors that satisfy the annihilating equations of both."""
+    n = a.ambient_dim
+    return kernel(kernel(a.ints, n).ints + kernel(b.ints, n).ints, n)
+
+
 def fractions(qvec):
     """A QVec, checked to be ints over a positive denominator in lowest
     terms, as a Fraction vector."""
@@ -49,9 +65,9 @@ def fractions(qvec):
     return tuple(Q(x, den) for x in nums)
 
 
-E = as_vec([1, 0, 0])
-H = as_vec([0, 1, 0])
-F = as_vec([0, 0, 1])
+E = (1, 0, 0)
+H = (0, 1, 0)
+F = (0, 0, 1)
 
 
 def rand_fraction(rng):
@@ -80,7 +96,7 @@ def test_rref_preserves_row_space_seeded():
         m = rand_mat(rng, 5, 5)
         r, _ = rref(m, 5)
         # mutual containment via canonical spans
-        assert span(m, 5) == span(r, 5)
+        assert qspan(m, 5) == qspan(r, 5)
 
 
 def test_rref_idempotent_seeded():
@@ -103,10 +119,10 @@ def test_span_canonical_under_reordering():
 def test_modular_law_dimensions_100_seeded_pairs_dim8():
     rng = random.Random(0xC0FFEE)
     for _ in range(100):
-        a = span([[rand_fraction(rng) for _ in range(8)] for _ in range(rng.randint(1, 6))], 8)
-        b = span([[rand_fraction(rng) for _ in range(8)] for _ in range(rng.randint(1, 6))], 8)
+        a = qspan([[rand_fraction(rng) for _ in range(8)] for _ in range(rng.randint(1, 6))], 8)
+        b = qspan([[rand_fraction(rng) for _ in range(8)] for _ in range(rng.randint(1, 6))], 8)
         s = subspace_sum(a, b)
-        i = intersect(a, b)
+        i = meet(a, b)
         assert a.dim + b.dim == s.dim + i.dim
         assert s.contains_space(a) and s.contains_space(b)
         assert a.contains_space(i) and b.contains_space(i)
@@ -115,10 +131,10 @@ def test_modular_law_dimensions_100_seeded_pairs_dim8():
 def test_intersection_members_seeded():
     rng = random.Random(7)
     for _ in range(20):
-        a = span([[rand_fraction(rng) for _ in range(6)] for _ in range(3)], 6)
-        b = span([[rand_fraction(rng) for _ in range(6)] for _ in range(3)], 6)
-        i = intersect(a, b)
-        for r in i.rows:
+        a = qspan([[rand_fraction(rng) for _ in range(6)] for _ in range(3)], 6)
+        b = qspan([[rand_fraction(rng) for _ in range(6)] for _ in range(3)], 6)
+        i = meet(a, b)
+        for r in i.ints:
             assert a.contains(r) and b.contains(r)
 
 
@@ -140,17 +156,17 @@ def test_perp_of_full_and_zero():
 def test_double_perp_identity_seeded():
     rng = random.Random(5150)
     for _ in range(20):
-        v = span([[rand_fraction(rng) for _ in range(3)] for _ in range(rng.randint(1, 3))], 3)
+        v = qspan([[rand_fraction(rng) for _ in range(3)] for _ in range(rng.randint(1, 3))], 3)
         assert A1.killing_perp(A1.killing_perp(v)) == v
 
 
 def test_perp_dimension_complement():
     rng = random.Random(31)
     for _ in range(20):
-        v = span([[rand_fraction(rng) for _ in range(3)] for _ in range(2)], 3)
+        v = qspan([[rand_fraction(rng) for _ in range(3)] for _ in range(2)], 3)
         perp = A1.killing_perp(v)
         assert v.dim + perp.dim == 3
-        assert all(sl2_pair(x, y) == 0 for x in v.rows for y in perp.rows)
+        assert all(sl2_pair(x, y) == 0 for x in frac_rows(v) for y in frac_rows(perp))
 
 
 def test_quotient_sl2_borel():
@@ -240,7 +256,7 @@ def test_kernel_annihilates():
         m = rand_mat(rng, 3, 5)
         k = kernel([cleared(r)[0] for r in m], 5)
         assert k.dim == 5 - len(rref(m, 5)[1])
-        for r in k.rows:
+        for r in frac_rows(k):
             assert all(x == 0 for x in apply(m, r))
 
 
@@ -257,9 +273,26 @@ def test_dimension_mismatch_errors():
     with pytest.raises(DimensionMismatch):
         subspace_sum(Subspace.full(3), Subspace.full(4))
     with pytest.raises(DimensionMismatch):
-        intersect(Subspace.full(3), Subspace.full(4))
-    with pytest.raises(DimensionMismatch):
-        Subspace.full(3).contains(as_vec([1, 0]))
+        Subspace.full(3).contains((1, 0))
+
+
+@pytest.mark.parametrize("v", [(Q(1, 2), 0, 0), (Q(2), 0, 0), (0, Q(0), 0)])
+def test_span_and_contains_reject_fractions(v):
+    # integers only: a Fraction fails in the gcd of the elimination step
+    with pytest.raises(TypeError):
+        span([v], 3)
+    for s in (Subspace.zero(3), Subspace.full(3), span([(1, 1, 0)], 3)):
+        with pytest.raises(TypeError):
+            s.contains(v)
+    # rref is the one door that takes them
+    assert rref([v], 3)[1] == ((0,) if any(v) else ())
+
+
+def test_class_of_rejects_nonpositive_denominators():
+    q = quotient(span([E, H], 3), span([E], 3))
+    for den in (0, -1, -2):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            class_of(q, (1, 0, 0), den)
 
 
 def test_a1_killing_matches_matrix_product():
@@ -278,11 +311,11 @@ small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(st.lists(small_fractions, min_size=4, max_size=4), min_size=1, max_size=5))
-def test_span_idempotent_property(rows):
-    s = span(rows, 4)
-    assert span(s.rows, 4) == s
-    for r in rows:
-        assert s.contains(as_vec(r))
+def test_span_idempotent_property(vectors):
+    s = qspan(vectors, 4)
+    assert qspan(frac_rows(s), 4) == s
+    for r in vectors:
+        assert s.contains(cleared(r)[0])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -291,8 +324,8 @@ def test_span_idempotent_property(rows):
     st.lists(st.lists(small_fractions, min_size=4, max_size=4), min_size=1, max_size=4),
 )
 def test_sum_intersect_dims_property(ra, rb):
-    a, b = span(ra, 4), span(rb, 4)
-    assert a.dim + b.dim == subspace_sum(a, b).dim + intersect(a, b).dim
+    a, b = qspan(ra, 4), qspan(rb, 4)
+    assert a.dim + b.dim == subspace_sum(a, b).dim + meet(a, b).dim
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -345,7 +378,7 @@ def test_echelon_builder_matches_span():
     eb = EchelonBuilder(5)
     for r in rows:
         eb.insert(cleared(r)[0])
-    assert eb.subspace() == span(rows, 5)
+    assert eb.subspace() == qspan(rows, 5)
     with pytest.raises(DimensionMismatch):
         eb.insert([1, 2, 3, 4])
 
@@ -406,8 +439,8 @@ def test_kernel_matches_sympy_nullspace(sympy, m):
     k = kernel([cleared(r)[0] for r in m], len(m[0]))
     want = [list(map(_frac, v)) for v in sympy.Matrix(m).nullspace()]
     assert k.dim == len(want)
-    assert k == span(want, len(m[0]))
-    for row in k.rows:
+    assert k == qspan(want, len(m[0]))
+    for row in frac_rows(k):
         assert sympy.Matrix(m) * sympy.Matrix(row) == sympy.zeros(len(m), 1)
 
 
@@ -425,13 +458,13 @@ def test_span_contains_intersect_match_sympy_ranks(sympy, data):
     def rank(rows):
         return sympy.Matrix(rows).rank()
 
-    a, b = span(ra, cols), span(rb, cols)
+    a, b = qspan(ra, cols), qspan(rb, cols)
     assert (a.dim, b.dim) == (rank(ra), rank(rb))
-    assert a.contains(as_vec(member))
-    assert a.contains(as_vec(v)) == (rank(ra + [v]) == a.dim)
-    i = intersect(a, b)
+    assert a.contains(cleared(member)[0])
+    assert a.contains(cleared(v)[0]) == (rank(ra + [v]) == a.dim)
+    i = meet(a, b)
     assert i.dim == a.dim + b.dim - rank(ra + rb)
-    assert rank(ra + list(i.rows)) == a.dim and rank(rb + list(i.rows)) == b.dim
+    assert rank(ra + list(frac_rows(i))) == a.dim and rank(rb + list(frac_rows(i))) == b.dim
 
 
 @oracle
@@ -446,11 +479,11 @@ def test_quotient_class_of_match_sympy_solve(sympy, data):
     def rank(rows):
         return sympy.Matrix(rows).rank() if rows else 0
 
-    q = quotient(span(rt, cols), span(rd, cols))
+    q = quotient(qspan(rt, cols), qspan(rd, cols))
     assert q.dim == rank(rt) - rank(rd)
-    rows, den = q.section
-    section = [[Q(x, den) for x in r] for r in rows]
-    basis = section + list(q.divisor.rows)
+    ints, den = q.section
+    section = [[Q(x, den) for x in r] for r in ints]
+    basis = section + list(frac_rows(q.divisor))
     assert rank(basis) == len(basis) == rank(rt)
     cls = fractions(class_of(q, *cleared(v)))
     if basis:
@@ -468,7 +501,7 @@ def _rref_section(total, divisor):
     eb = EchelonBuilder(total.ambient_dim)
     for r in divisor.ints:
         eb.insert(r)
-    return tuple(row for row, r in zip(total.rows, total.ints) if eb.insert(r))
+    return tuple(row for row, r in zip(frac_rows(total), total.ints) if eb.insert(r))
 
 
 @oracle
@@ -478,13 +511,13 @@ def test_integer_section_is_the_rref_rows_over_one_denominator(data):
     rt = data.draw(fraction_matrices(cols))
     coeffs = st.lists(fraction_entries, min_size=len(rt), max_size=len(rt))
     rd = [_combine(c, rt) for c in data.draw(st.lists(coeffs, max_size=8))]
-    total, divisor = span(rt, cols), span(rd, cols)
-    rows, den = quotient(total, divisor).section
+    total, divisor = qspan(rt, cols), qspan(rd, cols)
+    ints, den = quotient(total, divisor).section
     assert type(den) is int and den > 0
-    assert all(type(x) is int for r in rows for x in r)
+    assert all(type(x) is int for r in ints for x in r)
     # den is the least common denominator of the rows
-    assert math.gcd(den, *(x for r in rows for x in r)) == 1
-    assert tuple(tuple(Q(x, den) for x in r) for r in rows) == _rref_section(total, divisor)
+    assert math.gcd(den, *(x for r in ints for x in r)) == 1
+    assert tuple(tuple(Q(x, den) for x in r) for r in ints) == _rref_section(total, divisor)
 
 
 @oracle
@@ -511,14 +544,14 @@ def test_integer_rows_are_canonical(data):
     order = data.draw(st.permutations(range(len(m))))
     scales = data.draw(st.lists(fraction_entries.filter(bool),
                                 min_size=len(m), max_size=len(m)))
-    s = span(m, cols)
+    s = qspan(m, cols)
     # scaled and permuted generators span an equal, equally hashed value
-    t = span([[c * x for x in m[i]] for c, i in zip(scales, order)], cols)
+    t = qspan([[c * x for x in m[i]] for c, i in zip(scales, order)], cols)
     assert s == t and hash(s) == hash(t)
     assert (s.ints, s.pivots) == (t.ints, t.pivots)
     for k, (r, p) in enumerate(zip(s.ints, s.pivots)):
         assert all(type(x) is int for x in r)
         assert math.gcd(*r) == 1 and r[p] > 0 and not any(r[:p])
         assert all(o[p] == 0 for j, o in enumerate(s.ints) if j != k)
-        assert all(type(x) is Q for x in s.rows[k])
-        assert s.rows[k][p] == 1
+        assert all(type(x) is Q for x in frac_rows(s)[k])
+        assert frac_rows(s)[k][p] == 1

@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from liework.chevalley import SUPPORTED_TYPES, algebra
+from liework.chevalley import SUPPORTED_TYPES, ChevalleyAlgebra, algebra
 from liework.exactlin import QuotientSpace, Subspace, smith_normal_form, span
 from liework.parabolic import (
     ParabolicAuditError,
@@ -27,6 +27,7 @@ from liework.parabolic import (
     torus_character_set,
 )
 from test_chevalley import _bracket_by_fractions
+from test_exactlin import cleared, frac_rows
 
 
 def test_a1_borel_dimensions():
@@ -227,11 +228,28 @@ def test_h1_borel_and_full_true():
 def test_h1_a2_gamma1_false_with_witness():
     pd = standard_parabolic("A2", frozenset({1}))
     assert not hypothesis_h1(pd)
-    wit = h1_witness(pd)
-    assert wit is not None
-    a_name, b_name, v = wit
-    assert any(v)
-    assert not pd.u_derived.contains(v)
+    # [e1, e2] = e12 is the first bracket of a derived Levi row with a u row
+    # outside [u,u], which is zero for this gamma
+    assert pd.u_derived.dim == 0
+    assert h1_witness(pd) == "[e(a1), e(a2)] = e(a1+a2)"
+
+
+def test_find_richardson_gives_up_after_32_retries(monkeypatch):
+    # every candidate's tangent falls short of u: the sum of all root vectors,
+    # then 32 seeded retries, and the error names the best dimension reached
+    pd = standard_parabolic("A2", frozenset())
+    calls = []
+
+    def short(self, a, b):
+        calls.append(b)
+        return pd.u_derived
+
+    monkeypatch.setattr(ChevalleyAlgebra, "bracket_space", short)
+    find_richardson.cache_clear()
+    with pytest.raises(RichardsonSearchError, match="A2:- after 32 retries") as err:
+        find_richardson(pd)
+    assert len(calls) == 33
+    assert err.value.best_tangent_dim == pd.u_derived.dim
 
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)
@@ -242,11 +260,11 @@ def test_h1_witness_is_the_first_fraction_bracket(label):
     for r in range(alg.rank + 1):
         for gamma in itertools.combinations(range(1, alg.rank + 1), r):
             pd = standard_parabolic(label, frozenset(gamma))
-            want = next(((alg.vector_name(a), alg.vector_name(b),
-                          _bracket_by_fractions(alg, a, b))
-                         for a in pd.levi_derived.rows for b in pd.u.rows
-                         if not pd.u_derived.contains(_bracket_by_fractions(alg, a, b))),
-                        None)
+            brackets = ((a, b, _bracket_by_fractions(alg, a, b))
+                        for a in frac_rows(pd.levi_derived) for b in frac_rows(pd.u))
+            want = next((f"[{alg.vector_name(a)}, {alg.vector_name(b)}] = "
+                         f"{alg.vector_name(v)}" for a, b, v in brackets
+                         if not pd.u_derived.contains(cleared(v)[0])), None)
             assert h1_witness(pd) == want
 
 
