@@ -49,6 +49,7 @@ from .exactlin import (
     QVec,
     Subspace,
     VectorOutsideTotal,
+    _check_scalars,
     _clear_denominators,
     _lowest,
     class_of,
@@ -77,13 +78,6 @@ class HypothesisNotSatisfied(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # group words
-
-
-def _check_scalars(values: Sequence, what: str) -> None:
-    """No float enters: raise unless each value is a non-bool int or a Fraction."""
-    for x in values:
-        if type(x) is bool or not isinstance(x, (int, Fraction)):
-            raise TypeError(f"{what} must be ints or Fractions, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -325,6 +319,8 @@ def twist_section(pd: ParabolicDatum, psi: QVec) -> tuple[list[int], int]:
     """The canonical section representative of psi inside [p,p]-perp, as
     integer numerators over one positive denominator: psi's numerators
     combine the section's integer rows."""
+    if psi[1] <= 0:
+        raise ValueError(f"denominator must be positive, got {psi[1]}")
     rows, den = pd.twist_space.section
     coeffs, cden = psi
     acc = [sum(map(operator.mul, coeffs, col)) for col in zip(*rows)]

@@ -607,17 +607,22 @@ def build_algebra(cartan: CartanDatum) -> ChevalleyAlgebra:
     tab, weights = chevalley_table(cartan, pos)
     dim = len(weights)
 
-    def trace_ad_ad(i: int, j: int) -> int:
-        """kappa(b_i, b_j) = trace(ad b_i ad b_j): the b_l coefficient of
-        [b_i, [b_j, b_l]], summed over l."""
-        return sum(c * d for l in range(dim) for k, d in tab[j][l]
-                   for m, c in tab[i][k] if m == l)
+    # kappa(b_i, b_j) = trace(ad b_i ad b_j) = sum over (l, k) of [b_i, b_l]'s
+    # b_k entry times [b_j, b_k]'s b_l entry: ad entries indexed once by (l, k)
+    ad: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i in range(dim):
+        for l in range(dim):
+            for k, c in tab[i][l]:
+                ad.setdefault((l, k), []).append((i, c))
+    rows = [[0] * dim for _ in range(dim)]
+    for (l, k), left in ad.items():
+        for j, d in ad.get((k, l), ()):
+            for i, c in left:
+                rows[i][j] += c * d
 
-    gram = IntMat.from_rows([[trace_ad_ad(i, j) for j in range(dim)]
-                             for i in range(dim)], dim)
-
-    alg = ChevalleyAlgebra(cartan=cartan, positive_roots=pos, dim=dim,
-                           table=tab, killing_gram=gram, basis_weights=weights)
+    alg = ChevalleyAlgebra(cartan=cartan, positive_roots=pos, dim=dim, table=tab,
+                           killing_gram=IntMat.from_rows(rows, dim),
+                           basis_weights=weights)
     return dataclasses.replace(alg, audit=_audit(alg))
 
 

@@ -14,10 +14,11 @@ Everything is exact: no floats, no tolerances, no pivot thresholds.
 There is one elimination step, ``EchelonBuilder.insert``, and it runs in
 integers, combining rows by gcd-scaled integer row operations
 (fraction-free elimination; Bareiss 1968, Cohen, GTM 138, section 2.2).
-Spans, ``rref``, kernels and quotient sections all read the rows and
-pivots it leaves, membership reduces against them with the same helper,
-and a quotient's class map is an integer projector built once, on first
-use.
+Spans, ``rref``, kernels and quotient sections each read the rows and
+pivots of one elimination: a kernel's rows with their columns reversed, a
+quotient's total inserted after its divisor's rows.  Membership reduces
+against them with the same helper, and a quotient's class map is an
+integer projector built once, on first use.
 The Killing form and its perps live with the algebra that owns them, in
 ``chevalley``.
 """
@@ -92,11 +93,19 @@ class Subspace:
         return not any(any(_reduce(self.ints, self.pivots, r)) for r in other.ints)
 
 
+def _check_scalars(values: Sequence, what: str) -> None:
+    """No float enters: raise unless each value is a non-bool int or a Fraction."""
+    for x in values:
+        if type(x) is bool or not isinstance(x, (int, Fraction)):
+            raise TypeError(f"{what} must be ints or Fractions, got {x!r}")
+
+
 def _clear_denominators(v: Sequence) -> tuple[Sequence[int], int]:
     """(nums, den) with v = nums / den, den the lcm of v's denominators.
     A vector that holds only ints comes back as it stands, over 1."""
     if all(type(x) is int for x in v):
         return v, 1
+    _check_scalars(v, "vector entries")
     ratios = [x.as_integer_ratio() for x in v]
     den = math.lcm(*(d for _, d in ratios))
     return [n * (den // d) for n, d in ratios], den
@@ -127,12 +136,13 @@ def _reduce(rows: Sequence[Sequence[int]], pivots: Sequence[int],
 class EchelonBuilder:
     """Incrementally maintained primitive echelon basis; insertion order
     independent result.  `insert` is the package's one elimination step:
-    every span, kernel and quotient goes through it."""
+    every span, kernel and quotient goes through it.  A seed subspace's
+    canonical rows are already the state that inserting them would leave."""
 
-    def __init__(self, ambient_dim: int):
+    def __init__(self, ambient_dim: int, seed: Subspace | None = None):
         self.n = ambient_dim
-        self.rows: list[Sequence[int]] = []
-        self.pivots: list[int] = []
+        self.rows: list[Sequence[int]] = list(seed.ints) if seed else []
+        self.pivots: list[int] = list(seed.pivots) if seed else []
 
     def insert(self, v: Sequence[int]) -> bool:
         """Insert an integer vector; True iff the rank grew.  The new row
@@ -181,31 +191,32 @@ def rref(rows: Sequence[Sequence], cols: int) -> tuple[tuple[tuple, ...], tuple[
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    eb = EchelonBuilder(a.ambient_dim)
-    for r in a.ints + b.ints:
+    eb = EchelonBuilder(a.ambient_dim, a)
+    for r in b.ints:
         eb.insert(r)
     return eb.subspace()
 
 
 def kernel(rows: Iterable[Sequence[int]], cols: int) -> Subspace:
-    """Solution space of the integer rows @ x = 0, as a subspace of Q^cols:
-    one integer solution per free column j, with x_j the lcm of the pivot
-    entries."""
+    """Solution space of the integer rows @ x = 0, as a subspace of Q^cols.
+    Eliminated with columns reversed, echelon row r_q ends at its pivot q.
+    Free column j gets x_j the lcm of r_q[q] over the rows with r_q[j] != 0,
+    x_q = -r_q[j] x_j / r_q[q] there; each q > j, so over their gcd these
+    solutions are already the canonical rows."""
     s = EchelonBuilder(cols)
     for r in rows:
-        s.insert(r)
-    pivset = set(s.pivots)
-    top = math.lcm(*(r[p] for r, p in zip(s.rows, s.pivots)))
-    eb = EchelonBuilder(cols)
-    for j in range(cols):
-        if j in pivset:
-            continue
+        s.insert(r[::-1])
+    last = [(cols - 1 - p, r[::-1]) for r, p in zip(s.rows, s.pivots)]
+    free = sorted(set(range(cols)).difference(q for q, _ in last))
+    out = []
+    for j in free:
+        hit = [(q, r) for q, r in last if r[j]]
         v = [0] * cols
-        v[j] = top
-        for r, p in zip(s.rows, s.pivots):
-            v[p] = -r[j] * (v[j] // r[p])
-        eb.insert(v)
-    return eb.subspace()
+        v[j] = x = math.lcm(*(r[q] for q, r in hit))
+        for q, r in hit:
+            v[q] = -r[j] * (x // r[q])
+        out.append(_lowest(v, x)[0])  # x = v[j]: v over its gcd
+    return Subspace(cols, tuple(out), tuple(free))
 
 
 @dataclass(frozen=True)
@@ -244,15 +255,13 @@ class QuotientSpace:
 
 
 def quotient(total: Subspace, divisor: Subspace) -> QuotientSpace:
+    """total / divisor; a builder seeded with the divisor picks the section."""
     if total.ambient_dim != divisor.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    if not total.contains_space(divisor):
-        raise DivisorNotContained("divisor is not contained in the total space")
-    eb = EchelonBuilder(total.ambient_dim)
-    for r in divisor.ints:
-        eb.insert(r)
+    eb = EchelonBuilder(total.ambient_dim, divisor)
     picked = [(r, p) for r, p in zip(total.ints, total.pivots) if eb.insert(r)]
-    assert len(picked) == total.dim - divisor.dim
+    if len(eb.rows) > total.dim:  # dim(D + T) = dim T iff D lies in T
+        raise DivisorNotContained("divisor is not contained in the total space")
     den = math.lcm(*(r[p] for r, p in picked))
     rows = tuple(tuple(x * (den // r[p]) for x in r) for r, p in picked)
     return QuotientSpace(total, divisor, (rows, den))

@@ -621,6 +621,22 @@ def test_fiber_dimension_rejects_nonpositive_denominators(den):
         fiber_dimension(pd, ((1, 2), den))
 
 
+@pytest.mark.parametrize("den", [0, -1, -2])
+def test_twist_section_rejects_nonpositive_denominators(den):
+    pd = standard_parabolic("A2", frozenset({1}))
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        twist_section(pd, ((1,), den))
+
+
+@pytest.mark.parametrize("den", [0, -1, -2])
+def test_invariance_pairing_square_rejects_nonpositive_denominators(den):
+    # over den <= 0 both routes would give equal pairs, so the square would pass
+    pd = standard_parabolic("A2", frozenset({1}))
+    for w in (IDENTITY_WORD, _w_unip(Root((0, -1)), 1)):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            invariance_pairing_square(pd, w, [((1,), den)])
+
+
 def test_fiber_dimension_rejects_corrupted_twist_space():
     pd = standard_parabolic("A2", frozenset())
     alg = pd.alg

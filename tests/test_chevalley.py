@@ -163,6 +163,21 @@ def test_a1_killing_frozen():
     assert alg.killing_gram == want
 
 
+def _trace_ad_ad_gram(alg):
+    """The gram as the n^2 loop built it: kappa(b_i, b_j) the b_l
+    coefficient of [b_i, [b_j, b_l]], summed over l."""
+    tab, dim = alg.table, alg.dim
+    return IntMat.from_rows([[sum(c * d for l in range(dim) for k, d in tab[j][l]
+                                  for m, c in tab[i][k] if m == l)
+                              for j in range(dim)] for i in range(dim)], dim)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_killing_gram_matches_trace_ad_ad_loop(label):
+    alg = algebra(label)
+    assert alg.killing_gram == _trace_ad_ad_gram(alg)
+
+
 def test_a1_labels():
     alg = algebra("A1")
     assert [alg.basis_label(i) for i in range(3)] == ["e(a1)", "h1", "f(a1)"]

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction as Q
 
@@ -555,3 +556,131 @@ def test_integer_rows_are_canonical(data):
         assert all(o[p] == 0 for j, o in enumerate(s.ints) if j != k)
         assert all(type(x) is Q for x in frac_rows(s)[k])
         assert frac_rows(s)[k][p] == 1
+
+
+# ---------------------------------------------------------------------------
+# the one-elimination routes against the two-pass routes they replaced
+
+
+def _kernel_two_eliminations(rows, cols):
+    """The kernel as a forward elimination and a second one built it: one
+    solution per free column j over the lcm of all the pivot entries, those
+    solutions then eliminated into canonical rows."""
+    s = EchelonBuilder(cols)
+    for r in rows:
+        s.insert(r)
+    top = math.lcm(*(r[p] for r, p in zip(s.rows, s.pivots)))
+    eb = EchelonBuilder(cols)
+    for j in sorted(set(range(cols)) - set(s.pivots)):
+        v = [0] * cols
+        v[j] = top
+        for r, p in zip(s.rows, s.pivots):
+            v[p] = -r[j] * (top // r[p])
+        eb.insert(v)
+    return eb.subspace()
+
+
+def _quotient_two_passes(total, divisor):
+    """(total, divisor, section) as a containment pass and a fresh builder
+    fed the divisor's rows, then the total's, picked them; None when the
+    divisor is not in the total."""
+    if not total.contains_space(divisor):
+        return None
+    eb = EchelonBuilder(total.ambient_dim)
+    for r in divisor.ints:
+        eb.insert(r)
+    picked = [(r, p) for r, p in zip(total.ints, total.pivots) if eb.insert(r)]
+    den = math.lcm(*(r[p] for r, p in picked))
+    return total, divisor, (tuple(tuple(x * (den // r[p]) for x in r) for r, p in picked), den)
+
+
+@st.composite
+def int_systems(draw):
+    """(rows, cols): 0..7 integer rows of length 1..8 with zero rows mixed
+    in; half are products through a smaller inner dimension, so of lower
+    rank, and an inner dimension of 0 gives rank 0."""
+    cols, n = draw(st.integers(1, 8)), draw(st.integers(0, 7))
+
+    def block(r, c):
+        return draw(st.lists(st.lists(st.integers(-5, 5), min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        rows = block(n, cols)
+    else:
+        inner = draw(st.integers(0, max(0, min(n, cols) - 1)))
+        b, c = block(n, inner), block(inner, cols)
+        rows = [[sum(x * y for x, y in zip(br, col)) for col in zip(*c)] if inner
+                else [0] * cols for br in b]
+    for at in draw(st.lists(st.integers(0, n), max_size=2)):
+        rows.insert(at, [0] * cols)
+    return rows, cols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(m=([], 3))                        # rank 0, no rows
+@example(m=([[0, 0, 0], [0, 0, 0]], 3))    # rank 0, zero rows
+@example(m=([[2, 1], [1, 1]], 2))          # full rank
+@example(m=([[2, 4, 0, 6], [0, 0, 0, 0], [0, 3, 1, 0]], 4))
+@example(m=([[3]], 1))                     # cols=1, full rank
+@example(m=([[0], [0]], 1))                # cols=1, rank 0
+@example(m=([], 1))
+@given(m=int_systems())
+def test_one_pass_kernel_matches_two_eliminations(m):
+    rows, cols = m
+    k, want = kernel(rows, cols), _kernel_two_eliminations(rows, cols)
+    assert (k.ints, k.pivots) == (want.ints, want.pivots)
+    assert all(type(x) is int for r in k.ints for x in r)
+    assert not any(sum(map(operator.mul, r, x)) for r in rows for x in k.ints)
+
+
+def _seeded_pairs(rng, count):
+    """(total, divisor) pairs in Q^1..Q^7: the divisor a span of random
+    combinations of the total's generators, or of random rows."""
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        if rng.random() < 0.75:
+            sub = [[sum(rng.randint(-3, 3) * g[j] for g in gens) for j in range(n)]
+                   for _ in range(rng.randint(0, len(gens)))]
+        else:
+            sub = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        yield span(gens, n), span(sub, n)
+
+
+def test_seeded_quotient_matches_two_passes():
+    raised = 0
+    for total, divisor in _seeded_pairs(random.Random(2505), 400):
+        want = _quotient_two_passes(total, divisor)
+        if want is None:
+            raised += 1
+            with pytest.raises(DivisorNotContained, match="not contained in the total"):
+                quotient(total, divisor)
+            continue
+        q = quotient(total, divisor)
+        assert (q.total, q.divisor, q.section) == want
+    assert 20 < raised < 200  # both branches are exercised
+
+
+def test_seeded_builder_matches_inserting_the_seed_first():
+    rng = random.Random(2506)
+    for total, divisor in _seeded_pairs(rng, 200):
+        n = total.ambient_dim
+        extra = list(total.ints) + [[rng.randint(-3, 3) for _ in range(n)] for _ in range(3)]
+        plain = EchelonBuilder(n)
+        assert [plain.insert(r) for r in divisor.ints] == [True] * divisor.dim
+        seeded = EchelonBuilder(n, divisor)
+        assert (seeded.rows, seeded.pivots) == (plain.rows, plain.pivots)
+        assert [seeded.insert(r) for r in divisor.ints] == [False] * divisor.dim
+        assert [seeded.insert(r) for r in extra] == [plain.insert(r) for r in extra]
+        got, want = seeded.subspace(), plain.subspace()
+        assert (got.ints, got.pivots) == (want.ints, want.pivots)
+        assert got == subspace_sum(divisor, span(extra, n))
+
+
+def test_rref_rejects_floats_and_bools():
+    for rows in ([[0.5, 0.1]], [[True, 2]], [[1, Q(1, 2), False]]):
+        with pytest.raises(TypeError, match="must be ints or Fractions"):
+            rref(rows, len(rows[0]))
+    assert rref([[2, 4], [1, 3]], 2) == (((1, 0), (0, 1)), (0, 1))
+    assert rref([[Q(1, 2), 1], [1, 2]], 2) == (((1, 2), (0, 0)), (0,))
