@@ -61,9 +61,11 @@ print("stabilizer fixes p:", canonical_id(pd, s, [psi]) == [psi])
 print("invariance square:", far == near, " value:", fractions(far))
 
 # Fibers of pi are equi-dimensional: twice the codimension of p at every
-# level.
+# level.  Each is read at a point moved by w, where the fiber's u-directions,
+# the perp of the moved parabolic, must be u moved by w.
 print("fiber dims at psi = 0..3:",
-      [fiber_dimension(pd, twist_level(pd, [k])) for k in range(4)])
+      [fiber_dimension(pd, make_uc_point(pd, w, twist_section(pd, twist_level(pd, [k]))))
+       for k in range(4)])
 
 # The family embeds into the partial resolution family, pairs (p, x) with
 # x in p, by the identity on pairs: both moment maps read x, so the

@@ -53,7 +53,6 @@ from .exactlin import (
     _clear_denominators,
     _lowest,
     class_of,
-    kernel,
     span,
 )
 from .parabolic import (
@@ -437,39 +436,24 @@ def invariance_pairing_square(pd: ParabolicDatum, w: GroupWord,
             for (y, dy), (y2, dy2) in zip(ys, _act_ints(alg, w, ys))]
 
 
-@functools.lru_cache(maxsize=None)
-def _class_map_kernel(pd: ParabolicDatum) -> Subspace:
-    """Kernel of x -> class_of(twist space, x) on [p,p]-perp.  Projector row
-    k is the class of the total's k-th echelon row, so the class of its
-    integer row k is that row's pivot entry times projector row k."""
-    t, n = pd.twist_space.total, pd.alg.dim
-    proj, _ = pd.twist_space.projector
-    classes = [[r[p] * c for c in cls] for r, p, cls in zip(t.ints, t.pivots, proj)]
-    coeffs = kernel(zip(*classes), t.dim)  # one equation per class coordinate
-    return span([[sum(c * r[j] for c, r in zip(coef, t.ints)) for j in range(n)]
-                 for coef in coeffs.ints], n)
+def fiber_dimension(pd: ParabolicDatum, pt: UCPoint) -> int:
+    """Dimension of the fiber of pi through pt, at its parabolic p' = w p.
 
-
-def fiber_dimension(pd: ParabolicDatum, psi: QVec) -> int:
-    """Dimension of the twist-projection fiber over psi.
-
-    Over the standard parabolic the fiber is the solution set of
-    class(x) = -psi in [p,p]-perp: the section of -psi plus the kernel of
-    the class map, which is checked to be the nilradical.  The whole fiber
-    adds dim C base directions.
+    The fiber is dim C base directions plus its u-directions, the intrinsic
+    p'-perp: the divisor of the twist space rebuilt at p'.  G-invariance of
+    the Killing form says p'-perp = w u, for w the point's witness.
+    The value is dim C + dim u less the distance dim(A + B) - dim(A & B)
+    between A = p'-perp and B = w u, so it is 2 dim C exactly when they
+    agree, and any disagreement reads short.
     """
-    nums, den = psi
-    if len(nums) != pd.torus_rank:
-        raise ValueError("twist level has wrong length")
-    if den <= 0:
-        raise ValueError(f"denominator must be positive, got {den}")
-    target = _lowest([-c for c in nums], den)
-    if class_of(pd.twist_space, *twist_section(pd, target)) != target:
-        raise RuntimeError("section failed to solve the class equation")
-    solutions = _class_map_kernel(pd)
-    if solutions != pd.u:
-        raise RuntimeError("class-map kernel on [p,p]-perp is not the nilradical")
-    return solutions.dim + pd.alg.dim - pd.p.dim
+    alg = pd.alg
+    twist, _ = intrinsic_quotients(alg, pt.p)
+    perp, u = twist.divisor, pd.u
+    eb = EchelonBuilder(alg.dim, perp)
+    for nums, _ in _act_ints(alg, pt.witness, [(row, 1) for row in u.ints]):
+        eb.insert(nums)
+    distance = 2 * len(eb.rows) - perp.dim - u.dim  # w u has dimension dim u
+    return alg.dim - pd.p.dim + u.dim - distance
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .parabolic import (
 from .suites import (
     DEFAULT_MAX_WORD_LEN,
     DEFAULT_SEED,
+    MAX_WORD_LEN_CAP,
     SUITE_NAMES,
     CaseSpec,
     SuiteResult,
@@ -101,6 +102,9 @@ def _word_len(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n > MAX_WORD_LEN_CAP:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_WORD_LEN_CAP}, got {n}")
     return n
 
 

@@ -27,7 +27,6 @@ from .chevalley import SUPPORTED_TYPES, CheckRecord, algebra, check_record
 from .exactlin import _lowest, class_of
 from .parabolic import (
     RichardsonSearchError,
-    dimension_report,
     find_richardson,
     fixedpoint_check,
     format_case,
@@ -61,16 +60,9 @@ from .bundles import (
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_MAX_WORD_LEN = 8
+# integers grow along a word, so its length is capped
+MAX_WORD_LEN_CAP = 300
 
-SUITE_NAMES = (
-    "algebra",
-    "parabolic-identities",
-    "richardson-torsor",
-    "uc-family",
-    "invariance",
-    "embedding",
-    "bc-hypotheses",
-)
 
 # the default matrix's types; D4 is opt-in and sorts last
 _MATRIX_TYPES = tuple(t for t in SUPPORTED_TYPES if t != "D4")
@@ -96,9 +88,12 @@ class CaseSpec:
         if not self.gamma <= set(range(1, rank + 1)):
             raise ValueError(
                 f"malformed case spec {self.case_label()!r}: gamma exceeds rank")
-        if self.max_word_len < 1:
-            raise ValueError(
-                f"max_word_len must be at least 1, got {self.max_word_len}")
+        for name in ("seed", "max_word_len"):
+            if type(getattr(self, name)) is not int:
+                raise TypeError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if not 1 <= self.max_word_len <= MAX_WORD_LEN_CAP:
+            raise ValueError(f"max_word_len must be between 1 and "
+                             f"{MAX_WORD_LEN_CAP}, got {self.max_word_len}")
 
     @staticmethod
     def from_string(text: str, seed: int = DEFAULT_SEED,
@@ -194,17 +189,16 @@ def _uc_base_vector(pd) -> tuple:
 def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
     pd = standard_parabolic(case.type_label, case.gamma)
     alg = pd.alg
-    rep = dimension_report(pd)
+    dim_c = alg.dim - pd.p.dim
     checks = [next(r for r in pd.audit if r.name == "leaf-twice-codim")]
 
+    # the section of each level -psi must solve the class equation
     rng = _rng(case, "uc-family", "fibers")
-    dims = set()
-    for _ in range(5):
-        psi = twist_level(pd, [rng.randint(-5, 5) for _ in range(pd.torus_rank)])
-        dims.add(fiber_dimension(pd, psi))
-    fib_ok = dims == {2 * rep.dim_c}
-    checks.append(check_record("fiber-equidimensional", {2 * rep.dim_c},
-                               sorted(dims), fib_ok))
+    fib_witness = None
+    for k in range(5):
+        target = twist_level(pd, [-rng.randint(-5, 5) for _ in range(pd.torus_rank)])
+        if class_of(pd.twist_space, *twist_section(pd, target)) != target:
+            fib_witness = fib_witness or f"level #{k}: section of -psi misses its class"
 
     x0 = _uc_base_vector(pd)
     base = make_uc_point(pd, IDENTITY_WORD, x0)
@@ -226,6 +220,7 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
     rng = _rng(case, "uc-family", "points")
     pt_bad = 0
     pt_witness = None
+    dims = set()
     for k in range(4):
         w = random_word(alg, rng, length=2)
         try:
@@ -241,6 +236,14 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
         if far_level != via_id or pi_c(pd, pt) != base_level:
             pt_bad += 1
             pt_witness = pt_witness or f"point #{k}: transported level mismatch"
+        dim = fiber_dimension(pd, pt)
+        dims.add(dim)
+        if dim != 2 * dim_c:
+            fib_witness = fib_witness or f"point #{k}: fiber dimension {dim}"
+    # reported second, after the leaf record
+    checks.insert(1, check_record("fiber-equidimensional", {2 * dim_c}, sorted(dims),
+                                  dims == {2 * dim_c} and fib_witness is None,
+                                  fib_witness))
     checks.append(check_record("transported-points-consistent", "4 exact",
                                f"{4 - pt_bad} exact", pt_bad == 0, pt_witness))
 
@@ -390,6 +393,7 @@ _SUITE_FUNCS = {
     "embedding": _suite_embedding,
     "bc-hypotheses": _suite_bc,
 }
+SUITE_NAMES = tuple(_SUITE_FUNCS)
 
 
 def run_suite(name: str, cases: list[CaseSpec]) -> list[SuiteResult]:

@@ -62,7 +62,6 @@ from liework.exactlin import (
     Subspace,
     class_of,
     kernel,
-    quotient,
     rref,
     span,
 )
@@ -74,7 +73,7 @@ from liework.parabolic import (
 )
 from liework.suites import _split
 from test_chevalley import _bracket_by_fractions
-from test_exactlin import frac_rows, qspan
+from test_exactlin import frac_rows, meet, qspan
 
 F = Fraction
 
@@ -366,18 +365,25 @@ def test_invariance_square_closes():
                 assert far == near
 
 
+def _moved_point(pd, coords, key):
+    """The point at the given twist level, moved by a seeded word."""
+    w = random_word(pd.alg, random.Random(key), 3)
+    return make_uc_point(pd, w, twist_section(pd, twist_level(pd, coords)))
+
+
 def test_fiber_dimension_frozen():
     pd0 = standard_parabolic("A2", frozenset())
-    assert fiber_dimension(pd0, twist_level(pd0, [0] * pd0.torus_rank)) == 6
+    assert fiber_dimension(pd0, _moved_point(pd0, [0, 0], "fiber")) == 6
     pd1 = standard_parabolic("A2", frozenset({1}))
-    assert fiber_dimension(pd1, twist_level(pd1, [7])) == 4
+    assert fiber_dimension(pd1, _moved_point(pd1, [7], "fiber")) == 4
     pdf = standard_parabolic("A2", frozenset({1, 2}))
-    assert fiber_dimension(pdf, twist_level(pdf, [0] * pdf.torus_rank)) == 0
+    assert fiber_dimension(pdf, _moved_point(pdf, [], "fiber")) == 0
 
 
 def test_fiber_dimension_constant_in_psi():
     pd = standard_parabolic("B2", frozenset({2}))
-    vals = {fiber_dimension(pd, twist_level(pd, [k])) for k in range(-3, 4)}
+    vals = {fiber_dimension(pd, _moved_point(pd, [k], f"fiber:{k}"))
+            for k in range(-3, 4)}
     assert len(vals) == 1
 
 
@@ -615,13 +621,6 @@ def test_act_vector_rejects_nonpositive_denominators(den):
 
 
 @pytest.mark.parametrize("den", [0, -1, -2])
-def test_fiber_dimension_rejects_nonpositive_denominators(den):
-    pd = standard_parabolic("A2", frozenset())
-    with pytest.raises(ValueError, match="denominator must be positive"):
-        fiber_dimension(pd, ((1, 2), den))
-
-
-@pytest.mark.parametrize("den", [0, -1, -2])
 def test_twist_section_rejects_nonpositive_denominators(den):
     pd = standard_parabolic("A2", frozenset({1}))
     with pytest.raises(ValueError, match="denominator must be positive"):
@@ -637,21 +636,21 @@ def test_invariance_pairing_square_rejects_nonpositive_denominators(den):
             invariance_pairing_square(pd, w, [((1,), den)])
 
 
-def test_fiber_dimension_rejects_corrupted_twist_space():
+def test_fiber_dimension_reads_short_on_a_wrong_transport():
+    # the witness of a point made by w is swapped for another word: the
+    # perp of w p and the nilradical moved by the other word disagree
     pd = standard_parabolic("A2", frozenset())
-    alg = pd.alg
-    # a divisor of the nilradical's dimension inside [p,p]-perp that is not
-    # the nilradical: h1 replaces e(a1+a2)
-    divisor = span([alg.one_hot(alg.e_index(Root((1, 0)))),
-                    alg.one_hot(alg.e_index(Root((0, 1)))),
-                    alg.one_hot(alg.h_index(1))], alg.dim)
-    assert divisor.dim == pd.u.dim and divisor != pd.u
-    bad = dataclasses.replace(
-        pd, twist_space=quotient(pd.p_derived_perp, divisor))
-    assert bad.twist_space.dim == pd.torus_rank
-    with pytest.raises(RuntimeError, match="not the nilradical"):
-        fiber_dimension(bad, twist_level(bad, [1, -2]))
-    assert fiber_dimension(pd, twist_level(pd, [1, -2])) == 6
+    pt = _moved_point(pd, [1, -2], "fiber")
+    assert fiber_dimension(pd, pt) == 6
+    other = _w_unip(-Root((1, 0)), 1)
+    moved_u = act_subspace(pd.alg, other, pd.u)
+    perp = intrinsic_quotients(pd.alg, pt.p)[0].divisor
+    assert perp == act_subspace(pd.alg, pt.witness, pd.u) != moved_u
+    # dim C + dim u less dim(A + B) - dim(A & B), the sum and the meet
+    # built here by span and by the annihilating equations
+    both = qspan(frac_rows(perp) + frac_rows(moved_u), pd.alg.dim)
+    expected = 3 + 3 - (both.dim - meet(perp, moved_u).dim)
+    assert fiber_dimension(pd, dataclasses.replace(pt, witness=other)) == expected < 6
 
 
 _ALL_CASES = [(label, frozenset(gamma)) for label in SUPPORTED_TYPES
@@ -659,14 +658,28 @@ _ALL_CASES = [(label, frozenset(gamma)) for label in SUPPORTED_TYPES
               for gamma in itertools.combinations(range(1, int(label[1:]) + 1), r)]
 
 
+def _class_map_kernel(pd):
+    """Kernel of x -> class_of(twist space, x) on [p,p]-perp.  Projector row
+    k is the class of the total's k-th echelon row, so the class of its
+    integer row k is that row's pivot entry times projector row k."""
+    t, n = pd.twist_space.total, pd.alg.dim
+    proj, _ = pd.twist_space.projector
+    classes = [[r[p] * c for c in cls] for r, p, cls in zip(t.ints, t.pivots, proj)]
+    coeffs = kernel(zip(*classes), t.dim)  # one equation per class coordinate
+    return span([[sum(c * r[j] for c, r in zip(coef, t.ints)) for j in range(n)]
+                 for coef in coeffs.ints], n)
+
+
 @pytest.mark.parametrize("label,gamma", _ALL_CASES,
                          ids=[format_case(*c) for c in _ALL_CASES])
 def test_intrinsic_quotients_match_dossier(label, gamma):
     # the transported-p route, run at the standard p, rebuilds the dossier's
-    # quotients, and the twist divisor it reads off p is the nilradical
+    # quotients, and the twist divisor it reads off p, the fiber's
+    # u-directions, is the nilradical and the kernel of the class map on
+    # [p,p]-perp, found by a second elimination
     pd = standard_parabolic(label, gamma)
     assert intrinsic_quotients(pd.alg, pd.p) == (pd.twist_space, pd.a_p)
-    assert pd.twist_space.divisor == pd.u
+    assert _class_map_kernel(pd) == pd.twist_space.divisor == pd.u
 
 
 def test_uc_invariant_at_standard_p_reads_dossier():

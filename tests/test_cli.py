@@ -57,6 +57,16 @@ def test_max_word_len_below_one_exit_two(capsys):
     assert "--max-word-len: must be at least 1, got 0" in err
 
 
+def test_max_word_len_above_cap_exit_two(capsys):
+    code, _, err = run(capsys, "verify", "--case", "A1:-",
+                       "--max-word-len", "301")
+    assert code == 2
+    assert "--max-word-len: must be at most 300, got 301" in err
+    code, out, _ = run(capsys, "verify", "--case", "A1:-", "--suite", "uc-family",
+                       "--max-word-len", "300")
+    assert code == 0 and out.endswith("PASS: 1 results, 0 failed, 0 hypothesis-gated\n")
+
+
 def test_unknown_suite_usage_error(capsys):
     code = main(["verify", "--suite", "nonsense"])
     assert code == 2

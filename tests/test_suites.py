@@ -1,13 +1,16 @@
+import dataclasses
 import functools
+import random
 
 import pytest
 
 from liework import bundles, chevalley, exactlin, suites
-from liework.bundles import UCPoint
+from liework.bundles import UCPoint, random_word
 from liework.chevalley import Root, algebra
 from liework.parabolic import standard_parabolic
 from liework.suites import (
     DEFAULT_SEED,
+    MAX_WORD_LEN_CAP,
     SUITE_NAMES,
     CaseSpec,
     default_case_matrix,
@@ -57,6 +60,29 @@ def test_case_spec_rejects_malformed_input():
         CaseSpec("E6", frozenset({1}))
     with pytest.raises(ValueError, match="max_word_len"):
         CaseSpec("A1", frozenset(), max_word_len=0)
+
+
+@pytest.mark.parametrize("kw", [dict(max_word_len=2.5), dict(max_word_len=True),
+                                dict(seed=1.5), dict(seed="x"), dict(seed=False)])
+def test_case_spec_rejects_non_int_seed_and_length(kw):
+    # a float length once failed every uc-family case inside randrange
+    with pytest.raises(TypeError, match=next(iter(kw))):
+        CaseSpec("A1", frozenset(), **kw)
+
+
+def test_case_spec_caps_word_length():
+    assert MAX_WORD_LEN_CAP == 300
+    assert case("A1:-", max_word_len=300).max_word_len == 300
+    with pytest.raises(ValueError, match="max_word_len .* got 301"):
+        case("A1:-", max_word_len=301)
+    with pytest.raises(ValueError, match="max_word_len"):
+        default_case_matrix(max_word_len=301)
+
+
+def test_suite_names_are_the_suite_table_in_order():
+    assert SUITE_NAMES == tuple(suites._SUITE_FUNCS) == (
+        "algebra", "parabolic-identities", "richardson-torsor", "uc-family",
+        "invariance", "embedding", "bc-hypotheses")
 
 
 def test_suites_report_builder_audits():
@@ -114,6 +140,69 @@ def test_uc_family_suite_passes():
     by_name = {c.name: c for c in res[0].checks}
     assert by_name["action-roundtrip-and-killing"].actual == "100 exact"
     assert by_name["transported-points-consistent"].ok
+
+
+def _uc_records(text):
+    [res] = run_suite("uc-family", [case(text)])
+    return res.status, {c.name: c for c in res.checks}
+
+
+@pytest.mark.parametrize("text,actual", [("A2:-", "[0, 4]"), ("B2:1", "[0, 2, 6]"),
+                                         ("G2:-", "[4, 6]")])
+def test_fiber_record_fails_on_a_wrong_transport(monkeypatch, text, actual):
+    # each point's fiber is read with its witness swapped for a word that did
+    # not move p there; no other record sees the swap
+    real = bundles.fiber_dimension
+
+    def wrong(pd, pt):
+        other = random_word(pd.alg, random.Random("unrelated"), 3)
+        return real(pd, dataclasses.replace(pt, witness=other))
+
+    monkeypatch.setattr(suites, "fiber_dimension", wrong)
+    status, by_name = _uc_records(text)
+    rec = by_name["fiber-equidimensional"]
+    assert status == "fail" and not rec.ok
+    assert rec.actual == actual and rec.witness.startswith("point #")
+    assert [n for n, c in by_name.items() if not c.ok] == ["fiber-equidimensional"]
+
+
+def test_killing_perp_mutant_at_transported_p(monkeypatch):
+    # killing_perp drops its first basis row once the dossiers are built, so
+    # only the twist spaces rebuilt at transported parabolics see it
+    pd = standard_parabolic("B2", frozenset({1}))
+    real = chevalley.ChevalleyAlgebra.killing_perp
+
+    def dropped(inside_only):
+        def mutant(alg, s):
+            k = real(alg, s)
+            if inside_only and not s.contains_space(k):
+                return k
+            return exactlin.span(k.ints[1:], alg.dim)
+        return mutant
+
+    outcomes = {}
+    for inside_only in (True, False):
+        bundles.intrinsic_quotients.cache_clear()  # no twist space built before
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(chevalley.ChevalleyAlgebra, "killing_perp", dropped(inside_only))
+                outcomes[inside_only] = _uc_records("B2:1")
+        finally:
+            bundles.intrinsic_quotients.cache_clear()
+    # on p-perp alone (it lies in p, [p,p]-perp does not) the fiber's
+    # u-directions shrink inside w u, and the fiber reads short
+    status, by_name = outcomes[True]
+    assert status == "fail"
+    assert by_name["fiber-equidimensional"].actual == "[5]"
+    assert {n for n, c in by_name.items() if not c.ok} == {
+        "fiber-equidimensional", "transported-points-consistent",
+        "stabilizer-canonical-id-identity"}
+    # on both perps the transported x leaves the shrunk [p,p]-perp, and the
+    # points loop's class_of raises before any record is made
+    status, by_name = outcomes[False]
+    assert status == "fail"
+    assert by_name["unexpected-error"].actual == "VectorOutsideTotal"
+    assert standard_parabolic("B2", frozenset({1})) is pd
 
 
 def test_invariance_suite_counts_pairs():
