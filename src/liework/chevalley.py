@@ -8,24 +8,25 @@ height-then-reverse-lex order, with the +(p+1) sign choice), which pins
 every structure constant deterministically; the rest follow from Carter's
 relations, the Chevalley involution, the coroots and the Cartan matrix.
 
-Nothing is trusted: the construction checks that every derived constant
-is an integer obeying the +-(p+1) magnitude law and every coroot is
-integral, then audits the table's antisymmetry, the Jacobi identity on
-every basis triple, Killing form symmetry/invariance/nondegeneracy, the
-weight grading of the Killing pairing and the classical root count.  Any
-failed audit raises, naming the identity.  The reported audits come back
-as CheckRecords on ``ChevalleyAlgebra.audit``; the suites report those
-records instead of re-running the audits.
+Nothing is trusted.  The table is derived in integers, root norms scaled
+to integers (only their ratios enter): each derived constant and coroot
+is one exact division whose nonzero remainder raises, as does a constant
+outside the +-(p+1) magnitude law.  Then the table's antisymmetry, the
+Jacobi identity on every basis triple, Killing form symmetry/invariance/
+nondegeneracy, the Killing pairing's weight grading and the classical
+root count are audited.  Any failed audit raises, naming the identity.
+The reported audits come back as CheckRecords on ``ChevalleyAlgebra.audit``;
+the suites report those records instead of re-running the audits.
 
 In a Chevalley basis the structure constants and the Killing gram are
 integers (Chevalley 1955; Humphreys, GTM 9, section 25).  The table
-stores each constant as an int once its integrality audit has passed,
-and the gram is an ``IntMat`` of traces of ad x ad y read off the table.
-Vectors are tuples of ints: ``bracket`` takes and returns them, and the
-caller that holds rationals clears their denominators first.  The
-Killing form lives here alone: ``killing`` pairs two integer vectors,
-``killing_perp`` gives a subspace's perp as the kernel of its integer rows
-times the gram, and ``kills_derived`` tests x against [p, p] by invariance.
+stores each constant as an int, and the gram is an ``IntMat`` of traces
+of ad x ad y read off the table.  Vectors are tuples of ints: ``bracket``
+takes and returns them, and the caller that holds rationals clears their
+denominators first.  The Killing form lives here alone: ``killing`` pairs
+two integer vectors, ``killing_perp`` gives a subspace's perp as the
+kernel of its integer rows times the gram, and ``kills_derived`` tests x
+against [p, p] by invariance.
 
 Basis order is [e_beta for beta positive] ++ [h_1..h_r] ++ [f_beta], with
 positive roots sorted by height then reverse-lexicographically on their
@@ -424,22 +425,29 @@ class ChevalleyAlgebra:
                        for i, gc in enumerate(gcs) for b in p.ints[i + 1:])
 
     def bracket_space(self, a: Subspace, b: Subspace) -> Subspace:
-        """span{[x, y] : x in a, y in b}: each integer basis row's support
-        read once, brackets by the integer core.  For a == b only pairs x
-        before y: [x, x] = 0 and [y, x] = -[x, y].  A bracket equal to one
-        inserted before (or zero) lies in the span and is skipped."""
+        """span{[x, y] : x in a, y in b} over pairs of integer basis rows,
+        each support read once; for a == b only x before y ([x, x] = 0,
+        [y, x] = -[x, y]).  Unit rows e_i, e_j bracket to a multiple of
+        table[i][j]: zero if it is empty, and if it is one term c e_k, the
+        unit row e_k, which seeds the elimination (the span is canonical, so
+        no row changes).  Any other bracket is inserted unless zero or seen."""
         if not (a.dim and b.dim):
             return Subspace.zero(self.dim)
-        eb = EchelonBuilder(self.dim)
         xs = [_support(r) for r in a.ints]
         ys = xs if a == b else [_support(r) for r in b.ints]
-        seen = {(0,) * self.dim}
+        units, dense = set(), {}  # dense: the brackets, insertion-ordered, once each
         for i, x in enumerate(xs):
             for y in ys[i + 1:] if ys is xs else ys:
-                v = tuple(self._bracket_ints(x, y))
-                if v not in seen:
-                    seen.add(v)
-                    eb.insert(v)
+                if len(x) == 1 == len(y):
+                    cell = self.table[x[0][0]][y[0][0]]
+                    if len(cell) < 2:  # zero, or a nonzero multiple of one e_k
+                        units.update(k for k, _ in cell)
+                        continue
+                dense[tuple(self._bracket_ints(x, y))] = None
+        dense.pop((0,) * self.dim, None)
+        eb = EchelonBuilder(self.dim, Subspace.coordinate(self.dim, units))
+        for v in dense:
+            eb.insert(v)
         return eb.subspace()
 
     def vector_name(self, v: Sequence, den: int = 1) -> str:
@@ -468,11 +476,12 @@ def _string_down_length(gamma: tuple[int, ...], beta: tuple[int, ...],
     return p
 
 
-def _integral(x: Fraction, label: str, what: str) -> int:
-    """x as an int; a derived constant that is not one raises."""
-    if x.denominator != 1:
-        raise ConstructionAuditError(f"{label}: {what} = {x} is not an integer")
-    return x.numerator
+def _quotient(num: int, den: int, label: str, what: str, *roots) -> int:
+    """num / den (den > 0) as an int, else raise; the text is built only then."""
+    if num % den:
+        raise ConstructionAuditError(f"{label}: {what.format(*map(root_name, roots))} "
+                                     f"= {Fraction(num, den)} is not an integer")
+    return num // den
 
 
 def chevalley_table(cartan: CartanDatum,
@@ -487,23 +496,27 @@ def chevalley_table(cartan: CartanDatum,
     four-term relation on (r, s, -a, -b), and a mixed-sign one from
     N_{r,s}/(t,t) = N_{s,t}/(r,r) = N_{t,r}/(s,s) for r + s + t = 0
     (Carter, Simple Groups of Lie Type, 4.1.2).  [e_r, f_r] is the coroot
-    of r and [h_i, x] is read off the Cartan matrix.  Each derived
-    constant must be an integer of magnitude p+1, and each coroot
-    integral; otherwise ConstructionAuditError.
+    of r and [h_i, x] is read off the Cartan matrix.  All in integers: only
+    ratios of root norms enter, so the norms are scaled by the lcm of the
+    symmetrizer's denominators, and each relation and coroot is one exact
+    division.  A nonzero remainder (a constant or coroot that is not an
+    integer) or a |constant| other than p+1 raises ConstructionAuditError.
     """
     label = cartan.type_label
     n = cartan.rank
-    a = cartan.matrix
+    a = [cartan.matrix.row(i) for i in range(n)]
     num_pos = len(pos)
     dim = 2 * num_pos + n
     pos_idx = {r.coords: k for k, r in enumerate(pos)}
     signed = set(pos_idx) | {_neg(c) for c in pos_idx}
-    symm = symmetrizer(a)
+    symm = symmetrizer(cartan.matrix)
+    scale = math.lcm(*(d.denominator for d in symm))
+    symm = [int(d * scale) for d in symm]
     simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]  # a1 first
 
-    # (r, r) with short roots at 2: the symmetrized Cartan form
-    norm_sq = {r: sum((r[i] * r[j] * symm[i] * a[i, j]
-                       for i in range(n) for j in range(n)), Fraction(0))
+    # scale * (r, r), short roots at 2: the symmetrized Cartan form
+    norm_sq = {r: sum(r[i] * r[j] * symm[i] * a[i][j]
+                      for i in range(n) for j in range(n))
                for r in signed}
 
     def add(r, s):
@@ -513,6 +526,7 @@ def chevalley_table(cartan: CartanDatum,
     # sums taken in root order, so each relation reads only earlier sums
     npos: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
+    @functools.cache
     def constant(r, s) -> int:
         """N_{r,s} for roots r, s of any sign with r + s a root."""
         if r in pos_idx and s in pos_idx:
@@ -522,17 +536,17 @@ def chevalley_table(cartan: CartanDatum,
         t = _neg(add(r, s))
         # of (s, t) and (t, r), exactly one pair has a common sign
         if (s in pos_idx) == (t in pos_idx):
-            x = norm_sq[t] * constant(s, t) / norm_sq[r]
+            num, den = norm_sq[t] * constant(s, t), norm_sq[r]
         else:
-            x = norm_sq[t] * constant(t, r) / norm_sq[s]
-        return _integral(x, label, f"N({root_name(r)}, {root_name(s)})")
+            num, den = norm_sq[t] * constant(t, r), norm_sq[s]
+        return _quotient(num, den, label, "N({}, {})", r, s)
 
-    def pair_term(r, s, t, u) -> Fraction:
-        # N_{r,s} N_{t,u} / (r+s, r+s), zero when r + s is no root
+    def pair_term(r, s, t, u) -> tuple[int, int]:
+        # N_{r,s} N_{t,u} / (r+s, r+s) as (num, den); 0 / 1 if r + s is no root
         rs = add(r, s)
         if rs not in signed:
-            return Fraction(0)
-        return Fraction(constant(r, s) * constant(t, u), norm_sq[rs])
+            return 0, 1
+        return constant(r, s) * constant(t, u), norm_sq[rs]
 
     for xi in pos:
         if xi.height == 1:
@@ -551,9 +565,9 @@ def chevalley_table(cartan: CartanDatum,
             # four-term relation on (r, s, t, u) = (r, s, -ea, -eb):
             # N_{r,s} N_{t,u} / (xi, xi) = -rest, and N_{t,u} = -(p+1)
             t, u = _neg(ea), _neg(eb)
-            rest = pair_term(s, t, r, u) + pair_term(t, r, s, u)
-            nrs = _integral(norm_sq[x] * rest / (p + 1), label,
-                            f"N({root_name(r)}, {root_name(s)})")
+            (n1, d1), (n2, d2) = pair_term(s, t, r, u), pair_term(t, r, s, u)
+            nrs = _quotient(norm_sq[x] * (n1 * d2 + n2 * d1), d1 * d2 * (p + 1),
+                            label, "N({}, {})", r, s)
             npos[r, s], npos[s, r] = nrs, -nrs
 
     weights: list[Weight] = (
@@ -572,14 +586,14 @@ def chevalley_table(cartan: CartanDatum,
             if wi is None or wj is None:
                 # [h_k, x_w] = <w, alpha_k-coroot> x_w
                 k, v, w = (i, j, wj) if wi is None else (j, i, wi)
-                c = sum(w[l] * a[k - num_pos, l] for l in range(n))
+                c = sum(map(operator.mul, w, a[k - num_pos]))
                 terms = [(v, c if wi is None else -c)]
             elif not any(add(wi, wj)):
                 # [e_r, f_r] = h_r, the coroot: 2 r / (r, r) over the simple
                 # coroots, coefficient k being r_k (alpha_k, alpha_k) / (r, r)
                 nsq = norm_sq[wi]
-                terms = [(num_pos + k, _integral(wi[k] * 2 * symm[k] / nsq, label,
-                                                 f"coroot of {root_name(wi)}"))
+                terms = [(num_pos + k, _quotient(wi[k] * 2 * symm[k], nsq, label,
+                                                 "coroot of {}", wi))
                          for k in range(n)]
             elif add(wi, wj) in signed:
                 c = constant(wi, wj)
@@ -639,14 +653,17 @@ def jacobi_violations(alg: ChevalleyAlgebra) -> int:
             txy = tx[y]
             ty = tab[y]
             for z in range(y + 1, dim):
+                tyz, tzx = ty[z], tab[z][x]
+                if not (txy or tyz or tzx):  # no bracket, zero Jacobiator
+                    continue
                 acc: dict[int, int] = {}
                 for k, c in txy:
                     for l, d in tab[k][z]:
                         acc[l] = acc.get(l, 0) + c * d
-                for k, c in ty[z]:
+                for k, c in tyz:
                     for l, d in tab[k][x]:
                         acc[l] = acc.get(l, 0) + c * d
-                for k, c in tab[z][x]:
+                for k, c in tzx:
                     for l, d in tab[k][y]:
                         acc[l] = acc.get(l, 0) + c * d
                 if any(v != 0 for v in acc.values()):
@@ -682,7 +699,7 @@ def _audit(alg: ChevalleyAlgebra) -> tuple[CheckRecord, ...]:
     """Audit the finished algebra; the reported records, or raise."""
     label = alg.cartan.type_label
     dim = alg.dim
-    g, tab = alg.killing_gram, alg.table
+    g, tab = [alg.killing_gram.row(i) for i in range(dim)], alg.table
     if any(tab[i][i] for i in range(dim)) or not all(
             len(tab[i][j]) == len(tab[j][i])
             and all(k == l and c == -d for (k, c), (l, d) in zip(tab[i][j], tab[j][i]))
@@ -691,12 +708,12 @@ def _audit(alg: ChevalleyAlgebra) -> tuple[CheckRecord, ...]:
     # weight grading of the pairing: kappa(g_a, g_b) = 0 unless a + b = 0,
     # the Cartan's weight being 0
     w = [c or (0,) * alg.rank for c in alg.basis_weights]
-    if any(g[i, j] and any(x + y for x, y in zip(w[i], w[j]))
-           for i in range(dim) for j in range(dim)):
+    if any(c and any(x + y for x, y in zip(w[i], w[j]))
+           for i, row in enumerate(g) for j, c in enumerate(row)):
         raise ConstructionAuditError(f"{label}: Killing pairing breaks the weight grading")
     jac = jacobi_violations(alg)
-    sym = all(g[i, j] == g[j, i] for i in range(dim) for j in range(i))
-    nondeg = span([g.row(i) for i in range(dim)], dim).dim == dim
+    sym = all(row[j] == g[j][i] for i, row in enumerate(g) for j in range(i))
+    nondeg = span(g, dim).dim == dim
     kiv = killing_invariance_violations(alg)
     want_pos = _EXPECTED_POSITIVE_COUNT[label[0]](alg.rank)
     want_dim = 2 * want_pos + alg.rank

@@ -141,7 +141,7 @@ def build_parabolic(alg: ChevalleyAlgebra, gamma: Iterable[int]) -> ParabolicDat
 
     levi_pos = tuple(k for k, r in enumerate(alg.positive_roots)
                      if _supported_on(r.coords, gset))
-    u_pos = tuple(k for k in range(num_pos) if k not in set(levi_pos))
+    u_pos = tuple(sorted(set(range(num_pos)).difference(levi_pos)))
 
     levi_idx = (list(levi_pos) + [num_pos + i for i in range(alg.rank)]
                 + [num_pos + alg.rank + k for k in levi_pos])

@@ -229,17 +229,24 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
             pt_bad += 1
             pt_witness = pt_witness or f"point #{k}: {err}"
             continue
-        twist, _ = intrinsic_quotients(alg, pt.p)
-        nums, den = class_of(twist, *pt.x)
-        far_level = tuple(-c for c in nums), den
-        [via_id] = canonical_id(pd, w, [base_level], pt.p)
-        if far_level != via_id or pi_c(pd, pt) != base_level:
+        try:
+            twist, _ = intrinsic_quotients(alg, pt.p)
+            nums, den = class_of(twist, *pt.x)
+            [via_id] = canonical_id(pd, w, [base_level], pt.p)
+            ok = (tuple(-c for c in nums), den) == via_id and pi_c(pd, pt) == base_level
+            why = None if ok else "transported level mismatch"
+        except Exception as err:  # fails this record, not the whole case
+            why = f"{type(err).__name__}: {err}"
+        if why:
             pt_bad += 1
-            pt_witness = pt_witness or f"point #{k}: transported level mismatch"
-        dim = fiber_dimension(pd, pt)
-        dims.add(dim)
-        if dim != 2 * dim_c:
-            fib_witness = fib_witness or f"point #{k}: fiber dimension {dim}"
+            pt_witness = pt_witness or f"point #{k}: {why}"
+        try:
+            dims.add(dim := fiber_dimension(pd, pt))
+            why = None if dim == 2 * dim_c else f"fiber dimension {dim}"
+        except Exception as err:  # likewise
+            why = f"{type(err).__name__}: {err}"
+        if why:
+            fib_witness = fib_witness or f"point #{k}: {why}"
     # reported second, after the leaf record
     checks.insert(1, check_record("fiber-equidimensional", {2 * dim_c}, sorted(dims),
                                   dims == {2 * dim_c} and fib_witness is None,
@@ -254,7 +261,13 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
              for m in range(pd.torus_rank)]
     for k in range(8):
         w = stabilizer_word(pd, rng, length=2)
-        for m, (psi, moved) in enumerate(zip(units, canonical_id(pd, w, units))):
+        try:
+            moved_units = canonical_id(pd, w, units)
+        except Exception as err:  # fails this record, not the whole case
+            st_bad += 1
+            st_witness = st_witness or f"word #{k}: {type(err).__name__}: {err}"
+            continue
+        for m, (psi, moved) in enumerate(zip(units, moved_units)):
             if moved != psi:
                 st_bad += 1
                 st_witness = st_witness or f"word #{k} level {m}"

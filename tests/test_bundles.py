@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from liework import bundles
 from liework.chevalley import (
     SUPPORTED_TYPES,
+    ChevalleyAlgebra,
     ConstructionAuditError,
     Root,
     algebra,
@@ -71,7 +72,7 @@ from liework.parabolic import (
     format_case,
     standard_parabolic,
 )
-from liework.suites import _split
+from liework.suites import _split, default_case_matrix, run_suite
 from test_chevalley import _bracket_by_fractions
 from test_exactlin import frac_rows, meet, qspan
 
@@ -739,6 +740,58 @@ def test_bracket_space_with_itself_matches_full_loop(label):
     for s in (pd.p, pd.u, act_subspace(alg, w, pd.p), act_subspace(alg, w, pd.u)):
         assert alg.bracket_space(s, s) == _bracket_space_full_loop(alg, s, s)
     assert alg.bracket_space(pd.p, pd.p) == pd.p_derived
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_bracket_space_of_mixed_unit_and_dense_rows_matches_full_loop(label):
+    # subspaces whose canonical rows mix unit rows, whose brackets seed the
+    # elimination, with dense rows, whose brackets are inserted
+    alg = algebra(label)
+    rng = random.Random(f"bracket-space-mixed:{label}")
+    mixed = []
+    for _ in range(3):
+        units = set(rng.sample(range(alg.dim), alg.dim // 2))
+        # dense rows off the unit columns, fewer than half as many as the
+        # columns they use, so their canonical rows stay dense
+        rest = alg.dim - len(units)
+        dense = [[0 if i in units else rng.choice((-2, -1, 1, 2)) for i in range(alg.dim)]
+                 for _ in range(rest // 2)]
+        s = span([alg.one_hot(i) for i in units] + dense, alg.dim)
+        assert any(len([x for x in r if x]) == 1 for r in s.ints)
+        assert any(len([x for x in r if x]) > 1 for r in s.ints)
+        mixed.append(s)
+    pd = standard_parabolic(label, frozenset({1}))
+    for a, b in ((mixed[0], mixed[0]), (mixed[0], mixed[1]), (mixed[2], pd.u),
+                 (pd.levi, mixed[1])):
+        assert alg.bracket_space(a, b) == _bracket_space_full_loop(alg, a, b)
+
+
+def test_bracket_space_at_each_uc_family_point_matches_full_loop(monkeypatch):
+    # every [p', p'] the uc-family points loop builds at a transported p'
+    # (through intrinsic_quotients), on the rank-1/2 cases and the rank-3
+    # Borels
+    cases = [c for c in default_case_matrix()
+             if c.type_label in ("A1", "A2", "B2", "G2") or not c.gamma]
+    real = ChevalleyAlgebra.bracket_space
+    calls = []
+
+    def spy(alg, a, b):
+        out = real(alg, a, b)
+        calls.append((alg, a, b, out))
+        return out
+
+    bundles.intrinsic_quotients.cache_clear()
+    try:
+        monkeypatch.setattr(ChevalleyAlgebra, "bracket_space", spy)
+        results = run_suite("uc-family", cases)
+    finally:
+        bundles.intrinsic_quotients.cache_clear()
+    assert all(r.status == "pass" for r in results)
+    moved = [(alg, a, out) for alg, a, b, out in calls if a == b and a.ints != tuple(
+        alg.one_hot(i) for i in a.pivots)]
+    assert len(moved) >= len(cases)
+    for alg, a, out in moved:
+        assert out == _bracket_space_full_loop(alg, a, a)
 
 
 def _solve(a, cols, b):

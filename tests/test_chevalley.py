@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from liework import chevalley
 from liework.chevalley import (
     CartanDatum,
     ConstructionAuditError,
@@ -266,6 +267,167 @@ def test_structure_constants_are_integers():
         assert all(type(x) is int for x in alg.killing_gram.entries)
 
 
+def _integral(x, label, what):
+    if x.denominator != 1:
+        raise ConstructionAuditError(f"{label}: {what} = {x} is not an integer")
+    return x.numerator
+
+
+def _chevalley_table_by_fractions(cartan, pos):
+    # the table as built before it ran in integers: root norms and every
+    # relation and coroot in Fractions, each checked integral, with the
+    # message text built for every constant
+    label = cartan.type_label
+    n = cartan.rank
+    a = cartan.matrix
+    num_pos = len(pos)
+    dim = 2 * num_pos + n
+    pos_idx = {r.coords: k for k, r in enumerate(pos)}
+    signed = set(pos_idx) | {chevalley._neg(c) for c in pos_idx}
+    symm = chevalley.symmetrizer(a)
+    simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]  # a1 first
+
+    # (r, r) with short roots at 2: the symmetrized Cartan form
+    norm_sq = {r: sum((r[i] * r[j] * symm[i] * a[i, j]
+                       for i in range(n) for j in range(n)), F(0))
+               for r in signed}
+
+    def add(r, s):
+        return tuple(x + y for x, y in zip(r, s))
+
+    # N_{r,s} for ordered pairs of positive roots with r + s a root, the
+    # sums taken in root order, so each relation reads only earlier sums
+    npos = {}
+
+    def constant(r, s):
+        """N_{r,s} for roots r, s of any sign with r + s a root."""
+        if r in pos_idx and s in pos_idx:
+            return npos[r, s]
+        if r not in pos_idx and s not in pos_idx:
+            return -npos[chevalley._neg(r), chevalley._neg(s)]
+        t = chevalley._neg(add(r, s))
+        # of (s, t) and (t, r), exactly one pair has a common sign
+        if (s in pos_idx) == (t in pos_idx):
+            x = norm_sq[t] * constant(s, t) / norm_sq[r]
+        else:
+            x = norm_sq[t] * constant(t, r) / norm_sq[s]
+        return _integral(x, label, f"N({root_name(r)}, {root_name(s)})")
+
+    def pair_term(r, s, t, u):
+        # N_{r,s} N_{t,u} / (r+s, r+s), zero when r + s is no root
+        rs = add(r, s)
+        if rs not in signed:
+            return F(0)
+        return F(constant(r, s) * constant(t, u), norm_sq[rs])
+
+    for xi in pos:
+        if xi.height == 1:
+            continue
+        x = xi.coords
+        ea = next((u for u in simples if add(x, chevalley._neg(u)) in pos_idx), None)
+        if ea is None:
+            raise ConstructionAuditError(f"{label}: no simple summand for {root_name(x)}")
+        eb = add(x, chevalley._neg(ea))
+        p = chevalley._string_down_length(eb, ea, signed)
+        npos[ea, eb], npos[eb, ea] = p + 1, -(p + 1)
+        for r in pos_idx:
+            s = add(x, chevalley._neg(r))
+            if s not in pos_idx or (r, s) in npos:
+                continue
+            # four-term relation on (r, s, t, u) = (r, s, -ea, -eb):
+            # N_{r,s} N_{t,u} / (xi, xi) = -rest, and N_{t,u} = -(p+1)
+            t, u = chevalley._neg(ea), chevalley._neg(eb)
+            rest = pair_term(s, t, r, u) + pair_term(t, r, s, u)
+            nrs = _integral(norm_sq[x] * rest / (p + 1), label,
+                            f"N({root_name(r)}, {root_name(s)})")
+            npos[r, s], npos[s, r] = nrs, -nrs
+
+    weights = (
+        [r.coords for r in pos] + [None] * n + [chevalley._neg(r.coords) for r in pos])
+
+    def index(w):
+        return pos_idx[w] if w in pos_idx else num_pos + n + pos_idx[chevalley._neg(w)]
+
+    empty = ()
+    table = [[empty] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            wi, wj = weights[i], weights[j]
+            if wi is None and wj is None:
+                continue
+            if wi is None or wj is None:
+                # [h_k, x_w] = <w, alpha_k-coroot> x_w
+                k, v, w = (i, j, wj) if wi is None else (j, i, wi)
+                c = sum(w[l] * a[k - num_pos, l] for l in range(n))
+                terms = [(v, c if wi is None else -c)]
+            elif not any(add(wi, wj)):
+                # [e_r, f_r] = h_r, the coroot: 2 r / (r, r) over the simple
+                # coroots, coefficient k being r_k (alpha_k, alpha_k) / (r, r)
+                nsq = norm_sq[wi]
+                terms = [(num_pos + k, _integral(wi[k] * 2 * symm[k] / nsq, label,
+                                                 f"coroot of {root_name(wi)}"))
+                         for k in range(n)]
+            elif add(wi, wj) in signed:
+                c = constant(wi, wj)
+                p = chevalley._string_down_length(wj, wi, signed)
+                if abs(c) != p + 1:
+                    raise ConstructionAuditError(
+                        f"{label}: |N| = {abs(c)} violates the (p+1) law "
+                        f"(p = {p}) for {root_name(wi)}, {root_name(wj)}")
+                terms = [(index(add(wi, wj)), c)]
+            else:
+                continue
+            terms = [(k, c) for k, c in terms if c]
+            table[i][j] = tuple(terms)
+            table[j][i] = tuple((k, -c) for k, c in terms)
+    return tuple(tuple(row) for row in table), tuple(weights)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_integer_table_matches_the_fraction_table(monkeypatch, label):
+    alg = algebra(label)
+    table, weights = _chevalley_table_by_fractions(alg.cartan, alg.positive_roots)
+    assert alg.table == table and alg.basis_weights == weights
+    monkeypatch.setattr(chevalley, "chevalley_table", _chevalley_table_by_fractions)
+    assert build_algebra(alg.cartan).killing_gram == alg.killing_gram
+
+
+def _both_tables_raise(cartan, pos):
+    # the audit text of the integer table, checked equal to the Fraction one
+    texts = []
+    for build in (chevalley.chevalley_table, _chevalley_table_by_fractions):
+        with pytest.raises(ConstructionAuditError) as err:
+            build(cartan, pos)
+        texts.append(str(err.value))
+    assert texts[0] == texts[1]
+    return texts[0]
+
+
+@pytest.mark.parametrize("label,symm,text", [
+    ("A2", (1, 2), "A2: N(a1, -1a1+-1a2) = -4/3 is not an integer"),
+    ("B2", (3, 1), "B2: N(a1, -1a1+-1a2) = -2/3 is not an integer"),
+    ("G2", (2, F(1, 2)), "G2: N(-1a2, a1+a2) = 8/3 is not an integer"),
+])
+def test_non_integral_constant_raises(monkeypatch, label, symm, text):
+    # a symmetrizer that does not symmetrize the Cartan matrix: the root
+    # norms' ratios make a mixed-sign constant non-integral
+    cartan = cartan_datum(label)
+    monkeypatch.setattr(chevalley, "symmetrizer", lambda m: tuple(map(F, symm)))
+    assert _both_tables_raise(cartan, roots_from_cartan(cartan)) == text
+
+
+@pytest.mark.parametrize("label,k,symm", [("A1", 0, None), ("B3", 1, None),
+                                          ("G2", 1, (F(1, 3), F(1)))])
+def test_non_integral_coroot_raises(monkeypatch, label, k, symm):
+    # 2 a_k put first among the positive roots: its coroot a_k-coroot / 2
+    # is read before any constant involving it; the G2 symmetrizer is the
+    # true one over 3, so the norms are scaled by 3
+    cartan = cartan_datum(label)
+    if symm:
+        monkeypatch.setattr(chevalley, "symmetrizer", lambda m: symm)
+    doubled = Root(tuple(2 * int(j == k) for j in range(cartan.rank)))
+    text = _both_tables_raise(cartan, (doubled,) + roots_from_cartan(cartan))
+    assert text == f"{label}: coroot of 2a{k + 1} = 1/2 is not an integer"
 
 
 def _jacobi_all_ordered_triples(alg):

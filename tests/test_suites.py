@@ -172,37 +172,74 @@ def test_killing_perp_mutant_at_transported_p(monkeypatch):
     pd = standard_parabolic("B2", frozenset({1}))
     real = chevalley.ChevalleyAlgebra.killing_perp
 
-    def dropped(inside_only):
+    def dropped(which):
+        # which perps lose their first row: those inside s, those outside
+        # it, or both (p-perp lies in p, [p,p]-perp does not lie in [p,p])
         def mutant(alg, s):
             k = real(alg, s)
-            if inside_only and not s.contains_space(k):
+            if which != "both" and s.contains_space(k) != (which == "inside"):
                 return k
             return exactlin.span(k.ints[1:], alg.dim)
         return mutant
 
     outcomes = {}
-    for inside_only in (True, False):
+    for which in ("inside", "both", "outside"):
         bundles.intrinsic_quotients.cache_clear()  # no twist space built before
         try:
             with monkeypatch.context() as m:
-                m.setattr(chevalley.ChevalleyAlgebra, "killing_perp", dropped(inside_only))
-                outcomes[inside_only] = _uc_records("B2:1")
+                m.setattr(chevalley.ChevalleyAlgebra, "killing_perp", dropped(which))
+                outcomes[which] = _uc_records("B2:1")
         finally:
             bundles.intrinsic_quotients.cache_clear()
-    # on p-perp alone (it lies in p, [p,p]-perp does not) the fiber's
-    # u-directions shrink inside w u, and the fiber reads short
-    status, by_name = outcomes[True]
+    # on p-perp alone the fiber's u-directions shrink inside w u, and the
+    # fiber reads short
+    status, by_name = outcomes["inside"]
     assert status == "fail"
     assert by_name["fiber-equidimensional"].actual == "[5]"
     assert {n for n, c in by_name.items() if not c.ok} == {
         "fiber-equidimensional", "transported-points-consistent",
         "stabilizer-canonical-id-identity"}
-    # on both perps the transported x leaves the shrunk [p,p]-perp, and the
-    # points loop's class_of raises before any record is made
-    status, by_name = outcomes[False]
-    assert status == "fail"
-    assert by_name["unexpected-error"].actual == "VectorOutsideTotal"
+    # on both perps the transported x leaves the shrunk [p,p]-perp: the
+    # points loop's class_of raises, and the raise counts against the
+    # points record with its witness, not against the whole case
+    status, by_name = outcomes["both"]
+    assert status == "fail" and "unexpected-error" not in by_name
+    rec = by_name["transported-points-consistent"]
+    assert rec.actual == "1 exact"
+    assert rec.witness.startswith("point #0: VectorOutsideTotal: ")
+    assert by_name["fiber-equidimensional"].actual == "[5]"
+    assert {n for n, c in by_name.items() if not c.ok} == {
+        "fiber-equidimensional", "transported-points-consistent"}
+    # on [p,p]-perp alone p-perp no longer lies in it: every twist space
+    # rebuilt at a transported p raises, and so every record that builds
+    # one fails with the raise as its witness
+    status, by_name = outcomes["outside"]
+    assert status == "fail" and "unexpected-error" not in by_name
+    failed = {n: c.witness for n, c in by_name.items() if not c.ok}
+    assert sorted(failed) == ["fiber-equidimensional", "stabilizer-canonical-id-identity",
+                              "transported-points-consistent"]
+    assert all(w.split(": ")[1] == "DivisorNotContained" for w in failed.values())
     assert standard_parabolic("B2", frozenset({1})) is pd
+
+
+def test_stabilizer_raise_counts_against_its_record(monkeypatch):
+    # canonical_id raising on the stabilizer words alone (they carry no
+    # transported p): each raise is a moved word with its witness, and the
+    # other records of the case are still made
+    real = suites.canonical_id
+
+    def raising(pd, w, levels, p=None):
+        if p is None:
+            raise ValueError("stabilizer word refused")
+        return real(pd, w, levels, p)
+
+    monkeypatch.setattr(suites, "canonical_id", raising)
+    status, by_name = _uc_records("B2:1")
+    assert status == "fail" and "unexpected-error" not in by_name
+    rec = by_name["stabilizer-canonical-id-identity"]
+    assert rec.actual == "8 moved"
+    assert rec.witness == "word #0: ValueError: stabilizer word refused"
+    assert [n for n, c in by_name.items() if not c.ok] == [rec.name]
 
 
 def test_invariance_suite_counts_pairs():
