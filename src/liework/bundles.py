@@ -14,13 +14,12 @@ This is the points layer, and its vectors are no Fractions: a point's
 vector, a twist level and a class are QVecs, integer numerators over one
 positive denominator in lowest terms, so equal values are equal tuples.
 
-Two point types are modeled:
-  UCPoint    (p, x) with x in the Killing-perp of [p, p]
-  BCPoint    (p, [x]) with [x] a class in the abelianized nilradical
-             whose representative is a Richardson element
-The moment maps of both families, and the embedding of the incidence
-family into the partial resolution family, only read a point's fields,
-so they are not modeled as functions; the suites check what the paper
+One point type is modeled: UCPoint (p, x) with x in the Killing-perp of
+[p, p].  The torus-bundle (BC) and partial resolution (T*BC) models have
+no types of their own: their moment maps, the embedding of the incidence
+family into the partial resolution family, and the torus action on a
+Richardson class only read a UCPoint's fields or act on a vector, so
+they are not modeled as functions; the suites check what the paper
 claims of them against a second computation.
 
 Transported points carry the group word that produced them; the twist
@@ -53,14 +52,8 @@ from .exactlin import (
     _clear_denominators,
     _lowest,
     class_of,
-    span,
 )
-from .parabolic import (
-    ParabolicDatum,
-    RichardsonCertificate,
-    hypothesis_h1,
-    killing_quotients,
-)
+from .parabolic import ParabolicDatum, killing_quotients
 
 
 class PointInvariantError(ValueError):
@@ -69,10 +62,6 @@ class PointInvariantError(ValueError):
 
 class WitnessTransportError(RuntimeError):
     """Transport by the stored witness word left the expected space."""
-
-
-class HypothesisNotSatisfied(RuntimeError):
-    """An operation gated on a reported hypothesis was called where it fails."""
 
 
 # ---------------------------------------------------------------------------
@@ -454,47 +443,3 @@ def fiber_dimension(pd: ParabolicDatum, pt: UCPoint) -> int:
         eb.insert(nums)
     distance = 2 * len(eb.rows) - perp.dim - u.dim  # w u has dimension dim u
     return alg.dim - pd.p.dim + u.dim - distance
-
-
-# ---------------------------------------------------------------------------
-# the torus-bundle model (gated on the triviality hypothesis)
-
-
-@dataclass(frozen=True)
-class BCPoint:
-    p: Subspace
-    x_rep: QVec
-    witness: GroupWord
-
-
-def make_bc_point(pd: ParabolicDatum, cert: RichardsonCertificate,
-                  w: GroupWord = IDENTITY_WORD) -> BCPoint:
-    """Torus-bundle point from an open-orbit certificate, transported by w.
-
-    Gated on the reported triviality hypothesis for this gamma; raises
-    HypothesisNotSatisfied (not an invariant violation) when it fails.
-    The tangent [p, x] is recomputed from the certificate's element too.
-    """
-    if not hypothesis_h1(pd):
-        raise HypothesisNotSatisfied(
-            f"hypothesis not satisfied for gamma of {pd.label()}; "
-            "the bundle model is only claimed under it")
-    if not pd.u.contains(cert.element):
-        raise PointInvariantError("representative must lie in the nilradical")
-    if (cert.tangent != pd.u or pd.alg.bracket_space(
-            pd.p, span([cert.element], pd.alg.dim)) != pd.u):
-        raise PointInvariantError(
-            "certificate's tangent [p, x] is not the nilradical")
-    return BCPoint(p=act_subspace(pd.alg, w, pd.p),
-                   x_rep=act_vector(pd.alg, w, (cert.element, 1)),
-                   witness=w)
-
-
-def bc_torus_action(pd: ParabolicDatum, pt: BCPoint,
-                    params: Sequence) -> BCPoint:
-    """Action of an adjoint-torus point, ints or Fractions, on a bundle
-    point: the class representative moves by the torus letter applied
-    inversely."""
-    w = word_of(TorusLetter(tuple(params)))
-    [moved] = _act_ints(pd.alg, w, [pt.x_rep], inverse=True)
-    return BCPoint(p=pt.p, x_rep=moved, witness=pt.witness)

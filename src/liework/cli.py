@@ -165,7 +165,8 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_dossier(args, out) -> int:
-    cases = _parse_cases([args.case], _default_seed(), DEFAULT_MAX_WORD_LEN, out)
+    # a dossier samples nothing, so it reads no seed
+    cases = _parse_cases([args.case], DEFAULT_SEED, DEFAULT_MAX_WORD_LEN, out)
     if cases is None:
         return 2
     case = cases[0]
@@ -200,7 +201,7 @@ def _cmd_richardson(args, out) -> int:
         return 1
     tc = torsor_certificate(pd, cert)
     print(f"case {case.case_label()}", file=out)
-    print(f"  element          {pd.alg.vector_name(cert.element) or '0'}",
+    print(f"  element          {pd.alg.vector_name(cert.element)}",
           file=out)
     print(f"  tangent dim      {cert.tangent.dim} of {pd.u.dim}", file=out)
     print(f"  infinitesimal    rank {tc.induced_rank} of {pd.torus_rank} "
@@ -229,7 +230,8 @@ def main(argv: list[str] | None = None) -> int:
                           help="base seed (default: WORKBENCH_SEED or builtin)")
     p_verify.add_argument("--max-word-len", type=_word_len,
                           default=DEFAULT_MAX_WORD_LEN,
-                          help="maximum sampled group-word length")
+                          help="maximum length of the 100 sampled "
+                               "uc-family round-trip words")
     p_verify.add_argument("--json", metavar="PATH",
                           help="write the canonical JSON report here")
     p_verify.add_argument("--strict-hypotheses", action="store_true",

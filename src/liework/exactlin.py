@@ -300,12 +300,13 @@ class IntMat:
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
             raise LinAlgError("entry count does not match shape")
-        if not all(isinstance(x, int) for x in self.entries):
-            raise LinAlgError("IntMat entries must be ints")
+        for x in self.entries:  # no float, Fraction, bool or str is coerced
+            if type(x) is not int:
+                raise TypeError(f"IntMat entries must be ints, got {x!r}")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMat":
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = [tuple(r) for r in rows]
         if rows:
             cols = len(rows[0]) if cols is None else cols
             for r in rows:

@@ -321,22 +321,13 @@ def torsor_certificate(pd: ParabolicDatum,
         smith_invariants=invariants)
 
 
-def hypothesis_h1(pd: ParabolicDatum) -> bool:
-    """Whether the derived Levi acts trivially on the abelianized nilradical.
-
-    True iff [[l,l], u] lies inside [u,u].  This holds for gamma empty or
-    full but fails for many intermediate gamma; callers that need it must
-    gate on this flag rather than assume it.
-    """
-    return h1_witness(pd) is None
-
-
-@functools.lru_cache(maxsize=None)
 def h1_witness(pd: ParabolicDatum) -> str | None:
     """A concrete basis pair violating the triviality hypothesis, if any, as
-    the text "[a, b] = v".  Memoised: the suite's report and the bundle
-    model's gate share one scan over the integer basis rows; a witness is
-    named by its echelon rows."""
+    the text "[a, b] = v", or None when the hypothesis holds: the derived
+    Levi acts trivially on the abelianized nilradical, [[l,l], u] inside
+    [u,u].  That holds for gamma empty or full but fails for many
+    intermediate gamma.  The scan runs over the integer basis rows; a
+    witness is named by its echelon rows."""
     alg, lev, u = pd.alg, pd.levi_derived, pd.u
     for i, a in enumerate(lev.ints):
         for j, b in enumerate(u.ints):

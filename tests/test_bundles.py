@@ -25,7 +25,6 @@ from liework.chevalley import (
 )
 from liework.bundles import (
     GroupWord,
-    HypothesisNotSatisfied,
     IDENTITY_WORD,
     PointInvariantError,
     TorusLetter,
@@ -36,13 +35,11 @@ from liework.bundles import (
     act_subspace,
     act_uc_point,
     act_vector,
-    bc_torus_action,
     canonical_id,
     concat,
     fiber_dimension,
     intrinsic_quotients,
     invariance_pairing_square,
-    make_bc_point,
     make_uc_point,
     pi_c,
     random_word,
@@ -66,12 +63,7 @@ from liework.exactlin import (
     rref,
     span,
 )
-from liework.parabolic import (
-    RichardsonCertificate,
-    find_richardson,
-    format_case,
-    standard_parabolic,
-)
+from liework.parabolic import format_case, standard_parabolic
 from liework.suites import _split, default_case_matrix, run_suite
 from test_chevalley import _bracket_by_fractions
 from test_exactlin import frac_rows, meet, qspan
@@ -155,6 +147,14 @@ def test_torus_letter_scales_by_weight():
     assert act_vector(alg, w, (e, 1)) == (tuple(5 * c for c in e), 1)
     assert act_vector(alg, w, (f, 1)) == (f, 5)
     assert act_vector(alg, w, (h, 3)) == (h, 3)
+
+
+def test_inverse_torus_letter_divides_by_weight():
+    # e(a1) moved by T(3)^-1: the letter T(1/3), or T(3) inverted in place
+    alg = algebra("A1")
+    e = ((1, 0, 0), 1)
+    assert act_vector(alg, word_of(TorusLetter((F(1, 3),))), e) == ((1, 0, 0), 3)
+    assert _act_ints(alg, word_of(TorusLetter((3,))), [e], inverse=True) == [((1, 0, 0), 3)]
 
 
 def test_empty_word_is_identity():
@@ -401,47 +401,6 @@ def test_embed_and_triangle():
         split = _split(w)
         assert act_vector(pd.alg, split, x0) == pt.x
         assert act_subspace(pd.alg, split, pd.p) == pt.p
-
-
-def test_bc_point_gated_on_hypothesis():
-    pd = standard_parabolic("A2", frozenset({1}))
-    cert = find_richardson(pd)
-    with pytest.raises(HypothesisNotSatisfied):
-        make_bc_point(pd, cert)
-
-
-def test_bc_point_borel_and_torus_action():
-    pd = standard_parabolic("A1", frozenset())
-    cert = find_richardson(pd)
-    pt = make_bc_point(pd, cert)
-    assert pt.x_rep == ((1, 0, 0), 1)
-    moved = bc_torus_action(pd, pt, [3])
-    assert moved.x_rep == ((1, 0, 0), 3)
-    assert bc_torus_action(pd, moved, [F(1, 3)]) == pt
-
-
-def test_bc_point_rejects_tangent_short_of_u():
-    pd = standard_parabolic("A2", frozenset())
-    cert = find_richardson(pd)
-    short = dataclasses.replace(cert, tangent=pd.u_derived)
-    assert short.tangent != pd.u
-    with pytest.raises(PointInvariantError, match="tangent"):
-        make_bc_point(pd, short)
-
-
-def test_bc_point_recomputes_the_tangent_from_the_element():
-    # a certificate whose tangent field claims u for the zero element
-    pd = standard_parabolic("A2", frozenset())
-    forged = RichardsonCertificate(element=(0,) * pd.alg.dim, tangent=pd.u)
-    with pytest.raises(PointInvariantError, match="tangent"):
-        make_bc_point(pd, forged)
-
-
-def test_bc_point_full_gamma_trivial():
-    pd = standard_parabolic("A2", frozenset({1, 2}))
-    cert = find_richardson(pd)
-    pt = make_bc_point(pd, cert)
-    assert pt.x_rep == ((0,) * 8, 1)
 
 
 def test_tstar_moment_maps_factor():
@@ -1223,10 +1182,6 @@ def test_floats_and_bools_rejected_where_they_enter(bad):
         TorusLetter((F(1, 4), bad))
     with pytest.raises(TypeError):
         twist_level(pd, [bad, 2])
-    pt = make_bc_point(standard_parabolic("A1", frozenset()),
-                       find_richardson(standard_parabolic("A1", frozenset())))
-    with pytest.raises(TypeError):
-        bc_torus_action(standard_parabolic("A1", frozenset()), pt, [bad])
 
 
 def test_ints_and_fractions_accepted_where_they_enter():

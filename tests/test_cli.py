@@ -155,6 +155,23 @@ def test_workbench_seed_invalid(capsys, monkeypatch):
     assert code == 2
 
 
+def test_dossier_reads_no_seed(capsys, monkeypatch):
+    # a dossier samples nothing; richardson's search is seeded, so it still
+    # rejects a malformed WORKBENCH_SEED
+    want = run(capsys, "dossier", "--case", "A2:1")
+    monkeypatch.setenv("WORKBENCH_SEED", "frog")
+    assert run(capsys, "dossier", "--case", "A2:1") == want
+    code, out, err = run(capsys, "richardson", "--case", "A2:1")
+    assert (code, out) == (2, "")
+    assert "WORKBENCH_SEED is not an integer" in err
+
+
+def test_richardson_zero_element_reads_0(capsys):
+    code, out, _ = run(capsys, "richardson", "--case", "A2:1,2")
+    assert code == 0
+    assert "element          0\n" in out
+
+
 def test_report_summary_matches_tally():
     results = run_suite("bc-hypotheses",
                         [CaseSpec.from_string("A2:-"),

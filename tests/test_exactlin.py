@@ -224,6 +224,21 @@ def test_smith_zero_matrix():
     assert smith_normal_form(IntMat.from_rows([[0, 0], [0, 0]])) == ()
 
 
+@pytest.mark.parametrize("bad", [1.5, Q(7, 2), True, "3"])
+def test_intmat_rejects_entries_that_are_not_ints(bad):
+    # int(x) would truncate 1.5 and 7/2 to 1 and 3, and coerce True and "3"
+    with pytest.raises(TypeError, match="must be ints"):
+        IntMat.from_rows([[bad, 2]])
+    with pytest.raises(TypeError, match="must be ints"):
+        IntMat(1, 2, (bad, 2))
+
+
+def test_smith_rejects_a_float_matrix():
+    # truncated, these entries would read invariants (2, 2)
+    with pytest.raises(TypeError):
+        smith_normal_form(IntMat.from_rows([[2.9, 0], [0, 2.2]]))
+
+
 def test_smith_seeded_invariants():
     rng = random.Random(2024)
     for _ in range(40):

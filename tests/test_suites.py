@@ -333,14 +333,45 @@ def test_bc_suite_gates_on_h1():
     assert by_case["A2:-"].status == "pass"
 
 
-def test_bc_suite_scans_h1_once():
-    # the report's witness and make_bc_point's gate share one [l,l] x u scan
+def test_bc_suite_scans_h1_once(monkeypatch):
+    # one [l,l] x u scan per case, gated or not
     from liework.parabolic import h1_witness
-    h1_witness.cache_clear()
-    checks = suites._suite_bc(case("A2:-"))
-    assert all(c.ok for c in checks)
-    info = h1_witness.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    seen = []
+
+    def counted(pd):
+        seen.append(pd.label())
+        return h1_witness(pd)
+
+    monkeypatch.setattr(suites, "h1_witness", counted)
+    res = run_suite("bc-hypotheses", [case("A2:-"), case("A2:1")])
+    assert [r.status for r in res] == ["pass", "hypothesis-gated"]
+    assert seen == ["A2:-", "A2:1"]
+
+
+def test_torus_action_record_fails_on_a_scale_mutant(monkeypatch):
+    # a mutant that stays a homomorphism (q read as 1/q, say) still maps
+    # T(1/3) T(3) to the identity, so the record cannot see it; doubling
+    # each factor's scale halves the vector at every letter, so the record
+    # fails exactly where h1 holds and x != 0: the Borel cases
+    factor = bundles._torus_factor
+
+    def doubled(alg, i, a, b):
+        scale, mults = factor(alg, i, a, b)
+        return 2 * scale, mults
+
+    bundles._torus_letter.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(bundles, "_torus_factor", doubled)
+            res = run_suite("bc-hypotheses", default_case_matrix(include_d4=True))
+    finally:
+        bundles._torus_letter.cache_clear()
+    broken = [r.case.case_label() for r in res for c in r.checks
+              if c.name == "torus-action-invertible" and not c.ok]
+    assert broken == ["A1:-", "A2:-", "A3:-", "B2:-", "B3:-", "C3:-", "G2:-", "D4:-"]
+    assert all(r.status == "fail" for r in res if r.case.case_label() in broken)
+    assert all(c.ok for r in res for c in r.checks
+               if c.name != "torus-action-invertible")
 
 
 def test_bc_suite_reuses_the_richardson_search(monkeypatch):
