@@ -6,9 +6,12 @@ space by a rational monomial in the parameters.  A unipotent letter is
 v + sum_k t^k D_k v over the divided powers D_k = ad(e)^k / k!, integer
 matrices that vanish beyond k = 3 (Chevalley; Kostant's Z-form), built
 once per algebra and root with their integrality and nilpotency audited.
-Letters are compiled to integers once, and a word is decoded once per
-call, its inverse in place; each vector runs through all its steps over
-one denominator and is brought to lowest terms once, at the end.
+A compiled unipotent letter holds those D_k themselves, each with its
+power of t; a word is decoded once per call, its inverse in place, and
+each vector runs through all its steps over one denominator and is
+brought to lowest terms once, at the end.  The caches of compiled torus
+letters (1024) and of quotients at transported parabolics (8) are LRU
+bounded, so their memory does not grow with the cases run.
 
 This is the points layer, and its vectors are no Fractions: a point's
 vector, a twist level and a class are QVecs, integer numerators over one
@@ -146,15 +149,13 @@ def _divided_powers(alg: ChevalleyAlgebra, root: Root) -> tuple[_DividedPower, .
 
 @functools.lru_cache(maxsize=None)
 def _unipotent_letter(alg: ChevalleyAlgebra, root: Root, a: int, b: int) -> tuple:
-    """exp(t ad e) for t = a / b, b > 0, compiled from the divided powers as
-    (b^K, the flat (j, r, c) triples, None): each c the entry r of
-    sum_k a^k b^(K-k) D_k e_j, K the number of nonzero D_k."""
+    """exp(t ad e) for t = a / b, b > 0, compiled as (b^K, the pairs
+    (a^k b^(K-k), D_k) for k = 1..K, None), K the number of nonzero D_k:
+    each D_k is the audited _divided_powers entry itself, not a copy."""
     powers = _divided_powers(alg, root)
     top = len(powers)
-    tks = [a ** k * b ** (top - k) for k in range(1, top + 1)]
-    # D_k e_j has weight wt(e_j) + k root, so no (j, r) comes twice
-    return b ** top, tuple(x for tk, dk in zip(tks, powers) for j, col in dk
-                           for r, n in col for x in (j, r, n * tk)), None
+    return b ** top, tuple((a ** k * b ** (top - k), dk)
+                           for k, dk in enumerate(powers, 1)), None
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,7 +170,7 @@ def _torus_factor(alg: ChevalleyAlgebra, i: int, a: int,
             tuple(sign * a ** (e - lo) * b ** (hi - e) for e in es))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def _torus_letter(alg: ChevalleyAlgebra, ratios: tuple, inverse: bool) -> tuple:
     """The torus letter with parameters a / b, b > 0, one per simple root, or
     its inverse, as (scale, None, mults): the product of the simple roots'
@@ -187,7 +188,7 @@ def _act_ints(alg: ChevalleyAlgebra, w: GroupWord, vecs, *,
     """The word, last letter first, applied to each (nums, den), den > 0, as
     a QVec; with inverse, its inverse in place: first letter first,
     exp(-t ad e) and each torus parameter a / b read as b / a.  The word is
-    decoded once into compiled letters (scale, triples, mults), and each
+    decoded once into compiled letters (scale, terms, mults), and each
     vector runs through all of them before its gcd with the denominator is
     divided out once: lowest terms with den > 0 are unique."""
     steps = []
@@ -202,13 +203,15 @@ def _act_ints(alg: ChevalleyAlgebra, w: GroupWord, vecs, *,
     for v, den in vecs:  # read once, so a one-shot iterator works
         if len(v) != alg.dim:
             raise ValueError("vector length does not match algebra dimension")
-        for scale, triples, mults in steps:
+        for scale, terms, mults in steps:
             if mults is None:
                 moved = [x * scale for x in v] if scale != 1 else list(v)
-                it = iter(triples)
-                for j, r, c in zip(it, it, it):
-                    if x := v[j]:
-                        moved[r] += c * x
+                for tk, dk in terms:  # one v[j] test per column of D_k
+                    for j, col in dk:
+                        if x := v[j]:
+                            y = tk * x
+                            for r, c in col:
+                                moved[r] += c * y
                 v = moved
             else:
                 v = list(map(operator.mul, v, mults))
@@ -238,9 +241,11 @@ def act_subspace(alg: ChevalleyAlgebra, w: GroupWord, s: Subspace) -> Subspace:
 def act_roundtrip(alg: ChevalleyAlgebra, words: Sequence[GroupWord],
                   x: QVec) -> list[bool]:
     """For each word w, whether w^-1 (w x) == x and kappa(w x, w x) ==
-    kappa(x, x), w^-1 applied in place; x is brought to lowest terms and
-    paired once.  The first is pair equality, the second K(ys, ys) d0^2 ==
-    K(n0, n0) dy^2 in ints."""
+    kappa(x, x), w^-1 applied in place; x, den > 0, is brought to lowest
+    terms and paired once.  The first is pair equality, the second
+    K(ys, ys) d0^2 == K(n0, n0) dy^2 in ints."""
+    if x[1] <= 0:
+        raise ValueError(f"denominator must be positive, got {x[1]}")
     n0, d0 = x = _lowest(*x)
     k0 = alg.killing(n0, n0)
     out = []
@@ -263,9 +268,12 @@ def _letter_table(alg: ChevalleyAlgebra,
     """The unipotent letters random_word draws from, one row per root with
     its letter at each of _T_CHOICES: the positive roots, then the negatives
     of all of them, or of those at the positive-root positions levi."""
+    if levi is not None:  # the full table's rows: its letters, not copies
+        full, n = _letter_table(alg, None), alg.num_positive
+        return full[:n] + tuple(full[n + k] for k in levi)
     pos = alg.positive_roots
-    roots = pos + tuple(-pos[k] for k in (range(len(pos)) if levi is None else levi))
-    return tuple(tuple(UnipotentLetter(r, t) for t in _T_CHOICES) for r in roots)
+    return tuple(tuple(UnipotentLetter(r, t) for t in _T_CHOICES)
+                 for r in pos + tuple(-r for r in pos))
 
 
 def random_word(alg: ChevalleyAlgebra, rng: random.Random, length: int,
@@ -363,11 +371,11 @@ def pi_c(pd: ParabolicDatum, pt: UCPoint) -> QVec:
     return tuple(-c for c in nums), den
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def intrinsic_quotients(alg: ChevalleyAlgebra,
                         p: Subspace) -> tuple[QuotientSpace, QuotientSpace]:
     """The (twist, a_p) pair of killing_quotients at a transported p, cached
-    per subspace; raises if p-perp is not inside p."""
+    for the last 8 subspaces; raises if p-perp is not inside p."""
     twist, a_p = killing_quotients(alg, p)
     if not p.contains_space(twist.divisor):
         raise PointInvariantError("p-perp escaped p; p is not parabolic-like")

@@ -73,14 +73,19 @@ class Subspace:
         return Subspace(n, (), ())
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def full(n: int) -> "Subspace":
-        return Subspace.coordinate(n, range(n))
+        """Q^n, one per n: its unit rows are every coordinate subspace's rows."""
+        units = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+        return Subspace(n, units, tuple(range(n)))
 
     @staticmethod
     def coordinate(n: int, indices: Iterable[int]) -> "Subspace":
-        """The span of the unit vectors at distinct indices: canonical rows."""
+        """The span of the unit vectors at distinct indices in range(n)."""
         idx = tuple(sorted(indices))
-        return Subspace(n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in idx), idx)
+        if len(set(idx)) < len(idx) or idx and (idx[0] < 0 or idx[-1] >= n):
+            raise ValueError(f"indices must be distinct and in range({n}), got {idx}")
+        return Subspace(n, tuple(map(Subspace.full(n).ints.__getitem__, idx)), idx)
 
     def contains(self, v: Sequence[int]) -> bool:
         if len(v) != self.ambient_dim:

@@ -580,6 +580,16 @@ def test_act_vector_rejects_nonpositive_denominators(den):
             act_vector(alg, w, (alg.one_hot(0), den))
 
 
+@pytest.mark.parametrize("den", [0, -1, -3])
+def test_act_roundtrip_rejects_nonpositive_denominators(den):
+    # over den <= 0 the way back still equals x, so the record would pass
+    alg = algebra("A2")
+    x = tuple(range(1, alg.dim + 1))
+    for w in (IDENTITY_WORD, _w_unip(Root((1, 0)), 1)):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            act_roundtrip(alg, [w], (x, den))
+
+
 @pytest.mark.parametrize("den", [0, -1, -2])
 def test_twist_section_rejects_nonpositive_denominators(den):
     pd = standard_parabolic("A2", frozenset({1}))
@@ -843,6 +853,10 @@ def test_random_word_draws_match_old_construction(label):
         assert random_word(alg, new, 1 + k % 8) == _old_random_word(alg, old, 1 + k % 8)
         assert stabilizer_word(pd, new, 3) == _old_random_word(alg, old, 3, levi)
     assert new.random() == old.random()
+    # the Levi-restricted table holds the full table's rows, not copies
+    full = bundles._letter_table(alg, None)
+    table = bundles._letter_table(alg, pd.levi_root_positions)
+    assert len(table) == len(levi) and {id(r) for r in table} <= {id(r) for r in full}
 
 
 def _act_by_fractions(alg, w, v):
@@ -1077,23 +1091,23 @@ def _letter_by_terms(alg, root, a, b, nums):
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)
 def test_compiled_unipotent_letter_matches_divided_power_terms(label):
+    # a letter holds each audited D_k itself, not a copy, with its t-power,
+    # and applies sum_k t^k D_k over b^K to every basis vector
     alg = algebra(label)
     for root in _all_roots(alg):
+        powers = _divided_powers(alg, root)
+        top = len(powers)
         for t in _T_CHOICES + tuple(-t for t in _T_CHOICES):
             a, b = t.as_integer_ratio()
-            scale, triples, mults = _unipotent_letter(alg, root, a, b)
-            assert mults is None and len(triples) % 3 == 0
-            entries = list(zip(triples[::3], triples[1::3], triples[2::3]))
-            # one nonzero integer entry per listed (j, r)
-            assert len({(j, r) for j, r, _ in entries}) == len(entries)
-            assert all(type(c) is int and c for _, _, c in entries)
+            scale, terms, mults = _unipotent_letter(alg, root, a, b)
+            assert mults is None and scale == b ** top and len(terms) == top
+            for k, ((tk, dk), d) in enumerate(zip(terms, powers), 1):
+                assert dk is d and tk == a ** k * b ** (top - k)
+            w = word_of(UnipotentLetter(root, t))
             for j in range(alg.dim):
                 e_j = [int(i == j) for i in range(alg.dim)]
-                col = [scale * x for x in e_j]
-                for jj, r, c in entries:
-                    if jj == j:
-                        col[r] += c
-                assert (col, scale) == _letter_by_terms(alg, root, a, b, e_j)
+                assert _act_ints(alg, w, [(e_j, 1)]) == \
+                    [bundles._lowest(*_letter_by_terms(alg, root, a, b, e_j))]
 
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from liework import bundles
 from liework.cli import build_report, canonical_json, main
 from liework.suites import CaseSpec, run_suite
 
@@ -237,3 +238,7 @@ def test_heavy_suites_match_pinned_report(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert json.loads(path.read_text())["suites"] == want
+    # the points layer's per-case caches stay within their bounds
+    for cached in (bundles._torus_letter, bundles.intrinsic_quotients):
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize

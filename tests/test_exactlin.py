@@ -304,6 +304,22 @@ def test_span_and_contains_reject_fractions(v):
     assert rref([v], 3)[1] == ((0,) if any(v) else ())
 
 
+@pytest.mark.parametrize("indices", [[0, 0, 2], [4], [-1]])
+def test_coordinate_rejects_bad_indices(indices):
+    # a repeated index would repeat a row; one outside range(3) would give a
+    # row of the wrong length, or, with rows shared by index, -1 would pick e_2
+    with pytest.raises(ValueError, match="distinct and in range"):
+        Subspace.coordinate(3, indices)
+
+
+def test_coordinate_subspaces_share_unit_rows():
+    full = Subspace.full(5)
+    s = Subspace.coordinate(5, [3, 1])
+    assert s == span([(0, 1, 0, 0, 0), (0, 0, 0, 1, 0)], 5) and s.pivots == (1, 3)
+    assert s.ints[0] is full.ints[1] and s.ints[1] is full.ints[3]
+    assert Subspace.coordinate(5, []) == Subspace.zero(5)
+
+
 def test_class_of_rejects_nonpositive_denominators():
     q = quotient(span([E, H], 3), span([E], 3))
     for den in (0, -1, -2):
