@@ -9,9 +9,9 @@ once per algebra and root with their integrality and nilpotency audited.
 A compiled unipotent letter holds those D_k themselves, each with its
 power of t; a word is decoded once per call, its inverse in place, and
 each vector runs through all its steps over one denominator and is
-brought to lowest terms once, at the end.  The caches of compiled torus
-letters (1024) and of quotients at transported parabolics (8) are LRU
-bounded, so their memory does not grow with the cases run.
+brought to lowest terms once, at the end.  A torus letter is one step
+per simple root.  The cache of quotients at transported parabolics is an
+LRU of 8, so its memory does not grow with the cases run.
 
 This is the points layer, and its vectors are no Fractions: a point's
 vector, a twist level and a class are QVecs, integer numerators over one
@@ -85,7 +85,7 @@ class TorusLetter:
     params: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(self.params))  # a cache key
+        object.__setattr__(self, "params", tuple(self.params))  # so the letter hashes
         _check_scalars(self.params, "torus parameters")
         if any(p == 0 for p in self.params):
             raise ValueError("torus parameters must be nonzero")
@@ -148,39 +148,27 @@ def _divided_powers(alg: ChevalleyAlgebra, root: Root) -> tuple[_DividedPower, .
 
 
 @functools.lru_cache(maxsize=None)
-def _unipotent_letter(alg: ChevalleyAlgebra, root: Root, a: int, b: int) -> tuple:
-    """exp(t ad e) for t = a / b, b > 0, compiled as (b^K, the pairs
-    (a^k b^(K-k), D_k) for k = 1..K, None), K the number of nonzero D_k:
-    each D_k is the audited _divided_powers entry itself, not a copy."""
-    powers = _divided_powers(alg, root)
+def _unipotent_letter(alg: ChevalleyAlgebra, coords: tuple, a: int, b: int) -> tuple:
+    """exp(t ad e) for t = a / b, b > 0, e the root vector of Root(coords),
+    compiled as (b^K, the pairs (a^k b^(K-k), D_k) for k = 1..K, None), K
+    the number of nonzero D_k: each D_k is the audited _divided_powers entry
+    itself, not a copy.  Keyed by coords: a Root hashes in Python code."""
+    powers = _divided_powers(alg, Root(coords))
     top = len(powers)
     return b ** top, tuple((a ** k * b ** (top - k), dk)
                            for k, dk in enumerate(powers, 1)), None
 
 
 @functools.lru_cache(maxsize=None)
-def _torus_factor(alg: ChevalleyAlgebra, i: int, a: int,
-                  b: int) -> tuple[int, tuple[int, ...]]:
-    """(scale > 0, mults) with mults[v] = scale * q^e for q = a / b, b > 0, and e
-    the i-th simple-root coordinate of basis vector v's weight (0 on h)."""
+def _torus_factor(alg: ChevalleyAlgebra, i: int, a: int, b: int) -> tuple:
+    """Simple root i's factor of a torus letter at q = a / b, b > 0, as a
+    compiled step (scale > 0, None, mults): mults[v] = scale * q^e for e the
+    i-th simple-root coordinate of basis vector v's weight (0 on h)."""
     es = [wt[i] if wt else 0 for wt in alg.basis_weights]
     lo, hi = min(es), max(es)  # lo <= 0 <= hi
     sign = -1 if a < 0 and lo % 2 else 1  # makes a^-lo b^hi positive
-    return (sign * a ** -lo * b ** hi,
+    return (sign * a ** -lo * b ** hi, None,
             tuple(sign * a ** (e - lo) * b ** (hi - e) for e in es))
-
-
-@functools.lru_cache(maxsize=1024)
-def _torus_letter(alg: ChevalleyAlgebra, ratios: tuple, inverse: bool) -> tuple:
-    """The torus letter with parameters a / b, b > 0, one per simple root, or
-    its inverse, as (scale, None, mults): the product of the simple roots'
-    _torus_factor at each a / b, read as b / a in the inverse."""
-    if len(ratios) != alg.rank:
-        raise ValueError("torus letter has wrong parameter count")
-    if inverse:
-        ratios = [(b, a) if a > 0 else (-b, -a) for a, b in ratios]
-    scales, mults = zip(*(_torus_factor(alg, i, a, b) for i, (a, b) in enumerate(ratios)))
-    return math.prod(scales), None, tuple(map(math.prod, zip(*mults)))
 
 
 def _act_ints(alg: ChevalleyAlgebra, w: GroupWord, vecs, *,
@@ -188,17 +176,22 @@ def _act_ints(alg: ChevalleyAlgebra, w: GroupWord, vecs, *,
     """The word, last letter first, applied to each (nums, den), den > 0, as
     a QVec; with inverse, its inverse in place: first letter first,
     exp(-t ad e) and each torus parameter a / b read as b / a.  The word is
-    decoded once into compiled letters (scale, terms, mults), and each
-    vector runs through all of them before its gcd with the denominator is
-    divided out once: lowest terms with den > 0 are unique."""
+    decoded once into steps (scale, terms, mults), a torus letter one per
+    simple root; each vector runs through all of them, then its gcd with the
+    denominator is divided out once: lowest terms with den > 0 are unique."""
     steps = []
     for letter in w.letters if inverse else reversed(w.letters):
         if type(letter) is UnipotentLetter:
             a, b = letter.t.as_integer_ratio()
-            steps.append(_unipotent_letter(alg, letter.root, -a if inverse else a, b))
+            steps.append(_unipotent_letter(alg, letter.root.coords, -a if inverse else a, b))
+        elif len(letter.params) != alg.rank:
+            raise ValueError("torus letter has wrong parameter count")
         else:
-            steps.append(_torus_letter(
-                alg, tuple([q.as_integer_ratio() for q in letter.params]), inverse))
+            for i, q in enumerate(letter.params):
+                a, b = q.as_integer_ratio()
+                if inverse:  # b / a over a positive denominator
+                    a, b = (b, a) if a > 0 else (-b, -a)
+                steps.append(_torus_factor(alg, i, a, b))
     out = []
     for v, den in vecs:  # read once, so a one-shot iterator works
         if len(v) != alg.dim:
@@ -317,8 +310,10 @@ def twist_section(pd: ParabolicDatum, psi: QVec) -> tuple[list[int], int]:
     combine the section's integer rows."""
     if psi[1] <= 0:
         raise ValueError(f"denominator must be positive, got {psi[1]}")
-    rows, den = pd.twist_space.section
     coeffs, cden = psi
+    if len(coeffs) != pd.torus_rank:
+        raise ValueError("twist level has wrong length")
+    rows, den = pd.twist_space.section
     acc = [sum(map(operator.mul, coeffs, col)) for col in zip(*rows)]
     return acc or [0] * pd.alg.dim, cden * den
 

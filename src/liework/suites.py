@@ -84,6 +84,8 @@ class CaseSpec:
                 f"malformed case spec {self.case_label()!r}: type "
                 f"{self.type_label!r} is not one of {', '.join(SUPPORTED_TYPES)}")
         rank = int(self.type_label[1:])
+        if any(type(g) is not int for g in self.gamma):
+            raise TypeError(f"gamma entries must be ints, got {self.gamma_key!r}")
         if not self.gamma <= set(range(1, rank + 1)):
             raise ValueError(
                 f"malformed case spec {self.case_label()!r}: gamma exceeds rank")

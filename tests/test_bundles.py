@@ -597,6 +597,20 @@ def test_twist_section_rejects_nonpositive_denominators(den):
         twist_section(pd, ((1,), den))
 
 
+@pytest.mark.parametrize("gamma, nums", [({1}, (1, 5, 7)), ({1}, ()),
+                                         ({1, 2}, (3,))])
+def test_twist_section_rejects_levels_of_the_wrong_length(gamma, nums):
+    # a level longer than the torus rank once lost its extra coordinates,
+    # and a shorter one read as the zero section
+    pd = standard_parabolic("A2", frozenset(gamma))
+    with pytest.raises(ValueError, match="twist level has wrong length"):
+        twist_section(pd, (nums, 1))
+    with pytest.raises(ValueError, match="twist level has wrong length"):
+        canonical_id(pd, IDENTITY_WORD, [(nums, 1)])
+    with pytest.raises(ValueError, match="twist level has wrong length"):
+        invariance_pairing_square(pd, _w_unip(Root((0, -1)), 1), [(nums, 1)])
+
+
 @pytest.mark.parametrize("den", [0, -1, -2])
 def test_invariance_pairing_square_rejects_nonpositive_denominators(den):
     # over den <= 0 both routes would give equal pairs, so the square would pass
@@ -677,20 +691,26 @@ def _torus_per_component(alg, letter, v):
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)
 def test_act_torus_matches_per_component_scaling(label):
+    # each letter and its in-place inverse, whose parameters are read as
+    # b / a with the sign moved to a; negative non-unit parameters at odd
+    # exponents make negative factor scales
     alg = algebra(label)
     rng = random.Random(f"torus:{label}")
-    letters = 0
+    signed = (F(-2), F(-1, 2), F(-3, 5), F(7, 4))
+    letters = [TorusLetter(tuple(rng.choice(signed) for _ in range(alg.rank)))
+               for _ in range(6)]
+    letters += [TorusLetter((q,) * alg.rank) for q in signed]
     for _ in range(50):
         w = random_word(alg, rng, length=rng.randint(1, 8))
-        vs = [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(alg.dim))
-              for _ in range(2)]
-        for letter in w.letters:
-            if isinstance(letter, TorusLetter):
-                letters += 1
-                for v in vs:
-                    assert _act(alg, word_of(letter), v) == \
-                        _torus_per_component(alg, letter, v)
-    assert letters >= 20
+        letters += [l for l in w.letters if isinstance(l, TorusLetter)]
+    assert len(letters) >= 30
+    for letter in letters:
+        inverted = TorusLetter(tuple(1 / q for q in letter.params))
+        for _ in range(2):
+            v = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(alg.dim))
+            assert _act(alg, word_of(letter), v) == _torus_per_component(alg, letter, v)
+            [back] = _act_ints(alg, word_of(letter), [_q(v)], inverse=True)
+            assert _frac(back) == _torus_per_component(alg, inverted, v)
 
 
 def _bracket_space_full_loop(alg, a, b):
@@ -1099,7 +1119,7 @@ def test_compiled_unipotent_letter_matches_divided_power_terms(label):
         top = len(powers)
         for t in _T_CHOICES + tuple(-t for t in _T_CHOICES):
             a, b = t.as_integer_ratio()
-            scale, terms, mults = _unipotent_letter(alg, root, a, b)
+            scale, terms, mults = _unipotent_letter(alg, root.coords, a, b)
             assert mults is None and scale == b ** top and len(terms) == top
             for k, ((tk, dk), d) in enumerate(zip(terms, powers), 1):
                 assert dk is d and tk == a ** k * b ** (top - k)

@@ -238,7 +238,6 @@ def test_heavy_suites_match_pinned_report(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert json.loads(path.read_text())["suites"] == want
-    # the points layer's per-case caches stay within their bounds
-    for cached in (bundles._torus_letter, bundles.intrinsic_quotients):
-        info = cached.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize
+    # the points layer's one bounded cache stays within its bound
+    info = bundles.intrinsic_quotients.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize

@@ -63,11 +63,15 @@ def test_case_spec_rejects_malformed_input():
 
 
 @pytest.mark.parametrize("kw", [dict(max_word_len=2.5), dict(max_word_len=True),
-                                dict(seed=1.5), dict(seed="x"), dict(seed=False)])
+                                dict(seed=1.5), dict(seed="x"), dict(seed=False),
+                                dict(gamma=frozenset({True})),
+                                dict(gamma=frozenset({1.0})),
+                                dict(gamma=frozenset({2, False}))])
 def test_case_spec_rejects_non_int_seed_and_length(kw):
-    # a float length once failed every uc-family case inside randrange
+    # a float length once failed every uc-family case inside randrange, and
+    # gamma {True} was labelled A2:True while build_parabolic read {1}
     with pytest.raises(TypeError, match=next(iter(kw))):
-        CaseSpec("A1", frozenset(), **kw)
+        CaseSpec("A2", **{"gamma": frozenset(), **kw})
 
 
 def test_case_spec_caps_word_length():
@@ -283,18 +287,13 @@ def test_embedding_records_fail_on_flipped_torus_factor(monkeypatch):
     def flipped(alg, i, a, b):
         return real(alg, i, b, a) if i == 0 and a > 0 else real(alg, i, a, b)
 
-    # the compiled torus letters above _torus_factor are built from it
-    bundles._torus_letter.cache_clear()
     monkeypatch.setattr(bundles, "_torus_factor", flipped)
     failed = {"points-embed": [], "triangle-phi-embed-mu": [],
               "embed-equivariant": []}
-    try:
-        for c in default_case_matrix():
-            for rec in suites._suite_embedding(c):
-                if not rec.ok:
-                    failed[rec.name].append(c.case_label())
-    finally:
-        bundles._torus_letter.cache_clear()
+    for c in default_case_matrix():
+        for rec in suites._suite_embedding(c):
+            if not rec.ok:
+                failed[rec.name].append(c.case_label())
     assert failed == {"points-embed": [],
                       "triangle-phi-embed-mu": _FLIPPED_TRIANGLE,
                       "embed-equivariant": _FLIPPED_EQUIVARIANT}
@@ -356,16 +355,11 @@ def test_torus_action_record_fails_on_a_scale_mutant(monkeypatch):
     factor = bundles._torus_factor
 
     def doubled(alg, i, a, b):
-        scale, mults = factor(alg, i, a, b)
-        return 2 * scale, mults
+        scale, terms, mults = factor(alg, i, a, b)
+        return 2 * scale, terms, mults
 
-    bundles._torus_letter.cache_clear()
-    try:
-        with monkeypatch.context() as m:
-            m.setattr(bundles, "_torus_factor", doubled)
-            res = run_suite("bc-hypotheses", default_case_matrix(include_d4=True))
-    finally:
-        bundles._torus_letter.cache_clear()
+    monkeypatch.setattr(bundles, "_torus_factor", doubled)
+    res = run_suite("bc-hypotheses", default_case_matrix(include_d4=True))
     broken = [r.case.case_label() for r in res for c in r.checks
               if c.name == "torus-action-invertible" and not c.ok]
     assert broken == ["A1:-", "A2:-", "A3:-", "B2:-", "B3:-", "C3:-", "G2:-", "D4:-"]
