@@ -231,6 +231,13 @@ def symmetrizer(m: IntMat) -> tuple[Fraction, ...]:
     return tuple(x / lo for x in d)  # type: ignore[union-attr]
 
 
+def _integer_symmetrizer(m: IntMat) -> list[int]:
+    """The symmetrizer times the lcm of its denominators: positive ints."""
+    d = symmetrizer(m)
+    den = math.lcm(*(x.denominator for x in d))
+    return [int(x * den) for x in d]
+
+
 def validate_finite_type(m: IntMat) -> None:
     """Reject matrices that are not finite-type Cartan matrices."""
     n = m.rows
@@ -242,12 +249,11 @@ def validate_finite_type(m: IntMat) -> None:
         for j in range(n):
             if i != j and m[i, j] > 0:
                 raise NotFiniteType("off-diagonal Cartan entries must be <= 0")
-    d = symmetrizer(m)
     # symmetrized matrix must be positive definite (leading principal
     # minors); a positive common denominator clears it without changing
     # any minor's sign
-    den = math.lcm(*(x.denominator for x in d))
-    s = [[int(d[i] * den) * m[i, j] for j in range(n)] for i in range(n)]
+    d = _integer_symmetrizer(m)
+    s = [[d[i] * m[i, j] for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         if int_det(IntMat.from_rows([row[:k] for row in s[:k]], k)) <= 0:
             raise NotFiniteType("symmetrized Cartan matrix is not positive definite")
@@ -392,8 +398,7 @@ class ChevalleyAlgebra:
 
     @functools.cached_property
     def _gram_nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return tuple(tuple((j, c) for j, c in enumerate(self.killing_gram.row(i)) if c)
-                     for i in range(self.dim))
+        return tuple(tuple(_support(self.killing_gram.row(i))) for i in range(self.dim))
 
     def _gram_ints(self, v: Sequence[int]) -> list[int]:
         """G v for an integer vector v, over the nonzero gram entries (G is
@@ -509,9 +514,7 @@ def chevalley_table(cartan: CartanDatum,
     dim = 2 * num_pos + n
     pos_idx = {r.coords: k for k, r in enumerate(pos)}
     signed = set(pos_idx) | {_neg(c) for c in pos_idx}
-    symm = symmetrizer(cartan.matrix)
-    scale = math.lcm(*(d.denominator for d in symm))
-    symm = [int(d * scale) for d in symm]
+    symm = _integer_symmetrizer(cartan.matrix)
     simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]  # a1 first
 
     # scale * (r, r), short roots at 2: the symmetrized Cartan form
@@ -520,7 +523,7 @@ def chevalley_table(cartan: CartanDatum,
                for r in signed}
 
     def add(r, s):
-        return tuple(x + y for x, y in zip(r, s))
+        return tuple(map(operator.add, r, s))
 
     # N_{r,s} for ordered pairs of positive roots with r + s a root, the
     # sums taken in root order, so each relation reads only earlier sums
@@ -612,7 +615,7 @@ def chevalley_table(cartan: CartanDatum,
 
 
 def _neg(c: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-x for x in c)
+    return tuple(map(operator.neg, c))
 
 
 def build_algebra(cartan: CartanDatum) -> ChevalleyAlgebra:
@@ -641,9 +644,9 @@ def build_algebra(cartan: CartanDatum) -> ChevalleyAlgebra:
 
 
 def jacobi_violations(alg: ChevalleyAlgebra) -> int:
-    """Count of ordered basis triples violating the Jacobi identity.  The
-    Jacobiator is alternating on a table antisymmetric with an empty
-    diagonal, as ``_audit`` checks first: each x < y < z counts 6."""
+    """Ordered basis triples violating the Jacobi identity.  The Jacobiator is
+    alternating on a table antisymmetric with an empty diagonal, as ``_audit``
+    checks first: each x < y < z counts 6, skipped if its 3 brackets are zero."""
     dim = alg.dim
     tab = alg.table
     bad = 0
@@ -666,32 +669,30 @@ def jacobi_violations(alg: ChevalleyAlgebra) -> int:
                 for k, c in tzx:
                     for l, d in tab[k][y]:
                         acc[l] = acc.get(l, 0) + c * d
-                if any(v != 0 for v in acc.values()):
+                if any(acc.values()):
                     bad += 6
     return bad
 
 
 def killing_invariance_violations(alg: ChevalleyAlgebra) -> int:
-    """Ordered triples with kappa([z,x],y) + kappa(x,[z,y]) != 0.  The summand
-    is symmetric in (x, y) when the gram is, so y >= x counts 1 on the
-    diagonal, 2 off it: exact wherever shown, as ``_audit`` lists
-    killing-symmetric first and the first failed record is the one named."""
-    dim = alg.dim
-    tab = alg.table
-    g = [alg.killing_gram.row(i) for i in range(dim)]
+    """Ordered triples with kappa([z,x],y) + kappa(x,[z,y]) != 0, summed per z
+    over nonzero entries: (k, c) in [z, x] adds c G[k][y] at (x, y), y >= x, from
+    gram row k and G[w][k] c at (w, x), w <= x, from column k.  A nonzero (x, y)
+    counts 1 if x == y, else 2: exact for a symmetric G, as killing-symmetric checks."""
+    g = [alg.killing_gram.row(i) for i in range(alg.dim)]
+    rows, cols = alg._gram_nonzeros, list(map(_support, zip(*g)))
     bad = 0
-    for z in range(dim):
-        tz = tab[z]
-        for x in range(dim):
-            tzx, gx = tz[x], g[x]
-            for y in range(x, dim):
-                acc = 0
-                for k, c in tzx:
-                    acc += c * g[k][y]
-                for k, c in tz[y]:
-                    acc += gx[k] * c
-                if acc != 0:
-                    bad += 1 if x == y else 2
+    for tz in alg.table:
+        acc: dict[tuple[int, int], int] = {}
+        for x, tzx in enumerate(tz):
+            for k, c in tzx:
+                for y, d in rows[k]:
+                    if y >= x:
+                        acc[x, y] = acc.get((x, y), 0) + c * d
+                for w, d in cols[k]:
+                    if w <= x:
+                        acc[w, x] = acc.get((w, x), 0) + d * c
+        bad += sum(1 if x == y else 2 for (x, y), v in acc.items() if v)
     return bad
 
 
@@ -712,14 +713,22 @@ def _audit(alg: ChevalleyAlgebra) -> tuple[CheckRecord, ...]:
            for i, row in enumerate(g) for j, c in enumerate(row)):
         raise ConstructionAuditError(f"{label}: Killing pairing breaks the weight grading")
     jac = jacobi_violations(alg)
-    sym = all(row[j] == g[j][i] for i, row in enumerate(g) for j in range(i))
+    # symmetric, and on the Cartan a positive multiple c of the coroot form:
+    # kappa(h_i, h_j) D_j = c A[i][j], D the integer symmetrizer; c2 = 2c
+    h, a, d = alg.num_positive, alg.cartan.matrix, _integer_symmetrizer(alg.cartan.matrix)
+    c2, r = g[h][h] * d[0], range(alg.rank)
+    bad = next(((i, j) for i, row in enumerate(g) for j in range(i) if row[j] != g[j][i]), None)
+    bad = bad or next(((h + i, h + j) for i in r for j in r
+                       if c2 <= 0 or 2 * g[h + i][h + j] * d[j] != c2 * a[i, j]), None)
+    sym, sym_at = bad is None, bad and "kappa({}, {}) = {}".format(
+        *map(alg.basis_label, bad), g[bad[0]][bad[1]])
     nondeg = span(g, dim).dim == dim
     kiv = killing_invariance_violations(alg)
     want_pos = _EXPECTED_POSITIVE_COUNT[label[0]](alg.rank)
     want_dim = 2 * want_pos + alg.rank
     return raise_on_failure((
         check_record("jacobi-violations", 0, jac, jac == 0),
-        check_record("killing-symmetric", True, sym, sym),
+        check_record("killing-symmetric", True, sym, sym, sym_at),
         check_record("killing-nondegenerate", True, nondeg, nondeg),
         check_record("killing-invariance-violations", 0, kiv, kiv == 0),
         check_record("positive-root-count", want_pos, alg.num_positive,

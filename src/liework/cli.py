@@ -131,7 +131,13 @@ def _cmd_verify(args, out) -> int:
     else:
         cases = default_case_matrix(include_d4=args.include_d4, seed=seed,
                                     max_word_len=mwl)
-    names = args.suite or list(SUITE_NAMES)
+    names = list(dict.fromkeys(args.suite or SUITE_NAMES))  # a repeated suite runs once
+    if args.json:  # an unwritable report path fails before any suite runs
+        try:
+            open(args.json, "a", encoding="ascii").close()
+        except OSError as err:
+            print(f"error: --json {args.json!r}: {err.strerror}", file=out)
+            return 2
     results = run_suites(names, cases)
 
     width = max(len(n) for n in names)

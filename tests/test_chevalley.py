@@ -453,10 +453,26 @@ def _invariance_all_pairs(alg):
                + sum(g[x, k] * c for k, c in tab[z][y]))
 
 
+def _invariance_dense_upper_pairs(alg):
+    # the audit's dense loop before the sparse sum: every (z, x, y >= x), 1 on
+    # the diagonal and 2 off it, reading the gram's rows and columns as given
+    tab, g = alg.table, alg.killing_gram
+    return sum(1 if x == y else 2
+               for z, x in itertools.product(range(alg.dim), repeat=2)
+               for y in range(x, alg.dim)
+               if sum(c * g[k, y] for k, c in tab[z][x])
+               + sum(g[x, k] * c for k, c in tab[z][y]))
+
+
 def _tampered_algebra(label, kind):
     # algebra(label) over a table with one constant negated on both sides,
-    # so it stays antisymmetric; the gram stays the audited one
+    # so it stays antisymmetric; the gram stays the audited one.  Kind "gram"
+    # keeps the table and adds 1 to kappa(e_a1, f_a1) on that side only
     alg = algebra(label)
+    if kind == "gram":
+        g = [list(alg.killing_gram.row(k)) for k in range(alg.dim)]
+        g[0][alg.f_index(alg.positive_roots[0])] += 1
+        return dataclasses.replace(alg, killing_gram=IntMat.from_rows(g, alg.dim))
     rows = [list(row) for row in alg.table]
     weights, num_pos = alg.basis_weights, alg.num_positive
     if kind == "derived":
@@ -475,17 +491,23 @@ def test_audit_counters_zero():
         alg = algebra(label)
         assert jacobi_violations(alg) == _jacobi_all_ordered_triples(alg) == 0
         assert killing_invariance_violations(alg) == _invariance_all_pairs(alg) == 0
+        assert _invariance_dense_upper_pairs(alg) == 0
 
 
 @pytest.mark.parametrize("label,kind", [
     ("A3", "derived"), ("B3", "derived"), ("C3", "derived"), ("D4", "derived"),
     ("G2", "derived"), ("A2", "mixed"), ("B2", "mixed"), ("A2", "coroot"),
-    ("B3", "coroot"), ("G2", "coroot"),
+    ("B3", "coroot"), ("G2", "coroot"), ("A1", "gram"), ("B3", "gram"),
+    ("G2", "gram"),
 ])
 def test_audit_counts_match_the_oracles_on_a_tampered_table(label, kind):
+    # on an asymmetric gram the y >= x count differs from every ordered
+    # pair's, and the audit must keep the former: killing-symmetric, named
+    # first, is the record that fails there
     alg = _tampered_algebra(label, kind)
-    jac, kiv = _jacobi_all_ordered_triples(alg), _invariance_all_pairs(alg)
-    assert jac > 0 and kiv > 0
+    jac, kiv = _jacobi_all_ordered_triples(alg), _invariance_dense_upper_pairs(alg)
+    assert kiv > 0 and (jac > 0) == (kind != "gram")
+    assert (kiv == _invariance_all_pairs(alg)) == (kind != "gram")
     assert jacobi_violations(alg) == jac
     assert killing_invariance_violations(alg) == kiv
 
@@ -517,6 +539,51 @@ def test_audit_rejects_a_gram_that_breaks_the_weight_grading(other):
     with pytest.raises(ConstructionAuditError,
                        match="B2: Killing pairing breaks the weight grading"):
         _audit(bad)
+
+
+@pytest.mark.parametrize("label", ["B2", "G2", "D4"])
+def test_audit_rejects_a_symmetric_gram_off_the_coroot_form(label):
+    # kappa(h1, h2) = kappa(h2, h1) raised by 1: still symmetric and weight
+    # graded, but no longer a positive multiple of the coroot form
+    alg = algebra(label)
+    i, j = alg.h_index(1), alg.h_index(2)
+    rows = [list(alg.killing_gram.row(k)) for k in range(alg.dim)]
+    rows[i][j] += 1
+    rows[j][i] += 1
+    bad = dataclasses.replace(alg, killing_gram=IntMat.from_rows(rows, alg.dim))
+    with pytest.raises(ConstructionAuditError,
+                       match=rf"{label}: killing-symmetric audit failed: kappa\(h1, h2\) = "):
+        _audit(bad)
+
+
+@pytest.mark.parametrize("label", ["A2", "C3"])
+def test_audit_rejects_a_negated_gram_and_names_the_asymmetric_entry(label):
+    # -G is symmetric with the coroot form's shape but c < 0; one entry of G
+    # changed on one side only breaks symmetry, named at its lower-triangle cell
+    alg = algebra(label)
+    rows = [[-c for c in alg.killing_gram.row(k)] for k in range(alg.dim)]
+    h = alg.h_index(1)
+    with pytest.raises(ConstructionAuditError,
+                       match=rf"{label}: killing-symmetric audit failed: kappa\(h1, h1\) = -"):
+        _audit(dataclasses.replace(alg, killing_gram=IntMat.from_rows(rows, alg.dim)))
+    rows = [list(alg.killing_gram.row(k)) for k in range(alg.dim)]
+    rows[h + 1][h] += 1
+    with pytest.raises(ConstructionAuditError,
+                       match=rf"{label}: killing-symmetric audit failed: kappa\(h2, h1\) = "):
+        _audit(dataclasses.replace(alg, killing_gram=IntMat.from_rows(rows, alg.dim)))
+
+
+@pytest.mark.parametrize("label,dual", [("B3", "C3"), ("C3", "B3")])
+def test_build_rejects_the_dual_types_table(monkeypatch, label, dual):
+    # the dual type's table is a Lie algebra, so Jacobi, invariance and
+    # nondegeneracy hold, but its Cartan block is not the coroot form of label
+    derive = chevalley.chevalley_table
+    other = cartan_datum(dual)
+    monkeypatch.setattr(chevalley, "chevalley_table",
+                        lambda cartan, pos: derive(other, roots_from_cartan(other)))
+    with pytest.raises(ConstructionAuditError,
+                       match=rf"{label}: killing-symmetric audit failed: kappa\(h2, h3\) = "):
+        build_algebra(cartan_datum(label))
 
 
 def test_all_supported_types_build():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from liework import bundles
+from liework import bundles, cli
 from liework.cli import build_report, canonical_json, main
 from liework.suites import CaseSpec, run_suite
 
@@ -109,6 +109,37 @@ def test_json_report_written(tmp_path, capsys):
     for r in doc["suites"]:
         for c in r["checks"]:
             assert set(c) == {"name", "expected", "actual", "ok", "witness"}
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_unwritable_json_path_exit_two_before_any_suite(tmp_path, capsys,
+                                                        monkeypatch, where):
+    def no_suite_may_run(names, cases):
+        raise AssertionError(f"suites {names} ran")
+
+    monkeypatch.setattr(cli, "run_suites", no_suite_may_run)
+    path = tmp_path / "no-such-dir" / "r.json" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, "verify", "--case", "A1:-", "--suite", "algebra",
+                         "--json", str(path))
+    assert code == 2
+    assert out.startswith(f"error: --json {str(path)!r}: ")
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "no-such-dir").exists()
+
+
+def test_repeated_suite_runs_once(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--case", "A1:-", "--suite", "algebra",
+                       "--suite", "richardson-torsor", "--suite", "algebra",
+                       "--json", str(path))
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == [
+        "algebra", "richardson-torsor", "PASS:"]
+    assert "PASS: 2 results" in out
+    doc = json.loads(path.read_text())
+    assert doc["summary"]["total"] == "2"
+    assert [(r["suite"], r["case"]) for r in doc["suites"]] == [
+        ("algebra", "A1:-"), ("richardson-torsor", "A1:-")]
 
 
 def test_json_round_trip_byte_identical(tmp_path, capsys):
