@@ -13,7 +13,7 @@ datum = cartan_datum("G2")
 positive = roots_from_cartan(datum)
 print("G2 positive roots:")
 for r in positive:
-    print("  height", r.height, " ", root_name(r.coords))
+    print("  height", sum(r), " ", root_name(r))
 
 # algebra() builds the full bracket table and refuses to return anything
 # that fails its own audits (Jacobi, Killing invariance, integrality).

@@ -77,6 +77,10 @@ class UnipotentLetter:
     t: Fraction
 
     def __post_init__(self):
+        # exact ints: the algebra's root lookup takes 1.0 or True for 1
+        if type(self.root) is not tuple or any(type(c) is not int for c in self.root):
+            raise TypeError(
+                f"a unipotent letter's root must be a tuple of ints, got {self.root!r}")
         _check_scalars((self.t,), "a unipotent letter's t")
 
 
@@ -148,12 +152,12 @@ def _divided_powers(alg: ChevalleyAlgebra, root: Root) -> tuple[_DividedPower, .
 
 
 @functools.lru_cache(maxsize=None)
-def _unipotent_letter(alg: ChevalleyAlgebra, coords: tuple, a: int, b: int) -> tuple:
-    """exp(t ad e) for t = a / b, b > 0, e the root vector of Root(coords),
-    compiled as (b^K, the pairs (a^k b^(K-k), D_k) for k = 1..K, None), K
-    the number of nonzero D_k: each D_k is the audited _divided_powers entry
-    itself, not a copy.  Keyed by coords: a Root hashes in Python code."""
-    powers = _divided_powers(alg, Root(coords))
+def _unipotent_letter(alg: ChevalleyAlgebra, root: Root, a: int, b: int) -> tuple:
+    """exp(t ad e) for t = a / b, b > 0, e the root vector of root, compiled
+    as (b^K, the pairs (a^k b^(K-k), D_k) for k = 1..K, None), K the number
+    of nonzero D_k: each D_k is the audited _divided_powers entry itself,
+    not a copy.  A tuple that is not a root raises ValueError here."""
+    powers = _divided_powers(alg, root)
     top = len(powers)
     return b ** top, tuple((a ** k * b ** (top - k), dk)
                            for k, dk in enumerate(powers, 1)), None
@@ -183,7 +187,7 @@ def _act_ints(alg: ChevalleyAlgebra, w: GroupWord, vecs, *,
     for letter in w.letters if inverse else reversed(w.letters):
         if type(letter) is UnipotentLetter:
             a, b = letter.t.as_integer_ratio()
-            steps.append(_unipotent_letter(alg, letter.root.coords, -a if inverse else a, b))
+            steps.append(_unipotent_letter(alg, letter.root, -a if inverse else a, b))
         elif len(letter.params) != alg.rank:
             raise ValueError("torus letter has wrong parameter count")
         else:
@@ -264,9 +268,8 @@ def _letter_table(alg: ChevalleyAlgebra,
     if levi is not None:  # the full table's rows: its letters, not copies
         full, n = _letter_table(alg, None), alg.num_positive
         return full[:n] + tuple(full[n + k] for k in levi)
-    pos = alg.positive_roots
     return tuple(tuple(UnipotentLetter(r, t) for t in _T_CHOICES)
-                 for r in pos + tuple(-r for r in pos))
+                 for r in alg.basis_weights if r is not None)
 
 
 def random_word(alg: ChevalleyAlgebra, rng: random.Random, length: int,

@@ -28,9 +28,12 @@ two integer vectors, ``killing_perp`` gives a subspace's perp as the
 kernel of its integer rows times the gram, and ``kills_derived`` tests x
 against [p, p] by invariance.
 
-Basis order is [e_beta for beta positive] ++ [h_1..h_r] ++ [f_beta], with
-positive roots sorted by height then reverse-lexicographically on their
-simple-root coordinates, so a1 precedes a2.
+A root is the tuple of its simple-root coordinates, all >= 0 or all <= 0,
+typed ``Root``.  It is checked where it meets an algebra: the basis index
+of a tuple that is not a root, or for e_index and f_index not a positive
+root, raises ValueError naming it.  Basis order is [e_beta for beta
+positive] ++ [h_1..h_r] ++ [f_beta], with positive roots sorted by height
+then reverse-lexicographically on their coordinates, so a1 precedes a2.
 """
 from __future__ import annotations
 
@@ -98,37 +101,13 @@ def raise_on_failure(records: Sequence[CheckRecord], error: type[Exception],
     return tuple(records)
 
 
-@dataclass(frozen=True)
-class Root:
-    """A root as integer coordinates over the simple roots.
-
-    Coordinates are all >= 0 (positive root) or all <= 0 (negative root);
-    mixed signs are rejected.
-    """
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        pos = any(c > 0 for c in self.coords)
-        neg = any(c < 0 for c in self.coords)
-        if (pos and neg) or not (pos or neg):
-            raise ValueError("root coordinates must be nonzero and of one sign")
-
-    @property
-    def height(self) -> int:
-        return sum(self.coords)
-
-    @property
-    def is_positive(self) -> bool:
-        return self.coords[0] >= 0 and any(c > 0 for c in self.coords)
-
-    def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coords))
+# a root as its simple-root coordinates, all >= 0 or all <= 0
+Root = tuple[int, ...]
 
 
 def root_sort_key(root: Root):
     # height first; ties broken so a1 sorts before a2
-    return (root.height, tuple(-c for c in root.coords))
+    return sum(root), tuple(map(operator.neg, root))
 
 
 def root_name(coords: Sequence[int]) -> str:
@@ -298,7 +277,7 @@ def roots_from_cartan(cartan: CartanDatum) -> tuple[Root, ...]:
                         nxt.add(up)
         known |= nxt
         frontier = sorted(nxt)
-    return tuple(sorted((Root(c) for c in known), key=root_sort_key))
+    return tuple(sorted(known, key=root_sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +285,8 @@ def roots_from_cartan(cartan: CartanDatum) -> tuple[Root, ...]:
 
 
 Table = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
-# a basis vector's weight in simple-root coordinates; None on the Cartan
-Weight = tuple[int, ...] | None
+# a basis vector's weight: its root, None on the Cartan
+Weight = Root | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,11 +317,24 @@ class ChevalleyAlgebra:
         return len(self.positive_roots)
 
     # --- indexing -----------------------------------------------------
+    @functools.cached_property
+    def _root_index(self) -> dict[Root, int]:
+        """Each signed root's basis index, read off the basis weights."""
+        return {w: i for i, w in enumerate(self.basis_weights) if w is not None}
+
+    def index_of_root_vector(self, root: Root) -> int:
+        """Basis index of e_root for positive root, f_{-root} for negative."""
+        if (i := self._root_index.get(root)) is None:
+            raise ValueError(f"{root!r} is not a root of {self.cartan.type_label}")
+        return i
+
     def e_index(self, root: Root) -> int:
-        return self._pos_index()[root.coords]
+        if (i := self.index_of_root_vector(root)) < self.num_positive:
+            return i
+        raise ValueError(f"{root!r} is not a positive root of {self.cartan.type_label}")
 
     def f_index(self, root: Root) -> int:
-        return self.num_positive + self.rank + self._pos_index()[root.coords]
+        return self.num_positive + self.rank + self.e_index(root)
 
     def h_index(self, i: int) -> int:
         """Coroot basis index for the 1-based simple root index i."""
@@ -350,25 +342,21 @@ class ChevalleyAlgebra:
             raise ValueError("simple root index out of range")
         return self.num_positive + i - 1
 
-    @functools.lru_cache(maxsize=None)
-    def _pos_index(self) -> dict[tuple[int, ...], int]:
-        return {r.coords: k for k, r in enumerate(self.positive_roots)}
-
-    def index_of_root_vector(self, root: Root) -> int:
-        """Basis index of e_root for positive root, f_{-root} for negative."""
-        if root.is_positive:
-            return self.e_index(root)
-        return self.f_index(-root)
+    def _check_index(self, i: int) -> None:
+        if not 0 <= i < self.dim:
+            raise ValueError(f"basis index {i} is outside range({self.dim})")
 
     def basis_label(self, i: int) -> str:
+        self._check_index(i)
         n, pos = self.num_positive, self.positive_roots
         if i < n:
-            return f"e({root_name(pos[i].coords)})"
+            return f"e({root_name(pos[i])})"
         if i < n + self.rank:
             return f"h{i - n + 1}"
-        return f"f({root_name(pos[i - n - self.rank].coords)})"
+        return f"f({root_name(pos[i - n - self.rank])})"
 
     def one_hot(self, i: int) -> tuple[int, ...]:
+        self._check_index(i)
         return (0,) * i + (1,) + (0,) * (self.dim - 1 - i)
 
     # --- operations ----------------------------------------------------
@@ -457,6 +445,8 @@ class ChevalleyAlgebra:
 
     def vector_name(self, v: Sequence, den: int = 1) -> str:
         """v / den, den > 0, as a combination of basis labels."""
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
         terms = []
         for i, x in enumerate(v):
             if x:
@@ -512,7 +502,7 @@ def chevalley_table(cartan: CartanDatum,
     a = [cartan.matrix.row(i) for i in range(n)]
     num_pos = len(pos)
     dim = 2 * num_pos + n
-    pos_idx = {r.coords: k for k, r in enumerate(pos)}
+    pos_idx = {r: k for k, r in enumerate(pos)}
     signed = set(pos_idx) | {_neg(c) for c in pos_idx}
     symm = _integer_symmetrizer(cartan.matrix)
     simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]  # a1 first
@@ -551,10 +541,9 @@ def chevalley_table(cartan: CartanDatum,
             return 0, 1
         return constant(r, s) * constant(t, u), norm_sq[rs]
 
-    for xi in pos:
-        if xi.height == 1:
+    for x in pos:
+        if sum(x) == 1:
             continue
-        x = xi.coords
         ea = next((u for u in simples if add(x, _neg(u)) in pos_idx), None)
         if ea is None:
             raise ConstructionAuditError(f"{label}: no simple summand for {root_name(x)}")
@@ -573,11 +562,8 @@ def chevalley_table(cartan: CartanDatum,
                             label, "N({}, {})", r, s)
             npos[r, s], npos[s, r] = nrs, -nrs
 
-    weights: list[Weight] = (
-        [r.coords for r in pos] + [None] * n + [_neg(r.coords) for r in pos])
-
-    def index(w: tuple[int, ...]) -> int:
-        return pos_idx[w] if w in pos_idx else num_pos + n + pos_idx[_neg(w)]
+    weights: list[Weight] = list(pos) + [None] * n + [_neg(r) for r in pos]
+    index = {w: i for i, w in enumerate(weights) if w is not None}
 
     empty: tuple = ()
     table: list[list[tuple[tuple[int, int], ...]]] = [[empty] * dim for _ in range(dim)]
@@ -605,7 +591,7 @@ def chevalley_table(cartan: CartanDatum,
                     raise ConstructionAuditError(
                         f"{label}: |N| = {abs(c)} violates the (p+1) law "
                         f"(p = {p}) for {root_name(wi)}, {root_name(wj)}")
-                terms = [(index(add(wi, wj)), c)]
+                terms = [(index[add(wi, wj)], c)]
             else:
                 continue
             terms = [(k, c) for k, c in terms if c]

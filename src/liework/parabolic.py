@@ -140,7 +140,7 @@ def build_parabolic(alg: ChevalleyAlgebra, gamma: Iterable[int]) -> ParabolicDat
     num_pos = alg.num_positive
 
     levi_pos = tuple(k for k, r in enumerate(alg.positive_roots)
-                     if _supported_on(r.coords, gset))
+                     if _supported_on(r, gset))
     u_pos = tuple(sorted(set(range(num_pos)).difference(levi_pos)))
 
     levi_idx = (list(levi_pos) + [num_pos + i for i in range(alg.rank)]

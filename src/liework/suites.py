@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .chevalley import SUPPORTED_TYPES, CheckRecord, algebra, check_record
@@ -71,21 +71,19 @@ _CASE_ORDER = {t: i for i, t in enumerate(_MATRIX_TYPES + ("D4",))}
 @dataclass(frozen=True)
 class CaseSpec:
     type_label: str
-    gamma: frozenset[int] = field(compare=False)
+    gamma: frozenset[int]
     seed: int = DEFAULT_SEED
     max_word_len: int = DEFAULT_MAX_WORD_LEN
-    gamma_key: tuple[int, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         # validated here, where cases enter, without building the algebra
-        object.__setattr__(self, "gamma_key", tuple(sorted(self.gamma)))
         if self.type_label not in SUPPORTED_TYPES:
             raise ValueError(
                 f"malformed case spec {self.case_label()!r}: type "
                 f"{self.type_label!r} is not one of {', '.join(SUPPORTED_TYPES)}")
         rank = int(self.type_label[1:])
-        if any(type(g) is not int for g in self.gamma):
-            raise TypeError(f"gamma entries must be ints, got {self.gamma_key!r}")
+        if type(self.gamma) is not frozenset or any(type(g) is not int for g in self.gamma):
+            raise TypeError(f"gamma must be a frozenset of ints, got {self.gamma!r}")
         if not self.gamma <= set(range(1, rank + 1)):
             raise ValueError(
                 f"malformed case spec {self.case_label()!r}: gamma exceeds rank")
@@ -103,10 +101,10 @@ class CaseSpec:
         return CaseSpec(label, gamma, seed=seed, max_word_len=max_word_len)
 
     def case_label(self) -> str:
-        return format_case(self.type_label, self.gamma_key)
+        return format_case(self.type_label, self.gamma)
 
     def sort_key(self):
-        return (_CASE_ORDER[self.type_label], len(self.gamma_key), self.gamma_key)
+        return _CASE_ORDER[self.type_label], len(self.gamma), sorted(self.gamma)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from fractions import Fraction
 from liework.bundles import GroupWord, UnipotentLetter
 from liework.chevalley import (
     ChevalleyAlgebra,
-    Root,
     _audit,
     _string_down_length,
     cartan_datum,
@@ -156,8 +155,8 @@ def realization(label: str) -> Realization:
     n = cartan.rank
     a = cartan.matrix
     pos = roots_from_cartan(cartan)
-    pos_set = {r.coords for r in pos}
-    signed = pos_set | {tuple(-c for c in r.coords) for r in pos}
+    pos_set = set(pos)
+    signed = pos_set | {tuple(-c for c in r) for r in pos}
 
     es, fs, m = _matrix_generators(label)
     hs = [commutator(es[i], fs[i]) for i in range(n)]
@@ -167,26 +166,26 @@ def realization(label: str) -> Realization:
             assert commutator(hs[i], es[j]) == combine((a[i, j], es[j])), (
                 f"{label}: [h{i+1}, e{j+1}] != A[{i+1}][{j+1}] e{j+1}")
 
-    simple_roots = [Root(tuple(1 if j == i else 0 for j in range(n))) for i in range(n)]
+    simple_roots = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     simple_order = sorted(range(n), key=lambda i: root_sort_key(simple_roots[i]))
-    e_mat = {simple_roots[i].coords: es[i] for i in range(n)}
-    f_mat = {simple_roots[i].coords: fs[i] for i in range(n)}
+    e_mat = {simple_roots[i]: es[i] for i in range(n)}
+    f_mat = {simple_roots[i]: fs[i] for i in range(n)}
     for delta in pos:
-        if delta.height == 1:
+        if sum(delta) == 1:
             continue
         for i in simple_order:
-            rem = tuple(d - c for d, c in zip(delta.coords, simple_roots[i].coords))
+            rem = tuple(d - c for d, c in zip(delta, simple_roots[i]))
             if rem in pos_set:
-                beta0, gamma0 = simple_roots[i].coords, rem
+                beta0, gamma0 = simple_roots[i], rem
                 break
         c = Fraction(1, _string_down_length(gamma0, beta0, signed) + 1)
         ed = combine((c, commutator(e_mat[beta0], e_mat[gamma0])))
         fd = combine((-c, commutator(f_mat[beta0], f_mat[gamma0])))
-        assert ed and fd, f"{label}: root vector for {root_name(delta.coords)} collapsed"
-        e_mat[delta.coords] = ed
-        f_mat[delta.coords] = fd
+        assert ed and fd, f"{label}: root vector for {root_name(delta)} collapsed"
+        e_mat[delta] = ed
+        f_mat[delta] = fd
 
-    basis = [e_mat[r.coords] for r in pos] + hs + [f_mat[r.coords] for r in pos]
+    basis = [e_mat[r] for r in pos] + hs + [f_mat[r] for r in pos]
     dim = len(basis)
     cells = [(i, j) for i in range(m) for j in range(m)]
     _, pivots = rref([[b.get(ij, 0) for ij in cells] for b in basis], len(cells))
@@ -230,8 +229,8 @@ def realization_algebra(label: str) -> ChevalleyAlgebra:
             assert all(x.denominator == 1 for x in c)
             table[i][j] = tuple((k, x.numerator) for k, x in enumerate(c) if x)
             table[j][i] = tuple((k, -x.numerator) for k, x in enumerate(c) if x)
-    weights = tuple([r.coords for r in pos] + [None] * cartan.rank
-                    + [tuple(-c for c in r.coords) for r in pos])
+    weights = tuple(list(pos) + [None] * cartan.rank
+                    + [tuple(-c for c in r) for r in pos])
     table = tuple(tuple(row) for row in table)
     alg = ChevalleyAlgebra(cartan=cartan, positive_roots=pos, dim=dim, table=table,
                            killing_gram=killing_gram(table), basis_weights=weights)

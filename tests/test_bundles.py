@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from liework.chevalley import (
     SUPPORTED_TYPES,
     ChevalleyAlgebra,
     ConstructionAuditError,
-    Root,
     algebra,
 )
 from liework.bundles import (
@@ -129,14 +129,14 @@ def _inverse(w):
 def test_exp_ad_e_on_f_sl2():
     alg = algebra("A1")
     e, h, f = alg.one_hot(0), alg.one_hot(1), alg.one_hot(2)
-    out = act_vector(alg, _w_unip(Root((1,)), 1), (f, 1))
+    out = act_vector(alg, _w_unip((1,), 1), (f, 1))
     assert out == (tuple(a + b - c for a, b, c in zip(f, h, e)), 1)
 
 
 def test_exp_ad_f_on_e_sl2():
     alg = algebra("A1")
     e, h, f = alg.one_hot(0), alg.one_hot(1), alg.one_hot(2)
-    out = act_vector(alg, _w_unip(-Root((1,)), 1), (e, 1))
+    out = act_vector(alg, _w_unip((-1,), 1), (e, 1))
     assert out == (tuple(a - b - c for a, b, c in zip(e, h, f)), 1)
 
 
@@ -223,7 +223,7 @@ def test_make_uc_point_identity_zero():
 
 def test_make_uc_point_precondition():
     pd = standard_parabolic("A2", frozenset())
-    f1 = pd.alg.one_hot(pd.alg.f_index(Root((1, 0))))
+    f1 = pd.alg.one_hot(pd.alg.f_index((1, 0)))
     with pytest.raises(PointInvariantError):
         make_uc_point(pd, IDENTITY_WORD, (f1, 1))
 
@@ -232,7 +232,7 @@ def test_make_uc_point_transported_sl2():
     pd = standard_parabolic("A1", frozenset())
     alg = pd.alg
     e = alg.one_hot(0)
-    pt = make_uc_point(pd, _w_unip(-Root((1,)), 1), (e, 1))
+    pt = make_uc_point(pd, _w_unip((-1,), 1), (e, 1))
     # hand expansion: e - h - f, and the membership is re-verified inside
     assert pt.x == ((1, -1, -1), 1)
     assert pt.p != pd.p
@@ -250,7 +250,7 @@ def test_pi_c_values_sl2():
 def test_pi_c_detects_corrupted_witness():
     pd = standard_parabolic("A1", frozenset())
     alg = pd.alg
-    w = _w_unip(-Root((1,)), 1)
+    w = _w_unip((-1,), 1)
     pt = make_uc_point(pd, w, (alg.one_hot(0), 1))
     bad = UCPoint(p=pt.p, x=pt.x, witness=IDENTITY_WORD)
     with pytest.raises(WitnessTransportError):
@@ -422,10 +422,10 @@ def test_tstar_moment_maps_factor():
 def test_uc_invariant_checked_at_transported_p():
     pd = standard_parabolic("A2", frozenset())
     alg = pd.alg
-    w = _w_unip(Root((-1, 0)), 1)
+    w = _w_unip((-1, 0), 1)
     moved = act_subspace(alg, w, pd.p)
     assert moved != pd.p
-    f1 = alg.one_hot(alg.f_index(Root((1, 0))))
+    f1 = alg.one_hot(alg.f_index((1, 0)))
     assert not pd.p_derived_perp.contains(f1)
     bad = UCPoint(p=pd.p, x=(f1, 1), witness=IDENTITY_WORD)
     with pytest.raises(PointInvariantError, match="Killing-orthogonal"):
@@ -460,7 +460,7 @@ def test_mu_equivariance_seeded():
 
 
 def _all_roots(alg):
-    return list(alg.positive_roots) + [-r for r in alg.positive_roots]
+    return list(alg.positive_roots) + [tuple(-c for c in r) for r in alg.positive_roots]
 
 
 def _ad_power_columns(alg, root, k):
@@ -544,7 +544,7 @@ def _patched_a1(j, terms):
 
 def test_divided_powers_audit_rejects_non_integral_constants():
     f = algebra("A1").one_hot(2)
-    w = _w_unip(Root((1,)), 1)
+    w = _w_unip((1,), 1)
     half = _patched_a1(2, ((1, F(1, 2)),))  # [e, f] = h/2
     with pytest.raises(ConstructionAuditError,
                        match=r"A1: ad\(e\(a1\)\)\^1 / 1! has a non-integral"):
@@ -556,10 +556,25 @@ def test_divided_powers_audit_rejects_non_integral_constants():
         act_vector(odd, w, (f, 1))
 
 
+@pytest.mark.parametrize("root", [(2, 0), (1, 1, 0), (1,), (1, -1)])
+def test_letter_on_a_non_root_raises_naming_it(root):
+    alg = algebra("A2")
+    with pytest.raises(ValueError, match=re.escape(f"{root!r} is not a root of A2")):
+        act_vector(alg, _w_unip(root, 1), (alg.one_hot(0), 1))
+
+
+@pytest.mark.parametrize("root", [(1.0, 0), (True, 0), [1, 0], (F(1), 0)])
+def test_letter_root_must_be_a_tuple_of_exact_ints(root):
+    # the letter cache and the root lookup would read (1.0, 0) and
+    # (True, 0) as (1, 0)
+    with pytest.raises(TypeError, match="must be a tuple of ints"):
+        UnipotentLetter(root, 1)
+
+
 def test_act_vector_rejects_wrong_length():
     alg = algebra("A2")
     short = (1,) * (alg.dim - 1)
-    for w in (_w_unip(Root((1, 0)), 1), word_of(TorusLetter((F(2), F(3))))):
+    for w in (_w_unip((1, 0), 1), word_of(TorusLetter((F(2), F(3))))):
         with pytest.raises(ValueError, match="algebra dimension"):
             act_vector(alg, w, (short, 1))
         with pytest.raises(ValueError, match="algebra dimension"):
@@ -575,7 +590,7 @@ def test_act_vector_rejects_wrong_length():
 @pytest.mark.parametrize("den", [0, -1, -2])
 def test_act_vector_rejects_nonpositive_denominators(den):
     alg = algebra("A2")
-    for w in (IDENTITY_WORD, _w_unip(Root((1, 0)), 1)):
+    for w in (IDENTITY_WORD, _w_unip((1, 0), 1)):
         with pytest.raises(ValueError, match="denominator must be positive"):
             act_vector(alg, w, (alg.one_hot(0), den))
 
@@ -585,7 +600,7 @@ def test_act_roundtrip_rejects_nonpositive_denominators(den):
     # over den <= 0 the way back still equals x, so the record would pass
     alg = algebra("A2")
     x = tuple(range(1, alg.dim + 1))
-    for w in (IDENTITY_WORD, _w_unip(Root((1, 0)), 1)):
+    for w in (IDENTITY_WORD, _w_unip((1, 0), 1)):
         with pytest.raises(ValueError, match="denominator must be positive"):
             act_roundtrip(alg, [w], (x, den))
 
@@ -608,14 +623,14 @@ def test_twist_section_rejects_levels_of_the_wrong_length(gamma, nums):
     with pytest.raises(ValueError, match="twist level has wrong length"):
         canonical_id(pd, IDENTITY_WORD, [(nums, 1)])
     with pytest.raises(ValueError, match="twist level has wrong length"):
-        invariance_pairing_square(pd, _w_unip(Root((0, -1)), 1), [(nums, 1)])
+        invariance_pairing_square(pd, _w_unip((0, -1), 1), [(nums, 1)])
 
 
 @pytest.mark.parametrize("den", [0, -1, -2])
 def test_invariance_pairing_square_rejects_nonpositive_denominators(den):
     # over den <= 0 both routes would give equal pairs, so the square would pass
     pd = standard_parabolic("A2", frozenset({1}))
-    for w in (IDENTITY_WORD, _w_unip(Root((0, -1)), 1)):
+    for w in (IDENTITY_WORD, _w_unip((0, -1), 1)):
         with pytest.raises(ValueError, match="denominator must be positive"):
             invariance_pairing_square(pd, w, [((1,), den)])
 
@@ -626,7 +641,7 @@ def test_fiber_dimension_reads_short_on_a_wrong_transport():
     pd = standard_parabolic("A2", frozenset())
     pt = _moved_point(pd, [1, -2], "fiber")
     assert fiber_dimension(pd, pt) == 6
-    other = _w_unip(-Root((1, 0)), 1)
+    other = _w_unip((-1, 0), 1)
     moved_u = act_subspace(pd.alg, other, pd.u)
     perp = intrinsic_quotients(pd.alg, pt.p)[0].divisor
     assert perp == act_subspace(pd.alg, pt.witness, pd.u) != moved_u
@@ -850,7 +865,7 @@ def _old_random_word(alg, rng, length, roots=None):
     # the construction random_word replaces: a fresh root list per word and
     # a copy of it per letter
     if roots is None:
-        roots = [r for r in alg.positive_roots] + [-r for r in alg.positive_roots]
+        roots = _all_roots(alg)
     letters = []
     for _ in range(length):
         if rng.random() < 0.25:
@@ -867,7 +882,7 @@ def test_random_word_draws_match_old_construction(label):
     alg = algebra(label)
     pd = standard_parabolic(label, frozenset({1}))
     levi = [alg.positive_roots[k] for k in range(alg.num_positive)]
-    levi += [-alg.positive_roots[k] for k in pd.levi_root_positions]
+    levi += [tuple(-c for c in alg.positive_roots[k]) for k in pd.levi_root_positions]
     new, old = random.Random(f"words:{label}"), random.Random(f"words:{label}")
     for k in range(40):
         assert random_word(alg, new, 1 + k % 8) == _old_random_word(alg, old, 1 + k % 8)
@@ -968,10 +983,10 @@ def test_invariance_membership_matches_quotient_perp(label):
 def test_uc_point_off_standard_p_leaves_quotient_cache_alone():
     pd = standard_parabolic("B2", frozenset({1}))
     x0 = _q(frac_rows(pd.p_derived_perp)[0])
-    w = _w_unip(Root((0, -1)), 2)  # -a2 lies outside the Levi of {1}
+    w = _w_unip((0, -1), 2)  # -a2 lies outside the Levi of {1}
     before = intrinsic_quotients.cache_info()
     pt = make_uc_point(pd, w, x0)
-    moved = act_uc_point(pd, _w_unip(Root((-1, -1)), 1), pt)
+    moved = act_uc_point(pd, _w_unip((-1, -1), 1), pt)
     assert pt.p != pd.p and moved.p not in (pd.p, pt.p)
     assert intrinsic_quotients.cache_info() == before
 
@@ -1119,7 +1134,7 @@ def test_compiled_unipotent_letter_matches_divided_power_terms(label):
         top = len(powers)
         for t in _T_CHOICES + tuple(-t for t in _T_CHOICES):
             a, b = t.as_integer_ratio()
-            scale, terms, mults = _unipotent_letter(alg, root.coords, a, b)
+            scale, terms, mults = _unipotent_letter(alg, root, a, b)
             assert mults is None and scale == b ** top and len(terms) == top
             for k, ((tk, dk), d) in enumerate(zip(terms, powers), 1):
                 assert dk is d and tk == a ** k * b ** (top - k)

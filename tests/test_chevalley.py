@@ -17,7 +17,6 @@ from liework.chevalley import (
     CartanDatum,
     ConstructionAuditError,
     NotFiniteType,
-    Root,
     SUPPORTED_TYPES,
     UnsupportedType,
     _audit,
@@ -43,23 +42,23 @@ F = Fraction
 
 def test_b2_positive_roots_frozen():
     pos = roots_from_cartan(cartan_datum("B2"))
-    assert [r.coords for r in pos] == [(1, 0), (0, 1), (1, 1), (1, 2)]
+    assert list(pos) == [(1, 0), (0, 1), (1, 1), (1, 2)]
 
 
 def test_g2_positive_roots_frozen():
     pos = roots_from_cartan(cartan_datum("G2"))
-    assert [r.coords for r in pos] == [
+    assert list(pos) == [
         (1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
 
 
 def test_a2_positive_roots_frozen():
     pos = roots_from_cartan(cartan_datum("A2"))
-    assert [r.coords for r in pos] == [(1, 0), (0, 1), (1, 1)]
+    assert list(pos) == [(1, 0), (0, 1), (1, 1)]
 
 
 def test_d4_highest_root():
     pos = roots_from_cartan(cartan_datum("D4"))
-    assert pos[-1].coords == (1, 2, 1, 1)
+    assert pos[-1] == (1, 2, 1, 1)
     assert len(pos) == 12
 
 
@@ -108,7 +107,7 @@ def test_roots_match_sympy_root_system(label):
         assert basis * coords == target
         assert all(c.is_integer for c in coords)
         found.add(tuple(int(c) for c in coords))
-    pos = {r.coords for r in roots_from_cartan(cartan_datum(label))}
+    pos = set(roots_from_cartan(cartan_datum(label)))
     assert found == pos | {tuple(-c for c in r) for r in pos}
 
 
@@ -140,8 +139,9 @@ def test_unsupported_label_rejected():
 
 
 def test_mixed_sign_root_rejected():
-    with pytest.raises(ValueError):
-        Root((1, -1))
+    # a root is checked where it meets an algebra
+    with pytest.raises(ValueError, match=r"\(1, -1\) is not a root of A2"):
+        algebra("A2").index_of_root_vector((1, -1))
 
 
 # --- sl2 oracle ------------------------------------------------------------
@@ -189,8 +189,7 @@ def test_a1_labels():
 def test_a2_dimensions_and_killing():
     alg = algebra("A2")
     assert alg.dim == 8
-    e1, f1 = alg.one_hot(alg.e_index(Root((1, 0)))), alg.one_hot(
-        alg.f_index(Root((1, 0))))
+    e1, f1 = alg.one_hot(alg.e_index((1, 0))), alg.one_hot(alg.f_index((1, 0)))
     # kappa = 6 * trace form on sl3
     assert alg.killing(e1, f1) == 6
     h1 = alg.one_hot(alg.h_index(1))
@@ -199,17 +198,17 @@ def test_a2_dimensions_and_killing():
 
 def test_a2_extraspecial_sign_is_positive():
     alg = algebra("A2")
-    e1 = alg.one_hot(alg.e_index(Root((1, 0))))
-    e2 = alg.one_hot(alg.e_index(Root((0, 1))))
-    e12 = alg.one_hot(alg.e_index(Root((1, 1))))
+    e1 = alg.one_hot(alg.e_index((1, 0)))
+    e2 = alg.one_hot(alg.e_index((0, 1)))
+    e12 = alg.one_hot(alg.e_index((1, 1)))
     assert alg.bracket(e1, e2) == e12
     assert alg.bracket(e2, e1) == tuple(-c for c in e12)
 
 
 def test_a2_long_coroot():
     alg = algebra("A2")
-    e12 = alg.one_hot(alg.e_index(Root((1, 1))))
-    f12 = alg.one_hot(alg.f_index(Root((1, 1))))
+    e12 = alg.one_hot(alg.e_index((1, 1)))
+    f12 = alg.one_hot(alg.f_index((1, 1)))
     h1 = alg.one_hot(alg.h_index(1))
     h2 = alg.one_hot(alg.h_index(2))
     assert alg.bracket(e12, f12) == tuple(a + b for a, b in zip(h1, h2))
@@ -218,7 +217,7 @@ def test_a2_long_coroot():
 def test_a2_cartan_action():
     alg = algebra("A2")
     h1 = alg.one_hot(alg.h_index(1))
-    e2 = alg.one_hot(alg.e_index(Root((0, 1))))
+    e2 = alg.one_hot(alg.e_index((0, 1)))
     assert alg.bracket(h1, e2) == tuple(-c for c in e2)
 
 
@@ -249,10 +248,10 @@ def test_g2_killing_short_coroot_frozen():
 def test_g2_triple_constant_magnitude():
     # the alpha1-string down from 2a1+a2 has length p = 2, so |N| = 3
     alg = algebra("G2")
-    ea = alg.one_hot(alg.e_index(Root((1, 0))))
-    eb = alg.one_hot(alg.e_index(Root((2, 1))))
+    ea = alg.one_hot(alg.e_index((1, 0)))
+    eb = alg.one_hot(alg.e_index((2, 1)))
     out = alg.bracket(ea, eb)
-    k = alg.e_index(Root((3, 1)))
+    k = alg.e_index((3, 1))
     assert abs(out[k]) == 3
     assert all(c == 0 for i, c in enumerate(out) if i != k)
 
@@ -282,7 +281,7 @@ def _chevalley_table_by_fractions(cartan, pos):
     a = cartan.matrix
     num_pos = len(pos)
     dim = 2 * num_pos + n
-    pos_idx = {r.coords: k for k, r in enumerate(pos)}
+    pos_idx = {r: k for k, r in enumerate(pos)}
     signed = set(pos_idx) | {chevalley._neg(c) for c in pos_idx}
     symm = chevalley.symmetrizer(a)
     simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]  # a1 first
@@ -320,10 +319,9 @@ def _chevalley_table_by_fractions(cartan, pos):
             return F(0)
         return F(constant(r, s) * constant(t, u), norm_sq[rs])
 
-    for xi in pos:
-        if xi.height == 1:
+    for x in pos:
+        if sum(x) == 1:
             continue
-        x = xi.coords
         ea = next((u for u in simples if add(x, chevalley._neg(u)) in pos_idx), None)
         if ea is None:
             raise ConstructionAuditError(f"{label}: no simple summand for {root_name(x)}")
@@ -343,7 +341,7 @@ def _chevalley_table_by_fractions(cartan, pos):
             npos[r, s], npos[s, r] = nrs, -nrs
 
     weights = (
-        [r.coords for r in pos] + [None] * n + [chevalley._neg(r.coords) for r in pos])
+        list(pos) + [None] * n + [chevalley._neg(r) for r in pos])
 
     def index(w):
         return pos_idx[w] if w in pos_idx else num_pos + n + pos_idx[chevalley._neg(w)]
@@ -425,7 +423,7 @@ def test_non_integral_coroot_raises(monkeypatch, label, k, symm):
     cartan = cartan_datum(label)
     if symm:
         monkeypatch.setattr(chevalley, "symmetrizer", lambda m: symm)
-    doubled = Root(tuple(2 * int(j == k) for j in range(cartan.rank)))
+    doubled = tuple(2 * int(j == k) for j in range(cartan.rank))
     text = _both_tables_raise(cartan, (doubled,) + roots_from_cartan(cartan))
     assert text == f"{label}: coroot of 2a{k + 1} = 1/2 is not an integer"
 
@@ -645,8 +643,36 @@ def test_index_roundtrip():
     alg = algebra("B3")
     for k, r in enumerate(alg.positive_roots):
         assert alg.e_index(r) == k
-        assert alg.index_of_root_vector(-r) == alg.f_index(r)
-        assert alg.basis_weights[alg.e_index(r)] == r.coords
+        assert alg.index_of_root_vector(chevalley._neg(r)) == alg.f_index(r)
+        assert alg.basis_weights[alg.e_index(r)] == r
+
+
+def test_e_and_f_index_reject_negative_and_non_roots():
+    alg = algebra("A2")
+    for index in (alg.e_index, alg.f_index):
+        with pytest.raises(ValueError, match=r"\(-1, 0\) is not a positive root of A2"):
+            index((-1, 0))
+        with pytest.raises(ValueError, match=r"\(2, 0\) is not a root of A2"):
+            index((2, 0))
+
+
+@pytest.mark.parametrize("i", [-1, 8, 9])
+def test_one_hot_rejects_indices_outside_the_basis(i):
+    with pytest.raises(ValueError, match=rf"basis index {i} is outside range\(8\)"):
+        algebra("A2").one_hot(i)
+
+
+@pytest.mark.parametrize("i", [-1, 8])
+def test_basis_label_rejects_indices_outside_the_basis(i):
+    with pytest.raises(ValueError, match=rf"basis index {i} is outside range\(8\)"):
+        algebra("A2").basis_label(i)
+
+
+@pytest.mark.parametrize("den", [0, -2])
+def test_vector_name_rejects_nonpositive_denominators(den):
+    alg = algebra("A2")
+    with pytest.raises(ValueError, match=f"denominator must be positive, got {den}"):
+        alg.vector_name(alg.one_hot(0), den)
 
 
 def test_build_algebra_uncached_matches():

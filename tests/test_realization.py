@@ -39,7 +39,7 @@ def test_table_gram_weights_and_audit_match_realization(label):
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)
 def test_act_vector_matches_matrix_conjugation(label):
     alg = algebra(label)
-    roots = list(alg.positive_roots) + [-r for r in alg.positive_roots]
+    roots = list(alg.positive_roots) + [tuple(-c for c in r) for r in alg.positive_roots]
     rng = random.Random(f"conjugation:{label}")
     for _ in range(12):
         w = GroupWord(tuple(UnipotentLetter(rng.choice(roots), rng.choice(_T_CHOICES))

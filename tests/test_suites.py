@@ -6,7 +6,7 @@ import pytest
 
 from liework import bundles, chevalley, exactlin, suites
 from liework.bundles import UCPoint, random_word
-from liework.chevalley import Root, algebra
+from liework.chevalley import algebra
 from liework.parabolic import standard_parabolic
 from liework.suites import (
     DEFAULT_SEED,
@@ -66,10 +66,11 @@ def test_case_spec_rejects_malformed_input():
                                 dict(seed=1.5), dict(seed="x"), dict(seed=False),
                                 dict(gamma=frozenset({True})),
                                 dict(gamma=frozenset({1.0})),
-                                dict(gamma=frozenset({2, False}))])
+                                dict(gamma=frozenset({2, False})), dict(gamma={1})])
 def test_case_spec_rejects_non_int_seed_and_length(kw):
-    # a float length once failed every uc-family case inside randrange, and
-    # gamma {True} was labelled A2:True while build_parabolic read {1}
+    # a float length once failed every uc-family case inside randrange,
+    # gamma {True} was labelled A2:True while build_parabolic read {1}, and
+    # a set gamma cannot be hashed, as a case in a set of cases is
     with pytest.raises(TypeError, match=next(iter(kw))):
         CaseSpec("A2", **{"gamma": frozenset(), **kw})
 
@@ -263,7 +264,7 @@ def test_points_embed_fails_on_x_outside_p(monkeypatch):
     # a point whose x leaves p fails points-embed with its witness, and the
     # triangle and equivariance are not counted for it
     pd = standard_parabolic("A2", frozenset())
-    f1 = pd.alg.one_hot(pd.alg.f_index(Root((1, 0))))
+    f1 = pd.alg.one_hot(pd.alg.f_index((1, 0)))
     assert not pd.p.contains(f1)
     monkeypatch.setattr(suites, "make_uc_point",
                         lambda pd, w, x0: UCPoint(p=pd.p, x=(f1, 1), witness=w))
