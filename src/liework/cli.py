@@ -17,7 +17,6 @@ import sys
 from . import __version__
 from .parabolic import (
     RichardsonSearchError,
-    dimension_report,
     find_richardson,
     standard_parabolic,
     torsor_certificate,
@@ -33,12 +32,14 @@ from .suites import (
     run_suites,
 )
 
-TOOL_VERSION = __version__
-
 
 def _timestamp() -> str:
-    epoch = int(os.environ.get("SOURCE_DATE_EPOCH", "0"))
-    dt = datetime.datetime.fromtimestamp(epoch, datetime.timezone.utc)
+    raw = os.environ.get("SOURCE_DATE_EPOCH", "0")
+    try:
+        dt = datetime.datetime.fromtimestamp(int(raw), datetime.timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise SystemExit(f"error: SOURCE_DATE_EPOCH is not a whole number of "
+                         f"seconds in the datetime range: {raw!r}") from None
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -80,7 +81,7 @@ def build_report(results: list[SuiteResult], seed: int,
     summary = {k: str(v) for k, v in counts.items()}
     summary["total"] = str(len(results))
     return {
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "timestamp": _timestamp(),
         "seed": str(seed),
         "max_word_len": str(max_word_len),
@@ -132,7 +133,8 @@ def _cmd_verify(args, out) -> int:
         cases = default_case_matrix(include_d4=args.include_d4, seed=seed,
                                     max_word_len=mwl)
     names = list(dict.fromkeys(args.suite or SUITE_NAMES))  # a repeated suite runs once
-    if args.json:  # an unwritable report path fails before any suite runs
+    if args.json:  # a bad timestamp or report path fails before any suite runs
+        _timestamp()
         try:
             open(args.json, "a", encoding="ascii").close()
         except OSError as err:
@@ -177,16 +179,18 @@ def _cmd_dossier(args, out) -> int:
         return 2
     case = cases[0]
     pd = standard_parabolic(case.type_label, case.gamma)
-    rep = dimension_report(pd)
+    dim_c = pd.alg.dim - pd.p.dim  # C = G/P, the class of p
+    # the generic leaf of U_C, as build_parabolic computed and audited it
+    leaf = next(r.actual for r in pd.audit if r.name == "leaf-twice-codim")
     print(f"case {case.case_label()}", file=out)
     rows = [
-        ("dim g", rep.dim_g), ("dim p", rep.dim_p), ("dim levi", rep.dim_levi),
-        ("dim u", rep.dim_u), ("dim [u,u]", rep.dim_u_derived),
-        ("dim [p,p]", rep.dim_p_derived),
-        ("dim [p,p]-perp", rep.dim_p_derived_perp),
-        ("dim a_p", rep.dim_a_p), ("dim a_u", rep.dim_a_u),
-        ("torus rank", rep.torus_rank), ("dim C", rep.dim_c),
-        ("dim U_C", rep.dim_uc), ("leaf dim", rep.leaf_dim),
+        ("dim g", pd.alg.dim), ("dim p", pd.p.dim), ("dim levi", pd.levi.dim),
+        ("dim u", pd.u.dim), ("dim [u,u]", pd.u_derived.dim),
+        ("dim [p,p]", pd.p_derived.dim),
+        ("dim [p,p]-perp", pd.p_derived_perp.dim),
+        ("dim a_p", pd.a_p.dim), ("dim a_u", pd.a_u.dim),
+        ("torus rank", pd.torus_rank), ("dim C", dim_c),
+        ("dim U_C", dim_c + pd.p_derived_perp.dim), ("leaf dim", leaf),
     ]
     for name, value in rows:
         print(f"  {name:<16s} {value}", file=out)
@@ -223,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="liework",
         description="exact verification workbench for parabolic twist families")
     parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {TOOL_VERSION}")
+                        version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run verification suites")

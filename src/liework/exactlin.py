@@ -145,6 +145,8 @@ class EchelonBuilder:
     canonical rows are already the state that inserting them would leave."""
 
     def __init__(self, ambient_dim: int, seed: Subspace | None = None):
+        if seed is not None and seed.ambient_dim != ambient_dim:
+            raise DimensionMismatch("ambient dimensions differ")
         self.n = ambient_dim
         self.rows: list[Sequence[int]] = list(seed.ints) if seed else []
         self.pivots: list[int] = list(seed.pivots) if seed else []
@@ -194,9 +196,7 @@ def rref(rows: Sequence[Sequence], cols: int) -> tuple[tuple[tuple, ...], tuple[
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    eb = EchelonBuilder(a.ambient_dim, a)
+    eb = EchelonBuilder(b.ambient_dim, a)  # raises unless a, b share one Q^n
     for r in b.ints:
         eb.insert(r)
     return eb.subspace()
@@ -261,9 +261,7 @@ class QuotientSpace:
 
 def quotient(total: Subspace, divisor: Subspace) -> QuotientSpace:
     """total / divisor; a builder seeded with the divisor picks the section."""
-    if total.ambient_dim != divisor.ambient_dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    eb = EchelonBuilder(total.ambient_dim, divisor)
+    eb = EchelonBuilder(total.ambient_dim, divisor)  # raises on a mismatch
     picked = [(r, p) for r, p in zip(total.ints, total.pivots) if eb.insert(r)]
     if len(eb.rows) > total.dim:  # dim(D + T) = dim T iff D lies in T
         raise DivisorNotContained("divisor is not contained in the total space")

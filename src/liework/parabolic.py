@@ -67,7 +67,6 @@ class ParabolicDatum:
     u: Subspace
     u_derived: Subspace
     p_derived: Subspace
-    p_perp: Subspace
     p_derived_perp: Subspace
     a_p: QuotientSpace
     a_u: QuotientSpace
@@ -98,18 +97,21 @@ class TorsorCertificate:
 
 
 def parse_case(text: str) -> tuple[str, frozenset[int]]:
-    """Parse a case string like "A3:1,3" or "B2:-" (empty gamma)."""
+    """Parse a case string like "A3:1,3" or "B2:-" (empty gamma); each index
+    is written as format_case writes it, at most once."""
     if ":" not in text:
         raise ValueError(f"case spec {text!r} must look like TYPE:indices or TYPE:-")
     label, _, tail = text.partition(":")
     if tail == "-":
         return label, frozenset()
-    try:
-        idx = frozenset(int(t) for t in tail.split(","))
-    except ValueError:
-        raise ValueError(f"bad index list in case spec {text!r}") from None
-    if not idx or min(idx) < 1:
-        raise ValueError(f"indices in {text!r} must be positive (use '-' for empty)")
+    tokens = tail.split(",")
+    if not all(t.isascii() and t.isdigit() and t[0] != "0" for t in tokens):
+        raise ValueError(f"bad index list in case spec {text!r}: an index is "
+                         "ASCII digits with no sign, space or leading zero, "
+                         "at least 1 (use '-' for empty)")
+    idx = frozenset(map(int, tokens))
+    if len(idx) < len(tokens):
+        raise ValueError(f"repeated index in case spec {text!r}")
     return label, idx
 
 
@@ -189,7 +191,7 @@ def build_parabolic(alg: ChevalleyAlgebra, gamma: Iterable[int]) -> ParabolicDat
 
     return ParabolicDatum(
         alg=alg, gamma=gset, p=p, levi=levi, levi_derived=levi_derived,
-        u=u, u_derived=u_derived, p_derived=p_derived, p_perp=p_perp,
+        u=u, u_derived=u_derived, p_derived=p_derived,
         p_derived_perp=p_derived_perp, a_p=a_p, a_u=a_u,
         twist_space=twist_space, torus_rank=torus_rank,
         levi_root_positions=levi_pos, u_root_positions=u_pos, audit=audit)
@@ -199,43 +201,6 @@ def build_parabolic(alg: ChevalleyAlgebra, gamma: Iterable[int]) -> ParabolicDat
 def standard_parabolic(type_label: str, gamma: frozenset[int]) -> ParabolicDatum:
     """Cached dossier for (type label, gamma)."""
     return build_parabolic(algebra(type_label), gamma)
-
-
-@dataclass(frozen=True)
-class DimensionReport:
-    dim_g: int
-    dim_p: int
-    dim_levi: int
-    dim_u: int
-    dim_u_derived: int
-    dim_p_derived: int
-    dim_p_derived_perp: int
-    dim_a_p: int
-    dim_a_u: int
-    torus_rank: int
-    dim_c: int
-    dim_uc: int
-    leaf_dim: int
-
-
-def dimension_report(pd: ParabolicDatum) -> DimensionReport:
-    """All dossier dimensions plus the derived family/leaf counts.
-
-    dim_c is the codimension of p (the open-orbit piece of the
-    nilradical), dim_uc the total space of the incidence family, and
-    leaf_dim the generic symplectic leaf; build_parabolic audits
-    leaf_dim = 2*dim_c.
-    """
-    dim_c = pd.alg.dim - pd.p.dim
-    dim_uc = dim_c + pd.p_derived_perp.dim
-    leaf_dim = dim_uc - pd.torus_rank
-    return DimensionReport(
-        dim_g=pd.alg.dim, dim_p=pd.p.dim, dim_levi=pd.levi.dim,
-        dim_u=pd.u.dim, dim_u_derived=pd.u_derived.dim,
-        dim_p_derived=pd.p_derived.dim,
-        dim_p_derived_perp=pd.p_derived_perp.dim,
-        dim_a_p=pd.a_p.dim, dim_a_u=pd.a_u.dim, torus_rank=pd.torus_rank,
-        dim_c=dim_c, dim_uc=dim_uc, leaf_dim=leaf_dim)
 
 
 def richardson_candidate(pd: ParabolicDatum, coeffs: Sequence[int]) -> tuple[int, ...]:

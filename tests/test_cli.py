@@ -40,6 +40,14 @@ def test_malformed_case_exit_two(capsys):
     code, out, _ = run(capsys, "verify", "--case", "Z9:frog")
     assert code == 2
     assert "Z9:frog" in out
+    # index lists that int() would read under another label are refused,
+    # and echoed back as given
+    for spec in ("A2:1,1", "A3: 1", "A2:+1", "A2:01", "A2:\u0662", "A2:1_0"):
+        for command in ("verify", "dossier", "richardson"):
+            code, out, err = run(capsys, command, "--case", spec)
+            assert code == 2
+            assert out.startswith(f"error: malformed case {spec!r}: ")
+            assert "Traceback" not in out + err
 
 
 @pytest.mark.parametrize("command", ["verify", "dossier", "richardson"])
@@ -77,13 +85,45 @@ def test_missing_subcommand_usage_error():
     assert main([]) == 2
 
 
+_DOSSIER_TABLES = {
+    "A2:1": """\
+case A2:1
+  dim g            8
+  dim p            6
+  dim levi         4
+  dim u            2
+  dim [u,u]        0
+  dim [p,p]        5
+  dim [p,p]-perp   3
+  dim a_p          1
+  dim a_u          2
+  torus rank       1
+  dim C            2
+  dim U_C          5
+  leaf dim         4
+""",
+    "D4:2": """\
+case D4:2
+  dim g            28
+  dim p            17
+  dim levi         6
+  dim u            11
+  dim [u,u]        5
+  dim [p,p]        14
+  dim [p,p]-perp   14
+  dim a_p          3
+  dim a_u          6
+  torus rank       3
+  dim C            11
+  dim U_C          25
+  leaf dim         22
+""",
+}
+
+
 def test_dossier_table(capsys):
-    code, out, _ = run(capsys, "dossier", "--case", "A2:1")
-    assert code == 0
-    assert "dim p            6" in out
-    assert "dim C            2" in out
-    assert "torus rank       1" in out
-    assert "leaf dim         4" in out
+    for spec, table in _DOSSIER_TABLES.items():
+        assert run(capsys, "dossier", "--case", spec) == (0, table, "")
 
 
 def test_richardson_certificate_output(capsys):
@@ -125,6 +165,25 @@ def test_unwritable_json_path_exit_two_before_any_suite(tmp_path, capsys,
     assert out.startswith(f"error: --json {str(path)!r}: ")
     assert "Traceback" not in out + err
     assert not (tmp_path / "no-such-dir").exists()
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1e3", "99999999999999"])
+def test_bad_source_date_epoch_exit_two_before_any_suite(tmp_path, capsys,
+                                                        monkeypatch, epoch):
+    def no_suite_may_run(names, cases):
+        raise AssertionError(f"suites {names} ran")
+
+    monkeypatch.setattr(cli, "run_suites", no_suite_may_run)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    path = tmp_path / "r.json"
+    code, out, err = run(capsys, "verify", "--case", "A1:-", "--suite", "algebra",
+                         "--json", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: SOURCE_DATE_EPOCH ")
+    assert repr(epoch) in err
+    assert "Traceback" not in out + err
+    assert not path.exists()
 
 
 def test_repeated_suite_runs_once(tmp_path, capsys):

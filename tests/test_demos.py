@@ -27,6 +27,8 @@ def test_demo_output_is_pinned(demo):
     env = dict(os.environ, SOURCE_DATE_EPOCH="0")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
-                         capture_output=True, timeout=50, check=True).stdout
+    # -W error, as CI runs the CLI: a warning fails the demo
+    out = subprocess.run([sys.executable, "-W", "error", str(demo)], env=env,
+                         cwd=ROOT, capture_output=True, timeout=50,
+                         check=True).stdout
     assert out == (ROOT / "tests" / "golden" / f"{demo.stem}.txt").read_bytes()

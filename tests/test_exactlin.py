@@ -286,8 +286,14 @@ def test_rref_and_kernel_reject_ragged_rows(rows):
 
 
 def test_dimension_mismatch_errors():
-    with pytest.raises(DimensionMismatch):
-        subspace_sum(Subspace.full(3), Subspace.full(4))
+    # sum and quotient see the ambient dimension, not just the rows
+    for a, b in ((Subspace.full(3), Subspace.full(4)),
+                 (Subspace.full(3), Subspace.zero(4)),
+                 (Subspace.zero(3), Subspace.full(4))):
+        with pytest.raises(DimensionMismatch):
+            subspace_sum(a, b)
+        with pytest.raises(DimensionMismatch):
+            quotient(b, a)
     with pytest.raises(DimensionMismatch):
         Subspace.full(3).contains((1, 0))
 
@@ -413,6 +419,16 @@ def test_echelon_builder_matches_span():
     assert eb.subspace() == qspan(rows, 5)
     with pytest.raises(DimensionMismatch):
         eb.insert([1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("seed", [Subspace.full(4), Subspace.coordinate(4, [0]),
+                                  Subspace.zero(4), Subspace.full(2)],
+                         ids=["full4", "coordinate4", "zero4", "full2"])
+def test_echelon_builder_rejects_a_seed_of_another_dimension(seed):
+    # a seed of Q^4 in a builder for Q^3 would leave rows of the wrong length
+    with pytest.raises(DimensionMismatch):
+        EchelonBuilder(3, seed)
+    assert EchelonBuilder(seed.ambient_dim, seed).subspace() == seed
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from liework.parabolic import (
     RichardsonCertificate,
     RichardsonSearchError,
     build_parabolic,
-    dimension_report,
     find_richardson,
     fixedpoint_check,
     h1_witness,
@@ -65,28 +64,36 @@ def test_b2_gamma2_dimensions_frozen():
     assert pd.torus_rank == 1
 
 
-def test_dimension_report_a2_borel():
-    rep = dimension_report(standard_parabolic("A2", frozenset()))
-    assert rep.dim_c == 3
-    assert rep.dim_uc == 8
-    assert rep.leaf_dim == 6
+def _dim_c(pd):
+    return pd.alg.dim - pd.p.dim
 
 
-def test_dimension_report_a2_gamma1():
+def _leaf(pd):
+    # the generic leaf dimension as the build audited it
+    return int(next(r.actual for r in pd.audit if r.name == "leaf-twice-codim"))
+
+
+def test_dossier_dimensions_a2_borel():
+    pd = standard_parabolic("A2", frozenset())
+    assert _dim_c(pd) == 3
+    assert _dim_c(pd) + pd.p_derived_perp.dim == 8  # dim U_C
+    assert _leaf(pd) == 6
+
+
+def test_dossier_dimensions_a2_gamma1():
     pd = standard_parabolic("A2", frozenset({1}))
-    rep = dimension_report(pd)
-    assert rep.dim_p == 6
-    assert rep.dim_c == 2
-    assert rep.dim_p_derived_perp == 3
-    assert rep.torus_rank == 1
-    assert rep.dim_uc == 5
-    assert rep.leaf_dim == 4
+    assert pd.p.dim == 6
+    assert _dim_c(pd) == 2
+    assert pd.p_derived_perp.dim == 3
+    assert pd.torus_rank == 1
+    assert _dim_c(pd) + pd.p_derived_perp.dim == 5  # dim U_C
+    assert _leaf(pd) == 4
 
 
-def test_dimension_report_full_gamma():
-    rep = dimension_report(standard_parabolic("B2", frozenset({1, 2})))
-    assert rep.dim_c == 0
-    assert rep.leaf_dim == 0
+def test_dossier_dimensions_full_gamma():
+    pd = standard_parabolic("B2", frozenset({1, 2}))
+    assert _dim_c(pd) == 0
+    assert _leaf(pd) == 0
 
 
 def test_leaf_always_twice_codim():
@@ -94,8 +101,11 @@ def test_leaf_always_twice_codim():
         alg = algebra(label)
         for r in range(alg.rank + 1):
             for gamma in itertools.combinations(range(1, alg.rank + 1), r):
-                rep = dimension_report(standard_parabolic(label, frozenset(gamma)))
-                assert rep.leaf_dim == 2 * rep.dim_c
+                pd = standard_parabolic(label, frozenset(gamma))
+                # the record is dim U_C less the torus rank
+                assert _leaf(pd) == (_dim_c(pd) + pd.p_derived_perp.dim
+                                     - pd.torus_rank)
+                assert _leaf(pd) == 2 * _dim_c(pd)
 
 
 def test_coordinate_subspaces_match_spans_of_one_hots():
@@ -145,7 +155,8 @@ def test_dossier_and_certificate_coordinates_are_ints():
                     assert _all_ints(s.ints) and _all_ints([s.pivots])
                     subspaces += 1
                 assert _all_ints([cert.element])
-    assert quotients == 3 * 54 and subspaces == 15 * 54
+    # 7 Subspace fields, the tangent, and total and divisor of 3 quotients
+    assert quotients == 3 * 54 and subspaces == 14 * 54
 
 
 def test_richardson_a2_borel_is_all_ones():
@@ -283,6 +294,12 @@ def test_parse_case():
         parse_case("A3:0")
     with pytest.raises(ValueError):
         parse_case("A3:x")
+    assert parse_case("D4:1,2,3,4") == ("D4", frozenset({1, 2, 3, 4}))
+    # an index list is read only as format_case writes it
+    for text in ("A2:1,1", "A3: 1", "A3:1 ", "A2:+1", "A2:01", "A2:\u0662",
+                 "A2:1_0", "A2:", "A2:1,", "A2:,1", "A2:1,,2", "A2:-1"):
+        with pytest.raises(ValueError, match="case spec"):
+            parse_case(text)
 
 
 def test_gamma_validation():
