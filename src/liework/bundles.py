@@ -244,12 +244,12 @@ def act_roundtrip(alg: ChevalleyAlgebra, words: Sequence[GroupWord],
     if x[1] <= 0:
         raise ValueError(f"denominator must be positive, got {x[1]}")
     n0, d0 = x = _lowest(*x)
-    k0 = alg.killing(n0, n0)
+    k0 = alg._killing_ints(n0, n0)
     out = []
     for w in words:
         [(ys, dy)] = _act_ints(alg, w, [x])
         [back] = _act_ints(alg, w, [(ys, dy)], inverse=True)
-        out.append(back == x and alg.killing(ys, ys) * d0 * d0 == k0 * dy * dy)
+        out.append(back == x and alg._killing_ints(ys, ys) * d0 * d0 == k0 * dy * dy)
     return out
 
 

@@ -22,11 +22,11 @@ In a Chevalley basis the structure constants and the Killing gram are
 integers (Chevalley 1955; Humphreys, GTM 9, section 25).  The table
 stores each constant as an int, and the gram is an ``IntMat`` of traces
 of ad x ad y read off the table.  Vectors are tuples of ints: ``bracket``
-takes and returns them, and the caller that holds rationals clears their
-denominators first.  The Killing form lives here alone: ``killing`` pairs
-two integer vectors, ``killing_perp`` gives a subspace's perp as the
-kernel of its integer rows times the gram, and ``kills_derived`` tests x
-against [p, p] by invariance.
+and ``killing`` take nothing else, and the caller that holds rationals
+clears their denominators first.  The Killing form lives here alone:
+``killing`` pairs two integer vectors, ``killing_perp`` maps the
+annihilator a subspace's canonical rows give through d G^-1, and
+``kills_derived`` tests x against [p, p] by invariance.
 
 A root is the tuple of its simple-root coordinates, all >= 0 or all <= 0,
 typed ``Root``.  It is checked where it meets an algebra: the basis index
@@ -50,8 +50,9 @@ from .exactlin import (
     EchelonBuilder,
     IntMat,
     Subspace,
+    _check_ints,
+    _null_rows,
     int_det,
-    kernel,
     span,
 )
 
@@ -364,6 +365,7 @@ class ChevalleyAlgebra:
         """[x, y] of two integer vectors, by the integer core."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match algebra dimension")
+        _check_ints("vector entries", x, y)
         return tuple(self._bracket_ints(_support(x), _support(y)))
 
     def _bracket_ints(self, xs: Sequence[tuple[int, int]],
@@ -382,28 +384,42 @@ class ChevalleyAlgebra:
 
     def killing(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         """kappa(x, y) = x^T (G y) for two integer vectors."""
+        _check_ints("vector entries", xs, ys)
+        return self._killing_ints(xs, ys)
+
+    def _killing_ints(self, xs: Sequence[int], ys: Sequence[int]) -> int:  # unchecked
         return sum(map(operator.mul, xs, self._gram_ints(ys)))
 
     @functools.cached_property
     def _gram_nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         return tuple(tuple(_support(self.killing_gram.row(i))) for i in range(self.dim))
 
+    @functools.cached_property
+    def _gram_inverse_nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each row of d G^-1, d the least that makes it integral, by its nonzero
+        entries: G^-1's row k is row k of the RREF of [G | I] over its entry k."""
+        n = self.dim
+        inv = span([self.killing_gram.row(i) + self.one_hot(i) for i in range(n)], 2 * n)
+        if inv.pivots[n - 1] != n - 1:  # a pivot past G's columns: G is singular
+            raise ConstructionAuditError(f"{self.cartan.type_label}: singular Killing gram")
+        d = math.lcm(*(r[k] for k, r in enumerate(inv.ints)))
+        return tuple(tuple((j, x * (d // r[k])) for j, x in _support(r[n:]))
+                     for k, r in enumerate(inv.ints))
+
     def _gram_ints(self, v: Sequence[int]) -> list[int]:
         """G v for an integer vector v, over the nonzero gram entries (G is
         audited symmetric, so its rows are its columns)."""
-        out = [0] * self.dim
-        rows = self._gram_nonzeros
-        for j, x in enumerate(v):
-            if x:
-                for i, c in rows[j]:
-                    out[i] += c * x
-        return out
+        return _apply(self._gram_nonzeros, v)
 
     def killing_perp(self, s: Subspace) -> Subspace:
-        """The Killing perp of s: the kernel of the integer rows s.ints @ G."""
+        """The Killing perp of s: y kills s iff G y lies in s's annihilator,
+        whose basis s's canonical rows give with no elimination, so it is the
+        span of their images under d G^-1, one elimination of dim - dim s."""
         if s.ambient_dim != self.dim:
             raise DimensionMismatch("subspace does not live in the algebra")
-        return kernel([self._gram_ints(r) for r in s.ints], self.dim)
+        inv = self._gram_inverse_nonzeros
+        return span([_apply(inv, z) for _, z in _null_rows(s.ints, s.pivots, self.dim)],
+                    self.dim)
 
     def kills_derived(self, p: Subspace, x: Sequence[int]) -> bool:
         """Whether kappa(x, [p, p]) = 0 for an integer vector x, from p's
@@ -430,12 +446,12 @@ class ChevalleyAlgebra:
         ys = xs if a == b else [_support(r) for r in b.ints]
         units, dense = set(), {}  # dense: the brackets, insertion-ordered, once each
         for i, x in enumerate(xs):
+            row = self.table[x[0][0]] if len(x) == 1 else None
             for y in ys[i + 1:] if ys is xs else ys:
-                if len(x) == 1 == len(y):
-                    cell = self.table[x[0][0]][y[0][0]]
-                    if len(cell) < 2:  # zero, or a nonzero multiple of one e_k
-                        units.update(k for k, _ in cell)
-                        continue
+                if row is not None and len(y) == 1 and len(cell := row[y[0][0]]) < 2:
+                    if cell:  # a nonzero multiple of one e_k
+                        units.add(cell[0][0])
+                    continue
                 dense[tuple(self._bracket_ints(x, y))] = None
         dense.pop((0,) * self.dim, None)
         eb = EchelonBuilder(self.dim, Subspace.coordinate(self.dim, units))
@@ -457,7 +473,19 @@ class ChevalleyAlgebra:
 
 
 def _support(v: Sequence[int]) -> list[tuple[int, int]]:
+    if v.count(0) == len(v) - 1:  # a lone nonzero is the sum: count, sum, index run in C
+        return [(v.index(x := sum(v)), x)]
     return [(j, x) for j, x in enumerate(v) if x]
+
+
+def _apply(rows: Sequence[Sequence[tuple[int, int]]], v: Sequence[int]) -> list[int]:
+    """M v for a symmetric integer M given by each row's nonzero (i, c)."""
+    out = [0] * len(rows)
+    for j, x in enumerate(v):
+        if x:
+            for i, c in rows[j]:
+                out[i] += c * x
+    return out
 
 
 def _string_down_length(gamma: tuple[int, ...], beta: tuple[int, ...],

@@ -33,11 +33,24 @@ from .suites import (
 )
 
 
+def _canonical_int(text: str, digits_only: bool = False) -> int:
+    """text as an int in canonical form: ASCII digits, or else int(text, 0)
+    of ASCII text with no '_', '+' or whitespace."""
+    try:
+        if text.isascii() and (text.isdigit() if digits_only else
+                               not any(c in "_+" or c.isspace() for c in text)):
+            return int(text, 10 if digits_only else 0)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not an integer in canonical form: {text!r}")
+
+
 def _timestamp() -> str:
     raw = os.environ.get("SOURCE_DATE_EPOCH", "0")
     try:
-        dt = datetime.datetime.fromtimestamp(int(raw), datetime.timezone.utc)
-    except (ValueError, OverflowError, OSError):
+        dt = datetime.datetime.fromtimestamp(_canonical_int(raw, digits_only=True),
+                                             datetime.timezone.utc)
+    except (argparse.ArgumentTypeError, ValueError, OverflowError, OSError):
         raise SystemExit(f"error: SOURCE_DATE_EPOCH is not a whole number of "
                          f"seconds in the datetime range: {raw!r}") from None
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -48,8 +61,8 @@ def _default_seed() -> int:
     if raw is None:
         return DEFAULT_SEED
     try:
-        return int(raw, 0)
-    except ValueError:
+        return _canonical_int(raw)
+    except argparse.ArgumentTypeError:
         raise SystemExit(f"error: WORKBENCH_SEED is not an integer: {raw!r}")
 
 
@@ -97,10 +110,7 @@ def canonical_json(doc: dict) -> str:
 
 
 def _word_len(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    n = _canonical_int(text, digits_only=True)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     if n > MAX_WORD_LEN_CAP:
@@ -236,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument("--case", action="append", metavar="TYPE:GAMMA",
                           help="case spec such as A2:1 or B3:- (repeatable; "
                                "default: the full matrix)")
-    p_verify.add_argument("--seed", type=lambda s: int(s, 0), default=None,
+    p_verify.add_argument("--seed", type=_canonical_int, default=None,
                           help="base seed (default: WORKBENCH_SEED or builtin)")
     p_verify.add_argument("--max-word-len", type=_word_len,
                           default=DEFAULT_MAX_WORD_LEN,

@@ -16,16 +16,17 @@ integers, combining rows by gcd-scaled integer row operations
 (fraction-free elimination; Bareiss 1968, Cohen, GTM 138, section 2.2).
 Spans, ``rref``, kernels and quotient sections each read the rows and
 pivots of one elimination: a kernel's rows with their columns reversed, a
-quotient's total inserted after its divisor's rows.  Membership reduces
-against them with the same helper, and a quotient's class map is an
-integer projector built once, on first use.
-The Killing form and its perps live with the algebra that owns them, in
-``chevalley``.
+quotient's total rows after its divisor's, less those it shares with it.
+Echelon rows give their solutions with no elimination (``_null_rows``),
+membership reduces against them, and a quotient's class map is an
+integer projector built once, on first use.  The Killing form and its
+perps live with the algebra that owns them, in ``chevalley``.
 """
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -103,6 +104,13 @@ def _check_scalars(values: Sequence, what: str) -> None:
     for x in values:
         if type(x) is bool or not isinstance(x, (int, Fraction)):
             raise TypeError(f"{what} must be ints or Fractions, got {x!r}")
+
+
+def _check_ints(what: str, *vectors: Sequence) -> None:
+    """No float, Fraction, bool or str is coerced: every entry is an int."""
+    if set(map(type, itertools.chain.from_iterable(vectors))) - {int}:
+        bad = next(x for x in itertools.chain.from_iterable(vectors) if type(x) is not int)
+        raise TypeError(f"{what} must be ints, got {bad!r}")
 
 
 def _clear_denominators(v: Sequence) -> tuple[Sequence[int], int]:
@@ -202,26 +210,29 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return eb.subspace()
 
 
+def _null_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int],
+               cols: int) -> list[tuple[int, list[int]]]:
+    """Solutions (j, x) of rows @ x = 0, one per free column j, increasing,
+    for rows whose pivot column is zero in the others: x_j the lcm of r[p] over
+    the rows with r[j] != 0, x_p = -r[j] x_j / r[p] there, and 0 elsewhere."""
+    out = []
+    for j in sorted(set(range(cols)).difference(pivots)):
+        hit = [(p, r) for r, p in zip(rows, pivots) if r[j]]
+        v = [0] * cols
+        v[j] = x = math.lcm(*(r[p] for p, r in hit))
+        for p, r in hit:
+            v[p] = -r[j] * (x // r[p])
+        out.append((j, v))
+    return out
+
+
 def kernel(rows: Iterable[Sequence[int]], cols: int) -> Subspace:
     """Solution space of the integer rows @ x = 0, as a subspace of Q^cols.
-    Eliminated with columns reversed, echelon row r_q ends at its pivot q.
-    Free column j gets x_j the lcm of r_q[q] over the rows with r_q[j] != 0,
-    x_q = -r_q[j] x_j / r_q[q] there; each q > j, so over their gcd these
-    solutions are already the canonical rows."""
-    s = EchelonBuilder(cols)
-    for r in rows:
-        s.insert(r[::-1])
-    last = [(cols - 1 - p, r[::-1]) for r, p in zip(s.rows, s.pivots)]
-    free = sorted(set(range(cols)).difference(q for q, _ in last))
-    out = []
-    for j in free:
-        hit = [(q, r) for q, r in last if r[j]]
-        v = [0] * cols
-        v[j] = x = math.lcm(*(r[q] for q, r in hit))
-        for q, r in hit:
-            v[q] = -r[j] * (x // r[q])
-        out.append(_lowest(v, x)[0])  # x = v[j]: v over its gcd
-    return Subspace(cols, tuple(out), tuple(free))
+    Eliminated with columns reversed, row r_q ends at its pivot q > j for each
+    solution's free column j, so over their gcd these are the canonical rows."""
+    s = span((r[::-1] for r in rows), cols)
+    out = _null_rows([r[::-1] for r in s.ints], [cols - 1 - p for p in s.pivots], cols)
+    return Subspace(cols, tuple(_lowest(v, v[j])[0] for j, v in out), tuple(j for j, _ in out))
 
 
 @dataclass(frozen=True)
@@ -262,7 +273,9 @@ class QuotientSpace:
 def quotient(total: Subspace, divisor: Subspace) -> QuotientSpace:
     """total / divisor; a builder seeded with the divisor picks the section."""
     eb = EchelonBuilder(total.ambient_dim, divisor)  # raises on a mismatch
-    picked = [(r, p) for r, p in zip(total.ints, total.pivots) if eb.insert(r)]
+    shared = dict(zip(divisor.pivots, divisor.ints))  # in the span: no insert
+    picked = [(r, p) for r, p in zip(total.ints, total.pivots)
+              if shared.get(p) != r and eb.insert(r)]
     if len(eb.rows) > total.dim:  # dim(D + T) = dim T iff D lies in T
         raise DivisorNotContained("divisor is not contained in the total space")
     den = math.lcm(*(r[p] for r, p in picked))
@@ -303,9 +316,7 @@ class IntMat:
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
             raise LinAlgError("entry count does not match shape")
-        for x in self.entries:  # no float, Fraction, bool or str is coerced
-            if type(x) is not int:
-                raise TypeError(f"IntMat entries must be ints, got {x!r}")
+        _check_ints("IntMat entries", self.entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMat":

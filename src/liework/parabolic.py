@@ -26,6 +26,7 @@ from .chevalley import (
     ChevalleyAlgebra,
     CheckRecord,
     algebra,
+    _support,
     check_record,
     raise_on_failure,
 )
@@ -174,7 +175,7 @@ def build_parabolic(alg: ChevalleyAlgebra, gamma: Iterable[int]) -> ParabolicDat
     # Killing form must pair the two torus-rank quotients perfectly
     pairing_ok = True
     if torus_rank:
-        gram = [[alg.killing(z, y) for y in twist_space.section[0]]
+        gram = [[alg._killing_ints(z, y) for y in twist_space.section[0]]
                 for z in a_p.section[0]]
         pairing_ok = span(gram, torus_rank).dim == torus_rank
     dim_c = dim - p.dim
@@ -296,7 +297,7 @@ def h1_witness(pd: ParabolicDatum) -> str | None:
     alg, lev, u = pd.alg, pd.levi_derived, pd.u
     for i, a in enumerate(lev.ints):
         for j, b in enumerate(u.ints):
-            v = alg.bracket(a, b)
+            v = alg._bracket_ints(_support(a), _support(b))  # echelon rows: ints
             if any(v) and not pd.u_derived.contains(v):
                 # the bracket of the echelon rows a / da, b / db
                 da, db = a[lev.pivots[i]], b[u.pivots[j]]

@@ -379,7 +379,7 @@ def _suite_bc(case: CaseSpec) -> tuple[CheckRecord, ...]:
         nums, den = pi_c(pd, make_uc_point(pd, IDENTITY_WORD, y))
         via, dv = twist_section(pd, (tuple(-c for c in nums), den))
         ny, dy = y
-        if any(pd.alg.killing(z, ny) * dv != pd.alg.killing(z, via) * dy
+        if any(pd.alg._killing_ints(z, ny) * dv != pd.alg._killing_ints(z, via) * dy
                for z in sections):
             factor_ok = False
             witness = f"y = {pd.alg.vector_name(*y)}"

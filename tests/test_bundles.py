@@ -1071,7 +1071,8 @@ def test_act_roundtrip_clears_and_pairs_x_once(monkeypatch):
     words = [random_word(alg, rng, length=3) for _ in range(6)]
     nums, den = _q(x)
     lowered, paired = [], []
-    real_lowest, real_pair = bundles._lowest, type(alg).killing
+    # every pairing, checked or not, goes through the integer pairing
+    real_lowest, real_pair = bundles._lowest, type(alg)._killing_ints
 
     def lowest(nums, den):
         lowered.append((tuple(nums), den))
@@ -1082,7 +1083,7 @@ def test_act_roundtrip_clears_and_pairs_x_once(monkeypatch):
         return real_pair(self, xs, ys)
 
     monkeypatch.setattr(bundles, "_lowest", lowest)
-    monkeypatch.setattr(type(alg), "killing", pair)
+    monkeypatch.setattr(type(alg), "_killing_ints", pair)
     assert act_roundtrip(alg, words, ([3 * c for c in nums], 3 * den)) == \
         [True] * len(words)
     # x once, then one pairing of each image

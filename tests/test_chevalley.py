@@ -8,6 +8,7 @@ type A), classical positive-root counts, and explicit root lists.
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from liework.chevalley import (
     symmetrizer,
 )
 from liework.bundles import act_subspace, random_word
-from liework.exactlin import IntMat, Subspace, span
+from liework.exactlin import IntMat, Subspace, kernel, span
 from liework.parabolic import standard_parabolic
 from test_realization import _derived_pair, _mixed_pair, _negate, _tampered_build
 from test_exactlin import frac_rows, qspan
@@ -732,5 +733,80 @@ def test_bracket_space_matches_span_of_all_pairwise_brackets(label):
                  alg.dim)
     line = span([moved_p.ints[-1]], alg.dim)
     for a, b in ((pd.u, pd.u), (pd.u, pd.p), (moved_p, moved_p), (moved_u, pd.p),
-                 (dense, dense), (dense, moved_p), (moved_p, line), (dense, line)):
+                 (dense, dense), (dense, moved_p), (moved_p, line), (dense, line),
+                 (pd.u, dense), (line, pd.u)):
         assert alg.bracket_space(a, b) == _bracket_space_by_fractions(alg, a, b)
+
+
+# --- the Killing perp against the kernel route it replaced -----------------
+
+
+def _perp_by_kernel(alg, s):
+    # the route killing_perp replaced: the kernel of the rows s.ints @ G
+    return kernel([alg._gram_ints(r) for r in s.ints], alg.dim)
+
+
+def _assert_same_perp(alg, s):
+    got, want = alg.killing_perp(s), _perp_by_kernel(alg, s)
+    assert (got, got.pivots) == (want, want.pivots)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_killing_perp_matches_kernel_route_on_seeded_subspaces(label):
+    alg = algebra(label)
+    rng = random.Random(f"killing-perp-kernel:{label}")
+    subspaces = [Subspace.zero(alg.dim), Subspace.full(alg.dim)]
+    for _ in range(30):
+        rows = [[rng.choice((0, 0, 0, 0, 1, -1, 2, -3)) for _ in range(alg.dim)]
+                for _ in range(rng.randint(1, alg.dim))]
+        subspaces.append(span(rows, alg.dim))
+    assert {s.dim for s in subspaces} >= {0, alg.dim}
+    for s in subspaces:
+        _assert_same_perp(alg, s)
+
+
+def test_killing_perp_matches_kernel_route_on_every_dossier_subspace():
+    from liework.suites import default_case_matrix
+
+    seen = 0
+    for case in default_case_matrix(include_d4=True):
+        pd = standard_parabolic(case.type_label, case.gamma)
+        for f in dataclasses.fields(pd):
+            s = getattr(pd, f.name)
+            for s in (s.total, s.divisor) if hasattr(s, "section") else (s,):
+                if isinstance(s, Subspace):
+                    _assert_same_perp(pd.alg, s)
+                    seen += 1
+    assert seen == 54 * 13
+
+
+def test_killing_perp_raises_on_a_singular_gram():
+    # a tampered gram the build audit would reject: a zero row and column
+    alg = algebra("A2")
+    rows = [[0 if 3 in (i, j) else alg.killing_gram[i, j] for j in range(alg.dim)]
+            for i in range(alg.dim)]
+    bad = dataclasses.replace(alg, killing_gram=IntMat.from_rows(rows))
+    for s in (Subspace.zero(alg.dim), Subspace.coordinate(alg.dim, [0, 3])):
+        with pytest.raises(ConstructionAuditError, match="A2: singular Killing gram"):
+            bad.killing_perp(s)
+    _assert_same_perp(alg, Subspace.coordinate(alg.dim, [0, 3]))  # the real gram works
+
+
+@pytest.mark.parametrize("bad", [0.5, Fraction(1, 2), Fraction(2), True, 1.0])
+def test_bracket_and_killing_take_only_int_entries(bad):
+    alg = algebra("A1")
+    x, f = (bad, 0, 0), (0, 0, 1)
+    msg = re.escape(f"vector entries must be ints, got {bad!r}")
+    for op in (alg.bracket, alg.killing):
+        for args in ((x, f), (f, x)):
+            with pytest.raises(TypeError, match=msg):
+                op(*args)
+    assert alg.bracket((1, 0, 0), f) == (0, 1, 0) and alg.killing((1, 0, 0), f) == 4
+
+
+@pytest.mark.parametrize("v,want", [
+    ((5, 0, 0, 0), [(0, 5)]), ([0, 0, 0, -2], [(3, -2)]), ((0, -7, 0), [(1, -7)]),
+    ([0, 0, 1], [(2, 1)]), ((3,), [(0, 3)]), ([-1], [(0, -1)]), ((0, 0), []),
+    ([], []), ((1, 0, -1), [(0, 1), (2, -1)]), ([0, 2, 3, 0], [(1, 2), (2, 3)])])
+def test_support_lists_the_nonzeros(v, want):
+    assert chevalley._support(v) == want

@@ -76,6 +76,37 @@ def test_max_word_len_above_cap_exit_two(capsys):
     assert code == 0 and out.endswith("PASS: 1 results, 0 failed, 0 hypothesis-gated\n")
 
 
+@pytest.mark.parametrize("flag,text", [
+    ("--seed", "\u0663"), ("--seed", "1x"), ("--seed", "1_0"), ("--seed", "+7"),
+    ("--seed", " 7"), ("--seed", "7\n"), ("--max-word-len", " 1_0"),
+    ("--max-word-len", "\u0663"), ("--max-word-len", "+5"), ("--max-word-len", "0x8")])
+def test_non_canonical_integer_flag_exit_two(capsys, flag, text):
+    # an Arabic-Indic 3, an underscore, a sign or a space ran as a number
+    code, out, err = run(capsys, "verify", "--case", "A1:-", "--suite", "algebra",
+                         flag, text)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: not an integer in canonical form: {text!r}" in err
+    assert "<lambda>" not in err
+
+
+@pytest.mark.parametrize("text,seed", [("7", "7"), ("-3", "-3"), ("0xC0FFEE", "12648430"),
+                                       ("0o17", "15"), ("0", "0")])
+def test_seed_reads_what_int_base_zero_reads(tmp_path, capsys, text, seed):
+    path = tmp_path / "r.json"
+    code, _, _ = run(capsys, "verify", "--case", "A1:-", "--suite", "algebra",
+                     "--seed", text, "--json", str(path))
+    assert code == 0
+    assert json.loads(path.read_text())["seed"] == seed
+
+
+@pytest.mark.parametrize("raw", [" 1_6 ", "1_6", "+16", "16 ", "\u0661\u0666", "0x1_0"])
+def test_non_canonical_workbench_seed_exit_two(capsys, monkeypatch, raw):
+    monkeypatch.setenv("WORKBENCH_SEED", raw)
+    code, out, err = run(capsys, "verify", "--case", "A1:-", "--suite", "algebra")
+    assert (code, out) == (2, "")
+    assert err == f"error: WORKBENCH_SEED is not an integer: {raw!r}\n"
+
+
 def test_unknown_suite_usage_error(capsys):
     code = main(["verify", "--suite", "nonsense"])
     assert code == 2
@@ -167,7 +198,8 @@ def test_unwritable_json_path_exit_two_before_any_suite(tmp_path, capsys,
     assert not (tmp_path / "no-such-dir").exists()
 
 
-@pytest.mark.parametrize("epoch", ["abc", "1e3", "99999999999999"])
+@pytest.mark.parametrize("epoch", ["abc", "1e3", "99999999999999", "1_000", " +7 ",
+                                   "-1", "\u0663"])
 def test_bad_source_date_epoch_exit_two_before_any_suite(tmp_path, capsys,
                                                         monkeypatch, epoch):
     def no_suite_may_run(names, cases):

@@ -709,6 +709,36 @@ def test_seeded_quotient_matches_two_passes():
     assert 20 < raised < 200  # both branches are exercised
 
 
+def _shared_row_pairs(rng, count):
+    """(total, divisor) pairs whose divisor holds some of the total's
+    canonical rows, either with combinations of the others (inside the
+    total) or with a random row (most often outside it)."""
+    for _ in range(count):
+        n = rng.randint(2, 8)
+        total = span([[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(n)]
+                      for _ in range(rng.randint(1, n))], n)
+        kept = [r for r in total.ints if rng.random() < 0.6]
+        rest = [r for r in total.ints if r not in kept]
+        extra = ([[sum(rng.randint(-2, 2) * r[j] for r in rest) for j in range(n)]]
+                 if rng.random() < 0.6 else [[rng.randint(-2, 2) for _ in range(n)]])
+        yield total, span(kept + extra, n)
+
+
+def test_quotient_past_shared_rows_matches_inserting_every_row():
+    raised = shared = 0
+    for total, divisor in _shared_row_pairs(random.Random(3505), 400):
+        shared += bool(set(total.ints) & set(divisor.ints))
+        want = _quotient_two_passes(total, divisor)
+        if want is None:
+            raised += 1
+            with pytest.raises(DivisorNotContained, match="not contained in the total"):
+                quotient(total, divisor)
+            continue
+        q = quotient(total, divisor)
+        assert (q.total, q.divisor, q.section) == want
+    assert 20 < raised < 300 and shared > 200  # both branches, with shared rows
+
+
 def test_seeded_builder_matches_inserting_the_seed_first():
     rng = random.Random(2506)
     for total, divisor in _seeded_pairs(rng, 200):

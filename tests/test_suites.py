@@ -171,6 +171,30 @@ def test_fiber_record_fails_on_a_wrong_transport(monkeypatch, text, actual):
     assert [n for n, c in by_name.items() if not c.ok] == ["fiber-equidimensional"]
 
 
+def test_killing_perp_matches_kernel_route_at_transported_parabolics(monkeypatch):
+    # every perp one uc-family pass asks for, transported p and [p, p]
+    # included, against the kernel of the rows s.ints @ G
+    real, asked = chevalley.ChevalleyAlgebra.killing_perp, []
+
+    def recorded(alg, s):
+        asked.append((alg, s, real(alg, s)))
+        return asked[-1][2]
+
+    bundles.intrinsic_quotients.cache_clear()
+    try:
+        monkeypatch.setattr(chevalley.ChevalleyAlgebra, "killing_perp", recorded)
+        results = run_suite("uc-family", [case(t) for t in ("B3:1", "G2:-", "D4:1,2")])
+    finally:
+        bundles.intrinsic_quotients.cache_clear()
+    assert [r.status for r in results] == ["pass"] * 3
+    # a transported p has a row with two nonzeros; the standard ones do not
+    moved = [s for _, s, _ in asked if any(sum(map(bool, r)) > 1 for r in s.ints)]
+    assert len(moved) == 10
+    for alg, s, got in asked:
+        want = exactlin.kernel([alg._gram_ints(r) for r in s.ints], alg.dim)
+        assert (got, got.pivots) == (want, want.pivots)
+
+
 def test_killing_perp_mutant_at_transported_p(monkeypatch):
     # killing_perp drops its first basis row once the dossiers are built, so
     # only the twist spaces rebuilt at transported parabolics see it
