@@ -51,6 +51,7 @@ from .exactlin import (
     QVec,
     Subspace,
     VectorOutsideTotal,
+    _check_ints,
     _check_scalars,
     _clear_denominators,
     _lowest,
@@ -311,9 +312,10 @@ def twist_section(pd: ParabolicDatum, psi: QVec) -> tuple[list[int], int]:
     """The canonical section representative of psi inside [p,p]-perp, as
     integer numerators over one positive denominator: psi's numerators
     combine the section's integer rows."""
-    if psi[1] <= 0:
-        raise ValueError(f"denominator must be positive, got {psi[1]}")
     coeffs, cden = psi
+    _check_ints("twist level", coeffs, (cden,))
+    if cden <= 0:
+        raise ValueError(f"denominator must be positive, got {cden}")
     if len(coeffs) != pd.torus_rank:
         raise ValueError("twist level has wrong length")
     rows, den = pd.twist_space.section

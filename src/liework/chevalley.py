@@ -384,6 +384,8 @@ class ChevalleyAlgebra:
 
     def killing(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         """kappa(x, y) = x^T (G y) for two integer vectors."""
+        if len(xs) != self.dim or len(ys) != self.dim:
+            raise ValueError("vector length does not match algebra dimension")
         _check_ints("vector entries", xs, ys)
         return self._killing_ints(xs, ys)
 

@@ -15,12 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .parabolic import (
-    RichardsonSearchError,
-    find_richardson,
-    standard_parabolic,
-    torsor_certificate,
-)
+from .parabolic import RichardsonSearchError, find_richardson, standard_parabolic
 from .suites import (
     DEFAULT_MAX_WORD_LEN,
     DEFAULT_SEED,
@@ -219,16 +214,13 @@ def _cmd_richardson(args, out) -> int:
         print(f"no Richardson element found: best tangent dimension "
               f"{err.best_tangent_dim} of {pd.u.dim}", file=out)
         return 1
-    tc = torsor_certificate(pd, cert)
-    print(f"case {case.case_label()}", file=out)
-    print(f"  element          {pd.alg.vector_name(cert.element)}",
-          file=out)
-    print(f"  tangent dim      {cert.tangent.dim} of {pd.u.dim}", file=out)
-    print(f"  infinitesimal    rank {tc.induced_rank} of {pd.torus_rank} "
-          f"({'free' if tc.infinitesimal_free else 'NOT free'})", file=out)
-    print(f"  lattice          invariants {list(tc.smith_invariants)} "
-          f"({'generating' if tc.lattice_generating else 'NOT generating'})",
-          file=out)
+    print(f"case {case.case_label()}\n"
+          f"  element          {pd.alg.vector_name(cert.element)}\n"
+          f"  tangent dim      {cert.tangent.dim} of {pd.u.dim}\n"
+          f"  infinitesimal    rank {cert.induced_rank} of {pd.torus_rank} "
+          f"({'' if cert.infinitesimal_free else 'NOT '}free)\n"
+          f"  lattice          invariants {list(cert.smith_invariants)} "
+          f"({'' if cert.lattice_generating else 'NOT '}generating)", file=out)
     return 0
 
 

@@ -8,6 +8,7 @@ derived subalgebras, Killing perps, and three quotients: the torus
 quotient p/[p,p], the abelianized nilradical u/[u,u], and the twist
 space [p,p]-perp / p-perp.  killing_quotients reads the last two off the
 subspace p alone, for the standard p here and for every transported p.
+find_richardson returns each case's one RichardsonCertificate.
 
 Every structural identity is checked at construction time and failures
 raise ParabolicAuditError naming the identity, so downstream code can
@@ -34,6 +35,7 @@ from .exactlin import (
     IntMat,
     QuotientSpace,
     Subspace,
+    _check_ints,
     class_of,
     quotient,
     smith_normal_form,
@@ -84,17 +86,20 @@ class ParabolicDatum:
 
 @dataclass(frozen=True)
 class RichardsonCertificate:
+    """An element x of u with [p, x] = u, so its orbit is open, and the
+    evidence that the torus acts freely on that orbit.  infinitesimal_free:
+    the induced map p/[p,p] -> u/[u,u], z to the class of [z, x], of rank
+    induced_rank, has zero kernel.  lattice_generating: the Smith invariants
+    of the restricted-weight matrix of x are all 1 with rank equal to the
+    torus rank, ruling out finite stabilizers the linear check cannot see."""
+
     element: tuple[int, ...]
-    tangent: Subspace
-
-
-@dataclass(frozen=True)
-class TorsorCertificate:
-    infinitesimal_free: bool
-    lattice_generating: bool
+    tangent: Subspace  # [p, x], equal to u
     induced_rank: int
+    infinitesimal_free: bool
     characters: IntMat  # torus_character_set of the element
     smith_invariants: tuple[int, ...]
+    lattice_generating: bool
 
 
 def parse_case(text: str) -> tuple[str, frozenset[int]]:
@@ -205,6 +210,10 @@ def standard_parabolic(type_label: str, gamma: frozenset[int]) -> ParabolicDatum
 
 
 def richardson_candidate(pd: ParabolicDatum, coeffs: Sequence[int]) -> tuple[int, ...]:
+    """The element of u with coefficient coeffs[i] on the i-th u root vector."""
+    if len(coeffs) != len(pd.u_root_positions):
+        raise ValueError(f"{pd.label()}: {len(coeffs)} coefficients, one per u root")
+    _check_ints("coefficients", coeffs)
     v = [0] * pd.alg.dim
     for c, k in zip(coeffs, pd.u_root_positions):
         v[k] = c
@@ -213,14 +222,13 @@ def richardson_candidate(pd: ParabolicDatum, coeffs: Sequence[int]) -> tuple[int
 
 @functools.lru_cache(maxsize=None)
 def find_richardson(pd: ParabolicDatum, seed: int = 0) -> RichardsonCertificate:
-    """Element of u whose parabolic orbit is open in u.
+    """An element of u whose parabolic orbit is open in u, with its freeness evidence.
 
     Tries the sum of all root vectors of u first; falls back to seeded
     random small integer coefficients.  Raises RichardsonSearchError with
     the best achieved tangent dimension if every retry fails.  Memoised:
     the suites share one search per case; an error is not cached.
     """
-    want = pd.u
     best = -1
     rng = random.Random(f"richardson:{pd.label()}:{seed}")
     for attempt in range(_MAX_RETRIES + 1):
@@ -230,12 +238,23 @@ def find_richardson(pd: ParabolicDatum, seed: int = 0) -> RichardsonCertificate:
             coeffs = [rng.randint(1, 7) for _ in pd.u_root_positions]
         x = richardson_candidate(pd, coeffs)
         tangent = pd.alg.bracket_space(pd.p, span([x], pd.alg.dim))
-        if tangent == want:
-            return RichardsonCertificate(element=x, tangent=tangent)
+        if tangent == pd.u:
+            break
         best = max(best, tangent.dim)
-    raise RichardsonSearchError(
-        f"no open orbit found for {pd.label()} after {_MAX_RETRIES} retries",
-        best_tangent_dim=best)
+    else:
+        raise RichardsonSearchError(
+            f"no open orbit found for {pd.label()} after {_MAX_RETRIES} retries",
+            best_tangent_dim=best)
+    # the freeness evidence, for an element whose orbit is open
+    rows = [class_of(pd.a_u, pd.alg.bracket(z, x))[0] for z in pd.a_p.section[0]]
+    induced_rank = span(rows, pd.a_u.dim).dim if rows else 0
+    characters = torus_character_set(pd, x)
+    invariants = smith_normal_form(characters)
+    return RichardsonCertificate(
+        element=x, tangent=tangent, induced_rank=induced_rank,
+        infinitesimal_free=induced_rank == pd.torus_rank,
+        characters=characters, smith_invariants=invariants,
+        lattice_generating=invariants == (1,) * pd.torus_rank)
 
 
 def torus_character_set(pd: ParabolicDatum, x: Sequence) -> IntMat:
@@ -245,6 +264,8 @@ def torus_character_set(pd: ParabolicDatum, x: Sequence) -> IntMat:
     simple roots are unit vectors, so deletion realizes the quotient
     lattice), one per distinct restricted weight, sorted.
     """
+    if len(x) != pd.alg.dim:
+        raise ValueError("vector length does not match algebra dimension")
     keep = [i for i in range(pd.alg.rank) if (i + 1) not in pd.gamma]
     seen = set()
     for i, c in enumerate(x):
@@ -254,37 +275,7 @@ def torus_character_set(pd: ParabolicDatum, x: Sequence) -> IntMat:
         if w is None:
             raise ValueError("vector has a component outside the root spaces")
         seen.add(tuple(w[k] for k in keep))
-    rows = sorted(seen)
-    return IntMat.from_rows(rows, len(keep))
-
-
-def torsor_certificate(pd: ParabolicDatum,
-                       cert: RichardsonCertificate) -> TorsorCertificate:
-    """Freeness evidence for the torus action on the open orbit.
-
-    infinitesimal_free: the induced linear map p/[p,p] -> u/[u,u] sending a
-    section z to the class of [z, x] has zero kernel.  lattice_generating:
-    the Smith invariants of the restricted-weight matrix of x are all 1
-    with rank equal to the torus rank, ruling out finite stabilizers that
-    the linear check cannot see.
-    """
-    if cert.tangent != pd.u:
-        raise ValueError("torsor certificate requires an open-orbit element")
-    x = cert.element
-    rows = [class_of(pd.a_u, pd.alg.bracket(z, x))[0] for z in pd.a_p.section[0]]
-    induced_rank = span(rows, pd.a_u.dim).dim if rows else 0
-    infinitesimal_free = induced_rank == pd.torus_rank
-
-    characters = torus_character_set(pd, x)
-    invariants = smith_normal_form(characters)
-    lattice_generating = (len(invariants) == pd.torus_rank
-                          and all(v == 1 for v in invariants))
-    return TorsorCertificate(
-        infinitesimal_free=infinitesimal_free,
-        lattice_generating=lattice_generating,
-        induced_rank=induced_rank,
-        characters=characters,
-        smith_invariants=invariants)
+    return IntMat.from_rows(sorted(seen), len(keep))
 
 
 def h1_witness(pd: ParabolicDatum) -> str | None:

@@ -33,7 +33,6 @@ from .parabolic import (
     h1_witness,
     parse_case,
     standard_parabolic,
-    torsor_certificate,
 )
 from .bundles import (
     IDENTITY_WORD,
@@ -159,16 +158,15 @@ def _suite_richardson(case: CaseSpec) -> tuple[CheckRecord, ...]:
                                  f"of {pd.u.dim}"),
         )
     tangent_ok = cert.tangent == pd.u
-    tc = torsor_certificate(pd, cert)
     return (
         check_record("richardson-found", True, True, True),
         check_record("tangent-fills-nilradical", pd.u.dim, cert.tangent.dim,
                      tangent_ok,
                      witness=None if tangent_ok else f"element {cert.element}"),
-        check_record("infinitesimal-freeness", pd.torus_rank, tc.induced_rank,
-                     tc.infinitesimal_free),
+        check_record("infinitesimal-freeness", pd.torus_rank, cert.induced_rank,
+                     cert.infinitesimal_free),
         check_record("lattice-freeness", "all invariants 1",
-                     str(list(tc.smith_invariants)), tc.lattice_generating),
+                     str(list(cert.smith_invariants)), cert.lattice_generating),
     )
 
 

@@ -626,6 +626,19 @@ def test_twist_section_rejects_levels_of_the_wrong_length(gamma, nums):
         invariance_pairing_square(pd, _w_unip((0, -1), 1), [(nums, 1)])
 
 
+@pytest.mark.parametrize("level", [((0.5,), 1), ((Fraction(1, 2),), 1),
+                                   ((True,), 1), ((1,), 1.0), ((1,), Fraction(1))])
+def test_twist_section_takes_only_int_levels(level):
+    # a float or Fraction numerator once came back in the section's numerators
+    pd = standard_parabolic("A2", frozenset({1}))
+    with pytest.raises(TypeError, match="twist level must be ints"):
+        twist_section(pd, level)
+    with pytest.raises(TypeError, match="twist level must be ints"):
+        canonical_id(pd, IDENTITY_WORD, [level])
+    with pytest.raises(TypeError, match="twist level must be ints"):
+        invariance_pairing_square(pd, _w_unip((0, -1), 1), [level])
+
+
 @pytest.mark.parametrize("den", [0, -1, -2])
 def test_invariance_pairing_square_rejects_nonpositive_denominators(den):
     # over den <= 0 both routes would give equal pairs, so the square would pass

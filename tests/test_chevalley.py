@@ -804,6 +804,16 @@ def test_bracket_and_killing_take_only_int_entries(bad):
     assert alg.bracket((1, 0, 0), f) == (0, 1, 0) and alg.killing((1, 0, 0), f) == 4
 
 
+@pytest.mark.parametrize("x,y", [((1,), (0, 0, 1)), ((1, 0, 0), (0, 0, 1, 0))])
+def test_bracket_and_killing_reject_vectors_of_another_length(x, y):
+    # killing once paired a short x by truncation and read a long y past dim
+    alg = algebra("A1")
+    for op in (alg.bracket, alg.killing):
+        for args in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="vector length does not match"):
+                op(*args)
+
+
 @pytest.mark.parametrize("v,want", [
     ((5, 0, 0, 0), [(0, 5)]), ([0, 0, 0, -2], [(3, -2)]), ((0, -7, 0), [(1, -7)]),
     ([0, 0, 1], [(2, 1)]), ((3,), [(0, 3)]), ([-1], [(0, -1)]), ((0, 0), []),

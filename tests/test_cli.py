@@ -157,11 +157,39 @@ def test_dossier_table(capsys):
         assert run(capsys, "dossier", "--case", spec) == (0, table, "")
 
 
-def test_richardson_certificate_output(capsys):
-    code, out, _ = run(capsys, "richardson", "--case", "B2:1")
-    assert code == 0
-    assert "tangent dim      3 of 3" in out
-    assert "free" in out and "generating" in out
+# the all-ones candidate fills u on B2:1; on C3:2 and on D4:1,3,4, a case of
+# torus rank 1 in the largest algebra, the seeded retries find the element
+_RICHARDSON_TABLES = {
+    "B2:1": """\
+case B2:1
+  element          e(a2) + e(a1+a2) + e(a1+2a2)
+  tangent dim      3 of 3
+  infinitesimal    rank 1 of 1 (free)
+  lattice          invariants [1] (generating)
+""",
+    "C3:2": """\
+case C3:2
+  element          5*e(a1) + 4*e(a3) + 7*e(a1+a2) + e(a2+a3) + 7*e(a1+a2+a3) \
++ 3*e(2a2+a3) + 2*e(a1+2a2+a3) + 6*e(2a1+2a2+a3)
+  tangent dim      8 of 8
+  infinitesimal    rank 2 of 2 (free)
+  lattice          invariants [1, 1] (generating)
+""",
+    "D4:1,3,4": """\
+case D4:1,3,4
+  element          6*e(a2) + e(a1+a2) + 6*e(a2+a3) + e(a2+a4) + 7*e(a1+a2+a3) \
++ 6*e(a1+a2+a4) + 5*e(a2+a3+a4) + 4*e(a1+a2+a3+a4) + 2*e(a1+2a2+a3+a4)
+  tangent dim      9 of 9
+  infinitesimal    rank 1 of 1 (free)
+  lattice          invariants [1] (generating)
+""",
+}
+
+
+def test_richardson_certificate_output(capsys, monkeypatch):
+    monkeypatch.delenv("WORKBENCH_SEED", raising=False)
+    for spec, table in _RICHARDSON_TABLES.items():
+        assert run(capsys, "richardson", "--case", spec) == (0, table, "")
 
 
 def test_json_report_written(tmp_path, capsys):

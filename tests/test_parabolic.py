@@ -6,6 +6,7 @@ four positive roots (its nilradical is abelian of dimension 3).
 """
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -13,15 +14,14 @@ from liework.chevalley import SUPPORTED_TYPES, ChevalleyAlgebra, algebra
 from liework.exactlin import QuotientSpace, Subspace, smith_normal_form, span
 from liework.parabolic import (
     ParabolicAuditError,
-    RichardsonCertificate,
     RichardsonSearchError,
     build_parabolic,
     find_richardson,
     fixedpoint_check,
     h1_witness,
     parse_case,
+    richardson_candidate,
     standard_parabolic,
-    torsor_certificate,
     torus_character_set,
 )
 from test_chevalley import _bracket_by_fractions
@@ -194,40 +194,48 @@ def test_richardson_all_supported_cases():
                 assert cert.tangent.dim == pd.u.dim
 
 
-def test_torsor_certificate_a1():
+def test_richardson_certificate_a1():
     pd = standard_parabolic("A1", frozenset())
     cert = find_richardson(pd)
-    tc = torsor_certificate(pd, cert)
-    assert tc.smith_invariants == (1,)
-    assert tc.infinitesimal_free and tc.lattice_generating
+    assert cert.smith_invariants == (1,)
+    assert cert.infinitesimal_free and cert.lattice_generating
 
 
-def test_torsor_certificate_a2_borel():
+def test_richardson_certificate_a2_borel():
     pd = standard_parabolic("A2", frozenset())
-    tc = torsor_certificate(pd, find_richardson(pd))
-    assert tc.smith_invariants == (1, 1)
-    assert tc.infinitesimal_free and tc.lattice_generating
+    cert = find_richardson(pd)
+    assert cert.smith_invariants == (1, 1)
+    assert cert.infinitesimal_free and cert.lattice_generating
 
 
-def test_torsor_certificate_a2_gamma1_single_restricted_weight():
+def test_richardson_certificate_a2_gamma1_single_restricted_weight():
     pd = standard_parabolic("A2", frozenset({1}))
     cert = find_richardson(pd)
     charset = torus_character_set(pd, cert.element)
     # both u-roots restrict to the same generator once a1 is deleted
     assert charset.rows == 1
     assert charset.row(0) == (1,)
-    tc = torsor_certificate(pd, cert)
-    assert tc.smith_invariants == (1,)
-    assert tc.infinitesimal_free and tc.lattice_generating
+    assert cert.smith_invariants == (1,)
+    assert cert.infinitesimal_free and cert.lattice_generating
 
 
-def test_torsor_requires_open_certificate():
+def test_richardson_candidate_needs_one_coefficient_per_u_root():
     pd = standard_parabolic("A2", frozenset())
-    from liework.exactlin import Subspace
-    bad = RichardsonCertificate(
-        element=tuple([0] * 8), tangent=Subspace.zero(8))
-    with pytest.raises(ValueError):
-        torsor_certificate(pd, bad)
+    assert richardson_candidate(pd, [5, 6, 7]) == (5, 6, 7, 0, 0, 0, 0, 0)
+    for coeffs in ([5], [5, 6, 7, 8], []):
+        with pytest.raises(ValueError, match="one per u root"):
+            richardson_candidate(pd, coeffs)
+    for bad in (0.5, Fraction(1, 2), True):
+        with pytest.raises(TypeError, match="coefficients must be ints"):
+            richardson_candidate(pd, [5, bad, 7])
+
+
+def test_torus_character_set_needs_a_vector_of_the_algebra():
+    pd = standard_parabolic("A2", frozenset())
+    assert torus_character_set(pd, (1, 0, 0) + (0,) * 5).rows == 1
+    for x in ((1, 0), (1,) + (0,) * 8):
+        with pytest.raises(ValueError, match="vector length"):
+            torus_character_set(pd, x)
 
 
 def test_h1_borel_and_full_true():
@@ -321,6 +329,33 @@ def test_character_matrix_smith_invariants_full_matrix():
             for gamma in itertools.combinations(range(1, alg.rank + 1), r):
                 pd = standard_parabolic(label, frozenset(gamma))
                 cert = find_richardson(pd)
-                tc = torsor_certificate(pd, cert)
-                assert tc.lattice_generating, f"{label}:{gamma}"
-                assert tc.infinitesimal_free, f"{label}:{gamma}"
+                assert cert.lattice_generating, f"{label}:{gamma}"
+                assert cert.infinitesimal_free, f"{label}:{gamma}"
+
+
+def test_freeness_evidence_matches_sympy():
+    # every certificate of the 54 cases: the Smith invariants against
+    # sympy's Smith normal form of the character rows, and the induced rank
+    # as the rank that the brackets [z, x], z an a_p section row, add to
+    # [u,u], which reads no class_of
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    from sympy.polys.domains import ZZ
+    cases = 0
+    for label in SUPPORTED_TYPES:
+        alg = algebra(label)
+        for r in range(alg.rank + 1):
+            for gamma in itertools.combinations(range(1, alg.rank + 1), r):
+                pd = standard_parabolic(label, frozenset(gamma))
+                cert = find_richardson(pd)
+                chars = cert.characters
+                snf = (sympy_snf(sympy.Matrix([chars.row(i) for i in range(chars.rows)]),
+                                 domain=ZZ) if chars.rows else sympy.zeros(0, 0))
+                diag = tuple(abs(int(snf[i, i])) for i in range(min(snf.shape)))
+                assert cert.smith_invariants == tuple(d for d in diag if d), (label, gamma)
+                rows = [*pd.u_derived.ints,
+                        *(alg.bracket(z, cert.element) for z in pd.a_p.section[0])]
+                rank = sympy.Matrix(rows).rank() if rows else 0
+                assert cert.induced_rank == rank - pd.u_derived.dim, (label, gamma)
+                cases += 1
+    assert cases == 54
