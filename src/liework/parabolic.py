@@ -32,11 +32,12 @@ from .chevalley import (
     raise_on_failure,
 )
 from .exactlin import (
+    EchelonBuilder,
     IntMat,
     QuotientSpace,
     Subspace,
+    VectorOutsideTotal,
     _check_ints,
-    class_of,
     quotient,
     smith_normal_form,
     span,
@@ -86,15 +87,16 @@ class ParabolicDatum:
 
 @dataclass(frozen=True)
 class RichardsonCertificate:
-    """An element x of u with [p, x] = u, so its orbit is open, and the
-    evidence that the torus acts freely on that orbit.  infinitesimal_free:
-    the induced map p/[p,p] -> u/[u,u], z to the class of [z, x], of rank
-    induced_rank, has zero kernel.  lattice_generating: the Smith invariants
-    of the restricted-weight matrix of x are all 1 with rank equal to the
-    torus rank, ruling out finite stabilizers the linear check cannot see."""
+    """An element x of u with [p, x] = u (every [z, x], z a row of p, lies in
+    u, of rank dim u there), so its orbit is open, and the evidence that the
+    torus acts freely on that orbit.  infinitesimal_free: the induced map
+    p/[p,p] -> u/[u,u], z to the class of [z, x], of rank induced_rank, has
+    zero kernel.  lattice_generating: the Smith invariants of the
+    restricted-weight matrix of x are all 1 with rank equal to the torus
+    rank, ruling out finite stabilizers the linear check cannot see."""
 
     element: tuple[int, ...]
-    tangent: Subspace  # [p, x], equal to u
+    tangent: Subspace  # u, once the rank proves [p, x] = u
     induced_rank: int
     infinitesimal_free: bool
     characters: IntMat  # torus_character_set of the element
@@ -220,6 +222,25 @@ def richardson_candidate(pd: ParabolicDatum, coeffs: Sequence[int]) -> tuple[int
     return tuple(v)
 
 
+def _u_coords(pd: ParabolicDatum, v: list[int]) -> list[int] | None:
+    """v's coordinates on u, or None if v has a nonzero coordinate outside u."""
+    w = [v[k] for k in pd.u_root_positions]
+    return w if w.count(0) - v.count(0) == len(w) - len(v) else None
+
+
+def _tangent_rank(pd: ParabolicDatum, x: Sequence[int]) -> int | None:
+    """dim [p, x] for x in u, on u's coordinates, or None if some [z, x], z a
+    row of p, leaves u.  Elimination stops at rank dim u, which proves
+    [p, x] = u; the remaining brackets are only checked to lie in u."""
+    xs, eb = _support(x), EchelonBuilder(pd.u.dim)
+    for z in pd.p.ints:
+        if (w := _u_coords(pd, pd.alg._bracket_ints(_support(z), xs))) is None:
+            return None
+        if len(eb.rows) < eb.n:
+            eb.insert(w)
+    return len(eb.rows)
+
+
 @functools.lru_cache(maxsize=None)
 def find_richardson(pd: ParabolicDatum, seed: int = 0) -> RichardsonCertificate:
     """An element of u whose parabolic orbit is open in u, with its freeness evidence.
@@ -237,21 +258,24 @@ def find_richardson(pd: ParabolicDatum, seed: int = 0) -> RichardsonCertificate:
         else:
             coeffs = [rng.randint(1, 7) for _ in pd.u_root_positions]
         x = richardson_candidate(pd, coeffs)
-        tangent = pd.alg.bracket_space(pd.p, span([x], pd.alg.dim))
-        if tangent == pd.u:
+        if (rank := _tangent_rank(pd, x)) == pd.u.dim:
             break
-        best = max(best, tangent.dim)
+        best = max(best, -1 if rank is None else rank)
     else:
         raise RichardsonSearchError(
             f"no open orbit found for {pd.label()} after {_MAX_RETRIES} retries",
             best_tangent_dim=best)
-    # the freeness evidence, for an element whose orbit is open
-    rows = [class_of(pd.a_u, pd.alg.bracket(z, x))[0] for z in pd.a_p.section[0]]
-    induced_rank = span(rows, pd.a_u.dim).dim if rows else 0
+    # the freeness evidence: the rank that [z, x], z in a_p's section, adds to [u,u]
+    eb = EchelonBuilder(pd.alg.dim, pd.u_derived)
+    for z in pd.a_p.section[0]:
+        if _u_coords(pd, v := pd.alg._bracket_ints(_support(z), _support(x))) is None:
+            raise VectorOutsideTotal("a bracket [z, x] lies outside u")
+        eb.insert(v)
+    induced_rank = len(eb.rows) - pd.u_derived.dim
     characters = torus_character_set(pd, x)
     invariants = smith_normal_form(characters)
     return RichardsonCertificate(
-        element=x, tangent=tangent, induced_rank=induced_rank,
+        element=x, tangent=pd.u, induced_rank=induced_rank,
         infinitesimal_free=induced_rank == pd.torus_rank,
         characters=characters, smith_invariants=invariants,
         lattice_generating=invariants == (1,) * pd.torus_rank)
@@ -298,6 +322,12 @@ def h1_witness(pd: ParabolicDatum) -> str | None:
 
 
 def fixedpoint_check(pd: ParabolicDatum) -> bool:
-    """Whether [p, [p,p]-perp] lands inside the nilradical."""
-    moved = pd.alg.bracket_space(pd.p, pd.p_derived_perp)
-    return pd.u.contains_space(moved)
+    """Whether [p, [p,p]-perp] lies in u, with no span built: unit rows e_i,
+    e_j pass when table[i][j] names only indices in u, and any other pair's
+    bracket must vanish outside u."""
+    alg, inside = pd.alg, frozenset(pd.u_root_positions)
+    ys = [_support(b) for b in pd.p_derived_perp.ints]
+    return all(len(xs) == len(y) == 1
+               and inside.issuperset(k for k, _ in alg.table[xs[0][0]][y[0][0]])
+               or _u_coords(pd, alg._bracket_ints(xs, y)) is not None
+               for xs in map(_support, pd.p.ints) for y in ys)

@@ -1,9 +1,13 @@
+import hashlib
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
 from liework import bundles, cli
+from liework.chevalley import SUPPORTED_TYPES, algebra
+from liework.parabolic import format_case
 from liework.cli import build_report, canonical_json, main
 from liework.suites import CaseSpec, run_suite
 
@@ -190,6 +194,31 @@ def test_richardson_certificate_output(capsys, monkeypatch):
     monkeypatch.delenv("WORKBENCH_SEED", raising=False)
     for spec, table in _RICHARDSON_TABLES.items():
         assert run(capsys, "richardson", "--case", spec) == (0, table, "")
+
+
+# sha256 of `liework richardson` over all 54 cases, in SUPPORTED_TYPES order
+# and gamma by size, then lexicographically: first at the default seed, then
+# at WORKBENCH_SEED=7, where the search tries other candidates
+_RICHARDSON_ALL_SHA256 = "9eabb1fdd3bfad200e3ab372c5e6c812fb66c9c09d6b91d53b7f03ebda244dcc"
+
+
+def test_richardson_output_of_every_case_is_pinned(capsys, monkeypatch):
+    text = []
+    for seed in (None, "7"):
+        if seed is None:
+            monkeypatch.delenv("WORKBENCH_SEED", raising=False)
+        else:
+            monkeypatch.setenv("WORKBENCH_SEED", seed)
+        for label in SUPPORTED_TYPES:
+            rank = algebra(label).rank
+            for r in range(rank + 1):
+                for gamma in itertools.combinations(range(1, rank + 1), r):
+                    code, out, err = run(capsys, "richardson", "--case",
+                                         format_case(label, gamma))
+                    assert (code, err) == (0, "")
+                    text.append(out)
+    assert len(text) == 108
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == _RICHARDSON_ALL_SHA256
 
 
 def test_json_report_written(tmp_path, capsys):

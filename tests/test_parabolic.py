@@ -6,15 +6,26 @@ four positive roots (its nilradical is abelian of dimension 3).
 """
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from liework.chevalley import SUPPORTED_TYPES, ChevalleyAlgebra, algebra
-from liework.exactlin import QuotientSpace, Subspace, smith_normal_form, span
+from liework import parabolic
+from liework.chevalley import SUPPORTED_TYPES, algebra
+from liework.exactlin import (
+    QuotientSpace,
+    Subspace,
+    VectorOutsideTotal,
+    class_of,
+    quotient,
+    smith_normal_form,
+    span,
+)
 from liework.parabolic import (
     ParabolicAuditError,
     RichardsonSearchError,
+    _tangent_rank,
     build_parabolic,
     find_richardson,
     fixedpoint_check,
@@ -254,14 +265,16 @@ def test_h1_a2_gamma1_false_with_witness():
 def test_find_richardson_gives_up_after_32_retries(monkeypatch):
     # every candidate's tangent falls short of u: the sum of all root vectors,
     # then 32 seeded retries, and the error names the best dimension reached
+    # (the first is rejected outright, as if a bracket left u, and counts for
+    # no dimension)
     pd = standard_parabolic("A2", frozenset())
     calls = []
 
-    def short(self, a, b):
-        calls.append(b)
-        return pd.u_derived
+    def short(datum, x):
+        calls.append(x)
+        return datum.u_derived.dim if len(calls) > 1 else None
 
-    monkeypatch.setattr(ChevalleyAlgebra, "bracket_space", short)
+    monkeypatch.setattr(parabolic, "_tangent_rank", short)
     find_richardson.cache_clear()
     with pytest.raises(RichardsonSearchError, match="A2:- after 32 retries") as err:
         find_richardson(pd)
@@ -285,12 +298,101 @@ def test_h1_witness_is_the_first_fraction_bracket(label):
             assert h1_witness(pd) == want
 
 
-def test_fixedpoint_check_everywhere():
-    for label in ("A1", "A2", "B2", "B3", "G2"):
+def _every_datum():
+    """The standard parabolic datum of each of the 54 cases."""
+    for label in SUPPORTED_TYPES:
         alg = algebra(label)
         for r in range(alg.rank + 1):
             for gamma in itertools.combinations(range(1, alg.rank + 1), r):
-                assert fixedpoint_check(standard_parabolic(label, frozenset(gamma)))
+                yield standard_parabolic(label, frozenset(gamma))
+
+
+def _exact_tangent_dim(pd, x):
+    return pd.alg.bracket_space(pd.p, span([x], pd.alg.dim)).dim
+
+
+def test_fixedpoint_check_everywhere():
+    # against the exact span route, [p, [p,p]-perp] built and tested inside
+    # u, on every case and on datums whose [p,p]-perp is the whole algebra,
+    # where [h, f] leaves u (and [g, g] = g leaves u = 0 at full gamma)
+    def exact(pd):
+        return pd.u.contains_space(pd.alg.bracket_space(pd.p, pd.p_derived_perp))
+
+    cases = 0
+    for pd in _every_datum():
+        assert fixedpoint_check(pd) is exact(pd) is True
+        tampered = dataclasses.replace(pd, p_derived_perp=Subspace.full(pd.alg.dim))
+        assert fixedpoint_check(tampered) is exact(tampered) is False
+        cases += 1
+    assert cases == 54
+
+
+def test_tangent_rank_matches_the_exact_tangent_on_every_searched_candidate(monkeypatch):
+    # the exact tangent span [p, x] is the oracle, on every candidate the
+    # search tries over the 54 cases at the suites' default seed
+    from liework.suites import DEFAULT_SEED
+    tried = []
+
+    def recorded(pd, x):
+        tried.append((pd, x, _tangent_rank(pd, x)))
+        return tried[-1][2]
+
+    monkeypatch.setattr(parabolic, "_tangent_rank", recorded)
+    find_richardson.cache_clear()
+    for pd in _every_datum():
+        find_richardson(pd, seed=DEFAULT_SEED)
+    for pd, x, rank in tried:
+        assert rank == _exact_tangent_dim(pd, x), (pd.label(), x)
+    rejected = sorted({pd.label() for pd, _, rank in tried if rank < pd.u.dim})
+    assert len(tried) == 67 and len(rejected) == 13
+    assert rejected == ["A3:1,3", "B3:1,3", "C3:1", "C3:1,2", "C3:1,3", "C3:2",
+                        "D4:1", "D4:1,2", "D4:1,3", "D4:1,3,4", "D4:1,4", "D4:2",
+                        "G2:1"]
+
+
+def test_tangent_rank_matches_the_exact_tangent_with_zeroed_coefficients():
+    # seeded candidates with some coefficients zeroed, 67 of the 162 short
+    # of u; the zero element has rank 0
+    short = 0
+    for pd in _every_datum():
+        rng = random.Random(f"zeroed:{pd.label()}")
+        for _ in range(3):
+            x = richardson_candidate(pd, [rng.choice((0, 0, 1, 3, 7))
+                                          for _ in pd.u_root_positions])
+            rank = _tangent_rank(pd, x)
+            assert rank == _exact_tangent_dim(pd, x), (pd.label(), x)
+            short += rank < pd.u.dim
+        assert _tangent_rank(pd, (0,) * pd.alg.dim) == 0
+    assert short == 67
+
+
+def test_tangent_rank_rejects_an_element_with_a_bracket_outside_u():
+    # [h, f] is a nonzero multiple of f for some h of the Cartan, inside p
+    for pd in _every_datum():
+        alg = pd.alg
+        for k in range(alg.num_positive):
+            assert _tangent_rank(pd, alg.one_hot(alg.num_positive + alg.rank + k)) is None
+
+
+def test_induced_rank_matches_the_class_of_route():
+    # the oracle: the rank of the classes of [z, x] in u/[u,u], z an a_p
+    # section row, through the quotient's projector
+    for pd in _every_datum():
+        cert = find_richardson(pd)
+        rows = [class_of(pd.a_u, pd.alg.bracket(z, cert.element))[0]
+                for z in pd.a_p.section[0]]
+        assert cert.induced_rank == (span(rows, pd.a_u.dim).dim if rows else 0)
+
+
+def test_induced_rank_rejects_a_bracket_outside_u():
+    # a datum whose torus quotient is tampered to hold every unit row of g:
+    # [f, x] leaves u, and the freeness evidence raises, as class_of does for
+    # a vector outside u
+    pd = standard_parabolic("A2", frozenset())
+    full = Subspace.full(pd.alg.dim)
+    tampered = dataclasses.replace(pd, a_p=quotient(full, Subspace.zero(pd.alg.dim)))
+    with pytest.raises(VectorOutsideTotal):
+        find_richardson(tampered)
 
 
 def test_parse_case():
