@@ -54,6 +54,7 @@ from .exactlin import (
     _check_ints,
     _check_scalars,
     _clear_denominators,
+    _echelon_pivots,
     _lowest,
     class_of,
 )
@@ -446,8 +447,7 @@ def fiber_dimension(pd: ParabolicDatum, pt: UCPoint) -> int:
     alg = pd.alg
     twist, _ = intrinsic_quotients(alg, pt.p)
     perp, u = twist.divisor, pd.u
-    eb = EchelonBuilder(alg.dim, perp)
-    for nums, _ in _act_ints(alg, pt.witness, [(row, 1) for row in u.ints]):
-        eb.insert(nums)
-    distance = 2 * len(eb.rows) - perp.dim - u.dim  # w u has dimension dim u
+    moved = (nums for nums, _ in _act_ints(alg, pt.witness, [(row, 1) for row in u.ints]))
+    rank = len(_echelon_pivots(moved, alg.dim, seed=perp))
+    distance = 2 * rank - perp.dim - u.dim  # w u has dimension dim u
     return alg.dim - pd.p.dim + u.dim - distance

@@ -51,6 +51,7 @@ from .exactlin import (
     IntMat,
     Subspace,
     _check_ints,
+    _echelon_pivots,
     _null_rows,
     int_det,
     span,
@@ -738,7 +739,7 @@ def _audit(alg: ChevalleyAlgebra) -> tuple[CheckRecord, ...]:
                        if c2 <= 0 or 2 * g[h + i][h + j] * d[j] != c2 * a[i, j]), None)
     sym, sym_at = bad is None, bad and "kappa({}, {}) = {}".format(
         *map(alg.basis_label, bad), g[bad[0]][bad[1]])
-    nondeg = span(g, dim).dim == dim
+    nondeg = len(_echelon_pivots(g, dim)) == dim
     kiv = killing_invariance_violations(alg)
     want_pos = _EXPECTED_POSITIVE_COUNT[label[0]](alg.rank)
     want_dim = 2 * want_pos + alg.rank

@@ -193,7 +193,7 @@ def _cmd_dossier(args, out) -> int:
         ("dim u", pd.u.dim), ("dim [u,u]", pd.u_derived.dim),
         ("dim [p,p]", pd.p_derived.dim),
         ("dim [p,p]-perp", pd.p_derived_perp.dim),
-        ("dim a_p", pd.a_p.dim), ("dim a_u", pd.a_u.dim),
+        ("dim a_p", pd.a_p.dim), ("dim a_u", pd.a_u_dim),
         ("torus rank", pd.torus_rank), ("dim C", dim_c),
         ("dim U_C", dim_c + pd.p_derived_perp.dim), ("leaf dim", leaf),
     ]

@@ -11,9 +11,14 @@ Every entry point takes integer vectors; ``rref`` alone takes rows of
 Fractions, clearing their denominators, and returns Fraction rows.
 Everything is exact: no floats, no tolerances, no pivot thresholds.
 
-There is one elimination step, ``EchelonBuilder.insert``, and it runs in
-integers, combining rows by gcd-scaled integer row operations
-(fraction-free elimination; Bareiss 1968, Cohen, GTM 138, section 2.2).
+There is one elimination step, and it runs in integers, combining rows
+by gcd-scaled integer row operations (fraction-free elimination; Bareiss
+1968, Cohen, GTM 138, section 2.2).  Its forward half, ``_forward``,
+reduces a vector against the echelon rows and places the primitive
+remainder at its pivot; ``EchelonBuilder.insert`` follows it with the
+back-reduction that clears the new pivot column.  A read that needs only
+a rank or a pivot set takes forward steps alone (``_echelon_pivots``),
+since the pivots of a row space do not depend on back-substitution.
 Spans, ``rref``, kernels and quotient sections each read the rows and
 pivots of one elimination: a kernel's rows with their columns reversed, a
 quotient's total rows after its divisor's, less those it shares with it.
@@ -132,10 +137,11 @@ def _lowest(nums: Sequence[int], den: int) -> QVec:
 
 def _reduce(rows: Sequence[Sequence[int]], pivots: Sequence[int],
             v: Sequence[int]) -> Sequence[int]:
-    """v minus its components along primitive echelon rows (positive pivot,
-    pivot column zero in every other row), each step a gcd-scaled integer
-    row operation, then divided by the gcd of its entries: a positive
-    multiple of the rational remainder, zero iff v is in their span."""
+    """v minus its components along echelon rows taken in pivot order, each
+    step a gcd-scaled integer row operation, then divided by the gcd of its
+    entries: zero iff v is in their span, and zero at every pivot column.
+    For primitive rows with a positive pivot whose pivot column is zero in
+    every other row, a positive multiple of the rational remainder."""
     for r, p in zip(rows, pivots):
         c = v[p]
         if c:
@@ -146,11 +152,48 @@ def _reduce(rows: Sequence[Sequence[int]], pivots: Sequence[int],
     return [x // g for x in v] if g > 1 else v
 
 
+def _forward(rows: list[Sequence[int]], pivots: list[int], v: Sequence[int]) -> int | None:
+    """The forward half of the elimination step: reduce v against the
+    echelon rows, make the remainder primitive with a positive pivot and
+    insert it, and its pivot, at the pivot's place.  Its index, or None
+    if v lies in the rows' span."""
+    v = _reduce(rows, pivots, v)
+    for pc, x in enumerate(v):
+        if x:
+            break
+    else:
+        return None
+    if v[pc] < 0:
+        v = [-x for x in v]
+    at = bisect.bisect(pivots, pc)
+    rows.insert(at, v)
+    pivots.insert(at, pc)
+    return at
+
+
+def _echelon_pivots(vectors: Iterable[Sequence[int]], ambient_dim: int,
+                    seed: Subspace | None = None) -> list[int]:
+    """The pivot columns of the span of a seed subspace and the integer
+    vectors, by forward steps alone: the pivots are the row space's, so
+    no back-reduction is needed, and the seed's canonical rows already are
+    a state the steps leave.  Reading stops at full rank, where no further
+    vector can change the pivots."""
+    eb = EchelonBuilder(ambient_dim, seed)  # raises on a mismatch
+    for v in vectors:
+        if len(eb.pivots) == ambient_dim:
+            break
+        if len(v) != ambient_dim:
+            raise DimensionMismatch("vector length does not match ambient dimension")
+        _forward(eb.rows, eb.pivots, v)
+    return eb.pivots
+
+
 class EchelonBuilder:
     """Incrementally maintained primitive echelon basis; insertion order
     independent result.  `insert` is the package's one elimination step:
-    every span, kernel and quotient goes through it.  A seed subspace's
-    canonical rows are already the state that inserting them would leave."""
+    every span, kernel and quotient goes through it, and rank reads take
+    its forward half alone.  A seed subspace's canonical rows are already
+    the state that inserting them would leave."""
 
     def __init__(self, ambient_dim: int, seed: Subspace | None = None):
         if seed is not None and seed.ambient_dim != ambient_dim:
@@ -160,25 +203,18 @@ class EchelonBuilder:
         self.pivots: list[int] = list(seed.pivots) if seed else []
 
     def insert(self, v: Sequence[int]) -> bool:
-        """Insert an integer vector; True iff the rank grew.  The new row
-        gets a positive pivot, and reducing the other rows against it
-        clears its pivot column there."""
+        """Insert an integer vector; True iff the rank grew.  The forward
+        step places the new row; reducing the rows above it against it
+        clears its pivot column there (the rows below are zero there)."""
         if len(v) != self.n:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        v = _reduce(self.rows, self.pivots, v)
-        for pc, x in enumerate(v):
-            if x:
-                break
-        else:
+        at = _forward(self.rows, self.pivots, v)
+        if at is None:
             return False
-        if v[pc] < 0:
-            v = [-x for x in v]
-        for i, r in enumerate(self.rows):
-            if r[pc]:
-                self.rows[i] = _reduce((v,), (pc,), r)
-        at = bisect.bisect(self.pivots, pc)
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pc)
+        rows, v, pc = self.rows, self.rows[at], self.pivots[at]
+        for i in range(at):
+            if rows[i][pc]:
+                rows[i] = _reduce((v,), (pc,), rows[i])
         return True
 
     def subspace(self) -> Subspace:
@@ -403,13 +439,16 @@ def smith_normal_form(m: IntMat) -> tuple[int, ...]:
     the elimination runs modulo D with no entry ever exceeding D (Cohen,
     GTM 138, section 2.4; Kannan and Bachem 1979).  The diagonal it
     leaves gives gcd(a_kk, D); a gcd/lcm pass puts those into a
-    divisibility chain whose first r terms are the invariants.
+    divisibility chain whose first r terms are the invariants.  Their
+    product divides every r x r minor, so D = 1 makes them all 1.
     """
-    cols = span([m.row(i) for i in range(m.rows)], m.cols).pivots
+    cols = _echelon_pivots((m.row(i) for i in range(m.rows)), m.cols)
     if not cols:
         return ()
-    picked = span([[m[i, j] for i in range(m.rows)] for j in cols], m.rows).pivots
+    picked = _echelon_pivots(([m[i, j] for i in range(m.rows)] for j in cols), m.rows)
     d = abs(int_det(IntMat.from_rows([[m[i, j] for j in cols] for i in picked])))
+    if d == 1:
+        return (1,) * len(cols)
     a = [[x % d for x in m.row(i)] for i in range(m.rows)]
     diag = []
     for k in range(min(m.rows, m.cols)):

@@ -4,10 +4,12 @@ For a subset gamma of simple-root indices (1-based), the standard
 parabolic p is spanned by the Cartan subalgebra, all positive root
 spaces, and the negative root spaces of roots supported inside gamma.
 Alongside p this module computes the Levi factor, the nilradical u, the
-derived subalgebras, Killing perps, and three quotients: the torus
-quotient p/[p,p], the abelianized nilradical u/[u,u], and the twist
-space [p,p]-perp / p-perp.  killing_quotients reads the last two off the
-subspace p alone, for the standard p here and for every transported p.
+derived subalgebras, Killing perps, and two quotients: the torus
+quotient p/[p,p] and the twist space [p,p]-perp / p-perp, which
+killing_quotients reads off the subspace p alone, for the standard p
+here and for every transported p.  The abelianized nilradical u/[u,u]
+is read by its dimension, a_u_dim = u.dim - u_derived.dim, once [u,u] is
+checked to lie in u.
 find_richardson returns each case's one RichardsonCertificate.
 
 Every structural identity is checked at construction time and failures
@@ -32,15 +34,14 @@ from .chevalley import (
     raise_on_failure,
 )
 from .exactlin import (
-    EchelonBuilder,
     IntMat,
     QuotientSpace,
     Subspace,
     VectorOutsideTotal,
     _check_ints,
+    _echelon_pivots,
     quotient,
     smith_normal_form,
-    span,
     subspace_sum,
 )
 
@@ -73,7 +74,6 @@ class ParabolicDatum:
     p_derived: Subspace
     p_derived_perp: Subspace
     a_p: QuotientSpace
-    a_u: QuotientSpace
     twist_space: QuotientSpace
     torus_rank: int
     levi_root_positions: tuple[int, ...]  # positive-root indices inside gamma
@@ -83,6 +83,11 @@ class ParabolicDatum:
 
     def label(self) -> str:
         return format_case(self.alg.cartan.type_label, self.gamma)
+
+    @property
+    def a_u_dim(self) -> int:
+        """dim u/[u,u]; build_parabolic checks that [u,u] lies in u."""
+        return self.u.dim - self.u_derived.dim
 
 
 @dataclass(frozen=True)
@@ -175,7 +180,8 @@ def build_parabolic(alg: ChevalleyAlgebra, gamma: Iterable[int]) -> ParabolicDat
         check_record("derived-perp-inside-p", True, inside_ok, inside_ok),
     ), ParabolicAuditError, where)
 
-    a_u = quotient(u, u_derived)
+    if not u.contains_space(u_derived):
+        raise ParabolicAuditError(f"{where}: [u,u] does not lie in u")
 
     torus_rank = alg.rank - len(gset)
     rank_ok = a_p.dim == torus_rank == twist_space.dim
@@ -184,7 +190,7 @@ def build_parabolic(alg: ChevalleyAlgebra, gamma: Iterable[int]) -> ParabolicDat
     if torus_rank:
         gram = [[alg._killing_ints(z, y) for y in twist_space.section[0]]
                 for z in a_p.section[0]]
-        pairing_ok = span(gram, torus_rank).dim == torus_rank
+        pairing_ok = len(_echelon_pivots(gram, torus_rank)) == torus_rank
     dim_c = dim - p.dim
     leaf_dim = dim_c + p_derived_perp.dim - torus_rank
 
@@ -200,7 +206,7 @@ def build_parabolic(alg: ChevalleyAlgebra, gamma: Iterable[int]) -> ParabolicDat
     return ParabolicDatum(
         alg=alg, gamma=gset, p=p, levi=levi, levi_derived=levi_derived,
         u=u, u_derived=u_derived, p_derived=p_derived,
-        p_derived_perp=p_derived_perp, a_p=a_p, a_u=a_u,
+        p_derived_perp=p_derived_perp, a_p=a_p,
         twist_space=twist_space, torus_rank=torus_rank,
         levi_root_positions=levi_pos, u_root_positions=u_pos, audit=audit)
 
@@ -230,26 +236,28 @@ def _u_coords(pd: ParabolicDatum, v: list[int]) -> list[int] | None:
 
 def _tangent_rank(pd: ParabolicDatum, x: Sequence[int]) -> int | None:
     """dim [p, x] for x in u, on u's coordinates, or None if some [z, x], z a
-    row of p, leaves u.  Elimination stops at rank dim u, which proves
-    [p, x] = u; the remaining brackets are only checked to lie in u."""
-    xs, eb = _support(x), EchelonBuilder(pd.u.dim)
-    for z in pd.p.ints:
-        if (w := _u_coords(pd, pd.alg._bracket_ints(_support(z), xs))) is None:
-            return None
-        if len(eb.rows) < eb.n:
-            eb.insert(w)
-    return len(eb.rows)
+    row of p, leaves u.  Every bracket is checked to lie in u; the rank is
+    read by forward steps alone and stops at dim u, which proves [p, x] = u."""
+    xs = _support(x)
+    ws = [_u_coords(pd, pd.alg._bracket_ints(_support(z), xs)) for z in pd.p.ints]
+    if None in ws:
+        return None
+    return len(_echelon_pivots(ws, pd.u.dim))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def find_richardson(pd: ParabolicDatum, seed: int = 0) -> RichardsonCertificate:
     """An element of u whose parabolic orbit is open in u, with its freeness evidence.
 
     Tries the sum of all root vectors of u first; falls back to seeded
     random small integer coefficients.  Raises RichardsonSearchError with
-    the best achieved tangent dimension if every retry fails.  Memoised:
-    the suites share one search per case; an error is not cached.
+    the best achieved tangent dimension if every retry fails, and
+    TypeError for a seed that is not an int (a bool or 1.0 would seed
+    another search under int 1's cache entry).  Memoised: the suites
+    share one search per case; an error is not cached.
     """
+    if type(seed) is not int:
+        raise TypeError(f"seed must be an int, got {seed!r}")
     best = -1
     rng = random.Random(f"richardson:{pd.label()}:{seed}")
     for attempt in range(_MAX_RETRIES + 1):
@@ -266,12 +274,12 @@ def find_richardson(pd: ParabolicDatum, seed: int = 0) -> RichardsonCertificate:
             f"no open orbit found for {pd.label()} after {_MAX_RETRIES} retries",
             best_tangent_dim=best)
     # the freeness evidence: the rank that [z, x], z in a_p's section, adds to [u,u]
-    eb = EchelonBuilder(pd.alg.dim, pd.u_derived)
-    for z in pd.a_p.section[0]:
-        if _u_coords(pd, v := pd.alg._bracket_ints(_support(z), _support(x))) is None:
-            raise VectorOutsideTotal("a bracket [z, x] lies outside u")
-        eb.insert(v)
-    induced_rank = len(eb.rows) - pd.u_derived.dim
+    xs = _support(x)
+    vs = [pd.alg._bracket_ints(_support(z), xs) for z in pd.a_p.section[0]]
+    if any(_u_coords(pd, v) is None for v in vs):
+        raise VectorOutsideTotal("a bracket [z, x] lies outside u")
+    induced_rank = (len(_echelon_pivots(vs, pd.alg.dim, seed=pd.u_derived))
+                    - pd.u_derived.dim)
     characters = torus_character_set(pd, x)
     invariants = smith_normal_form(characters)
     return RichardsonCertificate(
@@ -322,12 +330,20 @@ def h1_witness(pd: ParabolicDatum) -> str | None:
 
 
 def fixedpoint_check(pd: ParabolicDatum) -> bool:
-    """Whether [p, [p,p]-perp] lies in u, with no span built: unit rows e_i,
-    e_j pass when table[i][j] names only indices in u, and any other pair's
-    bracket must vanish outside u."""
+    """Whether [p, [p,p]-perp] lies in u, with no span built.  For each unit
+    row e_j of [p,p]-perp, one subset test: the indices named in table[i][j]
+    over p's unit rows e_i must all lie in u.  Any other pair's bracket must
+    vanish outside u."""
     alg, inside = pd.alg, frozenset(pd.u_root_positions)
-    ys = [_support(b) for b in pd.p_derived_perp.ints]
-    return all(len(xs) == len(y) == 1
-               and inside.issuperset(k for k, _ in alg.table[xs[0][0]][y[0][0]])
-               or _u_coords(pd, alg._bracket_ints(xs, y)) is not None
-               for xs in map(_support, pd.p.ints) for y in ys)
+    xss = [_support(z) for z in pd.p.ints]
+    units = [xs[0][0] for xs in xss if len(xs) == 1]
+    rest = [xs for xs in xss if len(xs) > 1]
+    for y in map(_support, pd.p_derived_perp.ints):
+        if unit := len(y) == 1:
+            j = y[0][0]
+            if not inside.issuperset(k for i in units for k, _ in alg.table[i][j]):
+                return False
+        if any(_u_coords(pd, alg._bracket_ints(xs, y)) is None
+               for xs in (rest if unit else xss)):
+            return False
+    return True

@@ -361,7 +361,7 @@ def _suite_bc(case: CaseSpec) -> tuple[CheckRecord, ...]:
             check_record("triviality-hypothesis", "reported", "false", True,
                          witness=f"{wit} outside [u,u]"),
             check_record("quotient-dimension-bookkeeping", "reported",
-                         f"dim a_p = {pd.a_p.dim}, dim a_u = {pd.a_u.dim}",
+                         f"dim a_p = {pd.a_p.dim}, dim a_u = {pd.a_u_dim}",
                          True),
         )
     checks = [check_record("triviality-hypothesis", "reported", "true", True)]

@@ -200,6 +200,16 @@ def test_richardson_certificate_output(capsys, monkeypatch):
 # and gamma by size, then lexicographically: first at the default seed, then
 # at WORKBENCH_SEED=7, where the search tries other candidates
 _RICHARDSON_ALL_SHA256 = "9eabb1fdd3bfad200e3ab372c5e6c812fb66c9c09d6b91d53b7f03ebda244dcc"
+# sha256 of `liework dossier` over all 54 cases, in the same order
+_DOSSIER_ALL_SHA256 = "85803f75b2b51cbee78a78c881f062989713538ba0b034395f02026886f9c423"
+
+
+def _every_case_label():
+    for label in SUPPORTED_TYPES:
+        rank = algebra(label).rank
+        for r in range(rank + 1):
+            for gamma in itertools.combinations(range(1, rank + 1), r):
+                yield format_case(label, gamma)
 
 
 def test_richardson_output_of_every_case_is_pinned(capsys, monkeypatch):
@@ -209,16 +219,23 @@ def test_richardson_output_of_every_case_is_pinned(capsys, monkeypatch):
             monkeypatch.delenv("WORKBENCH_SEED", raising=False)
         else:
             monkeypatch.setenv("WORKBENCH_SEED", seed)
-        for label in SUPPORTED_TYPES:
-            rank = algebra(label).rank
-            for r in range(rank + 1):
-                for gamma in itertools.combinations(range(1, rank + 1), r):
-                    code, out, err = run(capsys, "richardson", "--case",
-                                         format_case(label, gamma))
-                    assert (code, err) == (0, "")
-                    text.append(out)
+        for case in _every_case_label():
+            code, out, err = run(capsys, "richardson", "--case", case)
+            assert (code, err) == (0, "")
+            text.append(out)
     assert len(text) == 108
     assert hashlib.sha256("".join(text).encode()).hexdigest() == _RICHARDSON_ALL_SHA256
+
+
+def test_dossier_output_of_every_case_is_pinned(capsys):
+    # dim a_u is read as ParabolicDatum.a_u_dim, with no quotient built
+    text = []
+    for case in _every_case_label():
+        code, out, err = run(capsys, "dossier", "--case", case)
+        assert (code, err) == (0, "")
+        text.append(out)
+    assert len(text) == 54
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == _DOSSIER_ALL_SHA256
 
 
 def test_json_report_written(tmp_path, capsys):

@@ -14,6 +14,7 @@ from liework.exactlin import (
     IntMat,
     Subspace,
     VectorOutsideTotal,
+    _echelon_pivots,
     class_of,
     int_det,
     kernel,
@@ -410,6 +411,26 @@ def test_smith_matches_sympy_invariant_factors(sympy_invariant_factors, rows):
     assert smith_normal_form(IntMat.from_rows(rows)) == sympy_invariant_factors(rows)
 
 
+def test_smith_matches_sympy_with_and_without_a_unit_minor(sympy_invariant_factors):
+    # the chosen maximal minor is on the row space's pivot columns and, there,
+    # the pivot rows of the columns; at |det| = 1 the invariants are all 1
+    # with no elimination, and a minor of |det| 2 may leave a 2
+    rng = random.Random(1974)
+    dets = []
+    examples = [[[2]], [[1, 1], [1, -1]], [[2, 4, 0], [1, 3, 0]], [[0, 0], [0, 0]]]
+    while len(examples) < 160:
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        examples.append([[rng.choice((0, 0, 1, -1, 1, 2, -2, 3)) for _ in range(c)]
+                         for _ in range(r)])
+    for m in examples:
+        cols = span(m, len(m[0])).pivots
+        picked = span([[row[j] for row in m] for j in cols], len(m)).pivots
+        minor = IntMat.from_rows([[m[i][j] for j in cols] for i in picked], len(cols))
+        dets.append(abs(int_det(minor)))
+        assert smith_normal_form(IntMat.from_rows(m)) == sympy_invariant_factors(m)
+    assert min(dets.count(1), dets.count(2), sum(d > 2 for d in dets)) >= 10
+
+
 def test_echelon_builder_matches_span():
     rng = random.Random(3)
     rows = [[rand_fraction(rng) for _ in range(5)] for _ in range(6)]
@@ -429,6 +450,33 @@ def test_echelon_builder_rejects_a_seed_of_another_dimension(seed):
     with pytest.raises(DimensionMismatch):
         EchelonBuilder(3, seed)
     assert EchelonBuilder(seed.ambient_dim, seed).subspace() == seed
+
+
+def test_echelon_pivots_match_span_pivots():
+    # forward steps alone read the row space's pivots, over zero rows,
+    # duplicate rows and the rows of a seed subspace, which are taken whole;
+    # reading ends at the first prefix of the vectors that reaches full rank
+    rng = random.Random(38)
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 6)) for _ in range(n)]
+                for _ in range(rng.randint(0, 8))]
+        rows += [[0] * n] * rng.randint(0, 2)
+        rows += [list(r) for r in rng.sample(rows, min(len(rows), rng.randint(0, 3)))]
+        rng.shuffle(rows)
+        seed = span([[rng.randint(-4, 4) for _ in range(n)]
+                     for _ in range(rng.randint(0, 3))], n)
+        vecs = [list(r) for r in seed.ints] + rows
+        assert _echelon_pivots(rows, n) == list(span(rows, n).pivots)
+        assert _echelon_pivots(rows, n, seed=seed) == list(span(vecs, n).pivots)
+        k = next((k for k in range(len(rows) + 1)
+                  if span(vecs[:seed.dim + k], n).dim == n), None)
+        if k is not None:  # a vector after full rank is not read
+            assert _echelon_pivots(rows[:k] + [[1] * (n + 1)], n, seed=seed) == list(range(n))
+    with pytest.raises(DimensionMismatch):
+        _echelon_pivots([[1, 2]], 3)
+    with pytest.raises(DimensionMismatch):
+        _echelon_pivots([], 3, seed=Subspace.full(2))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from liework import parabolic
-from liework.chevalley import SUPPORTED_TYPES, algebra
+from liework.chevalley import SUPPORTED_TYPES, ChevalleyAlgebra, algebra
 from liework.exactlin import (
     QuotientSpace,
     Subspace,
@@ -52,7 +52,8 @@ def test_a1_borel_dimensions():
 def test_a2_borel_dimensions():
     pd = standard_parabolic("A2", frozenset())
     assert (pd.p.dim, pd.u.dim, pd.u_derived.dim) == (5, 3, 1)
-    assert (pd.a_u.dim, pd.a_p.dim, pd.p_derived_perp.dim) == (2, 2, 5)
+    assert (quotient(pd.u, pd.u_derived).dim, pd.a_p.dim, pd.p_derived_perp.dim) == (2, 2, 5)
+    assert pd.a_u_dim == 2
 
 
 def test_full_gamma_everything_collapses():
@@ -144,7 +145,8 @@ def _all_ints(rows):
 def test_dossier_and_certificate_coordinates_are_ints():
     # every subspace and quotient of every dossier, and every Richardson
     # certificate, over all 54 cases: integer coordinates, positive
-    # section and projector denominators
+    # section and projector denominators; u/[u,u], which the dossier reads
+    # by its dimension only, is built here
     subspaces = quotients = 0
     for label in SUPPORTED_TYPES:
         alg = algebra(label)
@@ -154,7 +156,8 @@ def test_dossier_and_certificate_coordinates_are_ints():
                 cert = find_richardson(pd)
                 values = [getattr(pd, f.name) for f in dataclasses.fields(pd)]
                 spaces = [v for v in values if isinstance(v, Subspace)] + [cert.tangent]
-                for q in (v for v in values if isinstance(v, QuotientSpace)):
+                for q in [v for v in values if isinstance(v, QuotientSpace)] + [
+                        quotient(pd.u, pd.u_derived)]:
                     rows, den = q.section
                     prows, pden = q.projector
                     assert type(den) is int and den > 0
@@ -166,7 +169,8 @@ def test_dossier_and_certificate_coordinates_are_ints():
                     assert _all_ints(s.ints) and _all_ints([s.pivots])
                     subspaces += 1
                 assert _all_ints([cert.element])
-    # 7 Subspace fields, the tangent, and total and divisor of 3 quotients
+    # 7 Subspace fields, the tangent, and total and divisor of 3 quotients,
+    # 2 of them fields
     assert quotients == 3 * 54 and subspaces == 14 * 54
 
 
@@ -327,6 +331,67 @@ def test_fixedpoint_check_everywhere():
     assert cases == 54
 
 
+def test_build_parabolic_raises_when_u_derived_leaves_u(monkeypatch):
+    # u/[u,u] is read by its dimension, so [u,u] inside u is checked on its
+    # own; it raises and adds no audit record
+    alg = algebra("A2")
+    u = Subspace.coordinate(alg.dim, range(alg.num_positive))  # the Borel's u
+    names = [r.name for r in build_parabolic(alg, ()).audit]
+    bracket_space = ChevalleyAlgebra.bracket_space
+
+    def leaky(self, a, b):
+        return Subspace.full(self.dim) if a == b == u else bracket_space(self, a, b)
+
+    monkeypatch.setattr(ChevalleyAlgebra, "bracket_space", leaky)
+    with pytest.raises(ParabolicAuditError, match=r"A2 gamma \[\]: \[u,u\] does not lie in u"):
+        build_parabolic(alg, ())
+    assert not any("u,u" in n or "a_u" in n for n in names)
+
+
+def test_fixedpoint_check_on_single_unit_rows():
+    # one unit row e_i of p against one unit row e_j for [p,p]-perp, on every
+    # case: the subset test must read that row's table cell, and agree with
+    # the bracket's value tested in u
+    pairs = 0
+    for pd in _every_datum():
+        alg, n = pd.alg, pd.alg.dim
+        perps = [Subspace.coordinate(n, [j]) for j in range(n)]
+        for i in pd.p.pivots:
+            one = dataclasses.replace(pd, p=Subspace.coordinate(n, [i]))
+            for j, perp in enumerate(perps):
+                inside = pd.u.contains(alg.bracket(alg.one_hot(i), alg.one_hot(j)))
+                assert fixedpoint_check(dataclasses.replace(one, p_derived_perp=perp)) is inside
+                pairs += 1
+    assert pairs == sum(pd.p.dim * pd.alg.dim for pd in _every_datum())
+
+
+def test_tangent_rank_checks_brackets_after_the_rank_is_full():
+    # at each Borel, p plus the unit row f_k of a root in x's support: its row
+    # comes last, after [p, x] = u is reached, and [f_k, x] has an h_k part
+    for label in SUPPORTED_TYPES:
+        pd = standard_parabolic(label, frozenset())
+        alg, x = pd.alg, find_richardson(pd).element
+        k = next(k for k in pd.u_root_positions if x[k])
+        f_k = alg.num_positive + alg.rank + k
+        wider = dataclasses.replace(pd, p=span(pd.p.ints + (alg.one_hot(f_k),), alg.dim))
+        assert wider.p.pivots[-1] == f_k
+        assert _tangent_rank(pd, x) == pd.u.dim
+        assert _tangent_rank(wider, x) is None
+
+
+def test_find_richardson_seed_is_an_int_and_keyed_by_type():
+    # True and 1.0 hash and compare equal to 1, so an untyped cache let them
+    # share seed 1's entry while seeding their own string ("...:True"): the
+    # answer to seed 1 depended on which call came first
+    pd = standard_parabolic("C3", frozenset({1}))
+    find_richardson.cache_clear()
+    want = find_richardson.__wrapped__(pd, 1)
+    for bad in (True, 1.0, "1", None):
+        with pytest.raises(TypeError, match="seed must be an int"):
+            find_richardson(pd, bad)
+    assert find_richardson(pd, 1) == want
+
+
 def test_tangent_rank_matches_the_exact_tangent_on_every_searched_candidate(monkeypatch):
     # the exact tangent span [p, x] is the oracle, on every candidate the
     # search tries over the 54 cases at the suites' default seed
@@ -378,10 +443,10 @@ def test_induced_rank_matches_the_class_of_route():
     # the oracle: the rank of the classes of [z, x] in u/[u,u], z an a_p
     # section row, through the quotient's projector
     for pd in _every_datum():
-        cert = find_richardson(pd)
-        rows = [class_of(pd.a_u, pd.alg.bracket(z, cert.element))[0]
+        cert, a_u = find_richardson(pd), quotient(pd.u, pd.u_derived)
+        rows = [class_of(a_u, pd.alg.bracket(z, cert.element))[0]
                 for z in pd.a_p.section[0]]
-        assert cert.induced_rank == (span(rows, pd.a_u.dim).dim if rows else 0)
+        assert cert.induced_rank == (span(rows, a_u.dim).dim if rows else 0)
 
 
 def test_induced_rank_rejects_a_bracket_outside_u():
