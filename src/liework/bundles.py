@@ -10,8 +10,7 @@ A compiled unipotent letter holds those D_k themselves, each with its
 power of t; a word is decoded once per call, its inverse in place, and
 each vector runs through all its steps over one denominator and is
 brought to lowest terms once, at the end.  A torus letter is one step
-per simple root.  The cache of quotients at transported parabolics is an
-LRU of 8, so its memory does not grow with the cases run.
+per simple root.  The quotients of one transported p are cached.
 
 This is the points layer, and its vectors are no Fractions: a point's
 vector, a twist level and a class are QVecs, integer numerators over one
@@ -29,10 +28,10 @@ Transported points carry the group word that produced them; the twist
 projection transports back through the inverse word.  Membership at a
 transported p is checked from p's integer rows alone: x kills [p, p] iff
 kappa([x, a], b) = 0 for all rows a, b, by the audited invariance.
-Twist spaces at different parabolics are recomputed from scratch at the
-target subspace by killing_quotients, the derivation build_parabolic
-uses, so "the identity on stabilizing words" is a verified fact rather
-than a definition.
+Twist spaces at transported parabolics are rebuilt from scratch by
+killing_quotients; at the standard p the dossier answers with those
+build_parabolic derived by the same function, so "the identity on
+stabilizing words" is a verified fact rather than a definition.
 """
 from __future__ import annotations
 
@@ -372,12 +371,15 @@ def pi_c(pd: ParabolicDatum, pt: UCPoint) -> QVec:
     return tuple(-c for c in nums), den
 
 
-@functools.lru_cache(maxsize=8)
-def intrinsic_quotients(alg: ChevalleyAlgebra,
+@functools.lru_cache(maxsize=1)
+def intrinsic_quotients(pd: ParabolicDatum,
                         p: Subspace) -> tuple[QuotientSpace, QuotientSpace]:
-    """The (twist, a_p) pair of killing_quotients at a transported p, cached
-    for the last 8 subspaces; raises if p-perp is not inside p."""
-    twist, a_p = killing_quotients(alg, p)
+    """(twist, a_p) at p: the dossier's at the standard p, else killing_quotients'
+    at a transported p, whose p-perp must lie in p.  One entry, the parabolic of
+    the point being checked: its class, canonical id and fiber reuse it."""
+    if p == pd.p:
+        return pd.twist_space, pd.a_p
+    twist, a_p = killing_quotients(pd.alg, p)
     if not p.contains_space(twist.divisor):
         raise PointInvariantError("p-perp escaped p; p is not parabolic-like")
     return twist, a_p
@@ -386,18 +388,18 @@ def intrinsic_quotients(alg: ChevalleyAlgebra,
 def canonical_id(pd: ParabolicDatum, w: GroupWord, psis: Sequence[QVec],
                  p: Subspace | None = None) -> list[QVec]:
     """Transport each twist level to the parabolic act(w, pd.p) and read its
-    coordinates in the twist space rebuilt from scratch there.
+    coordinates in the twist space there (intrinsic_quotients).
 
     The transported parabolic depends only on w and is built once, and
     not at all when there are no levels; a caller that already holds it,
-    such as the p of a point made by w, passes it as p.  For words that
-    merely stabilize p, the rebuilt space coincides with the standard one
-    and each result is claimed (and suite-checked) to be its psi itself.
+    such as the p of a point made by w, passes it as p.  A word that
+    stabilizes p lands on the dossier's twist space, and each result is
+    claimed (and suite-checked) to be its psi itself.
     """
     if not psis:
         return []
     alg = pd.alg
-    twist, _ = intrinsic_quotients(alg, act_subspace(alg, w, pd.p) if p is None else p)
+    twist, _ = intrinsic_quotients(pd, act_subspace(alg, w, pd.p) if p is None else p)
     out = []
     ys = [twist_section(pd, psi) for psi in psis]
     for y2 in _act_ints(alg, w, ys):
@@ -422,7 +424,7 @@ def invariance_pairing_square(pd: ParabolicDatum, w: GroupWord,
     are built once.  The suite asserts that each pair is equal.
     """
     alg = pd.alg
-    _, a_p = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))
+    _, a_p = intrinsic_quotients(pd, act_subspace(alg, w, pd.p))
     rows, dz = a_p.section
     far = [alg._gram_ints(z) for z in rows]
     pulled = _act_ints(alg, w, [(z, dz) for z in rows], inverse=True)
@@ -445,7 +447,7 @@ def fiber_dimension(pd: ParabolicDatum, pt: UCPoint) -> int:
     agree, and any disagreement reads short.
     """
     alg = pd.alg
-    twist, _ = intrinsic_quotients(alg, pt.p)
+    twist, _ = intrinsic_quotients(pd, pt.p)
     perp, u = twist.divisor, pd.u
     moved = (nums for nums, _ in _act_ints(alg, pt.witness, [(row, 1) for row in u.ints]))
     rank = len(_echelon_pivots(moved, alg.dim, seed=perp))

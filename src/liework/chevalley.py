@@ -443,6 +443,8 @@ class ChevalleyAlgebra:
         table[i][j]: zero if it is empty, and if it is one term c e_k, the
         unit row e_k, which seeds the elimination (the span is canonical, so
         no row changes).  Any other bracket is inserted unless zero or seen."""
+        if a.ambient_dim != self.dim or b.ambient_dim != self.dim:
+            raise DimensionMismatch("subspace does not live in the algebra")
         if not (a.dim and b.dim):
             return Subspace.zero(self.dim)
         xs = [_support(r) for r in a.ints]

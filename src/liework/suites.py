@@ -227,7 +227,7 @@ def _suite_uc_family(case: CaseSpec) -> tuple[CheckRecord, ...]:
             pt_witness = pt_witness or f"point #{k}: {err}"
             continue
         try:
-            twist, _ = intrinsic_quotients(alg, pt.p)
+            twist, _ = intrinsic_quotients(pd, pt.p)
             nums, den = class_of(twist, *pt.x)
             [via_id] = canonical_id(pd, w, [base_level], pt.p)
             ok = (tuple(-c for c in nums), den) == via_id and pi_c(pd, pt) == base_level

@@ -63,7 +63,7 @@ from liework.exactlin import (
     rref,
     span,
 )
-from liework.parabolic import format_case, standard_parabolic
+from liework.parabolic import format_case, killing_quotients, standard_parabolic
 from liework.suites import _split, default_case_matrix, run_suite
 from test_chevalley import _bracket_by_fractions
 from test_exactlin import frac_rows, meet, qspan
@@ -309,7 +309,7 @@ def test_canonical_id_rejects_section_leaving_target(monkeypatch):
     levels = _unit_levels(pd)
     p = act_subspace(alg, w, pd.p)
     canonical_id(pd, w, levels, p)  # the true transport stays inside
-    target = intrinsic_quotients(alg, p)[0].total
+    target = intrinsic_quotients(pd, p)[0].total
     off = next(i for i in range(alg.dim) if not target.contains(alg.one_hot(i)))
     real_act = bundles._act_ints
 
@@ -656,7 +656,7 @@ def test_fiber_dimension_reads_short_on_a_wrong_transport():
     assert fiber_dimension(pd, pt) == 6
     other = _w_unip((-1, 0), 1)
     moved_u = act_subspace(pd.alg, other, pd.u)
-    perp = intrinsic_quotients(pd.alg, pt.p)[0].divisor
+    perp = intrinsic_quotients(pd, pt.p)[0].divisor
     assert perp == act_subspace(pd.alg, pt.witness, pd.u) != moved_u
     # dim C + dim u less dim(A + B) - dim(A & B), the sum and the meet
     # built here by span and by the annihilating equations
@@ -685,12 +685,18 @@ def _class_map_kernel(pd):
 @pytest.mark.parametrize("label,gamma", _ALL_CASES,
                          ids=[format_case(*c) for c in _ALL_CASES])
 def test_intrinsic_quotients_match_dossier(label, gamma):
-    # the transported-p route, run at the standard p, rebuilds the dossier's
-    # quotients, and the twist divisor it reads off p, the fiber's
-    # u-directions, is the nilradical and the kernel of the class map on
-    # [p,p]-perp, found by a second elimination
+    # the dossier answers at its own p with its own quotients; the
+    # transported-p route, run at that p from another dossier of the algebra,
+    # rebuilds them by killing_quotients and passes the p-perp guard; and the
+    # twist divisor read off p, the fiber's u-directions, is the nilradical
+    # and the kernel of the class map on [p,p]-perp, found by a second
+    # elimination
     pd = standard_parabolic(label, gamma)
-    assert intrinsic_quotients(pd.alg, pd.p) == (pd.twist_space, pd.a_p)
+    other = standard_parabolic(label, gamma ^ {1})
+    assert other.p != pd.p
+    twist, a_p = intrinsic_quotients(pd, pd.p)
+    assert twist is pd.twist_space and a_p is pd.a_p
+    assert killing_quotients(pd.alg, pd.p) == intrinsic_quotients(other, pd.p) == (twist, a_p)
     assert _class_map_kernel(pd) == pd.twist_space.divisor == pd.u
 
 
@@ -839,7 +845,7 @@ def test_class_of_projector_matches_solve(label):
         gamma = frozenset(i for i in range(1, alg.rank + 1) if rng.random() < 0.5)
         pd = standard_parabolic(label, gamma)
         w = random_word(alg, rng, length=rng.randint(1, 4))
-        twist, a_p = intrinsic_quotients(alg, act_subspace(alg, w, pd.p))
+        twist, a_p = intrinsic_quotients(pd, act_subspace(alg, w, pd.p))
         for q in (twist, a_p):
             rows = frac_rows(q.total)
             vecs = list(rows)
@@ -964,7 +970,7 @@ def test_invariance_membership_matches_quotient_perp(label):
         for _ in range(3):
             w = random_word(alg, rng, length=3)
             p = act_subspace(alg, w, pd.p)
-            pdp = intrinsic_quotients(alg, p)[0].total
+            pdp = intrinsic_quotients(pd, p)[0].total
             coeffs = [F(rng.randint(-3, 3), rng.randint(1, 2))
                       for _ in frac_rows(pd.p_derived_perp)]
             x = act_vector(alg, w, _q(tuple(

@@ -31,7 +31,7 @@ from liework.chevalley import (
     symmetrizer,
 )
 from liework.bundles import act_subspace, random_word
-from liework.exactlin import IntMat, Subspace, kernel, span
+from liework.exactlin import DimensionMismatch, IntMat, Subspace, kernel, span
 from liework.parabolic import standard_parabolic
 from test_realization import _derived_pair, _mixed_pair, _negate, _tampered_build
 from test_exactlin import frac_rows, qspan
@@ -633,6 +633,20 @@ def test_bracket_space_borel_a1():
     borel = span([alg.one_hot(0), alg.one_hot(1)], 3)
     assert alg.bracket_space(e_line, e_line).dim == 0
     assert alg.bracket_space(borel, borel) == e_line
+
+
+@pytest.mark.parametrize("other", [standard_parabolic("B2", frozenset({1})).p,
+                                   Subspace.full(3), Subspace.full(10),
+                                   Subspace.zero(10)],
+                         ids=["B2:1-p", "full-3", "full-10", "zero-10"])
+def test_bracket_space_rejects_other_ambient(other):
+    # like killing_perp and kills_derived: a subspace of another ambient is
+    # refused on either side, an empty one too, before any row is read
+    alg = algebra("A2")
+    full = Subspace.full(alg.dim)
+    for a, b in ((other, other), (other, full), (full, other)):
+        with pytest.raises(DimensionMismatch, match="does not live in the algebra"):
+            alg.bracket_space(a, b)
 
 
 def test_root_name():

@@ -197,7 +197,8 @@ def test_killing_perp_matches_kernel_route_at_transported_parabolics(monkeypatch
 
 def test_killing_perp_mutant_at_transported_p(monkeypatch):
     # killing_perp drops its first basis row once the dossiers are built, so
-    # only the twist spaces rebuilt at transported parabolics see it
+    # only the twist spaces rebuilt at transported parabolics see it: points
+    # #0 and #3, whose words fix p, and the stabilizer words read the dossier
     pd = standard_parabolic("B2", frozenset({1}))
     real = chevalley.ChevalleyAlgebra.killing_perp
 
@@ -224,19 +225,19 @@ def test_killing_perp_mutant_at_transported_p(monkeypatch):
     # fiber reads short
     status, by_name = outcomes["inside"]
     assert status == "fail"
-    assert by_name["fiber-equidimensional"].actual == "[5]"
+    assert by_name["fiber-equidimensional"].actual == "[5, 6]"
+    assert by_name["transported-points-consistent"].actual == "3 exact"
     assert {n for n, c in by_name.items() if not c.ok} == {
-        "fiber-equidimensional", "transported-points-consistent",
-        "stabilizer-canonical-id-identity"}
+        "fiber-equidimensional", "transported-points-consistent"}
     # on both perps the transported x leaves the shrunk [p,p]-perp: the
     # points loop's class_of raises, and the raise counts against the
     # points record with its witness, not against the whole case
     status, by_name = outcomes["both"]
     assert status == "fail" and "unexpected-error" not in by_name
     rec = by_name["transported-points-consistent"]
-    assert rec.actual == "1 exact"
-    assert rec.witness.startswith("point #0: VectorOutsideTotal: ")
-    assert by_name["fiber-equidimensional"].actual == "[5]"
+    assert rec.actual == "3 exact"
+    assert rec.witness.startswith("point #2: VectorOutsideTotal: ")
+    assert by_name["fiber-equidimensional"].actual == "[5, 6]"
     assert {n for n, c in by_name.items() if not c.ok} == {
         "fiber-equidimensional", "transported-points-consistent"}
     # on [p,p]-perp alone p-perp no longer lies in it: every twist space
@@ -245,10 +246,62 @@ def test_killing_perp_mutant_at_transported_p(monkeypatch):
     status, by_name = outcomes["outside"]
     assert status == "fail" and "unexpected-error" not in by_name
     failed = {n: c.witness for n, c in by_name.items() if not c.ok}
-    assert sorted(failed) == ["fiber-equidimensional", "stabilizer-canonical-id-identity",
-                              "transported-points-consistent"]
+    assert sorted(failed) == ["fiber-equidimensional", "transported-points-consistent"]
     assert all(w.split(": ")[1] == "DivisorNotContained" for w in failed.values())
+    assert by_name["fiber-equidimensional"].actual == "[6]"
+    assert by_name["transported-points-consistent"].actual == "2 exact"
     assert standard_parabolic("B2", frozenset({1})) is pd
+
+
+def test_quotients_rebuilt_only_at_transported_parabolics(monkeypatch):
+    # the dossier answers at its own p, so killing_quotients runs only at the
+    # images of a standard p that differ from it, once per image met
+    standard = {standard_parabolic(t, frozenset(g)).p
+                for t, g in (("B2", {1}), ("D4", {1, 3}))}
+    real_kq, real_act = bundles.killing_quotients, bundles.act_subspace
+    rebuilt, met = [], set()
+
+    def counted(alg, p):
+        rebuilt.append(p)
+        return real_kq(alg, p)
+
+    def images(alg, w, s):
+        out = real_act(alg, w, s)
+        if s in standard:
+            met.add(out)
+        return out
+
+    monkeypatch.setattr(bundles, "killing_quotients", counted)
+    monkeypatch.setattr(bundles, "act_subspace", images)
+    bundles.intrinsic_quotients.cache_clear()  # no twist space built before
+    try:
+        results = run_suites(["uc-family", "invariance"], [case("B2:1"), case("D4:1,3")])
+    finally:
+        bundles.intrinsic_quotients.cache_clear()
+    assert [r.status for r in results] == ["pass"] * 4
+    assert sum(p in standard for p in rebuilt) == 0
+    assert len(rebuilt) == len(met - standard) > 0
+
+
+def test_torus_letter_scaling_the_cartan_fails_stabilizer_record(monkeypatch):
+    # each torus factor also scales the Cartan by its parameter: p is still
+    # fixed, so the stabilizer words land on the dossier's twist space, and
+    # the sections they move leave their classes; the Killing norm moves too
+    real = bundles._torus_factor
+
+    def also_cartan(alg, i, a, b):
+        scale, _, mults = real(alg, i, a, b)
+        return scale * b, None, tuple(m * (a if wt is None else b)
+                                      for m, wt in zip(mults, alg.basis_weights))
+
+    monkeypatch.setattr(bundles, "_torus_factor", also_cartan)
+    status, by_name = _uc_records("B2:1")
+    assert status == "fail" and "unexpected-error" not in by_name
+    rec = by_name["stabilizer-canonical-id-identity"]
+    assert rec.actual == "4 moved" and rec.witness.startswith("word #")
+    assert by_name["action-roundtrip-and-killing"].actual == "47 exact"
+    assert {n for n, c in by_name.items() if not c.ok} == {
+        "action-roundtrip-and-killing", "stabilizer-canonical-id-identity"}
 
 
 def test_stabilizer_raise_counts_against_its_record(monkeypatch):
