@@ -37,7 +37,6 @@ then reverse-lexicographically on their coordinates, so a1 precedes a2.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import operator
@@ -47,12 +46,11 @@ from typing import Sequence
 
 from .exactlin import (
     DimensionMismatch,
-    EchelonBuilder,
     IntMat,
     Subspace,
     _check_ints,
-    _echelon_pivots,
     _null_rows,
+    _seeded_span,
     int_det,
     span,
 )
@@ -398,13 +396,14 @@ class ChevalleyAlgebra:
         return tuple(tuple(_support(self.killing_gram.row(i))) for i in range(self.dim))
 
     @functools.cached_property
-    def _gram_inverse_nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def _gram_inverse_nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...] | None:
         """Each row of d G^-1, d the least that makes it integral, by its nonzero
-        entries: G^-1's row k is row k of the RREF of [G | I] over its entry k."""
+        entries: G^-1's row k is row k of the RREF of [G | I] over its entry k.
+        None for a singular G; the build audit reads nondegeneracy off this."""
         n = self.dim
         inv = span([self.killing_gram.row(i) + self.one_hot(i) for i in range(n)], 2 * n)
         if inv.pivots[n - 1] != n - 1:  # a pivot past G's columns: G is singular
-            raise ConstructionAuditError(f"{self.cartan.type_label}: singular Killing gram")
+            return None
         d = math.lcm(*(r[k] for k, r in enumerate(inv.ints)))
         return tuple(tuple((j, x * (d // r[k])) for j, x in _support(r[n:]))
                      for k, r in enumerate(inv.ints))
@@ -420,7 +419,8 @@ class ChevalleyAlgebra:
         span of their images under d G^-1, one elimination of dim - dim s."""
         if s.ambient_dim != self.dim:
             raise DimensionMismatch("subspace does not live in the algebra")
-        inv = self._gram_inverse_nonzeros
+        if (inv := self._gram_inverse_nonzeros) is None:
+            raise ConstructionAuditError(f"{self.cartan.type_label}: singular Killing gram")
         return span([_apply(inv, z) for _, z in _null_rows(s.ints, s.pivots, self.dim)],
                     self.dim)
 
@@ -436,33 +436,24 @@ class ChevalleyAlgebra:
         return not any(sum(map(operator.mul, b, gc))
                        for i, gc in enumerate(gcs) for b in p.ints[i + 1:])
 
-    def bracket_space(self, a: Subspace, b: Subspace) -> Subspace:
-        """span{[x, y] : x in a, y in b} over pairs of integer basis rows,
-        each support read once; for a == b only x before y ([x, x] = 0,
-        [y, x] = -[x, y]).  Unit rows e_i, e_j bracket to a multiple of
-        table[i][j]: zero if it is empty, and if it is one term c e_k, the
-        unit row e_k, which seeds the elimination (the span is canonical, so
-        no row changes).  Any other bracket is inserted unless zero or seen."""
-        if a.ambient_dim != self.dim or b.ambient_dim != self.dim:
+    def bracket_space(self, s: Subspace) -> Subspace:
+        """[s, s], the span of [x, y] over pairs of s's integer basis rows x
+        before y ([x, x] = 0, [y, x] = -[x, y]), each support read once.  Unit
+        rows e_i, e_j bracket to a multiple of table[i][j]; if that is c e_k,
+        e_k seeds the span with no elimination.  Other brackets go in once."""
+        if s.ambient_dim != self.dim:
             raise DimensionMismatch("subspace does not live in the algebra")
-        if not (a.dim and b.dim):
-            return Subspace.zero(self.dim)
-        xs = [_support(r) for r in a.ints]
-        ys = xs if a == b else [_support(r) for r in b.ints]
+        xs = [_support(r) for r in s.ints]
         units, dense = set(), {}  # dense: the brackets, insertion-ordered, once each
         for i, x in enumerate(xs):
             row = self.table[x[0][0]] if len(x) == 1 else None
-            for y in ys[i + 1:] if ys is xs else ys:
+            for y in xs[i + 1:]:
                 if row is not None and len(y) == 1 and len(cell := row[y[0][0]]) < 2:
                     if cell:  # a nonzero multiple of one e_k
                         units.add(cell[0][0])
                     continue
                 dense[tuple(self._bracket_ints(x, y))] = None
-        dense.pop((0,) * self.dim, None)
-        eb = EchelonBuilder(self.dim, Subspace.coordinate(self.dim, units))
-        for v in dense:
-            eb.insert(v)
-        return eb.subspace()
+        return _seeded_span(self.dim, units, dense)
 
     def vector_name(self, v: Sequence, den: int = 1) -> str:
         """v / den, den > 0, as a combination of basis labels."""
@@ -659,7 +650,8 @@ def build_algebra(cartan: CartanDatum) -> ChevalleyAlgebra:
     alg = ChevalleyAlgebra(cartan=cartan, positive_roots=pos, dim=dim, table=tab,
                            killing_gram=IntMat.from_rows(rows, dim),
                            basis_weights=weights)
-    return dataclasses.replace(alg, audit=_audit(alg))
+    object.__setattr__(alg, "audit", _audit(alg))  # in place: alg keeps d G^-1, which it read
+    return alg
 
 
 def jacobi_violations(alg: ChevalleyAlgebra) -> int:
@@ -741,7 +733,7 @@ def _audit(alg: ChevalleyAlgebra) -> tuple[CheckRecord, ...]:
                        if c2 <= 0 or 2 * g[h + i][h + j] * d[j] != c2 * a[i, j]), None)
     sym, sym_at = bad is None, bad and "kappa({}, {}) = {}".format(
         *map(alg.basis_label, bad), g[bad[0]][bad[1]])
-    nondeg = len(_echelon_pivots(g, dim)) == dim
+    nondeg = alg._gram_inverse_nonzeros is not None
     kiv = killing_invariance_violations(alg)
     want_pos = _EXPECTED_POSITIVE_COUNT[label[0]](alg.rank)
     want_dim = 2 * want_pos + alg.rank

@@ -222,8 +222,24 @@ class EchelonBuilder:
 
 
 def span(vectors: Iterable[Sequence[int]], ambient_dim: int) -> Subspace:
-    """Canonical subspace spanned by the given integer vectors."""
-    b = EchelonBuilder(ambient_dim)
+    """Canonical subspace spanned by the given integer vectors; a unit vector,
+    a nonzero int multiple of one e_k, is not eliminated but seeds e_k."""
+    units, rest = set(), []
+    for v in vectors:
+        if len(v) != ambient_dim:
+            raise DimensionMismatch("vector length does not match ambient dimension")
+        if v.count(0) != ambient_dim - 1:
+            rest.append(v)
+        elif type(x := sum(v)) is int and type(v[k := v.index(x)]) is int:
+            units.add(k)
+        else:  # a float or Fraction entry makes the sum no int; a lone True is no int
+            _check_ints("vector entries", v)
+    return _seeded_span(ambient_dim, units, rest)
+
+
+def _seeded_span(n: int, units: Iterable[int], vectors: Iterable[Sequence[int]]) -> Subspace:
+    """span{e_k : k in units} + span(vectors), the rows e_k seeded uneliminated."""
+    b = EchelonBuilder(n, Subspace.coordinate(n, units))
     for v in vectors:
         b.insert(v)
     return b.subspace()
@@ -248,12 +264,13 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 def _null_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int],
                cols: int) -> list[tuple[int, list[int]]]:
-    """Solutions (j, x) of rows @ x = 0, one per free column j, increasing,
-    for rows whose pivot column is zero in the others: x_j the lcm of r[p] over
-    the rows with r[j] != 0, x_p = -r[j] x_j / r[p] there, and 0 elsewhere."""
+    """Solutions (j, x) of rows @ x = 0, one per free column j, increasing, for
+    rows whose pivot column is zero in the others: x_j the lcm of r[p] over the
+    non-unit rows with r[j] != 0, x_p = -r[j] x_j / r[p] there, 0 elsewhere."""
     out = []
+    dense = [(p, r) for r, p in zip(rows, pivots) if r.count(0) != cols - 1]
     for j in sorted(set(range(cols)).difference(pivots)):
-        hit = [(p, r) for r, p in zip(rows, pivots) if r[j]]
+        hit = [(p, r) for p, r in dense if r[j]]
         v = [0] * cols
         v[j] = x = math.lcm(*(r[p] for p, r in hit))
         for p, r in hit:

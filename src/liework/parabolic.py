@@ -141,7 +141,7 @@ def killing_quotients(alg: ChevalleyAlgebra,
                       p: Subspace) -> tuple[QuotientSpace, QuotientSpace]:
     """The twist space [p,p]-perp / p-perp and the torus quotient p/[p,p],
     read off the subspace p alone, with no reference to how p was made."""
-    p_derived = alg.bracket_space(p, p)
+    p_derived = alg.bracket_space(p)
     return (quotient(alg.killing_perp(p_derived), alg.killing_perp(p)),
             quotient(p, p_derived))
 
@@ -164,8 +164,8 @@ def build_parabolic(alg: ChevalleyAlgebra, gamma: Iterable[int]) -> ParabolicDat
     levi = Subspace.coordinate(dim, levi_idx)
     u = Subspace.coordinate(dim, u_pos)
 
-    levi_derived = alg.bracket_space(levi, levi)
-    u_derived = alg.bracket_space(u, u)
+    levi_derived = alg.bracket_space(levi)
+    u_derived = alg.bracket_space(u)
     twist_space, a_p = killing_quotients(alg, p)
     p_derived, p_perp = a_p.divisor, twist_space.divisor
     p_derived_perp = twist_space.total
@@ -237,9 +237,10 @@ def _u_coords(pd: ParabolicDatum, v: list[int]) -> list[int] | None:
 def _tangent_rank(pd: ParabolicDatum, x: Sequence[int]) -> int | None:
     """dim [p, x] for x in u, on u's coordinates, or None if some [z, x], z a
     row of p, leaves u.  Every bracket is checked to lie in u; the rank is
-    read by forward steps alone and stops at dim u, which proves [p, x] = u."""
+    read by forward steps alone, p's rows last-first, and stops at dim u,
+    which proves [p, x] = u."""
     xs = _support(x)
-    ws = [_u_coords(pd, pd.alg._bracket_ints(_support(z), xs)) for z in pd.p.ints]
+    ws = [_u_coords(pd, pd.alg._bracket_ints(_support(z), xs)) for z in pd.p.ints[::-1]]
     if None in ws:
         return None
     return len(_echelon_pivots(ws, pd.u.dim))

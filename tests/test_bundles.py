@@ -65,7 +65,7 @@ from liework.exactlin import (
 )
 from liework.parabolic import format_case, killing_quotients, standard_parabolic
 from liework.suites import _split, default_case_matrix, run_suite
-from test_chevalley import _bracket_by_fractions
+from test_chevalley import _bracket_by_fractions, _bracket_span
 from test_exactlin import frac_rows, meet, qspan
 
 F = Fraction
@@ -761,14 +761,15 @@ def test_bracket_space_with_itself_matches_full_loop(label):
     pd = standard_parabolic(label, frozenset({1}))
     w = random_word(alg, rng, length=4)
     for s in (pd.p, pd.u, act_subspace(alg, w, pd.p), act_subspace(alg, w, pd.u)):
-        assert alg.bracket_space(s, s) == _bracket_space_full_loop(alg, s, s)
-    assert alg.bracket_space(pd.p, pd.p) == pd.p_derived
+        assert alg.bracket_space(s) == _bracket_space_full_loop(alg, s, s)
+    assert alg.bracket_space(pd.p) == pd.p_derived
 
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)
 def test_bracket_space_of_mixed_unit_and_dense_rows_matches_full_loop(label):
     # subspaces whose canonical rows mix unit rows, whose brackets seed the
-    # elimination, with dense rows, whose brackets are inserted
+    # elimination, with dense rows, whose brackets are inserted; bracket_space
+    # answers a == b, the two-subspace helper of the parabolic oracles a != b
     alg = algebra(label)
     rng = random.Random(f"bracket-space-mixed:{label}")
     mixed = []
@@ -785,8 +786,11 @@ def test_bracket_space_of_mixed_unit_and_dense_rows_matches_full_loop(label):
         mixed.append(s)
     pd = standard_parabolic(label, frozenset({1}))
     for a, b in ((mixed[0], mixed[0]), (mixed[0], mixed[1]), (mixed[2], pd.u),
-                 (pd.levi, mixed[1])):
-        assert alg.bracket_space(a, b) == _bracket_space_full_loop(alg, a, b)
+                 (pd.levi, mixed[1]), (mixed[1], mixed[1]), (mixed[2], mixed[2])):
+        want = _bracket_space_full_loop(alg, a, b)
+        assert _bracket_span(alg, a, b) == want
+        if a == b:
+            assert alg.bracket_space(a) == want
 
 
 def test_bracket_space_at_each_uc_family_point_matches_full_loop(monkeypatch):
@@ -798,9 +802,9 @@ def test_bracket_space_at_each_uc_family_point_matches_full_loop(monkeypatch):
     real = ChevalleyAlgebra.bracket_space
     calls = []
 
-    def spy(alg, a, b):
-        out = real(alg, a, b)
-        calls.append((alg, a, b, out))
+    def spy(alg, s):
+        out = real(alg, s)
+        calls.append((alg, s, out))
         return out
 
     bundles.intrinsic_quotients.cache_clear()
@@ -810,7 +814,7 @@ def test_bracket_space_at_each_uc_family_point_matches_full_loop(monkeypatch):
     finally:
         bundles.intrinsic_quotients.cache_clear()
     assert all(r.status == "pass" for r in results)
-    moved = [(alg, a, out) for alg, a, b, out in calls if a == b and a.ints != tuple(
+    moved = [(alg, a, out) for alg, a, out in calls if a.ints != tuple(
         alg.one_hot(i) for i in a.pivots)]
     assert len(moved) >= len(cases)
     for alg, a, out in moved:

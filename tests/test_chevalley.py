@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from liework import chevalley
+from liework import chevalley, exactlin
 from liework.chevalley import (
     CartanDatum,
     ConstructionAuditError,
@@ -540,6 +540,45 @@ def test_audit_rejects_a_gram_that_breaks_the_weight_grading(other):
         _audit(bad)
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "D4"])
+def test_audit_rejects_a_singular_gram_as_degenerate(label):
+    # kappa(e_a1, f_a1) = kappa(f_a1, e_a1) zeroed: still symmetric, weight
+    # graded and the coroot form on the Cartan, but row e_a1 is zero, so the
+    # pivots of the [G | I] elimination that G^-1 is read from run past G
+    alg = algebra(label)
+    i, j = 0, alg.num_positive + alg.rank
+    rows = [list(alg.killing_gram.row(k)) for k in range(alg.dim)]
+    assert rows[i][j] and sum(map(bool, rows[i])) == 1
+    rows[i][j] = rows[j][i] = 0
+    bad = dataclasses.replace(alg, killing_gram=IntMat.from_rows(rows, alg.dim))
+    with pytest.raises(ConstructionAuditError, match=re.escape(
+            f"{label}: killing-nondegenerate audit failed: expected True, got False")):
+        _audit(bad)
+    with pytest.raises(ConstructionAuditError, match=f"{label}: singular Killing gram"):
+        bad.killing_perp(Subspace.zero(alg.dim))
+
+
+@pytest.mark.parametrize("label", ["B2", "D4"])
+def test_the_killing_gram_is_eliminated_once(monkeypatch, label):
+    # the build's only elimination steps are the n rows of [G | I]: the audit
+    # reads nondegeneracy off their pivots, and killing_perp reads d G^-1
+    # off the same rows on the algebra the build returns, with no step of
+    # width 2n of its own
+    widths, real = [], exactlin._forward
+
+    def spy(rows, pivots, v):
+        widths.append(len(v))
+        return real(rows, pivots, v)
+
+    monkeypatch.setattr(exactlin, "_forward", spy)
+    alg = build_algebra(cartan_datum(label))
+    assert widths == [2 * alg.dim] * alg.dim
+    assert next(r for r in alg.audit if r.name == "killing-nondegenerate").ok
+    for s in (Subspace.zero(alg.dim), Subspace.coordinate(alg.dim, [0, 5])):
+        alg.killing_perp(s)
+    assert widths.count(2 * alg.dim) == alg.dim
+
+
 @pytest.mark.parametrize("label", ["B2", "G2", "D4"])
 def test_audit_rejects_a_symmetric_gram_off_the_coroot_form(label):
     # kappa(h1, h2) = kappa(h2, h1) raised by 1: still symmetric and weight
@@ -623,7 +662,7 @@ def test_bracket_space_whole_algebra():
     # [g, g] = g for semisimple g
     alg = algebra("A2")
     full = Subspace.full(alg.dim)
-    assert alg.bracket_space(full, full) == full
+    assert alg.bracket_space(full) == full
 
 
 def test_bracket_space_borel_a1():
@@ -631,8 +670,8 @@ def test_bracket_space_borel_a1():
     from liework.exactlin import span
     e_line = span([alg.one_hot(0)], 3)
     borel = span([alg.one_hot(0), alg.one_hot(1)], 3)
-    assert alg.bracket_space(e_line, e_line).dim == 0
-    assert alg.bracket_space(borel, borel) == e_line
+    assert alg.bracket_space(e_line).dim == 0
+    assert alg.bracket_space(borel) == e_line
 
 
 @pytest.mark.parametrize("other", [standard_parabolic("B2", frozenset({1})).p,
@@ -641,12 +680,10 @@ def test_bracket_space_borel_a1():
                          ids=["B2:1-p", "full-3", "full-10", "zero-10"])
 def test_bracket_space_rejects_other_ambient(other):
     # like killing_perp and kills_derived: a subspace of another ambient is
-    # refused on either side, an empty one too, before any row is read
+    # refused, an empty one too, before any row is read
     alg = algebra("A2")
-    full = Subspace.full(alg.dim)
-    for a, b in ((other, other), (other, full), (full, other)):
-        with pytest.raises(DimensionMismatch, match="does not live in the algebra"):
-            alg.bracket_space(a, b)
+    with pytest.raises(DimensionMismatch, match="does not live in the algebra"):
+        alg.bracket_space(other)
 
 
 def test_root_name():
@@ -733,11 +770,20 @@ def _bracket_space_by_fractions(alg, a, b):
                  alg.dim)
 
 
+def _bracket_span(alg, a, b):
+    """span{[x, y] : x in a, y in b}, every pair of integer basis rows
+    bracketed and eliminated: the two-subspace span the tangent-rank and
+    fixed-point oracles read, where bracket_space builds [s, s] alone."""
+    return span([alg.bracket(x, y) for x in a.ints for y in b.ints], alg.dim)
+
+
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)
 def test_bracket_space_matches_span_of_all_pairwise_brackets(label):
     # unit rows (the standard p and u), transported rows, dense rows, a == b,
     # a != b and a one-row b.  Brackets of dense rows share their support,
     # so a repeat skip keyed on less than the whole bracket would lose rank.
+    # bracket_space answers a == b; the two-subspace helper the parabolic
+    # oracles use answers every pair.
     alg = algebra(label)
     rng = random.Random(f"bracket-space-oracle:{label}")
     pd = standard_parabolic(label, frozenset({1}))
@@ -748,8 +794,12 @@ def test_bracket_space_matches_span_of_all_pairwise_brackets(label):
     line = span([moved_p.ints[-1]], alg.dim)
     for a, b in ((pd.u, pd.u), (pd.u, pd.p), (moved_p, moved_p), (moved_u, pd.p),
                  (dense, dense), (dense, moved_p), (moved_p, line), (dense, line),
-                 (pd.u, dense), (line, pd.u)):
-        assert alg.bracket_space(a, b) == _bracket_space_by_fractions(alg, a, b)
+                 (pd.u, dense), (line, pd.u), (pd.p, pd.p), (moved_u, moved_u),
+                 (line, line)):
+        want = _bracket_space_by_fractions(alg, a, b)
+        assert _bracket_span(alg, a, b) == want
+        if a == b:
+            assert alg.bracket_space(a) == want
 
 
 # --- the Killing perp against the kernel route it replaced -----------------

@@ -299,16 +299,31 @@ def test_dimension_mismatch_errors():
         Subspace.full(3).contains((1, 0))
 
 
-@pytest.mark.parametrize("v", [(Q(1, 2), 0, 0), (Q(2), 0, 0), (0, Q(0), 0)])
+@pytest.mark.parametrize("v", [(Q(1, 2), 0, 0), (Q(2), 0, 0), (0, Q(0), 0),
+                               (True, 0, 0), (0, Q(3), 0), (0, 0, 1.0), (1, 0.0, 0),
+                               (0, 0), (0, 4, 0, 4)])
 def test_span_and_contains_reject_fractions(v):
-    # integers only: a Fraction fails in the gcd of the elimination step
-    with pytest.raises(TypeError):
-        span([v], 3)
-    for s in (Subspace.zero(3), Subspace.full(3), span([(1, 1, 0)], 3)):
-        with pytest.raises(TypeError):
-            s.contains(v)
-    # rref is the one door that takes them
-    assert rref([v], 3)[1] == ((0,) if any(v) else ())
+    # integers only: a Fraction or float fails in the gcd of the elimination
+    # step, or, as a unit vector's lone nonzero or beside it, in span's check
+    # of the unit seed, which refuses True too (count(0) takes 0.0 for 0).
+    # A vector of another length is refused before span reads it as a unit:
+    # (0, 0) in Q^3 would seed e_0.
+    err = TypeError if len(v) == 3 else DimensionMismatch
+    for before in ([], [(0, 2, 0)], [(1, 1, 0), (-3, 0, 0)]):
+        with pytest.raises(err):
+            span(before + [v], 3)
+        with pytest.raises(err):
+            span(before + [v] + [(0, 0, 5)], 3)
+    if bool not in map(type, v):  # the gcd in contains reads True as the int 1
+        for s in (Subspace.zero(3), Subspace.full(3), span([(1, 1, 0)], 3)):
+            with pytest.raises(err):
+                s.contains(v)
+    if err is TypeError and float not in map(type, v) and bool not in map(type, v):
+        # rref is the one door that takes Fractions
+        assert rref([v], 3)[1] == tuple(i for i, x in enumerate(v) if x)
+    else:
+        with pytest.raises(err):
+            rref([v], 3)
 
 
 @pytest.mark.parametrize("indices", [[0, 0, 2], [4], [-1]])
@@ -452,6 +467,44 @@ def test_echelon_builder_rejects_a_seed_of_another_dimension(seed):
     assert EchelonBuilder(seed.ambient_dim, seed).subspace() == seed
 
 
+def _span_in_order(vectors, n):
+    """The span by in-order insertion, every vector eliminated, unit
+    vectors too: the oracle for span's unit seed."""
+    b = EchelonBuilder(n)
+    for v in vectors:
+        b.insert(v)
+    return b.subspace()
+
+
+@st.composite
+def unit_heavy_rows(draw, min_rows=0):
+    """(rows, n): integer rows of length 1..8 drawn from a pool of unit
+    multiples, zero rows and dense rows, each taken again with a factor, so
+    that 2 e_k, -3 e_k and repeats of a dense row meet in one list."""
+    n = draw(st.integers(1, 8))
+    unit = st.builds(lambda k, c: tuple(c * (i == k) for i in range(n)),
+                     st.integers(0, n - 1), st.sampled_from((1, 2, -1, -3, 5)))
+    dense = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    pool = draw(st.lists(st.one_of(unit, unit, st.just((0,) * n), dense),
+                         min_size=1, max_size=6))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from((1, -1, 2, -3))),
+                          min_size=min_rows, max_size=12))
+    return [tuple(c * x for x in v) for v, c in picks], n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(m=([(0, 2, 0), (0, -3, 0), (0, 0, 0), (1, 1, 0)], 3))
+@example(m=([(4,), (-1,)], 1))
+@example(m=([], 2))
+@given(m=unit_heavy_rows())
+def test_unit_seeded_span_matches_in_order_insertion(m):
+    rows, n = m
+    got, want = span(rows, n), _span_in_order(rows, n)
+    assert (got.ints, got.pivots) == (want.ints, want.pivots)
+    assert all(type(x) is int for r in got.ints for x in r)
+    assert span(map(list, reversed(rows)), n) == got
+
+
 def test_echelon_pivots_match_span_pivots():
     # forward steps alone read the row space's pivots, over zero rows,
     # duplicate rows and the rows of a seed subspace, which are taken whole;
@@ -530,7 +583,7 @@ def test_rref_matches_sympy(sympy, m):
 
 
 @oracle
-@given(m=fraction_matrices())
+@given(m=st.one_of(fraction_matrices(), unit_heavy_rows(min_rows=1).map(lambda m: m[0])))
 def test_kernel_matches_sympy_nullspace(sympy, m):
     k = kernel([cleared(r)[0] for r in m], len(m[0]))
     want = [list(map(_frac, v)) for v in sympy.Matrix(m).nullspace()]

@@ -35,7 +35,7 @@ from liework.parabolic import (
     standard_parabolic,
     torus_character_set,
 )
-from test_chevalley import _bracket_by_fractions
+from test_chevalley import _bracket_by_fractions, _bracket_span
 from test_exactlin import cleared, frac_rows
 
 
@@ -312,7 +312,7 @@ def _every_datum():
 
 
 def _exact_tangent_dim(pd, x):
-    return pd.alg.bracket_space(pd.p, span([x], pd.alg.dim)).dim
+    return _bracket_span(pd.alg, pd.p, span([x], pd.alg.dim)).dim
 
 
 def test_fixedpoint_check_everywhere():
@@ -320,7 +320,7 @@ def test_fixedpoint_check_everywhere():
     # u, on every case and on datums whose [p,p]-perp is the whole algebra,
     # where [h, f] leaves u (and [g, g] = g leaves u = 0 at full gamma)
     def exact(pd):
-        return pd.u.contains_space(pd.alg.bracket_space(pd.p, pd.p_derived_perp))
+        return pd.u.contains_space(_bracket_span(pd.alg, pd.p, pd.p_derived_perp))
 
     cases = 0
     for pd in _every_datum():
@@ -339,8 +339,8 @@ def test_build_parabolic_raises_when_u_derived_leaves_u(monkeypatch):
     names = [r.name for r in build_parabolic(alg, ()).audit]
     bracket_space = ChevalleyAlgebra.bracket_space
 
-    def leaky(self, a, b):
-        return Subspace.full(self.dim) if a == b == u else bracket_space(self, a, b)
+    def leaky(self, s):
+        return Subspace.full(self.dim) if s == u else bracket_space(self, s)
 
     monkeypatch.setattr(ChevalleyAlgebra, "bracket_space", leaky)
     with pytest.raises(ParabolicAuditError, match=r"A2 gamma \[\]: \[u,u\] does not lie in u"):
