@@ -11,6 +11,10 @@ power of t; a word is decoded once per call, its inverse in place, and
 each vector runs through all its steps over one denominator and is
 brought to lowest terms once, at the end.  A torus letter is one step
 per simple root.  The quotients of one transported p are cached.
+Only a coordinate subspace's transport may stop early: letters that
+map it into itself fix it, so those acting first are dropped, and a
+word in the stabilizer of p returns p.  Vectors always run the whole
+word.
 
 This is the points layer, and its vectors are no Fractions: a point's
 vector, a twist level and a class are QVecs, integer numerators over one
@@ -30,8 +34,10 @@ transported p is checked from p's integer rows alone: x kills [p, p] iff
 kappa([x, a], b) = 0 for all rows a, b, by the audited invariance.
 Twist spaces at transported parabolics are rebuilt from scratch by
 killing_quotients; at the standard p the dossier answers with those
-build_parabolic derived by the same function, so "the identity on
-stabilizing words" is a verified fact rather than a definition.
+build_parabolic derived by the same function.  A stabilizing word lands
+there without transporting p, but its twist sections are transported
+and classed, so "the identity on stabilizing words" is a verified fact
+rather than a definition.
 """
 from __future__ import annotations
 
@@ -45,6 +51,7 @@ from typing import Sequence
 
 from .chevalley import ChevalleyAlgebra, ConstructionAuditError, Root
 from .exactlin import (
+    DimensionMismatch,
     EchelonBuilder,
     QuotientSpace,
     QVec,
@@ -53,6 +60,7 @@ from .exactlin import (
     _check_ints,
     _check_scalars,
     _clear_denominators,
+    _coordinate_indices,
     _echelon_pivots,
     _lowest,
     class_of,
@@ -226,12 +234,39 @@ def act_vector(alg: ChevalleyAlgebra, w: GroupWord, v: QVec) -> QVec:
     return _act_ints(alg, w, [v])[0]
 
 
+def _fixes(alg: ChevalleyAlgebra, letter: Letter, idx: frozenset[int]) -> bool:
+    """Whether the letter maps the coordinate subspace on idx into itself.
+    A torus letter is diagonal on the basis, so it does, unless it has the
+    wrong parameter count: then it is kept for _act_ints to reject.
+    exp(t ad e) does when D_1 = ad(e) does, each D_k being ad(e)^k / k!, and
+    for t != 0 only then; a tuple that is not a root raises ValueError in
+    _divided_powers."""
+    if type(letter) is TorusLetter:
+        return len(letter.params) == alg.rank
+    return all(idx.issuperset(r for r, _ in col)
+               for j, col in _divided_powers(alg, letter.root)[0] if j in idx)
+
+
 def act_subspace(alg: ChevalleyAlgebra, w: GroupWord, s: Subspace) -> Subspace:
-    """The image of s: the span of the images of its integer basis rows."""
-    if not w.letters:
+    """The image of s: the span of the images of its integer basis rows.
+
+    On a coordinate subspace, such as a dossier's p, u or Levi factor, the
+    longest suffix of letters that each map s into itself acts first and
+    is dropped: an invertible map of s into itself fixes s, so the rest of
+    the word gives the same image.  s itself is returned when no letter is
+    left, as for the identity word or a word in the stabilizer of p.  A
+    subspace of another Q^n raises DimensionMismatch, and a malformed
+    letter raises, whether it is dropped or not."""
+    if s.ambient_dim != alg.dim:
+        raise DimensionMismatch("subspace does not live in the algebra")
+    k = len(w.letters)
+    if k and (idx := _coordinate_indices(s)) is not None:
+        while k and _fixes(alg, w.letters[k - 1], idx):
+            k -= 1
+    if not k:
         return s
-    eb = EchelonBuilder(s.ambient_dim)
-    for nums, _ in _act_ints(alg, w, [(row, 1) for row in s.ints]):
+    eb = EchelonBuilder(alg.dim)
+    for nums, _ in _act_ints(alg, GroupWord(w.letters[:k]), [(row, 1) for row in s.ints]):
         eb.insert(nums)
     return eb.subspace()
 

@@ -104,6 +104,16 @@ class Subspace:
         return not any(any(_reduce(self.ints, self.pivots, r)) for r in other.ints)
 
 
+def _coordinate_indices(s: Subspace) -> frozenset[int] | None:
+    """The indices k of a coordinate subspace, the span of unit vectors e_k,
+    or None if s is not one.  A canonical row with one nonzero entry is e_k,
+    k its pivot, so s is one iff every row is such a unit row."""
+    n = s.ambient_dim
+    if all(r.count(0) == n - 1 for r in s.ints):
+        return frozenset(s.pivots)
+    return None
+
+
 def _check_scalars(values: Sequence, what: str) -> None:
     """No float enters: raise unless each value is a non-bool int or a Fraction."""
     for x in values:

@@ -56,6 +56,7 @@ from liework.bundles import (
 )
 from liework.exactlin import (
     DimensionMismatch,
+    EchelonBuilder,
     _clear_denominators,
     Subspace,
     class_of,
@@ -272,12 +273,17 @@ def test_pi_c_transport_consistency():
 
 
 def test_stabilizer_words_fix_p():
-    for label, gamma in (("A2", frozenset({1})), ("B2", frozenset({2}))):
-        pd = standard_parabolic(label, gamma)
-        rng = random.Random(f"stab:{label}")
-        for _ in range(5):
-            w = stabilizer_word(pd, rng, length=4)
-            assert act_subspace(pd.alg, w, pd.p) == pd.p
+    # act_subspace returns p for these words without moving a row, so the
+    # fact is read off the letter-by-letter Fraction images of p's rows
+    for label in SUPPORTED_TYPES:
+        alg = algebra(label)
+        for gamma in {frozenset({1}), frozenset({alg.rank})}:
+            pd = standard_parabolic(label, gamma)
+            rng = random.Random(f"stab:{label}:{sorted(gamma)}")
+            for _ in range(5):
+                w = stabilizer_word(pd, rng, length=4)
+                assert qspan([_act_by_fractions(alg, w, r) for r in frac_rows(pd.p)],
+                             alg.dim) == pd.p
 
 
 def _unit_levels(pd):
@@ -561,6 +567,12 @@ def test_letter_on_a_non_root_raises_naming_it(root):
     alg = algebra("A2")
     with pytest.raises(ValueError, match=re.escape(f"{root!r} is not a root of A2")):
         act_vector(alg, _w_unip(root, 1), (alg.one_hot(0), 1))
+    # also where act_subspace reads the letter only to see if it fixes s
+    pd = standard_parabolic("A2", frozenset())
+    torus = TorusLetter((F(2), F(3)))
+    for s in (pd.p, pd.u, Subspace.zero(alg.dim)):
+        with pytest.raises(ValueError, match=re.escape(f"{root!r} is not a root of A2")):
+            act_subspace(alg, word_of(UnipotentLetter(root, F(1)), torus), s)
 
 
 @pytest.mark.parametrize("root", [(1.0, 0), (True, 0), [1, 0], (F(1), 0)])
@@ -1220,19 +1232,65 @@ def test_compiled_words_match_letter_by_letter_fractions(case):
         assert [_frac(v) for v in got] == [_act_by_fractions(alg, word, v) for v in fracs]
 
 
+def _act_subspace_whole_word(alg, w, s):
+    # every row runs the whole word: the oracle for the letters that
+    # act_subspace drops because they fix a coordinate subspace
+    if not w.letters:
+        return s
+    eb = EchelonBuilder(s.ambient_dim)
+    for nums, _ in _act_ints(alg, w, [(row, 1) for row in s.ints]):
+        eb.insert(nums)
+    return eb.subspace()
+
+
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)
 def test_act_subspace_is_the_span_of_fraction_images(label):
+    # coordinate inputs (p, u, the Levi factor) and others (a moved p,
+    # [p,p]-perp), under words in P, words in P after a letter that moves
+    # p, and random words: the image is the whole word's and the span of
+    # the Fraction images of the rows
     alg = algebra(label)
     rng = random.Random(f"act-subspace:{label}")
-    pd = standard_parabolic(label, frozenset({1}))
-    for _ in range(3):
+    lowest = tuple(-c for c in max(alg.positive_roots, key=sum))
+    for gamma in sorted({frozenset(), frozenset({1}), frozenset(range(1, alg.rank + 1))},
+                        key=sorted):
+        pd = standard_parabolic(label, gamma)
         torus = TorusLetter(tuple(rng.choice(_SIGNED_PARAMS) for _ in range(alg.rank)))
-        w = concat(random_word(alg, rng, length=3), word_of(torus))
-        for s in (pd.p, pd.u, pd.p_derived_perp):
-            assert act_subspace(alg, w, s) == \
-                qspan([_act_by_fractions(alg, w, r) for r in frac_rows(s)], alg.dim)
+        moved_p = act_subspace(alg, random_word(alg, rng, length=3), pd.p)
+        words = (stabilizer_word(pd, rng, length=4),
+                 concat(word_of(UnipotentLetter(lowest, F(1))), stabilizer_word(pd, rng, 3)),
+                 concat(random_word(alg, rng, length=3), word_of(torus)),
+                 random_word(alg, rng, length=4))
+        for w in words:
+            for s in (pd.p, pd.u, pd.levi, moved_p, pd.p_derived_perp):
+                got = act_subspace(alg, w, s)
+                assert got == _act_subspace_whole_word(alg, w, s)
+                assert got == qspan([_act_by_fractions(alg, w, r) for r in frac_rows(s)],
+                                    alg.dim)
+        assert act_subspace(alg, words[0], pd.p) is pd.p
     # the identity word returns the subspace itself
     assert act_subspace(alg, IDENTITY_WORD, pd.p) is pd.p
+
+
+def test_act_subspace_rejects_malformed_input_whatever_the_word():
+    pd = standard_parabolic("B2", frozenset({1}))
+    alg = pd.alg
+    fixing = UnipotentLetter(alg.positive_roots[0], F(1))
+    moving = UnipotentLetter(tuple(-c for c in max(alg.positive_roots, key=sum)), F(1))
+    torus = TorusLetter((F(2), F(3)))
+    # a subspace of another Q^n, whatever the word, even one that moves no row
+    for w in (IDENTITY_WORD, word_of(torus), word_of(fixing), word_of(moving, fixing)):
+        for s in (Subspace.zero(5), Subspace.full(5), Subspace.coordinate(alg.dim + 1, [0])):
+            with pytest.raises(DimensionMismatch):
+                act_subspace(alg, w, s)
+    # a torus letter of the wrong length, among letters that fix p or after
+    # one that moves it
+    bad = TorusLetter((F(2),))
+    for w in (word_of(bad), word_of(bad, fixing), word_of(fixing, bad, torus),
+              word_of(moving, bad)):
+        for s in (pd.p, pd.u, Subspace.zero(alg.dim), pd.p_derived_perp):
+            with pytest.raises(ValueError, match="torus letter has wrong parameter count"):
+                act_subspace(alg, w, s)
 
 
 def test_act_ints_reads_a_one_shot_iterator():

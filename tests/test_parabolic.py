@@ -17,6 +17,7 @@ from liework.exactlin import (
     QuotientSpace,
     Subspace,
     VectorOutsideTotal,
+    _coordinate_indices,
     class_of,
     quotient,
     smith_normal_form,
@@ -25,6 +26,7 @@ from liework.exactlin import (
 from liework.parabolic import (
     ParabolicAuditError,
     RichardsonSearchError,
+    _coordinate_span_contains,
     _tangent_rank,
     build_parabolic,
     find_richardson,
@@ -346,6 +348,29 @@ def test_build_parabolic_raises_when_u_derived_leaves_u(monkeypatch):
     with pytest.raises(ParabolicAuditError, match=r"A2 gamma \[\]: \[u,u\] does not lie in u"):
         build_parabolic(alg, ())
     assert not any("u,u" in n or "a_u" in n for n in names)
+
+
+def test_coordinate_subset_tests_agree_with_contains_space():
+    # build_parabolic tests [p,p]-perp in p and [u,u] in u on p's and u's
+    # indices; the eliminating test agrees on every dossier, also where the
+    # answer is no, and a row with an entry off the indices reads false
+    for pd in _every_datum():
+        n = pd.alg.dim
+        for c in (pd.p, pd.u, pd.levi):
+            assert _coordinate_indices(c) == frozenset(c.pivots)
+            for s in (pd.p_derived_perp, pd.u_derived, pd.u, pd.levi):
+                assert _coordinate_span_contains(c, s) == c.contains_space(s)
+            for j in sorted(set(range(n)).difference(c.pivots))[:3]:
+                for k in c.pivots[:2] or (None,):
+                    v = [0] * n
+                    v[j] = 2
+                    if k is not None:
+                        v[k] = -3
+                    off = span([v], n)
+                    assert not _coordinate_span_contains(c, off)
+                    assert not c.contains_space(off)
+        dense = any(r.count(0) < n - 1 for r in pd.p_derived_perp.ints)
+        assert (_coordinate_indices(pd.p_derived_perp) is None) == dense
 
 
 def test_fixedpoint_check_on_single_unit_rows():
